@@ -22,6 +22,7 @@ from typing import List, Sequence, Tuple
 from corelab.rootsys import (
     RootSystem,
     Vector,
+    mat_vec,
     pairing,
     root_vector,
     roots_of_height,
@@ -47,10 +48,6 @@ def _mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     )
 
 
-def _mat_apply(m: IntMatrix, v: Sequence[Q]) -> Vector:
-    return tuple(sum(row[j] * v[j] for j in range(len(row))) for row in m)
-
-
 def _identity_matrix(n: int) -> IntMatrix:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
@@ -68,12 +65,12 @@ class AffineElement:
         return cls(_identity_matrix(rank), tuple(Q(0) for _ in range(rank)))
 
     def apply(self, x: Sequence[Q]) -> Vector:
-        return tuple(m + t for m, t in zip(_mat_apply(self.linear, x), self.translation))
+        return tuple(m + t for m, t in zip(mat_vec(self.linear, x), self.translation))
 
     def __mul__(self, other: "AffineElement") -> "AffineElement":
         return AffineElement(
             _mat_mul(self.linear, other.linear),
-            tuple(m + t for m, t in zip(_mat_apply(self.linear, other.translation),
+            tuple(m + t for m, t in zip(mat_vec(self.linear, other.translation),
                                         self.translation)),
             self.extended or other.extended,
         )
@@ -84,7 +81,7 @@ class AffineElement:
 
         inv_q = invert_matrix([[Q(x) for x in row] for row in self.linear])
         inv = tuple(tuple(int(x) for x in row) for row in inv_q)
-        tau = tuple(-x for x in _mat_apply(inv, self.translation))
+        tau = tuple(-x for x in mat_vec(inv, self.translation))
         return AffineElement(inv, tau, self.extended)
 
     def is_identity(self) -> bool:
@@ -273,7 +270,7 @@ def apply_to_affine_root(rs: RootSystem, g: AffineElement, ar: AffineRoot) -> Af
     """Image of a real affine root under ``g``: ``alpha + k delta`` maps to
     ``g(alpha) + (k - <tau, g(alpha)>) delta``."""
     vec = root_vector(rs, ar.coeffs)
-    new_vec = _mat_apply(g.linear, vec)
+    new_vec = mat_vec(g.linear, vec)
     coeffs = vector_to_root_coeffs(rs, new_vec)
     abs_coeffs = tuple(abs(c) for c in coeffs)
     assert abs_coeffs in _root_coeff_set(rs)
@@ -418,5 +415,5 @@ def omega_group(rs: RootSystem) -> List[AffineElement]:
 def b_omega_action(rs: RootSystem, b: int, g: AffineElement, x: Sequence[Q]) -> Vector:
     """Action of the alcove stabilizer rescaled to ``b * A``: ``x -> M x + b tau``."""
     return tuple(
-        m + b * t for m, t in zip(_mat_apply(g.linear, x), g.translation)
+        m + b * t for m, t in zip(mat_vec(g.linear, x), g.translation)
     )

@@ -12,16 +12,16 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from fractions import Fraction as Q
+from functools import lru_cache
 from math import comb, gcd
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .cores import core_from_coroot, enumerate_simultaneous_cores
 from .ehrhart import (
     coprime_fit_classes,
-    _default_spec,
+    default_spec,
     fit_component,
     quasi_period,
     QuasiPolynomial,
@@ -35,12 +35,10 @@ from .lattice_enum import (
     core_points_in_sommers,
     coweight_points_in_bA,
     coroot_points_in_size_ellipsoid,
-    _zise_closed_form,
 )
-from .rootsys import RootSystem, build_root_system, inner
+from .rootsys import QuadraticForm, RootSystem, build_root_system, inner
 from .stats import (
-    _verdict,
-    _w_b_inverse,
+    MomentReport,
     experiment_cn_fuss,
     experiment_cn_selfconjugate_weighting,
     experiment_weak_order_maximality,
@@ -49,7 +47,9 @@ from .stats import (
     is_simply_laced,
     moments,
     size_point,
+    verdict_of,
     verify_max,
+    w_b_inverse,
     zise_point,
 )
 
@@ -178,10 +178,10 @@ def cmd_enum(args) -> Tuple[int, List[Dict]]:
                 " the Coxeter number %d; use --stat zise on the alcove" % h
             )
         if args.lattice == "coroot":
-            points = core_points_in_sommers(rs, b, jobs=args.jobs).points
+            points = core_points_in_sommers(rs, b).points
         else:
-            winv = _w_b_inverse(rs, b)
-            alcove = coweight_points_in_bA(rs, b, jobs=args.jobs).points
+            winv = w_b_inverse(rs, b)
+            alcove = coweight_points_in_bA(rs, b).points
             points = tuple(sorted(winv.apply(x) for x in alcove))
         with_cores = rs.family == "A" and args.lattice == "coroot"
         for x in points:
@@ -197,17 +197,24 @@ def cmd_enum(args) -> Tuple[int, List[Dict]]:
             " simply-laced closed form" % h
         )
     if args.lattice == "coroot":
-        points = coroot_points_in_bA(rs, b, jobs=args.jobs).points
+        points = coroot_points_in_bA(rs, b).points
     else:
-        points = coweight_points_in_bA(rs, b, jobs=args.jobs).points
+        points = coweight_points_in_bA(rs, b).points
+    form = QuadraticForm(rs, b)
     for x in points:
-        value = zise_point(rs, b, x) if coprime else _zise_closed_form(rs, b, x)
+        value = zise_point(rs, b, x) if coprime else form(x)
         results.append({"point": _vec(x), "zise": _rat(value)})
     return EXIT_OK, results
 
 
+@lru_cache(maxsize=None)
+def moment_report(rs: RootSystem, b: int) -> MomentReport:
+    """The moments of ``(rs, b)``, computed once however many selectors read them."""
+    return moments(rs, b)
+
+
 def _moment_result(rs: RootSystem, b: int) -> Dict:
-    report = moments(rs, b)
+    report = moment_report(rs, b)
     result = {
         "family": report.family,
         "rank": report.rank,
@@ -261,7 +268,7 @@ def _verify_one(selector: str, rs: RootSystem, b: Optional[int], args) -> Dict:
     if selector == "strange":
         lhs = 24 * inner(rs, rs.rho, rs.rho)
         rhs = 2 * rs.dual_coxeter_number * n * (h + 1)
-        result.update(value=_rat(lhs), expected=_rat(Q(rhs)), verdict=_verdict(lhs, Q(rhs)))
+        result.update(value=_rat(lhs), expected=_rat(Q(rhs)), verdict=verdict_of(lhs, Q(rhs)))
         return result
     if selector == "macdonald":
         if not is_simply_laced(rs):
@@ -294,7 +301,7 @@ def _verify_one(selector: str, rs: RootSystem, b: Optional[int], args) -> Dict:
         _check_budget(_count_estimate(rs, b, "coroot"), args)
         got = Q(alcove_size_sums(rs, b, "coroot")[0])
         expected = haiman_count(rs, b)
-        result.update(value=_rat(got), expected=_rat(expected), verdict=_verdict(got, expected))
+        result.update(value=_rat(got), expected=_rat(expected), verdict=verdict_of(got, expected))
         return result
     if selector == "floor":
         try:
@@ -312,7 +319,7 @@ def _verify_one(selector: str, rs: RootSystem, b: Optional[int], args) -> Dict:
             raise UsageError(str(exc))
         got = Q(len(cores))
         expected = Q(comb(n + 1 + b, n + 1), n + 1 + b)
-        result.update(value=_rat(got), expected=_rat(expected), verdict=_verdict(got, expected))
+        result.update(value=_rat(got), expected=_rat(expected), verdict=verdict_of(got, expected))
         return result
     if selector == "max":
         if not is_simply_laced(rs):
@@ -335,7 +342,7 @@ def _verify_one(selector: str, rs: RootSystem, b: Optional[int], args) -> Dict:
     if selector in ("mean", "variance", "m3"):
         _require_coprime(rs, b)
         _check_budget(_count_estimate(rs, b, "coroot"), args)
-        report = moments(rs, b)
+        report = moment_report(rs, b)
         key = {"mean": "mean", "variance": "m2", "m3": "m3"}[selector]
         verdict = report.verdict_map().get(key, "no closed form")
         values = {"mean": report.mean, "variance": report.m2, "m3": report.m3}
@@ -347,7 +354,7 @@ def _verify_one(selector: str, rs: RootSystem, b: Optional[int], args) -> Dict:
     raise UsageError("unknown selector %r" % selector)
 
 
-COPRIME_SELECTORS = ("count", "max", "mean", "variance", "m3")
+COPRIME_SELECTORS = ("count", "max", "mean", "variance", "m3", "floor", "anderson")
 
 
 def cmd_verify(args) -> Tuple[int, List[Dict]]:
@@ -400,7 +407,7 @@ def cmd_fit(args) -> Tuple[int, List[Dict]]:
         classes = coprime_fit_classes(rs, lattice)
     else:
         classes = tuple(range(m))
-    specs = [_default_spec(rs, k, lattice, j) for j in classes]
+    specs = [default_spec(rs, k, lattice, j) for j in classes]
     estimate = sum(
         _count_estimate(rs, b, lattice) for spec in specs for b in spec.samples
     )
@@ -542,7 +549,7 @@ def cmd_experiment(args) -> Tuple[int, List[Dict]]:
             raise UsageError("--k >= 1 is required")
         if not is_simply_laced(rs):
             raise UsageError("top-coeff requires a simply-laced root system")
-        spec = _default_spec(rs, args.k, "coroot", 1 if quasi_period(rs, "coroot") > 1 else 0)
+        spec = default_spec(rs, args.k, "coroot", 1 if quasi_period(rs, "coroot") > 1 else 0)
         estimate = sum(_count_estimate(rs, b, "coroot") for b in spec.samples)
         _check_budget(estimate, args)
         report = dict(leading_coefficient_checks(rs, args.k))
@@ -575,7 +582,6 @@ def _config_dict(args) -> Dict:
         "trunc",
         "lattice",
         "format",
-        "jobs",
         "max_points",
         "seed",
         "selectors",
@@ -666,7 +672,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trunc", type=int)
         p.add_argument("--lattice", choices=("coweight", "coroot"), default=None)
         p.add_argument("--format", choices=("json", "csv", "table"), default="json")
-        p.add_argument("--jobs", type=int, default=None)
         p.add_argument("--max-points", dest="max_points", type=int, default=50_000_000)
         p.add_argument("--seed", type=int, default=0)
 
@@ -715,14 +720,6 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return int(code) if isinstance(code, int) else EXIT_USAGE
-    if args.jobs is None:
-        try:
-            args.jobs = max(1, int(os.environ.get("CORELAB_JOBS", "1")))
-        except ValueError:
-            args.jobs = 1
-    if args.jobs < 1:
-        print("error: --jobs must be positive", file=sys.stderr)
-        return EXIT_USAGE
     if args.lattice is None:
         # each command defaults to its natural lattice: fits follow the
         # coweight Ehrhart theory, everything else follows the cores

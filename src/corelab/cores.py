@@ -15,12 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import comb, gcd
-from typing import Iterator, List, Sequence, Tuple
+from typing import Collection, Iterator, List, Sequence, Tuple
 
 from corelab.affine import alcove_walk, base_point, compute_w_b
 from corelab.lattice_enum import coroot_points_in_bA
-from corelab.rootsys import RootSystem, build_root_system, vec_add
-from corelab.stats import size_point
+from corelab.rootsys import QuadraticForm, RootSystem, build_root_system, vec_add
 
 
 @dataclass(frozen=True)
@@ -103,11 +102,17 @@ def _corners(parts: Sequence[int]) -> Tuple[List[Tuple[int, int]], List[Tuple[in
     return addable, removable
 
 
-def _letter_on_parts(a: int, i: int, parts: Tuple[int, ...]) -> Tuple[int, ...]:
-    """Toggle the corners of content ``i`` mod ``a`` without re-certifying hooks."""
+def toggle_corners(
+    parts: Tuple[int, ...], m: int, residues: Collection[int]
+) -> Tuple[int, ...]:
+    """Add every addable corner whose content mod ``m`` lies in ``residues``,
+    or, if there is none, remove every such removable corner.
+
+    The two kinds are asserted never to coexist; hooks are not re-certified.
+    """
     addable, removable = _corners(parts)
-    add_hits = [r for r, c in addable if c % a == i]
-    rem_hits = [r for r, c in removable if c % a == i]
+    add_hits = [r for r, c in addable if c % m in residues]
+    rem_hits = [r for r, c in removable if c % m in residues]
     assert not (add_hits and rem_hits)
     out = list(parts)
     if add_hits:
@@ -135,7 +140,7 @@ def simple_action_on_core(a: int, i: int, core: CorePartition) -> CorePartition:
     if not 0 <= i < a:
         raise ValueError(f"residue {i} out of range for modulus {a}")
     assert core.modulus == a
-    return CorePartition(Partition(_letter_on_parts(a, i, core.partition.parts)), a)
+    return CorePartition(Partition(toggle_corners(core.partition.parts, a, (i,))), a)
 
 
 @lru_cache(maxsize=None)
@@ -165,9 +170,9 @@ def core_from_coroot(a: int, lam: Sequence[Q | int]) -> CorePartition:
     assert elem.translation == lam_q
     parts: Tuple[int, ...] = ()
     for letter in reversed(word):
-        parts = _letter_on_parts(a, letter, parts)
+        parts = toggle_corners(parts, a, (letter,))
     core = CorePartition(Partition(parts), a)
-    assert core.size == size_point(rs, lam_q)
+    assert core.size == QuadraticForm(rs, 1)(lam_q)
     return core
 
 

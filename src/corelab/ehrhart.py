@@ -16,14 +16,21 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .lattice_enum import alcove_size_sums, iter_coroot_points, iter_coweight_points
-from .rootsys import RootSystem
-from .stats import _verdict, closed_mean, haiman_count, is_simply_laced
+from .genfun import poly_add, poly_mul
+from .lattice_enum import (
+    alcove_size_sums,
+    coweight_denominator,
+    iter_coroot_points,
+    iter_coweight_points,
+)
+from .rootsys import QuadraticForm, RootSystem, is_simply_laced
+from .stats import closed_mean, haiman_count, verdict_of
 
 __all__ = [
     "QuasiPolynomial",
     "FitSpec",
     "quasi_period",
+    "default_spec",
     "weighted_lattice_sum",
     "fit_component",
     "fit_quasi",
@@ -41,23 +48,6 @@ def _ptrim(p: Sequence[Q]) -> PolyQ:
     out = list(p)
     while len(out) > 1 and out[-1] == 0:
         out.pop()
-    return tuple(out)
-
-
-def _padd(p: Sequence[Q], s: Sequence[Q]) -> PolyQ:
-    size = max(len(p), len(s))
-    return tuple(
-        (p[i] if i < len(p) else Q(0)) + (s[i] if i < len(s) else Q(0))
-        for i in range(size)
-    )
-
-
-def _pmul(p: Sequence[Q], s: Sequence[Q]) -> PolyQ:
-    out = [Q(0)] * (len(p) + len(s) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, c in enumerate(s):
-                out[i + j] += a * c
     return tuple(out)
 
 
@@ -86,9 +76,9 @@ def _lagrange_fit(xs: Sequence[int], ys: Sequence[Q]) -> PolyQ:
         den = Q(1)
         for j, xj in enumerate(xs):
             if j != i:
-                num = _pmul(num, (Q(-xj), Q(1)))
+                num = poly_mul(num, (Q(-xj), Q(1)))
                 den *= xi - xj
-        total = _padd(total, _pscale(yi / den, num))
+        total = poly_add(total, _pscale(yi / den, num))
     return _ptrim(total)
 
 
@@ -147,20 +137,14 @@ def quasi_period(rs: RootSystem, lattice: str) -> int:
     return lcm(*dens)
 
 
-def _lattice_scale(rs: RootSystem, lattice: str) -> int:
-    if lattice == "coroot":
-        return 1
-    return lcm(*(coord.denominator for w in rs.fund_coweights for coord in w))
-
-
 @lru_cache(maxsize=None)
 def weighted_lattice_sum(
     rs: RootSystem, b: int, k: int, lattice: str, centered: bool = False
 ) -> Q:
     """Sum of the k-th power of the dilation statistic over lattice points.
 
-    The statistic is the closed quadratic form (h/2)||x||^2 - b<x, rho> +
-    (b^2-1)n(h+1)/24, evaluated on every lattice point of the closed dilated
+    The statistic is the form ``F_b`` (:class:`QuadraticForm`), the closed
+    form of zise, evaluated on every lattice point of the closed dilated
     alcove; ``centered`` subtracts the closed-form mean n(b-1)(h+b+1)/24
     before raising to the k-th power.
     """
@@ -180,32 +164,18 @@ def weighted_lattice_sum(
         return total
     n = rs.rank
     h = rs.coxeter_number
-    cartan = rs.cartan
-    d = _lattice_scale(rs, lattice)
-    scale = 24 * d * d
-    # scale * statistic is an integer on scaled points: 12h x^T A x is even
-    # integral, and the linear and constant parts clear the denominators.
-    const = d * d * (b * b - 1) * n * (h + 1)
+    form = QuadraticForm(rs, b)
+    # the form is summed as the integer 24 d^2 F_b(x) on points scaled by d
+    if lattice == "coroot":
+        d, points = 1, iter_coroot_points(rs, b)
+    else:
+        d, points = coweight_denominator(rs), iter_coweight_points(rs, b)
     mu_scaled = d * d * n * (b - 1) * (h + b + 1) if centered else 0
-    points = (
-        iter_coroot_points(rs, b)
-        if lattice == "coroot"
-        else iter_coweight_points(rs, b)
-    )
-    total_int = 0
+    total = 0
     for x in points:
-        xi = [int(v * d) for v in x]
-        quad = 0
-        lin = 0
-        for r, xr in enumerate(xi):
-            if xr:
-                row = cartan[r]
-                quad += xr * sum(row[c] * xc for c, xc in enumerate(xi) if xc)
-                lin += xr
-        assert h * quad % 2 == 0
-        value = 12 * h * quad - 24 * b * d * lin + const
-        total_int += (value - mu_scaled) ** k
-    return Q(total_int, scale**k)
+        y = [v.numerator * (d // v.denominator) for v in x]
+        total += (form.scaled_at(y, d) - mu_scaled) ** k
+    return Q(total, (24 * d * d) ** k)
 
 
 @dataclass(frozen=True)
@@ -240,7 +210,7 @@ class FitSpec:
         return quasi_period(self.rs, self.lattice)
 
 
-def _default_spec(
+def default_spec(
     rs: RootSystem,
     k: int,
     lattice: str,
@@ -287,7 +257,7 @@ def fit_quasi(
     components: List[Optional[PolyQ]] = [None] * m
     for residue in chosen:
         components[residue] = fit_component(
-            _default_spec(rs, k, lattice, residue, centered)
+            default_spec(rs, k, lattice, residue, centered)
         )
     return QuasiPolynomial(m, tuple(components), rs.rank + 2 * k)
 
@@ -317,7 +287,7 @@ def _closed_count_poly(rs: RootSystem) -> PolyQ:
     """(1/|W|) prod (b + e_i) as a polynomial in b."""
     poly: PolyQ = (Q(1, rs.weyl_order),)
     for e in rs.exponents:
-        poly = _pmul(poly, (Q(e), Q(1)))
+        poly = poly_mul(poly, (Q(e), Q(1)))
     return poly
 
 
@@ -325,8 +295,8 @@ def _expected_size_poly(rs: RootSystem) -> PolyQ:
     """(n/24)(b-1)(b+h+1) times the count polynomial."""
     n = rs.rank
     h = rs.coxeter_number
-    mean = _pscale(Q(n, 24), _pmul((Q(-1), Q(1)), (Q(h + 1), Q(1))))
-    return _pmul(mean, _closed_count_poly(rs))
+    mean = _pscale(Q(n, 24), poly_mul((Q(-1), Q(1)), (Q(h + 1), Q(1))))
+    return poly_mul(mean, _closed_count_poly(rs))
 
 
 def coprime_fit_classes(rs: RootSystem, lattice: str) -> Tuple[int, ...]:
@@ -404,7 +374,7 @@ def verify_expected_size_polynomial(rs: RootSystem) -> Dict:
         # The displayed closed product with roots at 1 and -(e_i + 2).
         displayed: PolyQ = (Q(1, 207360),)
         for root in (1, -1, -4, -5, -7, -8, -11, -13):
-            displayed = _pmul(displayed, (Q(-root), Q(1)))
+            displayed = poly_mul(displayed, (Q(-root), Q(1)))
         report["displayed_product_matches"] = _ptrim(displayed) == _ptrim(expected)
     return report
 
@@ -485,10 +455,10 @@ def leading_coefficient_checks(rs: RootSystem, k: int) -> Dict:
         raise ValueError("weighted fits require a simply-laced root system")
     n = rs.rank
     residue = 1 if quasi_period(rs, "coroot") > 1 else 0
-    count_poly = fit_component(_default_spec(rs, 0, "coroot", residue))
+    count_poly = fit_component(default_spec(rs, 0, "coroot", residue))
     assert len(count_poly) == n + 1, "count polynomial must have degree n"
     weight_poly = fit_component(
-        _default_spec(rs, k, "coroot", residue, centered=(k >= 2))
+        default_spec(rs, k, "coroot", residue, centered=(k >= 2))
     )
     assert len(weight_poly) <= n + 2 * k + 1
     if k <= 2:
@@ -496,7 +466,7 @@ def leading_coefficient_checks(rs: RootSystem, k: int) -> Dict:
     ratio = _pcoeff(weight_poly, n + 2 * k) / count_poly[n]
     expected = _expected_leading_ratio(rs, k)
     grade = "theorem" if k <= 2 else "conjecture"
-    verdict = _verdict(ratio, expected)
+    verdict = verdict_of(ratio, expected)
     if grade == "theorem":
         assert verdict == "match", verdict
     return {

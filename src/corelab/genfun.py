@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from .affine import element_from_word
-from .rootsys import RootSystem
+from .rootsys import RootSystem, is_simply_laced
 
 __all__ = [
     "IntSeries",
@@ -21,6 +21,8 @@ __all__ = [
     "core_product_series",
     "coxeter_char_poly",
     "macdonald_series",
+    "poly_add",
+    "poly_mul",
 ]
 
 
@@ -137,7 +139,9 @@ class IntPolynomial:
         return IntSeries(truncation, tuple(out))
 
 
-def _poly_add(p: Tuple[int, ...], s: Tuple[int, ...]) -> Tuple[int, ...]:
+def poly_add(p: Sequence, s: Sequence) -> Tuple:
+    """Sum of two coefficient tuples, low degree first; pads with int ``0``,
+    so integer polynomials stay integer and rational ones stay rational."""
     size = max(len(p), len(s))
     return tuple(
         (p[i] if i < len(p) else 0) + (s[i] if i < len(s) else 0)
@@ -145,7 +149,8 @@ def _poly_add(p: Tuple[int, ...], s: Tuple[int, ...]) -> Tuple[int, ...]:
     )
 
 
-def _poly_mul(p: Tuple[int, ...], s: Tuple[int, ...]) -> Tuple[int, ...]:
+def poly_mul(p: Sequence, s: Sequence) -> Tuple:
+    """Product of two coefficient tuples, low degree first."""
     out = [0] * (len(p) + len(s) - 1)
     for i, a in enumerate(p):
         if a == 0:
@@ -177,12 +182,12 @@ def _char_poly_coeffs(matrix: Sequence[Sequence[int]]) -> Tuple[int, ...]:
                 if entry == (0,):
                     continue
                 sign = -1 if bin(mask >> (col + 1)).count("1") % 2 else 1
-                term = _poly_mul(poly, entry)
+                term = poly_mul(poly, entry)
                 if sign < 0:
                     term = tuple(-c for c in term)
                 key = mask | bit
                 if key in nxt:
-                    nxt[key] = _poly_add(nxt[key], term)
+                    nxt[key] = poly_add(nxt[key], term)
                 else:
                     nxt[key] = term
         dets = nxt
@@ -218,7 +223,7 @@ def _divides_root_of_unity_power(poly: Tuple[int, ...], h: int, n: int) -> bool:
     base[h] = 1
     dividend: Tuple[int, ...] = (1,)
     for _ in range(n):
-        dividend = _poly_mul(dividend, tuple(base))
+        dividend = poly_mul(dividend, tuple(base))
     return all(c == 0 for c in _monic_remainder(dividend, poly))
 
 
@@ -269,7 +274,7 @@ def macdonald_series(rs: RootSystem, truncation: int) -> IntSeries:
     Expands prod_{i >= 1} f(q^i) (1 - q^(h i))^n where f is the Coxeter
     characteristic polynomial and h the Coxeter number.
     """
-    if any(l != 1 for l in rs.simple_lengths):
+    if not is_simply_laced(rs):
         raise ValueError("product formula requires a simply-laced root system")
     f = coxeter_char_poly(rs)
     assert f.coeffs[0] == 1

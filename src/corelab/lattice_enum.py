@@ -11,7 +11,6 @@ materializes the point set.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
@@ -20,11 +19,11 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from corelab.affine import compute_w_b, in_dilated_alcove, sommers_contains
 from corelab.rootsys import (
+    QuadraticForm,
     RootSystem,
     Vector,
-    build_root_system,
-    inner,
     invert_matrix,
+    is_simply_laced,
 )
 
 
@@ -80,6 +79,11 @@ def _scaled_coweight_rows(rs: RootSystem) -> Tuple[int, Tuple[Tuple[int, ...], .
     return den, rows
 
 
+def coweight_denominator(rs: RootSystem) -> int:
+    """Least ``d`` with ``d * omega_check_i`` integral in coroot coordinates for every ``i``."""
+    return _scaled_coweight_rows(rs)[0]
+
+
 def coeffs_to_point(rs: RootSystem, coeffs: Sequence[int]) -> Vector:
     """Coroot coordinates of ``sum_i coeffs[i] * omega_check_i``."""
     den, rows = _scaled_coweight_rows(rs)
@@ -101,42 +105,20 @@ def iter_coroot_points(rs: RootSystem, b: int) -> Iterator[Vector]:
             yield x
 
 
-def _shard_worker(args) -> List[Tuple[int, ...]]:
-    family, rank, total = args
-    rs = build_root_system(family, rank)
-    out = []
-    for coeffs in iter_coweight_coeffs(rs, total):
-        if sum(c * m for c, m in zip(coeffs, rs.marks)) == total:
-            out.append(coeffs)
-    return out
-
-
-def _all_coeffs(rs: RootSystem, b: int, jobs: int) -> List[Tuple[int, ...]]:
-    if jobs <= 1:
-        return list(iter_coweight_coeffs(rs, b))
-    # shard on the slack variable: shard s holds the solutions of total weight b - s
-    tasks = [(rs.family, rs.rank, b - s) for s in range(b + 1)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        shards = list(pool.map(_shard_worker, tasks))
-    merged = [c for shard in shards for c in shard]
-    merged.sort()
-    return merged
-
-
-def coweight_points_in_bA(rs: RootSystem, b: int, jobs: int = 1) -> LatticePointSet:
+def coweight_points_in_bA(rs: RootSystem, b: int) -> LatticePointSet:
     """All coweight lattice points of the closed dilated alcove ``b * A``."""
-    points = tuple(sorted(coeffs_to_point(rs, c) for c in _all_coeffs(rs, b, jobs)))
+    points = tuple(sorted(coeffs_to_point(rs, c) for c in iter_coweight_coeffs(rs, b)))
     for x in points[: min(len(points), 64)]:
         assert in_dilated_alcove(rs, b, x)
     return LatticePointSet(rs, b, "coweight", points)
 
 
-def coroot_points_in_bA(rs: RootSystem, b: int, jobs: int = 1) -> LatticePointSet:
+def coroot_points_in_bA(rs: RootSystem, b: int) -> LatticePointSet:
     """Coroot lattice points of ``b * A``; counts follow the exponent product rule."""
     points = tuple(
         sorted(
             x
-            for c in _all_coeffs(rs, b, jobs)
+            for c in iter_coweight_coeffs(rs, b)
             if is_coroot_point(x := coeffs_to_point(rs, c))
         )
     )
@@ -149,22 +131,17 @@ def coroot_points_in_bA(rs: RootSystem, b: int, jobs: int = 1) -> LatticePointSe
     return LatticePointSet(rs, b, "coroot", points)
 
 
-def core_points_in_sommers(rs: RootSystem, b: int, jobs: int = 1) -> LatticePointSet:
+def core_points_in_sommers(rs: RootSystem, b: int) -> LatticePointSet:
     """Coroot points of the height-``b`` region, as the ``w_b`` transport of ``b * A``."""
     h = rs.coxeter_number
     if gcd(b, h) != 1:
         raise ValueError("b not coprime to Coxeter number")
     winv = compute_w_b(rs, b).inverse()
-    moved = [winv.apply(x) for x in coroot_points_in_bA(rs, b, jobs).points]
+    moved = [winv.apply(x) for x in coroot_points_in_bA(rs, b).points]
     for x in moved:
         assert is_coroot_point(x)
         assert sommers_contains(rs, b, x)
     return LatticePointSet(rs, b, "coroot", tuple(sorted(moved)))
-
-
-def _size_value(rs: RootSystem, x: Sequence[Q]) -> Q:
-    g = rs.dual_coxeter_number
-    return Q(g, 2) * inner(rs, x, x) - sum(x)
 
 
 def coroot_points_in_size_ellipsoid(
@@ -194,65 +171,38 @@ def coroot_points_in_size_ellipsoid(
         hi = -((-center[i].numerator - s * center[i].denominator) // center[i].denominator)
         ranges.append(range(lo, hi + 1))
 
+    form = QuadraticForm(rs, 1)
+    gram = rs.gram
+    limit = 24 * N
     out: List[Tuple[Vector, Q]] = []
 
-    if all(l == 1 for l in rs.simple_lengths):
-        # Integer fast path: the Gram matrix equals the Cartan matrix, so
-        # x^T G x and the size are integers; carry the form incrementally.
-        cartan = rs.cartan
+    # carry <x, x> and sum(x) incrementally, coordinate by coordinate
+    def rec(i: int, prefix: List[int], square: int, total: int):
+        if i == n:
+            s = form.scaled(square, total)
+            if s <= limit:
+                assert s % 24 == 0
+                out.append((tuple(Q(v) for v in prefix), Q(s // 24)))
+            return
+        row = gram[i]
+        cross = sum(row[j] * prefix[j] for j in range(i))
+        for v in ranges[i]:
+            prefix.append(v)
+            rec(i + 1, prefix, square + row[i] * v * v + 2 * v * cross, total + v)
+            prefix.pop()
 
-        def rec_int(i: int, prefix: List[int], quad: int, lin: int):
-            if i == n:
-                assert g * quad % 2 == 0
-                s = g * quad // 2 - lin
-                if s <= N:
-                    out.append((tuple(Q(v) for v in prefix), Q(s)))
-                return
-            row = cartan[i]
-            cross = sum(row[j] * prefix[j] for j in range(i))
-            for v in ranges[i]:
-                prefix.append(v)
-                rec_int(i + 1, prefix, quad + row[i] * v * v + 2 * v * cross, lin + v)
-                prefix.pop()
-
-        rec_int(0, [], 0, 0)
-    else:
-
-        def rec(i: int, prefix: List[int]):
-            if i == n:
-                x = tuple(Q(v) for v in prefix)
-                s = _size_value(rs, x)
-                if s <= N:
-                    assert s.denominator == 1
-                    out.append((x, s))
-                return
-            for v in ranges[i]:
-                prefix.append(v)
-                rec(i + 1, prefix)
-                prefix.pop()
-
-        rec(0, [])
+    rec(0, [], 0, 0)
     out.sort(key=lambda item: item[0])
     return out
-
-
-def _zise_closed_form(rs: RootSystem, b: int, x: Sequence[Q]) -> Q:
-    n = rs.rank
-    h = rs.coxeter_number
-    return (
-        Q(h, 2) * inner(rs, x, x)
-        - b * sum(x)
-        + Q((b * b - 1) * n * (h + 1), 24)
-    )
 
 
 def alcove_size_sums(rs: RootSystem, b: int, lattice: str) -> Tuple[int, Optional[Q]]:
     """Count and size-sum over ``b * A`` lattice points, by exact dynamic programming.
 
     Returns ``(S0, S1)`` where ``S0`` is the number of points and ``S1`` the
-    sum of the dilation-``b`` size form over them.  The form is the closed
-    simply-laced quadratic ``h/2 ||x||^2 - b sum(x) + (b^2-1) n (h+1)/24``;
-    for other systems ``S1`` is ``None`` and only the count is meaningful.
+    sum of the dilation-``b`` form ``F_b`` (:class:`QuadraticForm`) over them,
+    the closed form of zise on simply-laced systems; for other systems ``S1``
+    is ``None`` and only the count is meaningful.
     The program runs over knapsack budgets and coroot-residue classes,
     carrying exact zeroth, first, and second moments of the point
     coordinates, and never materializes the point set.
@@ -264,12 +214,8 @@ def alcove_size_sums(rs: RootSystem, b: int, lattice: str) -> Tuple[int, Optiona
     n = rs.rank
     f = rs.index_f
     # integer coweight vectors: D * omega_check_i
-    D = lcm(*(v.denominator for row in rs.inv_cartan_t for v in row))
-    w_vecs = []
-    for i in range(n):
-        scaled = [rs.fund_coweights[i][k] * D for k in range(n)]
-        assert all(v.denominator == 1 for v in scaled)
-        w_vecs.append(tuple(int(v) for v in scaled))
+    D, rows = _scaled_coweight_rows(rs)
+    w_vecs = [tuple(row[i] for row in rows) for i in range(n)]
     # residue class of sum x_i omega_check_i modulo the coroot lattice:
     # adj(A^T) y mod f, where adj = f * inv(A^T)
     adj = [
@@ -321,29 +267,24 @@ def alcove_size_sums(rs: RootSystem, b: int, lattice: str) -> Tuple[int, Optiona
     s0 = sum(m0 for m0, _, _ in picked)
     if s0 == 0:
         return 0, Q(0)
-    if any(l != 1 for l in rs.simple_lengths):
+    if not is_simply_laced(rs):
         return s0, None
-    h = rs.coxeter_number
-    sum_m1 = [sum(p[1][r] for p in picked) for r in range(n)]
-    sum_m2 = [sum(p[2][k] for p in picked) for k in range(n * n)]
-    # sum of h/2 <x, x> with the Gram matrix equal to the Cartan matrix
-    quad = sum(
-        rs.cartan[r][c] * sum_m2[r * n + c] for r in range(n) for c in range(n)
+    total = sum(sum(p[1]) for p in picked)
+    square = sum(
+        rs.gram[r][c] * sum(p[2][r * n + c] for p in picked)
+        for r in range(n)
+        for c in range(n)
     )
-    s1 = (
-        Q(h * quad, 2 * D * D)
-        - Q(b * sum(sum_m1), D)
-        + Q((b * b - 1) * n * (h + 1), 24) * s0
-    )
-    return s0, s1
+    return s0, Q(QuadraticForm(rs, b).scaled(square, total, D, s0), 24 * D * D)
 
 
 def streamed_size_sums(rs: RootSystem, b: int, lattice: str) -> Tuple[int, Q]:
     """Reference implementation of alcove_size_sums by direct streaming."""
     points = iter_coweight_points(rs, b) if lattice == "coweight" else iter_coroot_points(rs, b)
+    form = QuadraticForm(rs, b)
     s0 = 0
     s1 = Q(0)
     for x in points:
         s0 += 1
-        s1 += _zise_closed_form(rs, b, x)
+        s1 += form(x)
     return s0, s1

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from math import factorial
+from math import factorial, lcm
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 Vector = Tuple[Q, ...]
@@ -185,7 +185,10 @@ def invert_matrix(m: Sequence[Sequence[Q]]) -> Tuple[Vector, ...]:
 
 
 def mat_vec(m: Sequence[Sequence[Q]], v: Sequence[Q]) -> Vector:
-    return tuple(sum(r * x for r, x in zip(row, v)) for row in m)
+    # scale v to integers: one Fraction per entry instead of one per product
+    d = lcm(*(x.denominator for x in v))
+    y = [x.numerator * (d // x.denominator) for x in v]
+    return tuple(Q(sum(r * yi for r, yi in zip(row, y)), d) for row in m)
 
 
 def vec_add(x: Sequence[Q], y: Sequence[Q]) -> Vector:
@@ -241,7 +244,7 @@ class RootSystem:
     Attributes of note (all tuples, all exact):
 
     - ``cartan``: integer Cartan matrix, ``cartan[i][j] = <coroot_i, root_j>``
-    - ``gram``: Gram matrix of the simple coroots
+    - ``gram``: Gram matrix of the simple coroots, integral in every type
     - ``positive_roots`` / ``roots_by_height`` / ``highest_root``
     - ``marks`` / ``comarks``: highest-root coefficients on roots / coroots
     - ``coxeter_number`` (h), ``dual_coxeter_number`` (g), ``exponents``,
@@ -301,7 +304,8 @@ class RootSystem:
         for i in range(n):
             for j in range(n):
                 assert gram[i][j] == gram[j][i]
-        self.gram = gram
+                assert gram[i][j].denominator == 1, "simple coroots pair integrally"
+        self.gram = tuple(tuple(int(v) for v in row) for row in gram)
 
         comarks = tuple(c[i] * self.simple_lengths[i] for i in range(n))
         assert all(d.denominator == 1 for d in comarks)
@@ -364,6 +368,56 @@ def build_root_system(family: str | RootSystemType, rank: int | None = None) -> 
             raise ValueError("rank required")
         rstype = RootSystemType(family, rank)
     return RootSystem(rstype)
+
+
+def is_simply_laced(rs: RootSystem) -> bool:
+    """Whether all simple roots have the same length."""
+    return all(l == 1 for l in rs.simple_lengths)
+
+
+class QuadraticForm:
+    """The size form at dilation ``b``:
+    ``F_b(x) = g/2 <x, x> - b <x, rho> + (b^2 - 1) n (h + 1)/24``.
+
+    ``F_1`` is the size form (the box count of the matching core in type A),
+    ``F_0`` the centered form ``g/2 <x, x> - n (h + 1)/24``, whose constant
+    is ``<rho, rho>/2g`` by the strange formula, and on simply-laced systems
+    ``F_b`` is the closed form of zise, the pullback of size through ``w_b``.  In coroot coordinates
+    ``<x, rho> = sum(x)``.  The Gram matrix is integral, so for an integer
+    vector ``y`` and a positive integer ``d`` the scaled value
+    ``24 d^2 F_b(y / d)`` is an integer; every evaluation goes through it.
+    """
+
+    def __init__(self, rs: RootSystem, b: int) -> None:
+        self.gram = rs.gram
+        self.g = rs.dual_coxeter_number
+        self.b = b
+        self.const = (b * b - 1) * rs.rank * (rs.coxeter_number + 1)
+
+    def square(self, y: Sequence[int]) -> int:
+        """``<y, y>`` of an integer vector."""
+        gram = self.gram
+        return sum(
+            yi * sum(gij * yj for gij, yj in zip(gram[i], y) if yj)
+            for i, yi in enumerate(y)
+            if yi
+        )
+
+    def scaled(self, square: int, total: int, d: int = 1, count: int = 1) -> int:
+        """``24 d^2`` times the sum of ``F_b(y / d)`` over ``count`` integer
+        vectors ``y`` whose ``<y, y>`` add up to ``square`` and whose
+        coordinates add up to ``total``."""
+        return 12 * self.g * square - 24 * self.b * d * total + count * d * d * self.const
+
+    def scaled_at(self, y: Sequence[int], d: int = 1) -> int:
+        """``24 d^2 F_b(y / d)`` for one integer vector ``y``."""
+        return self.scaled(self.square(y), sum(y), d)
+
+    def __call__(self, x: Sequence[Q | int]) -> Q:
+        """The exact value ``F_b(x)`` at a rational point."""
+        d = lcm(*(v.denominator for v in x))
+        y = [v.numerator * (d // v.denominator) for v in x]
+        return Q(self.scaled_at(y, d), 24 * d * d)
 
 
 def inner(rs: RootSystem, x: Sequence[Q], y: Sequence[Q]) -> Q:

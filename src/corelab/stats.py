@@ -1,7 +1,7 @@
-"""Size statistics on lattice points: quadratic forms, exact moments, experiments.
+"""Size statistics on lattice points: exact moments, experiments.
 
-``size`` is the quadratic form ``g/2 ||x||^2 - <x, rho>`` on coroot
-coordinates; ``zise`` at dilation ``b`` is its pullback through ``w_b``.
+``size`` is the form ``F_1`` of :class:`~corelab.rootsys.QuadraticForm` on
+coroot coordinates; ``zise`` at dilation ``b`` is its pullback through ``w_b``.
 Moments over the coroot points of ``b * A`` are folded exactly as power
 sums and compared against closed formulas where those exist (count for
 every type; maximum, mean, and variance for simply-laced systems; the
@@ -25,79 +25,47 @@ from corelab.affine import (
     size_of_element,
     to_dominant,
 )
+from corelab.cores import Partition, toggle_corners
 from corelab.lattice_enum import coroot_points_in_bA, core_points_in_sommers
 from corelab.rootsys import (
+    QuadraticForm,
     RootSystem,
     Vector,
     build_root_system,
-    inner,
+    is_simply_laced,
     roots_of_height,
     vec_scale,
     vec_sub,
 )
 
 
-def is_simply_laced(rs: RootSystem) -> bool:
-    return all(l == 1 for l in rs.simple_lengths)
-
-
 def size_point(rs: RootSystem, x: Sequence[Q]) -> Q:
-    """The size form ``g/2 ||x||^2 - <x, rho>``; integer on coroot points."""
-    xq = tuple(Q(v) for v in x)
-    return Q(rs.dual_coxeter_number, 2) * inner(rs, xq, xq) - sum(xq)
+    """The size form ``F_1(x) = g/2 ||x||^2 - <x, rho>``; integer on coroot points."""
+    return QuadraticForm(rs, 1)(x)
 
 
 def q_form_point(rs: RootSystem, x: Sequence[Q]) -> Q:
-    """The centered form ``g/2 ||x||^2 - n (h+1)/24``; minimal value of size."""
-    xq = tuple(Q(v) for v in x)
-    n, h = rs.rank, rs.coxeter_number
-    return Q(rs.dual_coxeter_number, 2) * inner(rs, xq, xq) - Q(n * (h + 1), 24)
+    """The centered form ``F_0(x) = g/2 ||x||^2 - n (h+1)/24``; minimal value of size."""
+    return QuadraticForm(rs, 0)(x)
 
 
 @lru_cache(maxsize=None)
-def _w_b_inverse(rs: RootSystem, b: int) -> AffineElement:
+def w_b_inverse(rs: RootSystem, b: int) -> AffineElement:
+    """The inverse of ``w_b``, which carries ``b * A`` onto the height-``b`` region."""
     return compute_w_b(rs, b).inverse()
 
 
 def zise_point(rs: RootSystem, b: int, x: Sequence[Q]) -> Q:
-    """Size pulled back through ``w_b``; checked against the closed quadratic
-    ``h/2 ||x||^2 - b sum(x) + (b^2 - 1) n (h+1)/24`` on every simply-laced call."""
+    """Size pulled back through ``w_b``; checked against the closed form ``F_b``
+    on every simply-laced call."""
     h = rs.coxeter_number
     if gcd(b, h) != 1:
         raise ValueError("b not coprime to Coxeter number")
     xq = tuple(Q(v) for v in x)
-    value = size_point(rs, _w_b_inverse(rs, b).apply(xq))
+    value = size_point(rs, w_b_inverse(rs, b).apply(xq))
     if is_simply_laced(rs):
-        n = rs.rank
-        closed = (
-            Q(h, 2) * inner(rs, xq, xq)
-            - b * sum(xq)
-            + Q((b * b - 1) * n * (h + 1), 24)
-        )
-        assert value == closed
+        assert value == QuadraticForm(rs, b)(xq)
     return value
-
-
-@dataclass(frozen=True)
-class QuadraticStatistic:
-    """One of the three quadratic statistics, bound to a root system."""
-
-    rs: RootSystem
-    kind: str
-    b: Optional[int] = None
-
-    def __post_init__(self):
-        if self.kind not in ("size", "zise", "Q"):
-            raise ValueError(f"unknown statistic kind {self.kind!r}")
-        if (self.kind == "zise") != (self.b is not None):
-            raise ValueError("zise takes a dilation b; size and Q take none")
-
-    def evaluate(self, x: Sequence[Q]) -> Q:
-        if self.kind == "size":
-            return size_point(self.rs, x)
-        if self.kind == "Q":
-            return q_form_point(self.rs, x)
-        return zise_point(self.rs, self.b, x)
 
 
 def haiman_count(rs: RootSystem, b: int) -> Q:
@@ -163,7 +131,7 @@ class MomentReport:
         return "mismatch" if any(v.startswith("mismatch") for v in vs) else "match"
 
 
-def _verdict(enumerated: Optional[Q], closed: Optional[Q]) -> str:
+def verdict_of(enumerated: Optional[Q], closed: Optional[Q]) -> str:
     if closed is None:
         return "no closed form"
     if enumerated == closed:
@@ -208,14 +176,14 @@ def moments(rs: RootSystem, b: int, max_k: int = 3) -> MomentReport:
     if max_k >= 3:
         closed["m3"] = closed_m3_type_a(rs, b) if rs.family == "A" else None
     verdicts = {
-        "count": _verdict(Q(s0), closed["count"]),
-        "max": _verdict(best, closed["max"]),
-        "mean": _verdict(mean, closed["mean"]),
+        "count": verdict_of(Q(s0), closed["count"]),
+        "max": verdict_of(best, closed["max"]),
+        "mean": verdict_of(mean, closed["mean"]),
     }
     if max_k >= 2:
-        verdicts["m2"] = _verdict(m2, closed["m2"])
+        verdicts["m2"] = verdict_of(m2, closed["m2"])
     if max_k >= 3:
-        verdicts["m3"] = _verdict(m3, closed["m3"])
+        verdicts["m3"] = verdict_of(m3, closed["m3"])
     return MomentReport(
         family=rs.family,
         rank=rs.rank,
@@ -249,7 +217,7 @@ def verify_max(rs: RootSystem, b: int) -> Tuple[Q, int, Vector]:
             best, mult, arg = v, 1, x
         elif v == best:
             mult += 1
-    argmax = _w_b_inverse(rs, b).apply(arg)
+    argmax = w_b_inverse(rs, b).apply(arg)
     if is_simply_laced(rs):
         assert best == closed_max(rs, b)
         assert mult == 1
@@ -357,69 +325,18 @@ def experiment_weak_order_maximality(rs: RootSystem, b: int) -> Dict[str, object
     }
 
 
-def _sc_residues(n: int, i: int) -> Tuple[int, ...]:
-    m = 2 * n
-    return tuple(sorted({i % m, (-i) % m}))
-
-
-def _sc_corners(parts: Sequence[int]) -> Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]:
-    """Addable and removable corners of a partition as (row, content) pairs, 1-indexed rows."""
-    addable = []
-    removable = []
-    rows = len(parts)
-    for r in range(rows + 1):
-        here = parts[r] if r < rows else 0
-        above = parts[r - 1] if r > 0 else None
-        if above is None or above > here:
-            addable.append((r + 1, here + 1 - (r + 1)))
-        if r < rows and (r + 1 >= rows or parts[r + 1] < parts[r]) and parts[r] > 0:
-            removable.append((r + 1, parts[r] - (r + 1)))
-    return addable, removable
-
-
-def _sc_apply_letter(parts: Tuple[int, ...], n: int, i: int) -> Tuple[int, ...]:
-    """Toggle all corners whose content lies in the residue pair {i, -i} mod 2n."""
-    m = 2 * n
-    classes = set(_sc_residues(n, i))
-    addable, removable = _sc_corners(parts)
-    add_hits = [(r, c) for r, c in addable if c % m in classes]
-    rem_hits = [(r, c) for r, c in removable if c % m in classes]
-    assert not (add_hits and rem_hits)
-    out = list(parts)
-    if add_hits:
-        for r, _ in add_hits:
-            if r - 1 < len(out):
-                out[r - 1] += 1
-            else:
-                out.append(1)
-    elif rem_hits:
-        for r, _ in rem_hits:
-            out[r - 1] -= 1
-        while out and out[-1] == 0:
-            out.pop()
-    result = tuple(out)
-    assert all(result[k] >= result[k + 1] for k in range(len(result) - 1))
-    return result
-
-
 def sc_core_from_word(n: int, word: Sequence[int]) -> Tuple[int, ...]:
     """Apply a word (rightmost letter first) to the empty self-conjugate core."""
+    m = 2 * n
     parts: Tuple[int, ...] = ()
     for i in reversed(tuple(word)):
         if not 0 <= i <= n:
             raise ValueError(f"letter {i} out of range")
-        parts = _sc_apply_letter(parts, n, i)
-    conj = _conjugate_parts(parts)
-    assert conj == parts
+        # letter i toggles the corners of content i or -i mod 2n
+        parts = toggle_corners(parts, m, {i % m, -i % m})
+        assert all(parts[k] >= parts[k + 1] for k in range(len(parts) - 1))
+    assert Partition(parts).conjugate().parts == parts
     return parts
-
-
-def _conjugate_parts(parts: Sequence[int]) -> Tuple[int, ...]:
-    if not parts:
-        return ()
-    return tuple(
-        sum(1 for p in parts if p >= c) for c in range(1, parts[0] + 1)
-    )
 
 
 def sc_weighted_size(parts: Sequence[int], n: int) -> int:

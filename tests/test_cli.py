@@ -4,6 +4,7 @@ Each test drives ``main`` with an argv list and captures the emitted
 envelope; a single subprocess test covers the ``python -m`` entry point.
 """
 
+import ast
 import io
 import json
 import subprocess
@@ -12,7 +13,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from corelab import cli
+from corelab import cli, stats
 from corelab.cli import EXIT_BUDGET, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 
 
@@ -46,13 +47,11 @@ class TestEnvelope:
         assert entry["value"] == "2/1"
         assert rat(entry["value"]) == 2
 
-    def test_deterministic_bytes_across_runs_and_jobs(self):
+    def test_deterministic_bytes_across_runs(self):
         argv = ["enum", "--type", "D", "--rank", "4", "--b", "5", "--stat", "size"]
         _, first = run(argv)
         _, second = run(argv)
         assert first == second
-        _, parallel = run_json(argv + ["--jobs", "3"])
-        assert parallel["results"] == json.loads(first)["results"]
 
     def test_csv_is_sorted_union_of_fields(self):
         code, text = run(
@@ -140,6 +139,31 @@ class TestVerify:
         )
         assert code == EXIT_OK
         assert all(r["verdict"] == "match" for r in doc["results"])
+
+    def test_floor_sweep_skips_noncoprime_dilation(self):
+        code, doc = run_json(
+            ["verify", "--type", "A", "--rank", "6", "--b-range", "1..12", "floor"]
+        )
+        assert code == EXIT_OK
+        verdicts = {r["b"]: r["verdict"] for r in doc["results"]}
+        assert verdicts.pop(7) == "skipped(b not coprime)"
+        assert sorted(verdicts) == [b for b in range(1, 13) if b != 7]
+        assert set(verdicts.values()) == {"match"}
+
+    def test_moment_selectors_enumerate_each_dilation_once(self, monkeypatch):
+        calls = []
+        enumerate_points = stats.coroot_points_in_bA
+
+        def counted(rs, b):
+            calls.append(b)
+            return enumerate_points(rs, b)
+
+        monkeypatch.setattr(stats, "coroot_points_in_bA", counted)
+        cli.moment_report.cache_clear()
+        code, _ = run(["verify", "mean", "variance", "m3", "--type", "A", "--rank", "3",
+                       "--b-range", "1..9"])
+        assert code == EXIT_OK
+        assert calls == [1, 3, 5, 7, 9]
 
     def test_mismatch_exits_one(self, monkeypatch):
         monkeypatch.setattr(cli, "haiman_count", lambda rs, b: Q(999))
@@ -266,11 +290,17 @@ class TestPlumbing:
                        "--max-points", "3"])
         assert code == EXIT_BUDGET
 
-    def test_jobs_env_default(self, monkeypatch):
-        monkeypatch.setenv("CORELAB_JOBS", "2")
-        code, doc = run_json(["enum", "--type", "A", "--rank", "2", "--b", "4"])
-        assert code == EXIT_OK
-        assert doc["config"]["jobs"] == 2
+    def test_cli_imports_only_public_corelab_names(self):
+        tree = ast.parse(open(cli.__file__).read())
+        private = [
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").startswith("corelab"))
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+        assert private == []
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -8,7 +8,7 @@ import pytest
 from corelab.ehrhart import (
     FitSpec,
     QuasiPolynomial,
-    _default_spec,
+    default_spec,
     _peval,
     _ptrim,
     coprime_fit_classes,
@@ -94,7 +94,7 @@ class TestWeightedLatticeSum:
 
 class TestFitComponent:
     def test_count_polynomial_type_a(self):
-        poly = fit_component(_default_spec(A2, 0, "coweight", 0))
+        poly = fit_component(default_spec(A2, 0, "coweight", 0))
         assert poly == (Q(1), Q(3, 2), Q(1, 2))
 
     def test_fitspec_validation(self):

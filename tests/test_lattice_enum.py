@@ -1,5 +1,6 @@
 """Tests for alcove lattice point enumeration and the exact size-sum fold."""
 
+import itertools
 from fractions import Fraction as Q
 from math import comb, gcd
 
@@ -18,6 +19,7 @@ from corelab.lattice_enum import (
 )
 from corelab.affine import sommers_contains
 from corelab.rootsys import build_root_system
+from corelab.stats import size_point
 
 
 A2 = build_root_system("A", 2)
@@ -106,6 +108,23 @@ def test_ellipsoid_small_cases():
     assert ones == [(Q(1), Q(1))]
 
 
+@pytest.mark.parametrize(
+    "family, rank, N, R",
+    [("B", 3, 20, 6), ("C", 3, 20, 6), ("F", 4, 8, 6), ("G", 2, 30, 8)],
+)
+def test_ellipsoid_matches_box_filter_off_simply_laced(family, rank, N, R):
+    rs = build_root_system(family, rank)
+    box = itertools.product(range(-R, R + 1), repeat=rank)
+    expected = []
+    for x in box:
+        s = size_point(rs, x)
+        if s <= N:
+            expected.append((tuple(Q(v) for v in x), s))
+    # two empty outer shells show the box is not cut short of the ellipsoid
+    assert all(max(abs(v) for v in x) <= R - 2 for x, _ in expected)
+    assert coroot_points_in_size_ellipsoid(rs, N) == expected
+
+
 def test_ellipsoid_histogram_matches_core_product():
     # number of 3-cores of k = coefficient of q^k in prod (1-q^{3i})^3 / (1-q^i)
     N = 12
@@ -169,13 +188,6 @@ def test_omega_orbits_partition_coweight_points():
             seen |= orbit
             orbits += 1
         assert orbits * f == len(points)
-
-
-def test_jobs_sharding_is_deterministic():
-    seq = coweight_points_in_bA(A3, 5, jobs=1)
-    par = coweight_points_in_bA(A3, 5, jobs=2)
-    assert seq.points == par.points
-    assert core_points_in_sommers(A2, 5, jobs=2).points == core_points_in_sommers(A2, 5).points
 
 
 def test_iterators_agree_with_materialized_sets():

@@ -1,16 +1,23 @@
 """Tests for the size statistics, moment reports, and conjecture experiments."""
 
 from fractions import Fraction as Q
+from functools import lru_cache
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from corelab.affine import b_omega_action, omega_group
 from corelab.lattice_enum import coroot_points_in_bA, coweight_points_in_bA
-from corelab.rootsys import build_root_system
+from corelab.rootsys import (
+    QuadraticForm,
+    build_root_system,
+    coweight_to_coroot_coords,
+    inner,
+)
 from corelab.stats import (
     MomentReport,
-    QuadraticStatistic,
     closed_m3_type_a,
     closed_max,
     closed_mean,
@@ -27,6 +34,7 @@ from corelab.stats import (
     sc_weighted_size,
     size_point,
     verify_max,
+    w_b_inverse,
     zise_point,
 )
 
@@ -66,16 +74,48 @@ def test_zise_anchors():
         zise_point(A2, 6, ZERO2)
 
 
-def test_quadratic_statistic_dispatch():
-    assert QuadraticStatistic(A2, "size").evaluate((Q(-1), Q(-1))) == 5
-    assert QuadraticStatistic(A2, "Q").evaluate(ZERO2) == Q(-1, 3)
-    assert QuadraticStatistic(A2, "zise", 4).evaluate(ZERO2) == 5
-    with pytest.raises(ValueError):
-        QuadraticStatistic(A2, "sise")
-    with pytest.raises(ValueError):
-        QuadraticStatistic(A2, "size", 4)
-    with pytest.raises(ValueError):
-        QuadraticStatistic(A2, "zise")
+TYPES = (
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 3),
+    ("D", 4), ("D", 5), ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2),
+)
+
+
+@lru_cache(maxsize=None)
+def _system(family, rank):
+    return build_root_system(family, rank)
+
+
+@st.composite
+def _form_cases(draw, types=TYPES, dilations=st.integers(-12, 40)):
+    family, rank = draw(st.sampled_from(types))
+    coeffs = draw(st.lists(st.integers(-4, 4), min_size=rank, max_size=rank))
+    return _system(family, rank), coeffs, draw(dilations)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_form_cases(), st.integers(1, 3))
+def test_form_scaled_value_is_exact(case, extra):
+    rs, coeffs, b = case
+    x = coweight_to_coroot_coords(rs, coeffs)
+    n, g, h = rs.rank, rs.dual_coxeter_number, rs.coxeter_number
+    exact = Q(g, 2) * inner(rs, x, x) - b * sum(x) + Q((b * b - 1) * n * (h + 1), 24)
+    form = QuadraticForm(rs, b)
+    assert form(x) == exact
+    # any common denominator of x gives the same integer-scaled value
+    d = extra
+    for v in x:
+        d = d * v.denominator // gcd(d, v.denominator)
+    y = [int(v * d) for v in x]
+    assert form.scaled_at(y, d) == 24 * d * d * exact
+
+
+@settings(max_examples=60, deadline=None)
+@given(_form_cases([t for t in TYPES if t[0] in "ADE"], st.integers(1, 25)))
+def test_form_is_size_pulled_back_through_w_b(case):
+    rs, coeffs, b = case
+    assume(gcd(b, rs.coxeter_number) == 1)
+    x = coweight_to_coroot_coords(rs, coeffs)
+    assert QuadraticForm(rs, b)(x) == size_point(rs, w_b_inverse(rs, b).apply(x))
 
 
 def test_moments_a2_b4_ground_truth():
