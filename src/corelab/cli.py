@@ -14,7 +14,6 @@ import io
 import json
 import sys
 from fractions import Fraction as Q
-from functools import lru_cache
 from math import comb, gcd
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -36,9 +35,8 @@ from .lattice_enum import (
     coweight_points_in_bA,
     coroot_points_in_size_ellipsoid,
 )
-from .rootsys import QuadraticForm, RootSystem, build_root_system, inner
+from .rootsys import QuadraticForm, RootSystem, build_root_system, exponent_product, inner
 from .stats import (
-    MomentReport,
     experiment_cn_fuss,
     experiment_cn_selfconjugate_weighting,
     experiment_weak_order_maximality,
@@ -125,10 +123,7 @@ def _dilations(args, required: bool = True) -> List[int]:
 
 def _count_estimate(rs: RootSystem, b: int, lattice: str) -> int:
     """Upper-end estimate of lattice points in the dilated alcove."""
-    num = 1
-    for e in rs.exponents:
-        num *= b + e
-    est = -(-num // rs.weyl_order)
+    est = -(-exponent_product(rs, b) // rs.weyl_order)
     if lattice == "coweight":
         est *= rs.index_f
     return max(est, 1)
@@ -207,14 +202,8 @@ def cmd_enum(args) -> Tuple[int, List[Dict]]:
     return EXIT_OK, results
 
 
-@lru_cache(maxsize=None)
-def moment_report(rs: RootSystem, b: int) -> MomentReport:
-    """The moments of ``(rs, b)``, computed once however many selectors read them."""
-    return moments(rs, b)
-
-
 def _moment_result(rs: RootSystem, b: int) -> Dict:
-    report = moment_report(rs, b)
+    report = moments(rs, b)
     result = {
         "family": report.family,
         "rank": report.rank,
@@ -298,7 +287,8 @@ def _verify_one(selector: str, rs: RootSystem, b: Optional[int], args) -> Dict:
     result["b"] = b
     if selector == "count":
         _require_coprime(rs, b)
-        _check_budget(_count_estimate(rs, b, "coroot"), args)
+        # the DP visits (b + 1) budgets times index_f residue classes, no points
+        _check_budget((b + 1) * rs.index_f, args)
         got = Q(alcove_size_sums(rs, b, "coroot")[0])
         expected = haiman_count(rs, b)
         result.update(value=_rat(got), expected=_rat(expected), verdict=verdict_of(got, expected))
@@ -321,34 +311,31 @@ def _verify_one(selector: str, rs: RootSystem, b: Optional[int], args) -> Dict:
         expected = Q(comb(n + 1 + b, n + 1), n + 1 + b)
         result.update(value=_rat(got), expected=_rat(expected), verdict=verdict_of(got, expected))
         return result
-    if selector == "max":
-        if not is_simply_laced(rs):
+    if selector in ("max", "mean", "variance", "m3"):
+        if selector == "max" and not is_simply_laced(rs):
             raise UsageError("max closed form requires a simply-laced root system")
         _require_coprime(rs, b)
         _check_budget(_count_estimate(rs, b, "coroot"), args)
-        try:
-            value, multiplicity, argmax = verify_max(rs, b)
-            verdict = "match" if multiplicity == 1 else "mismatch(multiplicity)"
-        except AssertionError as exc:
-            value, multiplicity, argmax = Q(0), 0, ()
-            verdict = "mismatch(%s)" % exc
-        result.update(
-            value=_rat(value),
-            multiplicity=multiplicity,
-            argmax=_vec(argmax),
-            verdict=verdict,
-        )
-        return result
-    if selector in ("mean", "variance", "m3"):
-        _require_coprime(rs, b)
-        _check_budget(_count_estimate(rs, b, "coroot"), args)
-        report = moment_report(rs, b)
+        if selector == "max":
+            try:
+                value, multiplicity, argmax = verify_max(rs, b)
+                verdict = "match" if multiplicity == 1 else "mismatch(multiplicity)"
+            except AssertionError as exc:
+                value, multiplicity, argmax = Q(0), 0, ()
+                verdict = "mismatch(%s)" % exc
+            result.update(
+                value=_rat(value),
+                multiplicity=multiplicity,
+                argmax=_vec(argmax),
+                verdict=verdict,
+            )
+            return result
+        report = moments(rs, b)
         key = {"mean": "mean", "variance": "m2", "m3": "m3"}[selector]
-        verdict = report.verdict_map().get(key, "no closed form")
-        values = {"mean": report.mean, "variance": report.m2, "m3": report.m3}
-        value = values[selector]
+        value = getattr(report, key)
         result.update(
-            value=None if value is None else _rat(value), verdict=verdict
+            value=None if value is None else _rat(value),
+            verdict=report.verdict_map().get(key, "no closed form"),
         )
         return result
     raise UsageError("unknown selector %r" % selector)

@@ -16,13 +16,8 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .genfun import poly_add, poly_mul
-from .lattice_enum import (
-    alcove_size_sums,
-    coweight_denominator,
-    iter_coroot_points,
-    iter_coweight_points,
-)
+from .genfun import poly_add, poly_eval, poly_mul, poly_trim
+from .lattice_enum import alcove_size_sums, iter_scaled_points, lattice_scale
 from .rootsys import QuadraticForm, RootSystem, is_simply_laced
 from .stats import closed_mean, haiman_count, verdict_of
 
@@ -44,22 +39,8 @@ PolyQ = Tuple[Q, ...]
 LATTICES = ("coweight", "coroot")
 
 
-def _ptrim(p: Sequence[Q]) -> PolyQ:
-    out = list(p)
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
 def _pscale(factor: Q, p: Sequence[Q]) -> PolyQ:
     return tuple(factor * c for c in p)
-
-
-def _peval(p: Sequence[Q], x) -> Q:
-    acc = Q(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
 
 
 def _pcoeff(p: Sequence[Q], k: int) -> Q:
@@ -79,7 +60,7 @@ def _lagrange_fit(xs: Sequence[int], ys: Sequence[Q]) -> PolyQ:
                 num = poly_mul(num, (Q(-xj), Q(1)))
                 den *= xi - xj
         total = poly_add(total, _pscale(yi / den, num))
-    return _ptrim(total)
+    return poly_trim(total)
 
 
 @dataclass(frozen=True)
@@ -103,7 +84,7 @@ class QuasiPolynomial:
         return comp
 
     def evaluate(self, b: int) -> Q:
-        return _peval(self.component(b), b)
+        return poly_eval(self.component(b), b)
 
     def as_json_dict(self) -> Dict:
         return {
@@ -165,15 +146,11 @@ def weighted_lattice_sum(
     n = rs.rank
     h = rs.coxeter_number
     form = QuadraticForm(rs, b)
-    # the form is summed as the integer 24 d^2 F_b(x) on points scaled by d
-    if lattice == "coroot":
-        d, points = 1, iter_coroot_points(rs, b)
-    else:
-        d, points = coweight_denominator(rs), iter_coweight_points(rs, b)
+    # the form is summed as the integer 24 d^2 F_b(y / d) on points y scaled by d
+    d = lattice_scale(rs, lattice)
     mu_scaled = d * d * n * (b - 1) * (h + b + 1) if centered else 0
     total = 0
-    for x in points:
-        y = [v.numerator * (d // v.denominator) for v in x]
+    for y in iter_scaled_points(rs, b, lattice):
         total += (form.scaled_at(y, d) - mu_scaled) ** k
     return Q(total, (24 * d * d) ** k)
 
@@ -239,7 +216,7 @@ def fit_component(spec: FitSpec) -> PolyQ:
     poly = _lagrange_fit(xs, ys)
     for b in spec.samples[cut:]:
         expected = weighted_lattice_sum(spec.rs, b, spec.k, spec.lattice, spec.centered)
-        if _peval(poly, b) != expected:
+        if poly_eval(poly, b) != expected:
             raise ValueError("period/degree assumption violated")
     return poly
 
@@ -359,7 +336,7 @@ def verify_expected_size_polynomial(rs: RootSystem) -> Dict:
     classes = coprime_fit_classes(rs, "coroot")
     fitted = fit_quasi(rs, 1, "coroot", residues=classes)
     match = all(
-        _ptrim(fitted.component(j)) == _ptrim(expected) for j in classes
+        poly_trim(fitted.component(j)) == poly_trim(expected) for j in classes
     )
     report.update(
         {
@@ -375,7 +352,7 @@ def verify_expected_size_polynomial(rs: RootSystem) -> Dict:
         displayed: PolyQ = (Q(1, 207360),)
         for root in (1, -1, -4, -5, -7, -8, -11, -13):
             displayed = poly_mul(displayed, (Q(-root), Q(1)))
-        report["displayed_product_matches"] = _ptrim(displayed) == _ptrim(expected)
+        report["displayed_product_matches"] = poly_trim(displayed) == poly_trim(expected)
     return report
 
 

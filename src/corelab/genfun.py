@@ -22,7 +22,9 @@ __all__ = [
     "coxeter_char_poly",
     "macdonald_series",
     "poly_add",
+    "poly_eval",
     "poly_mul",
+    "poly_trim",
 ]
 
 
@@ -124,10 +126,7 @@ class IntPolynomial:
         return len(self.coeffs) - 1
 
     def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return poly_eval(self.coeffs, x)
 
     def at_q_power(self, step: int, truncation: int) -> IntSeries:
         """The series f(q^step) truncated at the given order."""
@@ -157,6 +156,22 @@ def poly_mul(p: Sequence, s: Sequence) -> Tuple:
             continue
         for j, b in enumerate(s):
             out[i + j] += a * b
+    return tuple(out)
+
+
+def poly_eval(p: Sequence, x):
+    """Value of a coefficient tuple at ``x`` by Horner's rule."""
+    acc = 0
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def poly_trim(p: Sequence) -> Tuple:
+    """The coefficient tuple without trailing zeros; the zero polynomial keeps one."""
+    out = list(p)
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
     return tuple(out)
 
 
@@ -191,10 +206,7 @@ def _char_poly_coeffs(matrix: Sequence[Sequence[int]]) -> Tuple[int, ...]:
                 else:
                     nxt[key] = term
         dets = nxt
-    full = dets[(1 << n) - 1]
-    while len(full) > 1 and full[-1] == 0:
-        full = full[:-1]
-    return full
+    return poly_trim(dets[(1 << n) - 1])
 
 
 def _monic_remainder(dividend: Tuple[int, ...], poly: Tuple[int, ...]) -> Tuple[int, ...]:

@@ -4,9 +4,11 @@ Coweight points of ``b * A`` are the solutions of the mark knapsack
 ``sum_i c_i x_i <= b`` in nonnegative integers, written in coroot
 coordinates as ``sum_i x_i omega_check_i``.  Coroot points are the subset
 with integer coroot coordinates.  Enumeration is lexicographic in the
-coweight coefficients so output is deterministic; large folds go through
-either the streaming iterators or an exact dynamic program that never
-materializes the point set.
+coweight coefficients so output is deterministic.  Points leave the knapsack
+as integer vectors scaled by the coweight denominator; the coroot point sets
+are int tuples, and only the coweight point sets build Fractions, through
+``coeffs_to_point``.  Large folds go through either the integer point stream
+or an exact dynamic program that never materializes the point set.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from corelab.affine import compute_w_b, in_dilated_alcove, sommers_contains
@@ -22,6 +25,7 @@ from corelab.rootsys import (
     QuadraticForm,
     RootSystem,
     Vector,
+    exponent_product,
     invert_matrix,
     is_simply_laced,
 )
@@ -29,7 +33,8 @@ from corelab.rootsys import (
 
 @dataclass(frozen=True)
 class LatticePointSet:
-    """An immutable set of lattice points, sorted by coroot coordinates."""
+    """An immutable set of lattice points, sorted by coroot coordinates
+    (int tuples for the coroot points of ``b * A``, Fractions otherwise)."""
 
     rs: RootSystem
     b: int
@@ -79,9 +84,12 @@ def _scaled_coweight_rows(rs: RootSystem) -> Tuple[int, Tuple[Tuple[int, ...], .
     return den, rows
 
 
-def coweight_denominator(rs: RootSystem) -> int:
-    """Least ``d`` with ``d * omega_check_i`` integral in coroot coordinates for every ``i``."""
-    return _scaled_coweight_rows(rs)[0]
+def lattice_scale(rs: RootSystem, lattice: str) -> int:
+    """The factor ``d`` of :func:`iter_scaled_points`: 1 on the coroot lattice,
+    the least ``d`` with every ``d * omega_check_i`` integral on the coweight lattice."""
+    if lattice not in ("coweight", "coroot"):
+        raise ValueError(f"unknown lattice {lattice!r}")
+    return _scaled_coweight_rows(rs)[0] if lattice == "coweight" else 1
 
 
 def coeffs_to_point(rs: RootSystem, coeffs: Sequence[int]) -> Vector:
@@ -94,15 +102,21 @@ def is_coroot_point(x: Sequence[Q]) -> bool:
     return all(v.denominator == 1 for v in x)
 
 
-def iter_coweight_points(rs: RootSystem, b: int) -> Iterator[Vector]:
+def iter_scaled_points(rs: RootSystem, b: int, lattice: str) -> Iterator[Tuple[int, ...]]:
+    """Every lattice point ``x`` of ``b * A`` as the integer vector ``d * x``,
+    ``d = lattice_scale(rs, lattice)``, in knapsack order.
+
+    A coweight point, scaled by the coweight denominator, is a coroot point
+    when every coordinate is divisible by that denominator.
+    """
+    den, rows = _scaled_coweight_rows(rs)
+    step = den // lattice_scale(rs, lattice)
     for coeffs in iter_coweight_coeffs(rs, b):
-        yield coeffs_to_point(rs, coeffs)
-
-
-def iter_coroot_points(rs: RootSystem, b: int) -> Iterator[Vector]:
-    for x in iter_coweight_points(rs, b):
-        if is_coroot_point(x):
-            yield x
+        y = [sum(map(mul, coeffs, row)) for row in rows]
+        if step == 1:
+            yield tuple(y)
+        elif all(v % step == 0 for v in y):
+            yield tuple(v // step for v in y)
 
 
 def coweight_points_in_bA(rs: RootSystem, b: int) -> LatticePointSet:
@@ -114,20 +128,13 @@ def coweight_points_in_bA(rs: RootSystem, b: int) -> LatticePointSet:
 
 
 def coroot_points_in_bA(rs: RootSystem, b: int) -> LatticePointSet:
-    """Coroot lattice points of ``b * A``; counts follow the exponent product rule."""
-    points = tuple(
-        sorted(
-            x
-            for c in iter_coweight_coeffs(rs, b)
-            if is_coroot_point(x := coeffs_to_point(rs, c))
-        )
-    )
+    """Coroot lattice points of ``b * A`` as integer tuples; counts follow the
+    exponent product rule."""
+    points = tuple(sorted(iter_scaled_points(rs, b, "coroot")))
     if gcd(b, rs.coxeter_number) == 1:
-        expected = 1
-        for e in rs.exponents:
-            expected *= b + e
-        assert expected % rs.weyl_order == 0
-        assert len(points) == expected // rs.weyl_order
+        expected, rest = divmod(exponent_product(rs, b), rs.weyl_order)
+        assert rest == 0
+        assert len(points) == expected
     return LatticePointSet(rs, b, "coroot", points)
 
 
@@ -146,7 +153,7 @@ def core_points_in_sommers(rs: RootSystem, b: int) -> LatticePointSet:
 
 def coroot_points_in_size_ellipsoid(
     rs: RootSystem, N: int
-) -> List[Tuple[Vector, Q]]:
+) -> List[Tuple[Tuple[int, ...], Q]]:
     """All coroot lattice points with size at most ``N``, with their sizes.
 
     The size form is ``g/2 ||x - rho/g||^2`` minus a constant, so points live
@@ -174,7 +181,7 @@ def coroot_points_in_size_ellipsoid(
     form = QuadraticForm(rs, 1)
     gram = rs.gram
     limit = 24 * N
-    out: List[Tuple[Vector, Q]] = []
+    out: List[Tuple[Tuple[int, ...], Q]] = []
 
     # carry <x, x> and sum(x) incrementally, coordinate by coordinate
     def rec(i: int, prefix: List[int], square: int, total: int):
@@ -182,7 +189,7 @@ def coroot_points_in_size_ellipsoid(
             s = form.scaled(square, total)
             if s <= limit:
                 assert s % 24 == 0
-                out.append((tuple(Q(v) for v in prefix), Q(s // 24)))
+                out.append((tuple(prefix), Q(s // 24)))
             return
         row = gram[i]
         cross = sum(row[j] * prefix[j] for j in range(i))
@@ -280,11 +287,10 @@ def alcove_size_sums(rs: RootSystem, b: int, lattice: str) -> Tuple[int, Optiona
 
 def streamed_size_sums(rs: RootSystem, b: int, lattice: str) -> Tuple[int, Q]:
     """Reference implementation of alcove_size_sums by direct streaming."""
-    points = iter_coweight_points(rs, b) if lattice == "coweight" else iter_coroot_points(rs, b)
+    d = lattice_scale(rs, lattice)
     form = QuadraticForm(rs, b)
-    s0 = 0
-    s1 = Q(0)
-    for x in points:
+    s0 = s1 = 0
+    for y in iter_scaled_points(rs, b, lattice):
         s0 += 1
-        s1 += form(x)
-    return s0, s1
+        s1 += form.scaled_at(y, d)
+    return s0, Q(s1, 24 * d * d)

@@ -17,9 +17,6 @@ from math import factorial, lcm
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 Vector = Tuple[Q, ...]
-#: Coordinates in the simple-coroot basis; integer entries mean a coroot
-#: lattice point, fractional entries a general (co)weight.
-CorootVector = Vector
 
 _RANK_RANGE = {
     "A": (1, None),
@@ -370,6 +367,15 @@ def build_root_system(family: str | RootSystemType, rank: int | None = None) -> 
     return RootSystem(rstype)
 
 
+def exponent_product(rs: RootSystem, b: int) -> int:
+    """``prod_i (b + e_i)`` over the exponents; ``|W|`` times the coroot point
+    count of ``b * A`` when ``b`` is coprime to ``h``."""
+    num = 1
+    for e in rs.exponents:
+        num *= b + e
+    return num
+
+
 def is_simply_laced(rs: RootSystem) -> bool:
     """Whether all simple roots have the same length."""
     return all(l == 1 for l in rs.simple_lengths)
@@ -443,18 +449,6 @@ def pairing(rs: RootSystem, x: Sequence[Q], root_coeffs: Sequence[int]) -> Q:
 def roots_of_height(rs: RootSystem, height: int) -> Tuple[Root, ...]:
     """All positive roots of the given height (empty tuple if none)."""
     return rs.roots_by_height.get(height, ())
-
-
-def coweight_to_coroot_coords(rs: RootSystem, coweight: Sequence[int]) -> CorootVector:
-    """Coroot-basis coordinates of an integer combination of fundamental coweights."""
-    assert len(coweight) == rs.rank
-    coords = [Q(0)] * rs.rank
-    for i, yi in enumerate(coweight):
-        if yi:
-            w = rs.fund_coweights[i]
-            for r in range(rs.rank):
-                coords[r] += yi * w[r]
-    return tuple(coords)
 
 
 def root_vector(rs: RootSystem, coeffs: Sequence[int]) -> Vector:

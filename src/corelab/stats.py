@@ -32,6 +32,7 @@ from corelab.rootsys import (
     RootSystem,
     Vector,
     build_root_system,
+    exponent_product,
     is_simply_laced,
     roots_of_height,
     vec_scale,
@@ -55,25 +56,21 @@ def w_b_inverse(rs: RootSystem, b: int) -> AffineElement:
     return compute_w_b(rs, b).inverse()
 
 
-def zise_point(rs: RootSystem, b: int, x: Sequence[Q]) -> Q:
+def zise_point(rs: RootSystem, b: int, x: Sequence[Q | int]) -> Q:
     """Size pulled back through ``w_b``; checked against the closed form ``F_b``
     on every simply-laced call."""
     h = rs.coxeter_number
     if gcd(b, h) != 1:
         raise ValueError("b not coprime to Coxeter number")
-    xq = tuple(Q(v) for v in x)
-    value = size_point(rs, w_b_inverse(rs, b).apply(xq))
+    value = size_point(rs, w_b_inverse(rs, b).apply(x))
     if is_simply_laced(rs):
-        assert value == QuadraticForm(rs, b)(xq)
+        assert value == QuadraticForm(rs, b)(x)
     return value
 
 
 def haiman_count(rs: RootSystem, b: int) -> Q:
     """Number of coroot points of ``b * A`` for ``b`` coprime to ``h``."""
-    num = 1
-    for e in rs.exponents:
-        num *= b + e
-    return Q(num, rs.weyl_order)
+    return Q(exponent_product(rs, b), rs.weyl_order)
 
 
 def closed_max(rs: RootSystem, b: int) -> Q:
@@ -116,6 +113,7 @@ class MomentReport:
     count: int
     max_value: Q
     max_multiplicity: int
+    argmax: Tuple[int, ...]
     mean: Q
     m2: Optional[Q]
     m3: Optional[Q]
@@ -139,19 +137,23 @@ def verdict_of(enumerated: Optional[Q], closed: Optional[Q]) -> str:
     return f"mismatch({enumerated}!={closed})"
 
 
+@lru_cache(maxsize=None)
 def moments(rs: RootSystem, b: int, max_k: int = 3) -> MomentReport:
-    """Exact moments of zise over the coroot points of ``b * A``.
+    """Exact moments of zise over the coroot points of ``b * A``, computed
+    once per argument list however many callers read them.
 
     Power sums are folded in one streaming pass; mean and central moments
     are then formed symbolically, and an independent centered fold checks
-    them.  Closed forms fill in per type as available.
+    them.  The maximum is reported with its multiplicity and the first
+    ``b * A`` point attaining it.  Closed forms fill in per type as available.
     """
     if max_k not in (1, 2, 3):
         raise ValueError("max_k must be 1, 2, or 3")
     h = rs.coxeter_number
     if gcd(b, h) != 1:
         raise ValueError("b not coprime to Coxeter number")
-    values = [zise_point(rs, b, x) for x in coroot_points_in_bA(rs, b).points]
+    points = coroot_points_in_bA(rs, b).points
+    values = [zise_point(rs, b, x) for x in points]
     s0 = len(values)
     s1 = sum(values)
     s2 = sum(v * v for v in values)
@@ -191,6 +193,7 @@ def moments(rs: RootSystem, b: int, max_k: int = 3) -> MomentReport:
         count=s0,
         max_value=best,
         max_multiplicity=mult,
+        argmax=points[values.index(best)],
         mean=mean,
         m2=m2,
         m3=m3,
@@ -202,27 +205,17 @@ def moments(rs: RootSystem, b: int, max_k: int = 3) -> MomentReport:
 def verify_max(rs: RootSystem, b: int) -> Tuple[Q, int, Vector]:
     """Maximum of size over the height-``b`` core points, with multiplicity and argmax.
 
-    For simply-laced systems the maximum is asserted to be the closed value
-    ``n (b^2-1)(h+1)/24``, attained exactly once, at the image of the origin.
+    Read from :func:`moments`.  For simply-laced systems the maximum is
+    asserted to be the closed value ``n (b^2-1)(h+1)/24``, attained exactly
+    once, at the image of the origin.
     """
-    h = rs.coxeter_number
-    if gcd(b, h) != 1:
-        raise ValueError("b not coprime to Coxeter number")
-    best = None
-    mult = 0
-    arg = None
-    for x in coroot_points_in_bA(rs, b).points:
-        v = zise_point(rs, b, x)
-        if best is None or v > best:
-            best, mult, arg = v, 1, x
-        elif v == best:
-            mult += 1
-    argmax = w_b_inverse(rs, b).apply(arg)
+    report = moments(rs, b)
+    best, mult, arg = report.max_value, report.max_multiplicity, report.argmax
     if is_simply_laced(rs):
         assert best == closed_max(rs, b)
         assert mult == 1
-        assert arg == tuple(Q(0) for _ in range(rs.rank))
-    return best, mult, argmax
+        assert arg == (0,) * rs.rank
+    return best, mult, w_b_inverse(rs, b).apply(arg)
 
 
 def floor_identity_check(rs: RootSystem, b: int) -> bool:

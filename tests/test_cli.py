@@ -10,6 +10,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 
@@ -159,11 +160,20 @@ class TestVerify:
             return enumerate_points(rs, b)
 
         monkeypatch.setattr(stats, "coroot_points_in_bA", counted)
-        cli.moment_report.cache_clear()
-        code, _ = run(["verify", "mean", "variance", "m3", "--type", "A", "--rank", "3",
-                       "--b-range", "1..9"])
+        stats.moments.cache_clear()
+        code, _ = run(["verify", "count", "max", "mean", "variance", "m3", "--type", "A",
+                       "--rank", "3", "--b-range", "1..9"])
         assert code == EXIT_OK
         assert calls == [1, 3, 5, 7, 9]
+
+    def test_count_sweep_is_budgeted_by_dp_states(self):
+        code, doc = run_json(["verify", "--type", "E", "--rank", "7", "--b-range", "1..100",
+                              "count"])
+        assert code == EXIT_OK
+        verdicts = {r["b"]: r["verdict"] for r in doc["results"]}
+        assert sorted(verdicts) == list(range(1, 101))
+        for b, verdict in verdicts.items():
+            assert verdict == ("match" if gcd(b, 18) == 1 else "skipped(b not coprime)")
 
     def test_mismatch_exits_one(self, monkeypatch):
         monkeypatch.setattr(cli, "haiman_count", lambda rs, b: Q(999))
@@ -286,9 +296,10 @@ class TestPlumbing:
         assert code == EXIT_USAGE
 
     def test_budget_exit_on_tiny_cap(self):
-        code, _ = run(["enum", "--type", "A", "--rank", "2", "--b", "4",
-                       "--max-points", "3"])
-        assert code == EXIT_BUDGET
+        for command in (["enum"], ["verify", "count"]):
+            code, _ = run(command + ["--type", "A", "--rank", "2", "--b", "4",
+                                     "--max-points", "3"])
+            assert code == EXIT_BUDGET
 
     def test_cli_imports_only_public_corelab_names(self):
         tree = ast.parse(open(cli.__file__).read())

@@ -4,13 +4,13 @@ from fractions import Fraction as Q
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corelab.ehrhart import (
     FitSpec,
     QuasiPolynomial,
     default_spec,
-    _peval,
-    _ptrim,
     coprime_fit_classes,
     fit_component,
     fit_quasi,
@@ -20,7 +20,10 @@ from corelab.ehrhart import (
     verify_expected_size_polynomial,
     weighted_lattice_sum,
 )
-from corelab.rootsys import build_root_system
+from corelab.genfun import poly_eval, poly_trim
+from corelab.lattice_enum import coroot_points_in_bA, coweight_points_in_bA
+from corelab.rootsys import QuadraticForm, build_root_system
+from corelab.stats import closed_mean
 
 A2 = build_root_system("A", 2)
 A3 = build_root_system("A", 3)
@@ -83,6 +86,23 @@ class TestWeightedLatticeSum:
         with pytest.raises(ValueError):
             weighted_lattice_sum(C2, 3, 1, "coweight")
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([("A", 1), ("A", 2), ("A", 3), ("A", 4), ("D", 4), ("D", 5),
+                         ("E", 6), ("E", 7), ("E", 8)]),
+        st.integers(0, 6),
+        st.integers(2, 4),
+        st.sampled_from(("coweight", "coroot")),
+        st.booleans(),
+    )
+    def test_matches_fraction_oracle(self, case, b, k, lattice, centered):
+        rs = build_root_system(*case)
+        points = (coweight_points_in_bA if lattice == "coweight" else coroot_points_in_bA)(rs, b)
+        form = QuadraticForm(rs, b)
+        mu = closed_mean(rs, b) if centered else 0
+        expected = sum(((form(x) - mu) ** k for x in points.points), Q(0))
+        assert weighted_lattice_sum(rs, b, k, lattice, centered) == expected
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             weighted_lattice_sum(A2, -1, 1, "coweight")
@@ -125,7 +145,7 @@ class TestFitComponent:
         spec = FitSpec(A2, 0, "coweight", 0, 2, (0, 3, 6, 9, 12))
         poly = fit_component(spec)
         counts = [int(weighted_lattice_sum(A2, b, 0, "coroot")) for b in range(5)]
-        assert any(_peval(poly, b) * Q(1, 3) != counts[b] for b in range(5))
+        assert any(poly_eval(poly, b) * Q(1, 3) != counts[b] for b in range(5))
 
 
 class TestQuasiPolynomial:
@@ -183,11 +203,11 @@ class TestZeroStructure:
         for rs in (A2, A3, build_root_system("A", 4)):
             poly = fit_quasi(rs, 1, "coweight").component(0)
             roots = list(range(-1, -rs.rank - 1, -1)) + [1, -rs.coxeter_number - 1]
-            assert all(_peval(poly, r) == 0 for r in roots)
+            assert all(poly_eval(poly, r) == 0 for r in roots)
 
     def test_type_a_square_weight_zeros(self):
         poly = fit_quasi(A2, 2, "coweight").component(0)
-        assert all(_peval(poly, r) == 0 for r in (-1, -2, 1, -4))
+        assert all(poly_eval(poly, r) == 0 for r in (-1, -2, 1, -4))
 
     def test_type_d_residue_one_zeros(self):
         for rs in (D4, D5):
@@ -195,7 +215,7 @@ class TestZeroStructure:
             poly = fit_quasi(rs, 1, "coweight", residues=(1,)).component(1)
             roots = [-(2 * i - 1) for i in range(1, n)] + [1, -(2 * n - 1)]
             assert len(roots) == n + 1
-            assert all(_peval(poly, r) == 0 for r in roots)
+            assert all(poly_eval(poly, r) == 0 for r in roots)
 
 
 class TestLatticeRatio:
@@ -204,12 +224,12 @@ class TestLatticeRatio:
         lam = fit_quasi(A2, 2, "coweight").component(0)
         qp = fit_quasi(A2, 2, "coroot", residues=(1, 2))
         for j in (1, 2):
-            assert _ptrim(qp.component(j)) == _ptrim(tuple(c / f for c in lam))
+            assert poly_trim(qp.component(j)) == poly_trim(tuple(c / f for c in lam))
 
     def test_d4_linear_ratio(self):
         lam = fit_quasi(D4, 1, "coweight", residues=(1,)).component(1)
         qp = fit_quasi(D4, 1, "coroot", residues=(1,)).component(1)
-        assert _ptrim(qp) == _ptrim(tuple(c / D4.index_f for c in lam))
+        assert poly_trim(qp) == poly_trim(tuple(c / D4.index_f for c in lam))
 
 
 class TestExpectedSizePolynomial:

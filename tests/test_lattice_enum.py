@@ -5,6 +5,8 @@ from fractions import Fraction as Q
 from math import comb, gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corelab.affine import b_omega_action, omega_group
 from corelab.lattice_enum import (
@@ -12,9 +14,12 @@ from corelab.lattice_enum import (
     coroot_points_in_bA,
     coroot_points_in_size_ellipsoid,
     core_points_in_sommers,
+    coeffs_to_point,
     coweight_points_in_bA,
-    iter_coroot_points,
+    is_coroot_point,
     iter_coweight_coeffs,
+    iter_scaled_points,
+    lattice_scale,
     streamed_size_sums,
 )
 from corelab.affine import sommers_contains
@@ -79,7 +84,7 @@ def test_points_are_sorted_and_integral():
     ps = coroot_points_in_bA(A3, 5)
     assert list(ps.points) == sorted(ps.points)
     for x in ps.points:
-        assert all(v.denominator == 1 for v in x)
+        assert all(type(v) is int for v in x)
 
 
 def test_sommers_points_a2_b4():
@@ -190,5 +195,37 @@ def test_omega_orbits_partition_coweight_points():
         assert orbits * f == len(points)
 
 
-def test_iterators_agree_with_materialized_sets():
-    assert sorted(iter_coroot_points(A3, 6)) == list(coroot_points_in_bA(A3, 6).points)
+STREAM_TYPES = (
+    [("A", n) for n in range(1, 7)]
+    + [("B", 2), ("B", 3), ("B", 4), ("C", 2), ("C", 3), ("C", 4)]
+    + [("D", 4), ("D", 5), ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(STREAM_TYPES),
+    st.integers(0, 8),
+    st.sampled_from(("coweight", "coroot")),
+)
+def test_scaled_stream_matches_fraction_oracle(case, b, lattice):
+    rs = build_root_system(*case)
+    d = lattice_scale(rs, lattice)
+    stream = list(iter_scaled_points(rs, b, lattice))
+    assert all(type(v) is int for y in stream for v in y)
+    oracle = [coeffs_to_point(rs, c) for c in iter_coweight_coeffs(rs, b)]
+    if lattice == "coroot":
+        oracle = [x for x in oracle if is_coroot_point(x)]
+    # same points in the same knapsack order
+    assert [tuple(Q(v, d) for v in y) for y in stream] == oracle
+    if lattice == "coroot":
+        points = coroot_points_in_bA(rs, b).points
+        assert all(type(v) is int for x in points for v in x)
+        assert list(points) == sorted(oracle)
+    else:
+        assert list(coweight_points_in_bA(rs, b).points) == sorted(oracle)
+
+
+def test_scaled_stream_rejects_unknown_lattice():
+    with pytest.raises(ValueError):
+        list(iter_scaled_points(A2, 2, "weight"))

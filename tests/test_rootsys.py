@@ -4,10 +4,10 @@ from fractions import Fraction as Q
 
 import pytest
 
+from corelab.lattice_enum import coeffs_to_point
 from corelab.rootsys import (
     RootSystemType,
     build_root_system,
-    coweight_to_coroot_coords,
     det_int,
     inner,
     invert_matrix,
@@ -119,11 +119,11 @@ def test_fundamental_coweights_pair_to_deltas(systems):
                 assert pairing(rs, w, simple) == (1 if i == j else 0)
 
 
-def test_coweight_to_coroot_coords_example(systems):
+def test_coeffs_to_point_example(systems):
     rs = systems[("A", 2)]
-    assert coweight_to_coroot_coords(rs, (1, 0)) == (Q(2, 3), Q(1, 3))
-    assert coweight_to_coroot_coords(rs, (0, 1)) == (Q(1, 3), Q(2, 3))
-    assert coweight_to_coroot_coords(rs, (1, 1)) == (Q(1), Q(1))
+    assert coeffs_to_point(rs, (1, 0)) == (Q(2, 3), Q(1, 3))
+    assert coeffs_to_point(rs, (0, 1)) == (Q(1, 3), Q(2, 3))
+    assert coeffs_to_point(rs, (1, 1)) == (Q(1), Q(1))
 
 
 def test_rho_properties(systems):

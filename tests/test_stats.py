@@ -9,11 +9,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corelab.affine import b_omega_action, omega_group
-from corelab.lattice_enum import coroot_points_in_bA, coweight_points_in_bA
+from corelab.lattice_enum import coeffs_to_point, coroot_points_in_bA, coweight_points_in_bA
 from corelab.rootsys import (
     QuadraticForm,
     build_root_system,
-    coweight_to_coroot_coords,
     inner,
 )
 from corelab.stats import (
@@ -96,7 +95,7 @@ def _form_cases(draw, types=TYPES, dilations=st.integers(-12, 40)):
 @given(_form_cases(), st.integers(1, 3))
 def test_form_scaled_value_is_exact(case, extra):
     rs, coeffs, b = case
-    x = coweight_to_coroot_coords(rs, coeffs)
+    x = coeffs_to_point(rs, coeffs)
     n, g, h = rs.rank, rs.dual_coxeter_number, rs.coxeter_number
     exact = Q(g, 2) * inner(rs, x, x) - b * sum(x) + Q((b * b - 1) * n * (h + 1), 24)
     form = QuadraticForm(rs, b)
@@ -114,7 +113,7 @@ def test_form_scaled_value_is_exact(case, extra):
 def test_form_is_size_pulled_back_through_w_b(case):
     rs, coeffs, b = case
     assume(gcd(b, rs.coxeter_number) == 1)
-    x = coweight_to_coroot_coords(rs, coeffs)
+    x = coeffs_to_point(rs, coeffs)
     assert QuadraticForm(rs, b)(x) == size_point(rs, w_b_inverse(rs, b).apply(x))
 
 
