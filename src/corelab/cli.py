@@ -21,7 +21,9 @@ from .cores import core_from_coroot, enumerate_simultaneous_cores
 from .ehrhart import (
     coprime_fit_classes,
     default_spec,
+    dp_backed,
     fit_component,
+    FitSpec,
     quasi_period,
     QuasiPolynomial,
     reciprocity_check,
@@ -127,6 +129,21 @@ def _count_estimate(rs: RootSystem, b: int, lattice: str) -> int:
     if lattice == "coweight":
         est *= rs.index_f
     return max(est, 1)
+
+
+def _dp_states(rs: RootSystem, top: int) -> int:
+    """States of one moment-DP run to ``top``: budgets times residue classes."""
+    return (top + 1) * rs.index_f
+
+
+def _fit_cost(specs: Sequence[FitSpec]) -> int:
+    """The states of one DP run to the largest sample when the fits read the
+    DP, otherwise the estimated points streamed over all samples."""
+    first = specs[0]
+    samples = [b for spec in specs for b in spec.samples]
+    if dp_backed(first.k, first.centered):
+        return _dp_states(first.rs, max(samples))
+    return sum(_count_estimate(first.rs, b, first.lattice) for b in samples)
 
 
 def _check_budget(estimate: int, args) -> None:
@@ -287,8 +304,7 @@ def _verify_one(selector: str, rs: RootSystem, b: Optional[int], args) -> Dict:
     result["b"] = b
     if selector == "count":
         _require_coprime(rs, b)
-        # the DP visits (b + 1) budgets times index_f residue classes, no points
-        _check_budget((b + 1) * rs.index_f, args)
+        _check_budget(_dp_states(rs, b), args)
         got = Q(alcove_size_sums(rs, b, "coroot")[0])
         expected = haiman_count(rs, b)
         result.update(value=_rat(got), expected=_rat(expected), verdict=verdict_of(got, expected))
@@ -395,10 +411,7 @@ def cmd_fit(args) -> Tuple[int, List[Dict]]:
     else:
         classes = tuple(range(m))
     specs = [default_spec(rs, k, lattice, j) for j in classes]
-    estimate = sum(
-        _count_estimate(rs, b, lattice) for spec in specs for b in spec.samples
-    )
-    _check_budget(estimate, args)
+    _check_budget(_fit_cost(specs), args)
     components: List[Optional[Tuple[Q, ...]]] = [None] * m
     worst = EXIT_OK
     results: List[Dict] = []
@@ -537,8 +550,7 @@ def cmd_experiment(args) -> Tuple[int, List[Dict]]:
         if not is_simply_laced(rs):
             raise UsageError("top-coeff requires a simply-laced root system")
         spec = default_spec(rs, args.k, "coroot", 1 if quasi_period(rs, "coroot") > 1 else 0)
-        estimate = sum(_count_estimate(rs, b, "coroot") for b in spec.samples)
-        _check_budget(estimate, args)
+        _check_budget(_fit_cost([spec]), args)
         report = dict(leading_coefficient_checks(rs, args.k))
         raw = report.pop("verdict")
         report["ratio"] = _rat(report["ratio"])

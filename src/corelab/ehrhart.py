@@ -19,13 +19,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .genfun import poly_add, poly_eval, poly_mul, poly_trim
 from .lattice_enum import alcove_size_sums, iter_scaled_points, lattice_scale
 from .rootsys import QuadraticForm, RootSystem, is_simply_laced
-from .stats import closed_mean, haiman_count, verdict_of
+from .stats import verdict_of
 
 __all__ = [
     "QuasiPolynomial",
     "FitSpec",
     "quasi_period",
     "default_spec",
+    "dp_backed",
     "weighted_lattice_sum",
     "fit_component",
     "fit_quasi",
@@ -118,6 +119,12 @@ def quasi_period(rs: RootSystem, lattice: str) -> int:
     return lcm(*dens)
 
 
+def dp_backed(k: int, centered: bool) -> bool:
+    """Whether :func:`weighted_lattice_sum` reads the moment DP, which
+    enumerates no point, rather than streaming every lattice point."""
+    return k == 0 or (k == 1 and not centered)
+
+
 @lru_cache(maxsize=None)
 def weighted_lattice_sum(
     rs: RootSystem, b: int, k: int, lattice: str, centered: bool = False
@@ -135,14 +142,10 @@ def weighted_lattice_sum(
         raise ValueError("weight exponent must be nonnegative")
     if b < 0:
         raise ValueError("dilation must be nonnegative")
-    if k == 0:
-        return Q(alcove_size_sums(rs, b, lattice)[0])
-    if not is_simply_laced(rs):
+    if k and not is_simply_laced(rs):
         raise ValueError("weighted sums require a simply-laced root system")
-    if k == 1 and not centered:
-        total = alcove_size_sums(rs, b, lattice)[1]
-        assert total is not None
-        return total
+    if dp_backed(k, centered):
+        return Q(alcove_size_sums(rs, b, lattice)[k])
     n = rs.rank
     h = rs.coxeter_number
     form = QuadraticForm(rs, b)
@@ -288,65 +291,32 @@ def coprime_fit_classes(rs: RootSystem, lattice: str) -> Tuple[int, ...]:
     return tuple(j for j in range(m) if gcd(j, shared) == 1)
 
 
-_POINTWISE_DILATIONS = {("E", 7): (5, 7, 11, 13), ("E", 8): (7, 11, 13)}
-
-
 def verify_expected_size_polynomial(rs: RootSystem) -> Dict:
     """Check the expected-size identity: sum of the statistic over coroot
     points of the dilated alcove equals mean times count, in closed form.
 
-    For types A, D, and E6 the identity is checked as an exact equality of
-    fitted quasipolynomial components with the closed polynomial; for E7 and
-    E8 full fits need dilations far beyond the enumeration budget, so the
-    identity is checked pointwise at small coprime dilations instead.
+    The identity is checked as an exact equality of the fitted
+    quasipolynomial components of every residue class coprime to h with the
+    closed polynomial.
     """
     if not is_simply_laced(rs):
         raise ValueError("expected-size identity requires a simply-laced root system")
     n = rs.rank
-    h = rs.coxeter_number
     expected = _expected_size_poly(rs)
-    report: Dict = {
-        "check": "expected_size_polynomial",
-        "family": rs.family,
-        "rank": n,
-    }
-    key = (rs.family, n)
-    if key in _POINTWISE_DILATIONS:
-        points = _POINTWISE_DILATIONS[key]
-        match = True
-        values = []
-        for b in points:
-            count, total = alcove_size_sums(rs, b, "coroot")
-            ok = Q(count) == haiman_count(rs, b) and total == closed_mean(
-                rs, b
-            ) * count
-            match = match and ok
-            values.append((b, count, total))
-        report.update(
-            {
-                "mode": "pointwise-only",
-                "pointwise_only": True,
-                "points": tuple(points),
-                "values": tuple(values),
-                "match": match,
-            }
-        )
-        return report
-
     classes = coprime_fit_classes(rs, "coroot")
     fitted = fit_quasi(rs, 1, "coroot", residues=classes)
     match = all(
         poly_trim(fitted.component(j)) == poly_trim(expected) for j in classes
     )
-    report.update(
-        {
-            "mode": "fit",
-            "pointwise_only": False,
-            "classes": classes,
-            "fitted": fitted.as_json_dict(),
-            "match": match,
-        }
-    )
+    report: Dict = {
+        "check": "expected_size_polynomial",
+        "family": rs.family,
+        "rank": n,
+        "mode": "fit",
+        "classes": classes,
+        "fitted": fitted.as_json_dict(),
+        "match": match,
+    }
     if (rs.family, n) == ("E", 6):
         # The displayed closed product with roots at 1 and -(e_i + 2).
         displayed: PolyQ = (Q(1, 207360),)

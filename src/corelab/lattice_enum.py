@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import add, mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from corelab.affine import compute_w_b, in_dilated_alcove, sommers_contains
@@ -203,6 +203,9 @@ def coroot_points_in_size_ellipsoid(
     return out
 
 
+_SIZE_SUM_TABLES: Dict[Tuple[RootSystem, str], List[Tuple[int, Optional[Q]]]] = {}
+
+
 def alcove_size_sums(rs: RootSystem, b: int, lattice: str) -> Tuple[int, Optional[Q]]:
     """Count and size-sum over ``b * A`` lattice points, by exact dynamic programming.
 
@@ -210,79 +213,79 @@ def alcove_size_sums(rs: RootSystem, b: int, lattice: str) -> Tuple[int, Optiona
     sum of the dilation-``b`` form ``F_b`` (:class:`QuadraticForm`) over them,
     the closed form of zise on simply-laced systems; for other systems ``S1``
     is ``None`` and only the count is meaningful.
-    The program runs over knapsack budgets and coroot-residue classes,
-    carrying exact zeroth, first, and second moments of the point
-    coordinates, and never materializes the point set.
+    Answers are read from a table of every dilation up to the largest one
+    run so far for this system and lattice; a dilation past it reruns the
+    program to at least twice the table's length, so a sweep or a fit over
+    rising dilations costs a logarithmic number of runs.
     """
     if lattice not in ("coweight", "coroot"):
         raise ValueError(f"unknown lattice {lattice!r}")
     if b < 0:
         raise ValueError("dilation must be nonnegative")
+    key = (rs, lattice)
+    table = _SIZE_SUM_TABLES.get(key, [])
+    if b >= len(table):
+        table = _SIZE_SUM_TABLES[key] = _size_sum_table(rs, max(b, 2 * len(table)), lattice)
+    return table[b]
+
+
+def _size_sum_table(rs: RootSystem, top: int, lattice: str) -> List[Tuple[int, Optional[Q]]]:
+    """``alcove_size_sums(rs, beta, lattice)`` for every ``beta <= top``, from one run.
+
+    The program runs over knapsack budgets and coroot-residue classes,
+    carrying for the integer vectors ``y = D * x`` of the points their
+    number, their coordinate sums and the sum of ``<y, y>``, and never
+    materializes the point set.  The slack item comes last, so
+    ``state[beta]`` then holds every point of ``beta * A``.
+    """
     n = rs.rank
     f = rs.index_f
     # integer coweight vectors: D * omega_check_i
     D, rows = _scaled_coweight_rows(rs)
-    w_vecs = [tuple(row[i] for row in rows) for i in range(n)]
     # residue class of sum x_i omega_check_i modulo the coroot lattice:
-    # adj(A^T) y mod f, where adj = f * inv(A^T)
-    adj = [
-        [int(rs.inv_cartan_t[r][c] * f) for c in range(n)] for r in range(n)
+    # adj(A^T) y mod f, where adj = f * inv(A^T) is integral
+    adj = [[rs.inv_cartan_t[r][c] * f for c in range(n)] for r in range(n)]
+    assert all(v.denominator == 1 for row in adj for v in row)
+    zero = tuple(0 for _ in range(n))
+    # each item adds w to y: <y + w, y + w> = <y, y> + <2 gram w, y> + <w, w>
+    items = []
+    for i in range(n):
+        w = tuple(row[i] for row in rows)
+        gw2 = tuple(2 * sum(map(mul, grow, w)) for grow in rs.gram)
+        cls_shift = tuple(int(adj[r][i]) % f for r in range(n))
+        items.append((rs.marks[i], w, gw2, sum(map(mul, w, gw2)) // 2, cls_shift))
+    items.append((1, zero, zero, 0, zero))  # slack item
+    # state[budget][cls] = (M0, M1, M2): count, coordinate sums, sum of <y, y>
+    state: List[Dict[Tuple[int, ...], Tuple[int, Tuple[int, ...], int]]] = [
+        dict() for _ in range(top + 1)
     ]
-    for r in range(n):
-        for c in range(n):
-            assert rs.inv_cartan_t[r][c] * f == adj[r][c]
-
-    zero_cls = tuple(0 for _ in range(n))
-    zero_m1 = tuple(0 for _ in range(n))
-    zero_m2 = tuple(0 for _ in range(n * n))
-    # state[budget][cls] = (M0, M1, M2) exact integer moment sums of D*x
-    state: List[Dict[Tuple[int, ...], Tuple[int, Tuple[int, ...], Tuple[int, ...]]]] = [
-        dict() for _ in range(b + 1)
-    ]
-    state[0][zero_cls] = (1, zero_m1, zero_m2)
-    items = [(rs.marks[i], w_vecs[i], tuple(adj[r][i] % f for r in range(n)))
-             for i in range(n)]
-    items.append((1, tuple(0 for _ in range(n)), zero_cls))  # slack node
-    for weight, w, cls_shift in items:
-        for budget in range(weight, b + 1):
-            src = state[budget - weight]
-            if not src:
-                continue
+    state[0][zero] = (1, zero, 0)
+    for weight, w, gw2, ww, cls_shift in items:
+        for budget in range(weight, top + 1):
             dst = state[budget]
-            for cls, (m0, m1, m2) in list(src.items()):
-                new_cls = tuple((cls[r] + cls_shift[r]) % f for r in range(n))
-                nm1 = tuple(m1[r] + w[r] * m0 for r in range(n))
-                nm2 = tuple(
-                    m2[r * n + c] + w[r] * m1[c] + m1[r] * w[c] + w[r] * w[c] * m0
-                    for r in range(n)
-                    for c in range(n)
-                )
+            for cls, (m0, m1, m2) in state[budget - weight].items():
+                new_cls = tuple((c + s) % f for c, s in zip(cls, cls_shift))
+                nm1 = tuple(a + wr * m0 for a, wr in zip(m1, w))
+                nm2 = m2 + sum(map(mul, m1, gw2)) + ww * m0
                 if new_cls in dst:
                     o0, o1, o2 = dst[new_cls]
-                    dst[new_cls] = (
-                        o0 + m0,
-                        tuple(a + bb for a, bb in zip(o1, nm1)),
-                        tuple(a + bb for a, bb in zip(o2, nm2)),
-                    )
+                    dst[new_cls] = (o0 + m0, tuple(map(add, o1, nm1)), o2 + nm2)
                 else:
                     dst[new_cls] = (m0, nm1, nm2)
-    final = state[b]
-    if lattice == "coroot":
-        picked = [final.get(zero_cls, (0, zero_m1, zero_m2))]
-    else:
-        picked = list(final.values())
-    s0 = sum(m0 for m0, _, _ in picked)
-    if s0 == 0:
-        return 0, Q(0)
-    if not is_simply_laced(rs):
-        return s0, None
-    total = sum(sum(p[1]) for p in picked)
-    square = sum(
-        rs.gram[r][c] * sum(p[2][r * n + c] for p in picked)
-        for r in range(n)
-        for c in range(n)
-    )
-    return s0, Q(QuadraticForm(rs, b).scaled(square, total, D, s0), 24 * D * D)
+
+    simply_laced = is_simply_laced(rs)
+    table: List[Tuple[int, Optional[Q]]] = []
+    # every budget holds the origin, so class zero is never empty
+    for beta, final in enumerate(state):
+        picked = list(final.values()) if lattice == "coweight" else [final[zero]]
+        s0 = sum(p[0] for p in picked)
+        s1 = None
+        if simply_laced:
+            total = sum(sum(p[1]) for p in picked)
+            square = sum(p[2] for p in picked)
+            s1 = Q(QuadraticForm(rs, beta).scaled(square, total, D, s0), 24 * D * D)
+        table.append((s0, s1))
+    return table
 
 
 def streamed_size_sums(rs: RootSystem, b: int, lattice: str) -> Tuple[int, Q]:

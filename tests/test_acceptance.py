@@ -191,14 +191,14 @@ def test_criterion_06_e6_expected_size_quasipolynomial():
     assert report["match"] is True
     assert report["displayed_product_matches"] is True
     for family, rank in [("E", 7), ("E", 8)]:
-        pointwise = verify_expected_size_polynomial(build_root_system(family, rank))
-        assert pointwise["mode"] == "pointwise-only"
-        assert pointwise["match"] is True
+        fitted = verify_expected_size_polynomial(build_root_system(family, rank))
+        assert fitted["mode"] == "fit"
+        assert fitted["match"] is True
     _finish(
         6,
         t0,
         "per-residue fits with holdouts reproduce the degree-8 product; "
-        "E7/E8 checked pointwise",
+        "E7/E8 fitted on every coprime class",
     )
 
 

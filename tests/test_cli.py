@@ -216,7 +216,17 @@ class TestFit:
         assert code == EXIT_USAGE
 
     def test_budget_guard_trips(self):
-        code, _ = run(["fit", "--type", "E", "--rank", "7", "--k", "1"])
+        # k = 2 streams every point of every sample dilation
+        code, _ = run(["fit", "--type", "E", "--rank", "7", "--k", "2"])
+        assert code == EXIT_BUDGET
+
+    def test_dp_backed_fit_is_budgeted_by_dp_states(self):
+        code, doc = run_json(
+            ["fit", "--type", "E", "--rank", "8", "--k", "1", "--lattice", "coroot"]
+        )
+        assert code == EXIT_OK
+        assert len(doc["results"][0]["classes"]) == 16
+        code, _ = run(["fit", "--type", "A", "--rank", "2", "--k", "0", "--max-points", "3"])
         assert code == EXIT_BUDGET
 
 

@@ -1,5 +1,6 @@
 """Tests for alcove lattice point enumeration and the exact size-sum fold."""
 
+import io
 import itertools
 from fractions import Fraction as Q
 from math import comb, gcd
@@ -8,7 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corelab import lattice_enum
 from corelab.affine import b_omega_action, omega_group
+from corelab.cli import main
+from corelab.ehrhart import coprime_fit_classes, fit_quasi, weighted_lattice_sum
 from corelab.lattice_enum import (
     alcove_size_sums,
     coroot_points_in_bA,
@@ -23,7 +27,7 @@ from corelab.lattice_enum import (
     streamed_size_sums,
 )
 from corelab.affine import sommers_contains
-from corelab.rootsys import build_root_system
+from corelab.rootsys import build_root_system, is_simply_laced
 from corelab.stats import size_point
 
 
@@ -150,15 +154,6 @@ def test_ellipsoid_histogram_matches_core_product():
     assert hist == expected
 
 
-def test_size_sum_dp_matches_streaming():
-    for rs in (A2, A3, D4):
-        for b in range(7):
-            for lattice in ("coweight", "coroot"):
-                assert alcove_size_sums(rs, b, lattice) == streamed_size_sums(
-                    rs, b, lattice
-                )
-
-
 def test_size_sum_dp_non_simply_laced_counts_only():
     rs = build_root_system("C", 3)
     s0, s1 = alcove_size_sums(rs, 4, "coweight")
@@ -224,6 +219,46 @@ def test_scaled_stream_matches_fraction_oracle(case, b, lattice):
         assert list(points) == sorted(oracle)
     else:
         assert list(coweight_points_in_bA(rs, b).points) == sorted(oracle)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(STREAM_TYPES),
+    st.lists(st.integers(0, 8), min_size=1, max_size=12),
+    st.sampled_from(("coweight", "coroot")),
+)
+def test_size_sum_table_matches_streaming(case, bs, lattice):
+    # a fresh table per example; the dilations are read in a random order, so
+    # reads below, at and past the top of the table all occur
+    lattice_enum._SIZE_SUM_TABLES.clear()
+    rs = build_root_system(*case)
+    for b in bs:
+        got = alcove_size_sums(rs, b, lattice)
+        expected = streamed_size_sums(rs, b, lattice)
+        if is_simply_laced(rs):
+            assert got == expected, b
+        else:
+            assert got == (expected[0], None), b
+
+
+def test_size_sum_runs_grow_geometrically(monkeypatch):
+    runs = []
+    run = lattice_enum._size_sum_table
+
+    def counted(rs, top, lattice):
+        runs.append(top)
+        return run(rs, top, lattice)
+
+    monkeypatch.setattr(lattice_enum, "_size_sum_table", counted)
+    monkeypatch.setattr(lattice_enum, "_SIZE_SUM_TABLES", {})
+    argv = "verify --type E --rank 8 --b-range 1..240 count".split()
+    assert main(argv, out=io.StringIO()) == 0
+    assert 1 <= len(runs) <= 9  # ceil(log2 240) + 1
+    runs.clear()
+    weighted_lattice_sum.cache_clear()
+    e8 = build_root_system("E", 8)
+    fit_quasi(e8, 1, "coroot", residues=coprime_fit_classes(e8, "coroot"))
+    assert 1 <= len(runs) <= 11
 
 
 def test_scaled_stream_rejects_unknown_lattice():
