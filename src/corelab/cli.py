@@ -20,10 +20,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .cores import core_from_coroot, enumerate_simultaneous_cores
 from .ehrhart import (
     coprime_fit_classes,
-    default_spec,
     dp_backed,
-    fit_component,
-    FitSpec,
+    fit_residue,
+    fit_samples,
+    HoldoutError,
+    leading_fit,
     quasi_period,
     QuasiPolynomial,
     reciprocity_check,
@@ -136,14 +137,15 @@ def _dp_states(rs: RootSystem, top: int) -> int:
     return (top + 1) * rs.index_f
 
 
-def _fit_cost(specs: Sequence[FitSpec]) -> int:
-    """The states of one DP run to the largest sample when the fits read the
-    DP, otherwise the estimated points streamed over all samples."""
-    first = specs[0]
-    samples = [b for spec in specs for b in spec.samples]
-    if dp_backed(first.k, first.centered):
-        return _dp_states(first.rs, max(samples))
-    return sum(_count_estimate(first.rs, b, first.lattice) for b in samples)
+def _fit_cost(
+    rs: RootSystem, k: int, lattice: str, centered: bool, classes: Sequence[int]
+) -> int:
+    """The states of one DP run to the largest sample when the fit reads the
+    DP, otherwise the estimated points streamed over all its samples."""
+    samples = fit_samples(rs, k, lattice, centered, classes)
+    if dp_backed(k, centered):
+        return _dp_states(rs, max(samples))
+    return sum(_count_estimate(rs, b, lattice) for b in samples)
 
 
 def _check_budget(estimate: int, args) -> None:
@@ -410,33 +412,22 @@ def cmd_fit(args) -> Tuple[int, List[Dict]]:
         classes = coprime_fit_classes(rs, lattice)
     else:
         classes = tuple(range(m))
-    specs = [default_spec(rs, k, lattice, j) for j in classes]
-    _check_budget(_fit_cost(specs), args)
+    _check_budget(_fit_cost(rs, k, lattice, False, classes), args)
     components: List[Optional[Tuple[Q, ...]]] = [None] * m
     worst = EXIT_OK
     results: List[Dict] = []
-    for spec in specs:
+    for j in classes:
         try:
-            poly = fit_component(spec)
-        except ValueError as exc:
-            if "period/degree" not in str(exc):
-                raise UsageError(str(exc))
+            poly = fit_residue(rs, k, lattice, False, classes, j)
+        except HoldoutError as exc:
             results.append(
-                {
-                    "residue": spec.residue,
-                    "holdouts": "fail(%s)" % exc,
-                    "coefficients": None,
-                }
+                {"residue": j, "holdouts": "fail(%s)" % exc, "coefficients": None}
             )
             worst = EXIT_MISMATCH
             continue
-        components[spec.residue] = poly
+        components[j] = poly
         results.append(
-            {
-                "residue": spec.residue,
-                "holdouts": "pass",
-                "coefficients": [_rat(c) for c in poly],
-            }
+            {"residue": j, "holdouts": "pass", "coefficients": [_rat(c) for c in poly]}
         )
     fitted = QuasiPolynomial(m, tuple(components), rs.rank + 2 * k)
     summary: Dict = {
@@ -549,21 +540,15 @@ def cmd_experiment(args) -> Tuple[int, List[Dict]]:
             raise UsageError("--k >= 1 is required")
         if not is_simply_laced(rs):
             raise UsageError("top-coeff requires a simply-laced root system")
-        spec = default_spec(rs, args.k, "coroot", 1 if quasi_period(rs, "coroot") > 1 else 0)
-        _check_budget(_fit_cost([spec]), args)
-        report = dict(leading_coefficient_checks(rs, args.k))
-        raw = report.pop("verdict")
-        report["ratio"] = _rat(report["ratio"])
-        report["expected"] = (
-            None if report["expected"] is None else _rat(report["expected"])
-        )
-        if raw == "match":
+        residue, centered = leading_fit(rs, args.k)
+        _check_budget(_fit_cost(rs, args.k, "coroot", centered, (residue,)), args)
+        report = leading_coefficient_checks(rs, args.k)
+        for key in ("ratio", "expected"):
+            report[key] = None if report[key] is None else _rat(report[key])
+        if report["verdict"] == "match":
             report["verdict"] = "consistent"
-        elif raw.startswith("mismatch"):
-            report["verdict"] = "counterexample%s" % raw[len("mismatch"):]
-        else:
-            report["verdict"] = raw
-        return EXIT_OK, [report]
+        failed = report["verdict"].startswith("mismatch")
+        return (EXIT_MISMATCH if failed else EXIT_OK), [report]
     raise UsageError("unknown experiment %r" % name)
 
 

@@ -5,7 +5,9 @@ fundamental alcove are quasipolynomials in the dilation factor.  This module
 fits their components by Lagrange interpolation over exact rationals,
 validates the fits on holdout dilations, checks the reciprocity symmetry,
 and reproduces the closed-form expected-size polynomials and the
-leading-coefficient tables.
+leading-coefficient tables.  Coroot sums at dilations coprime to h are one
+polynomial, which the polynomial method fits from its known zeros and its
+reflection symmetry at the smallest coprime dilations.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
-from math import gcd, lcm
+from itertools import count, islice
+from math import gcd, lcm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .genfun import poly_add, poly_eval, poly_mul, poly_trim
@@ -24,14 +27,20 @@ from .stats import verdict_of
 __all__ = [
     "QuasiPolynomial",
     "FitSpec",
+    "HoldoutError",
     "quasi_period",
     "default_spec",
     "dp_backed",
     "weighted_lattice_sum",
     "fit_component",
     "fit_quasi",
+    "coprime_samples",
+    "coprime_polynomial",
+    "fit_samples",
+    "fit_residue",
     "reciprocity_check",
     "verify_expected_size_polynomial",
+    "leading_fit",
     "leading_coefficient_checks",
 ]
 
@@ -158,6 +167,11 @@ def weighted_lattice_sum(
     return Q(total, (24 * d * d) ** k)
 
 
+class HoldoutError(ValueError):
+    """A fitted polynomial missed a holdout dilation: the assumed period or
+    degree, or the assumed zeros and symmetry, do not hold."""
+
+
 @dataclass(frozen=True)
 class FitSpec:
     """One residue-class fit of a weighted lattice-point quasipolynomial."""
@@ -220,7 +234,7 @@ def fit_component(spec: FitSpec) -> PolyQ:
     for b in spec.samples[cut:]:
         expected = weighted_lattice_sum(spec.rs, b, spec.k, spec.lattice, spec.centered)
         if poly_eval(poly, b) != expected:
-            raise ValueError("period/degree assumption violated")
+            raise HoldoutError("period/degree assumption violated")
     return poly
 
 
@@ -289,6 +303,119 @@ def coprime_fit_classes(rs: RootSystem, lattice: str) -> Tuple[int, ...]:
     m = quasi_period(rs, lattice)
     shared = gcd(m, rs.coxeter_number)
     return tuple(j for j in range(m) if gcd(j, shared) == 1)
+
+
+def _known_zeros(rs: RootSystem, k: int, centered: bool) -> Tuple[int, ...]:
+    """Roots of the coprime polynomial known a priori: -j for 0 < j < h
+    coprime to h, and 0 and -h when centered with k >= 2."""
+    h = rs.coxeter_number
+    zeros = tuple(-j for j in range(1, h) if gcd(j, h) == 1)
+    return zeros + (0, -h) if centered and k >= 2 else zeros
+
+
+def _unknowns(rs: RootSystem, k: int, centered: bool) -> int:
+    """Coefficients of c in R = c(t^2) or t c(t^2): floor(deg R / 2) + 1."""
+    return (rs.rank + 2 * k - len(_known_zeros(rs, k, centered))) // 2 + 1
+
+
+def coprime_samples(
+    rs: RootSystem, k: int, centered: bool, classes: Sequence[int]
+) -> Tuple[int, ...]:
+    """Every dilation :func:`coprime_polynomial` reads, in reading order.
+
+    First the floor(deg R / 2) + 1 smallest b coprime to h, which determine
+    the reduced polynomial R, then the next two as holdouts, then for every
+    requested coroot residue class still without a sample the smallest
+    coprime b of that class.
+    """
+    if not is_simply_laced(rs):
+        raise ValueError("the polynomial method requires a simply-laced root system")
+    h = rs.coxeter_number
+    m = quasi_period(rs, "coroot")
+    allowed = coprime_fit_classes(rs, "coroot")
+    if any(j not in allowed for j in classes):
+        raise ValueError("residue classes must contain dilations coprime to h")
+    coprime = (b for b in count(1) if gcd(b, h) == 1)
+    samples = list(islice(coprime, _unknowns(rs, k, centered) + 2))
+    for j in classes:
+        if all(b % m != j for b in samples):
+            samples.append(next(b for b in count(j or m, m) if gcd(b, h) == 1))
+    return tuple(samples)
+
+
+def coprime_polynomial(
+    rs: RootSystem, k: int, centered: bool, classes: Sequence[int]
+) -> PolyQ:
+    """The polynomial P(b) = sum over coroot points x of bA of
+    (F_b(x) - mu_b)^k, valid at every b coprime to h (P. Johnson's
+    polynomial method).
+
+    P = Z R with Z the product of b - z over :func:`_known_zeros`.  P obeys
+    the reciprocity P(-h-b) = (-1)^n P(b), and the reflection b -> -h-b maps
+    the zeros of Z onto themselves, so R(-h-b) = (-1)^(n + deg Z) R(b).  In
+    t = 2b + h, R is therefore c(t^2)
+    or t c(t^2), so only c is interpolated, at the first samples of
+    :func:`coprime_samples`; the rest are holdouts, which also check one
+    dilation of every class in ``classes``.
+    """
+    h = rs.coxeter_number
+    zeros = _known_zeros(rs, k, centered)
+    odd = (rs.rank + len(zeros)) % 2
+    samples = coprime_samples(rs, k, centered, classes)
+    cut = _unknowns(rs, k, centered)
+
+    def value(b: int) -> Q:
+        return weighted_lattice_sum(rs, b, k, "coroot", centered)
+
+    nodes = samples[:cut]
+    reduced = [
+        value(b) / ((2 * b + h) ** odd * prod(b - z for z in zeros)) for b in nodes
+    ]
+    c = _lagrange_fit([(2 * b + h) ** 2 for b in nodes], reduced)
+    poly: PolyQ = (Q(0),)
+    for coeff in reversed(c):
+        poly = poly_add(poly_mul(poly, (h * h, 4 * h, 4)), (coeff,))
+    for factor in ((h, 2),) * odd + tuple((-z, 1) for z in zeros):
+        poly = poly_mul(poly, factor)
+    poly = poly_trim(poly)
+    for b in samples[cut:]:
+        if poly_eval(poly, b) != value(b):
+            raise HoldoutError("period/degree assumption violated")
+    return poly
+
+
+def _polynomial_method(k: int, lattice: str, centered: bool) -> bool:
+    """Whether a fit reads :func:`coprime_polynomial`: streamed coroot sums
+    do, while DP-backed and coweight sums keep the per-class
+    :func:`fit_component`."""
+    return lattice == "coroot" and not dp_backed(k, centered)
+
+
+def fit_samples(
+    rs: RootSystem, k: int, lattice: str, centered: bool, classes: Sequence[int]
+) -> Tuple[int, ...]:
+    """Every dilation :func:`fit_residue` reads for these residue classes."""
+    if _polynomial_method(k, lattice, centered):
+        return coprime_samples(rs, k, centered, classes)
+    return tuple(
+        b for j in classes for b in default_spec(rs, k, lattice, j, centered).samples
+    )
+
+
+def fit_residue(
+    rs: RootSystem,
+    k: int,
+    lattice: str,
+    centered: bool,
+    classes: Sequence[int],
+    residue: int,
+) -> PolyQ:
+    """The fitted component of ``residue``, one of ``classes``: the coprime
+    polynomial of all the classes for streamed coroot sums, otherwise the
+    class's own :func:`fit_component`."""
+    if _polynomial_method(k, lattice, centered):
+        return coprime_polynomial(rs, k, centered, classes)
+    return fit_component(default_spec(rs, k, lattice, residue, centered))
 
 
 def verify_expected_size_polynomial(rs: RootSystem) -> Dict:
@@ -388,35 +515,31 @@ def _expected_leading_ratio(rs: RootSystem, k: int) -> Optional[Q]:
     return None
 
 
+def leading_fit(rs: RootSystem, k: int) -> Tuple[int, bool]:
+    """The residue class and the centering of the weighted fit that
+    :func:`leading_coefficient_checks` reads."""
+    return (1 if quasi_period(rs, "coroot") > 1 else 0), k >= 2
+
+
 def leading_coefficient_checks(rs: RootSystem, k: int) -> Dict:
     """Leading coefficient of the centered weighted fit over the coroot
     lattice, normalized by the leading coefficient of the count polynomial.
 
-    The first two moments have theorem-grade closed forms and mismatches
-    raise; the third and higher are conjecture tables and mismatches are
-    only reported.
+    The first two moments have theorem-grade closed forms; the third and
+    higher are conjecture tables.  A verdict starting with ``mismatch`` is a
+    failed check: a holdout the fits miss, a polynomial short of its degree,
+    or a theorem-grade ratio off its closed form.  A conjecture-grade ratio
+    off its table is a ``counterexample``.
     """
     if k < 1:
         raise ValueError("weight exponent must be positive")
     if not is_simply_laced(rs):
         raise ValueError("weighted fits require a simply-laced root system")
     n = rs.rank
-    residue = 1 if quasi_period(rs, "coroot") > 1 else 0
-    count_poly = fit_component(default_spec(rs, 0, "coroot", residue))
-    assert len(count_poly) == n + 1, "count polynomial must have degree n"
-    weight_poly = fit_component(
-        default_spec(rs, k, "coroot", residue, centered=(k >= 2))
-    )
-    assert len(weight_poly) <= n + 2 * k + 1
-    if k <= 2:
-        assert len(weight_poly) == n + 2 * k + 1, "degree must be exactly n+2k"
-    ratio = _pcoeff(weight_poly, n + 2 * k) / count_poly[n]
-    expected = _expected_leading_ratio(rs, k)
+    top = n + 2 * k
+    residue, centered = leading_fit(rs, k)
     grade = "theorem" if k <= 2 else "conjecture"
-    verdict = verdict_of(ratio, expected)
-    if grade == "theorem":
-        assert verdict == "match", verdict
-    return {
+    report = {
         "check": "leading_coefficient",
         "family": rs.family,
         "rank": n,
@@ -424,7 +547,20 @@ def leading_coefficient_checks(rs: RootSystem, k: int) -> Dict:
         "grade": grade,
         "lattice": "coroot",
         "residue": residue,
-        "ratio": ratio,
-        "expected": expected,
-        "verdict": verdict,
+        "ratio": None,
+        "expected": _expected_leading_ratio(rs, k),
     }
+    try:
+        count_poly = fit_component(default_spec(rs, 0, "coroot", residue))
+        weight_poly = fit_residue(rs, k, "coroot", centered, (residue,), residue)
+    except HoldoutError as exc:
+        return dict(report, verdict="mismatch(%s)" % exc)
+    if len(count_poly) != n + 1:
+        return dict(report, verdict="mismatch(count degree %d != %d)" % (len(count_poly) - 1, n))
+    if grade == "theorem" and len(weight_poly) != top + 1:
+        return dict(report, verdict="mismatch(degree %d != %d)" % (len(weight_poly) - 1, top))
+    ratio = _pcoeff(weight_poly, top) / count_poly[n]
+    verdict = verdict_of(ratio, report["expected"])
+    if grade == "conjecture" and verdict.startswith("mismatch"):
+        verdict = "counterexample" + verdict[len("mismatch"):]
+    return dict(report, ratio=ratio, verdict=verdict)

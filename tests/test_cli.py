@@ -14,8 +14,9 @@ from math import gcd
 
 import pytest
 
-from corelab import cli, stats
+from corelab import cli, ehrhart, stats
 from corelab.cli import EXIT_BUDGET, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+from corelab.rootsys import build_root_system
 
 
 def run(argv):
@@ -27,6 +28,16 @@ def run(argv):
 def run_json(argv):
     code, text = run(argv)
     return code, json.loads(text)
+
+
+def off_at(dilation):
+    """``weighted_lattice_sum`` with its value at one dilation off by one."""
+    exact = ehrhart.weighted_lattice_sum
+
+    def perturbed(rs, b, k, lattice, centered=False):
+        return exact(rs, b, k, lattice, centered) + (b == dilation)
+
+    return perturbed
 
 
 def rat(s):
@@ -229,6 +240,48 @@ class TestFit:
         code, _ = run(["fit", "--type", "A", "--rank", "2", "--k", "0", "--max-points", "3"])
         assert code == EXIT_BUDGET
 
+    def test_streamed_coroot_fit_is_budgeted_over_polymethod_samples(self):
+        # one polynomial for both coprime classes of A3, from b = 1, 3, ..., 13
+        A3 = build_root_system("A", 3)
+        estimate = sum(cli._count_estimate(A3, b, "coroot") for b in range(1, 14, 2))
+        argv = ["fit", "--type", "A", "--rank", "3", "--k", "4", "--lattice", "coroot"]
+        code, _ = run(argv + ["--max-points", str(estimate - 1)])
+        assert code == EXIT_BUDGET
+        code, doc = run_json(argv + ["--max-points", str(estimate)])
+        assert code == EXIT_OK
+        assert [row["holdouts"] for row in doc["results"][1:]] == ["pass", "pass"]
+
+    def test_residue_fit_reads_a_dilation_of_its_class(self, monkeypatch):
+        exact = ehrhart.weighted_lattice_sum
+        read = []
+
+        def recorded(rs, b, k, lattice, centered=False):
+            read.append(b)
+            return exact(rs, b, k, lattice, centered)
+
+        monkeypatch.setattr(ehrhart, "weighted_lattice_sum", recorded)
+        # A6 samples b = 1..5 for its k = 2 polynomial, so class 6 adds b = 6
+        for family, rank in [("A", 3), ("D", 4), ("A", 6)]:
+            rs = build_root_system(family, rank)
+            m = ehrhart.quasi_period(rs, "coroot")
+            for j in ehrhart.coprime_fit_classes(rs, "coroot"):
+                read.clear()
+                code, doc = run_json(["fit", "--type", family, "--rank", str(rank), "--k",
+                                      "2", "--lattice", "coroot", "--residue", str(j)])
+                assert code == EXIT_OK
+                assert doc["results"][1]["holdouts"] == "pass"
+                assert any(b % m == j for b in read), (family, j, read)
+
+    def test_holdout_miss_fails_every_coprime_row(self, monkeypatch):
+        argv = ["fit", "--type", "A", "--rank", "3", "--k", "4", "--lattice", "coroot"]
+        assert run(argv)[0] == EXIT_OK
+        monkeypatch.setattr(ehrhart, "weighted_lattice_sum", off_at(13))
+        code, doc = run_json(argv)
+        assert code == EXIT_MISMATCH
+        rows = doc["results"][1:]
+        assert [row["residue"] for row in rows] == [1, 3]
+        assert {row["holdouts"] for row in rows} == {"fail(period/degree assumption violated)"}
+
 
 class TestSeries:
     def test_type_a_product_and_char_poly(self):
@@ -284,6 +337,47 @@ class TestExperiment:
         entry = doc["results"][0]
         assert entry["verdict"] == "consistent"
         assert rat(entry["ratio"]) == rat(entry["expected"])
+
+    def test_top_coefficient_theorem_mismatch_exits_one(self, monkeypatch):
+        monkeypatch.setattr(ehrhart, "_expected_leading_ratio", lambda rs, k: Q(1, 7))
+        code, doc = run_json(["experiment", "top-coeff", "--type", "A", "--rank", "3",
+                              "--k", "2"])
+        assert code == EXIT_MISMATCH
+        entry = doc["results"][0]
+        assert entry["grade"] == "theorem"
+        assert entry["verdict"] == "mismatch(1/120!=1/7)"
+
+    def test_top_coefficient_holdout_miss_exits_one(self, monkeypatch):
+        argv = ["experiment", "top-coeff", "--type", "A", "--rank", "3", "--k", "3"]
+        assert run_json(argv)[1]["results"][0]["verdict"] == "consistent"
+        monkeypatch.setattr(ehrhart, "weighted_lattice_sum", off_at(9))
+        code, doc = run_json(argv)
+        assert code == EXIT_MISMATCH
+        entry = doc["results"][0]
+        assert entry["verdict"] == "mismatch(period/degree assumption violated)"
+        assert entry["ratio"] is None
+
+    def test_top_coefficient_mismatch_survives_optimize(self):
+        script = (
+            "import sys\n"
+            "from fractions import Fraction\n"
+            "from corelab import ehrhart\n"
+            "from corelab.cli import main\n"
+            "ehrhart._expected_leading_ratio = lambda rs, k: Fraction(1, 7)\n"
+            "sys.exit(main(['experiment', 'top-coeff', '--type', 'D', '--rank', '4',"
+            " '--k', '2']))\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == EXIT_MISMATCH, proc.stderr
+        entry = json.loads(proc.stdout)["results"][0]
+        assert entry["verdict"] == "mismatch(1/60!=1/7)"
+
+    def test_top_coefficient_table_counterexample_exits_zero(self):
+        code, doc = run_json(["experiment", "top-coeff", "--type", "D", "--rank", "4",
+                              "--k", "6"])
+        assert code == EXIT_OK
+        assert doc["results"][0]["verdict"] == "counterexample(5561/11211200!=5561/5605600)"
 
     def test_weighting_trials_respect_seed(self):
         argv = ["experiment", "cn-weighting", "--rank", "2", "--trials", "20",

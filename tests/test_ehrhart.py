@@ -1,17 +1,21 @@
 """Tests for quasipolynomial fitting, reciprocity, and closed-form checks."""
 
 from fractions import Fraction as Q
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corelab import ehrhart
 from corelab.ehrhart import (
     FitSpec,
+    HoldoutError,
     QuasiPolynomial,
     default_spec,
     coprime_fit_classes,
+    coprime_polynomial,
+    coprime_samples,
     fit_component,
     fit_quasi,
     leading_coefficient_checks,
@@ -293,6 +297,19 @@ class TestLeadingCoefficients:
     def test_higher_conjecture_tables_type_d(self):
         assert leading_coefficient_checks(D4, 4)["verdict"] == "match"
 
+    def test_d_type_k6_ratio_is_half_the_table(self):
+        # the data disagree with the conjectured D-type k=6 entry by exactly
+        # a factor of two; the table stays under test, not corrected
+        out = leading_coefficient_checks(D4, 6)
+        assert out["ratio"] == Q(5561, 11211200) == out["expected"] / 2
+        assert out["verdict"].startswith("counterexample(")
+        weight = fit_component(default_spec(D4, 6, "coroot", 1, centered=True))
+        count = fit_component(default_spec(D4, 0, "coroot", 1))
+        assert weight[-1] / count[-1] == out["ratio"]
+        # the per-class fit of D5 samples up to b = 77 and takes minutes
+        out = leading_coefficient_checks(D5, 6)
+        assert out["ratio"] == Q(1620161, 467026560) == out["expected"] / 2
+
     def test_no_table_beyond_type_bounds(self):
         out = leading_coefficient_checks(A2, 8)
         assert out["expected"] is None
@@ -303,3 +320,70 @@ class TestLeadingCoefficients:
             leading_coefficient_checks(A2, 0)
         with pytest.raises(ValueError):
             leading_coefficient_checks(build_root_system("C", 2), 1)
+
+
+# Per-class fits of A4 stream every point of 9-13 dilations per class, up to
+# b = 64, and take 11-65 s per case at k = 1..3 on a 2-core machine, so the
+# oracle comparison keeps A4 to its DP-backed sums.
+ORACLE_CASES = [
+    (family, rank, k, centered)
+    for family, rank in [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("D", 4)]
+    for k in range(5)
+    for centered in (False, True)
+    if rank < 4 or family == "D" or ehrhart.dp_backed(k, centered)
+]
+
+SIMPLY_LACED = [("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 9)] + [
+    ("E", 6), ("E", 7), ("E", 8)
+]
+
+
+class TestCoprimePolynomial:
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(ORACLE_CASES))
+    def test_matches_per_class_fits(self, case):
+        family, rank, k, centered = case
+        rs = build_root_system(family, rank)
+        classes = coprime_fit_classes(rs, "coroot")
+        poly = coprime_polynomial(rs, k, centered, classes)
+        for j in classes:
+            assert poly == fit_component(default_spec(rs, k, "coroot", j, centered))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(SIMPLY_LACED), st.integers(0, 4), st.booleans(), st.data())
+    def test_samples_cover_every_requested_class(self, case, k, centered, data):
+        rs = build_root_system(*case)
+        h = rs.coxeter_number
+        m = quasi_period(rs, "coroot")
+        allowed = coprime_fit_classes(rs, "coroot")
+        classes = data.draw(st.lists(st.sampled_from(allowed), min_size=1, unique=True))
+        samples = coprime_samples(rs, k, centered, classes)
+        assert len(set(samples)) == len(samples)
+        assert all(b >= 1 and gcd(b, h) == 1 for b in samples)
+        for j in classes:
+            own = [b for b in range(1, max(samples) + 1) if b % m == j and gcd(b, h) == 1]
+            assert own[0] in samples
+
+    def test_samples_are_the_smallest_coprime_dilations(self):
+        # one polynomial for every class, pinned by the smallest coprime b
+        assert coprime_samples(A3, 4, False, (1, 3)) == (1, 3, 5, 7, 9, 11, 13)
+        assert coprime_samples(D4, 3, False, (1,)) == (1, 5, 7, 11, 13, 17, 19)
+        # three samples fix the count polynomial of A4; class 4 adds a holdout
+        A4 = build_root_system("A", 4)
+        assert coprime_samples(A4, 0, False, (1, 2, 3, 4)) == (1, 2, 3, 4)
+        with pytest.raises(ValueError):
+            coprime_samples(A3, 2, False, (2,))
+        with pytest.raises(ValueError):
+            coprime_samples(build_root_system("B", 3), 2, False, (1,))
+
+    def test_holdout_miss_raises(self, monkeypatch):
+        poly = coprime_polynomial(A3, 4, False, (1, 3))
+        assert poly_eval(poly, 15) == weighted_lattice_sum(A3, 15, 4, "coroot")
+        exact = ehrhart.weighted_lattice_sum
+
+        def off_at_eleven(rs, b, k, lattice, centered=False):
+            return exact(rs, b, k, lattice, centered) + (b == 11)
+
+        monkeypatch.setattr(ehrhart, "weighted_lattice_sum", off_at_eleven)
+        with pytest.raises(HoldoutError, match="period/degree assumption violated"):
+            coprime_polynomial(A3, 4, False, (1, 3))
