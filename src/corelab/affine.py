@@ -369,6 +369,12 @@ def compute_w_b(rs: RootSystem, b: int) -> AffineElement:
     return elem
 
 
+@lru_cache(maxsize=None)
+def w_b_inverse(rs: RootSystem, b: int) -> AffineElement:
+    """The inverse of ``w_b``, which carries ``b * A`` onto the height-``b`` region."""
+    return compute_w_b(rs, b).inverse()
+
+
 def to_dominant(rs: RootSystem, x: Sequence[Q]) -> AffineElement:
     """A finite Weyl element ``u`` with ``u(x)`` in the closed dominant chamber."""
     n = rs.rank

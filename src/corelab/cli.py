@@ -17,6 +17,7 @@ from fractions import Fraction as Q
 from math import comb, gcd
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from .affine import w_b_inverse
 from .cores import core_from_coroot, enumerate_simultaneous_cores
 from .ehrhart import (
     coprime_fit_classes,
@@ -50,7 +51,6 @@ from .stats import (
     size_point,
     verdict_of,
     verify_max,
-    w_b_inverse,
     zise_point,
 )
 
@@ -223,7 +223,7 @@ def cmd_enum(args) -> Tuple[int, List[Dict]]:
 
 def _moment_result(rs: RootSystem, b: int) -> Dict:
     report = moments(rs, b)
-    result = {
+    return {
         "family": report.family,
         "rank": report.rank,
         "b": report.b,
@@ -231,8 +231,8 @@ def _moment_result(rs: RootSystem, b: int) -> Dict:
         "max": _rat(report.max_value),
         "max_multiplicity": report.max_multiplicity,
         "mean": _rat(report.mean),
-        "variance": None if report.m2 is None else _rat(report.m2),
-        "m3": None if report.m3 is None else _rat(report.m3),
+        "variance": _rat(report.m2),
+        "m3": _rat(report.m3),
         "closed_forms": {
             name: None if value is None else _rat(value)
             for name, value in report.closed_forms
@@ -240,7 +240,6 @@ def _moment_result(rs: RootSystem, b: int) -> Dict:
         "verdicts": report.verdict_map(),
         "grade": report.grade,
     }
-    return result
 
 
 def cmd_stat(args) -> Tuple[int, List[Dict]]:
@@ -350,10 +349,9 @@ def _verify_one(selector: str, rs: RootSystem, b: Optional[int], args) -> Dict:
             return result
         report = moments(rs, b)
         key = {"mean": "mean", "variance": "m2", "m3": "m3"}[selector]
-        value = getattr(report, key)
         result.update(
-            value=None if value is None else _rat(value),
-            verdict=report.verdict_map().get(key, "no closed form"),
+            value=_rat(getattr(report, key)),
+            verdict=report.verdict_map()[key],
         )
         return result
     raise UsageError("unknown selector %r" % selector)
@@ -403,13 +401,13 @@ def cmd_fit(args) -> Tuple[int, List[Dict]]:
     if args.residue is not None:
         if not 0 <= args.residue < m:
             raise UsageError("--residue out of range for period %d" % m)
-        if k >= 1 and lattice == "coroot" and args.residue not in coprime_fit_classes(rs, lattice):
+        if k >= 1 and lattice == "coroot" and args.residue not in coprime_fit_classes(rs):
             raise UsageError(
                 "residue class %d has no dilations coprime to h" % args.residue
             )
         classes = (args.residue,)
     elif k >= 1 and lattice == "coroot":
-        classes = coprime_fit_classes(rs, lattice)
+        classes = coprime_fit_classes(rs)
     else:
         classes = tuple(range(m))
     _check_budget(_fit_cost(rs, k, lattice, False, classes), args)

@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import comb, gcd
 from typing import Collection, Iterator, List, Sequence, Tuple
 
-from corelab.affine import alcove_walk, base_point, compute_w_b
+from corelab.affine import alcove_walk, base_point, w_b_inverse
 from corelab.lattice_enum import coroot_points_in_bA
 from corelab.rootsys import QuadraticForm, RootSystem, build_root_system, vec_add
 
@@ -189,7 +189,7 @@ def enumerate_simultaneous_cores(a: int, b: int) -> List[CorePartition]:
     if gcd(a, b) != 1:
         raise ValueError("a and b must be coprime")
     rs = _a_system(a)
-    winv = compute_w_b(rs, b).inverse()
+    winv = w_b_inverse(rs, b)
     cores = []
     for x in coroot_points_in_bA(rs, b).points:
         core = core_from_coroot(a, winv.apply(x))

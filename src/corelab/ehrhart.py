@@ -1,13 +1,13 @@
 """Exact quasipolynomial fitting for size statistics of dilated alcoves.
 
 Sums of powers of the dilation statistic over lattice points of the dilated
-fundamental alcove are quasipolynomials in the dilation factor.  This module
-fits their components by Lagrange interpolation over exact rationals,
-validates the fits on holdout dilations, checks the reciprocity symmetry,
-and reproduces the closed-form expected-size polynomials and the
-leading-coefficient tables.  Coroot sums at dilations coprime to h are one
-polynomial, which the polynomial method fits from its known zeros and its
-reflection symmetry at the smallest coprime dilations.
+fundamental alcove are quasipolynomials in the dilation factor.  Coroot sums
+at dilations coprime to h are one polynomial, which the polynomial method
+fits from its known zeros and its reflection symmetry at the smallest
+coprime dilations; every other residue class is interpolated on its own.
+Every fit is exact over the rationals and validated on holdout dilations.
+The module also checks the reciprocity symmetry and reproduces the
+closed-form expected-size polynomials and the leading-coefficient tables.
 """
 
 from __future__ import annotations
@@ -26,14 +26,13 @@ from .stats import verdict_of
 
 __all__ = [
     "QuasiPolynomial",
-    "FitSpec",
     "HoldoutError",
     "quasi_period",
-    "default_spec",
     "dp_backed",
     "weighted_lattice_sum",
     "fit_component",
     "fit_quasi",
+    "coprime_fit_classes",
     "coprime_samples",
     "coprime_polynomial",
     "fit_samples",
@@ -172,69 +171,27 @@ class HoldoutError(ValueError):
     degree, or the assumed zeros and symmetry, do not hold."""
 
 
-@dataclass(frozen=True)
-class FitSpec:
-    """One residue-class fit of a weighted lattice-point quasipolynomial."""
-
-    rs: RootSystem
-    k: int
-    lattice: str
-    residue: int
-    degree: int
-    samples: Tuple[int, ...]
-    centered: bool = False
-
-    def __post_init__(self) -> None:
-        if self.lattice not in LATTICES:
-            raise ValueError("unknown lattice %r" % self.lattice)
-        if self.k < 0:
-            raise ValueError("weight exponent must be nonnegative")
-        m = quasi_period(self.rs, self.lattice)
-        if not 0 <= self.residue < m:
-            raise ValueError("residue out of range for period %d" % m)
-        if len(set(self.samples)) != len(self.samples):
-            raise ValueError("sample dilations must be distinct")
-        if any(b < 0 or b % m != self.residue for b in self.samples):
-            raise ValueError("samples must be nonnegative and in the residue class")
-        if len(self.samples) < self.degree + 1:
-            raise ValueError("need at least degree+1 samples")
-
-    @property
-    def period(self) -> int:
-        return quasi_period(self.rs, self.lattice)
-
-
-def default_spec(
-    rs: RootSystem,
-    k: int,
-    lattice: str,
-    residue: int,
-    centered: bool = False,
-    holdouts: int = 2,
-) -> FitSpec:
-    """Smallest nonnegative representatives of the class, none skipped."""
-    degree = rs.rank + 2 * k
+def _class_samples(rs: RootSystem, k: int, lattice: str, residue: int) -> Tuple[int, ...]:
+    """The n + 2k + 1 smallest dilations of the class, then two holdouts."""
     m = quasi_period(rs, lattice)
-    count = degree + 1 + holdouts
-    samples = tuple(residue + m * t for t in range(count))
-    return FitSpec(rs, k, lattice, residue, degree, samples, centered)
+    return tuple(residue + m * t for t in range(rs.rank + 2 * k + 3))
 
 
-def fit_component(spec: FitSpec) -> PolyQ:
-    """Interpolate one quasipolynomial component and verify it on holdouts."""
-    cut = spec.degree + 1
-    if len(spec.samples) < cut + 2:
-        raise ValueError("need at least two holdout samples")
-    xs = spec.samples[:cut]
-    ys = [
-        weighted_lattice_sum(spec.rs, b, spec.k, spec.lattice, spec.centered)
-        for b in xs
-    ]
-    poly = _lagrange_fit(xs, ys)
-    for b in spec.samples[cut:]:
-        expected = weighted_lattice_sum(spec.rs, b, spec.k, spec.lattice, spec.centered)
-        if poly_eval(poly, b) != expected:
-            raise HoldoutError("period/degree assumption violated")
+def fit_component(
+    rs: RootSystem, k: int, lattice: str, residue: int, centered: bool = False
+) -> PolyQ:
+    """Interpolate one residue class of the weighted quasipolynomial at its
+    n + 2k + 1 smallest dilations and verify it on the next two."""
+    if k < 0:
+        raise ValueError("weight exponent must be nonnegative")
+    m = quasi_period(rs, lattice)
+    if not 0 <= residue < m:
+        raise ValueError("residue out of range for period %d" % m)
+    samples = _class_samples(rs, k, lattice, residue)
+    values = [weighted_lattice_sum(rs, b, k, lattice, centered) for b in samples]
+    poly = _lagrange_fit(samples[:-2], values[:-2])
+    if any(poly_eval(poly, b) != y for b, y in zip(samples[-2:], values[-2:])):
+        raise HoldoutError("period/degree assumption violated")
     return poly
 
 
@@ -245,14 +202,13 @@ def fit_quasi(
     residues: Optional[Sequence[int]] = None,
     centered: bool = False,
 ) -> QuasiPolynomial:
-    """Fit components for the given residue classes (all classes by default)."""
+    """Fit components for the given residue classes (all classes by default),
+    each through :func:`fit_residue`."""
     m = quasi_period(rs, lattice)
-    chosen = range(m) if residues is None else residues
+    chosen = tuple(range(m) if residues is None else residues)
     components: List[Optional[PolyQ]] = [None] * m
     for residue in chosen:
-        components[residue] = fit_component(
-            default_spec(rs, k, lattice, residue, centered)
-        )
+        components[residue] = fit_residue(rs, k, lattice, centered, chosen, residue)
     return QuasiPolynomial(m, tuple(components), rs.rank + 2 * k)
 
 
@@ -293,14 +249,14 @@ def _expected_size_poly(rs: RootSystem) -> PolyQ:
     return poly_mul(mean, _closed_count_poly(rs))
 
 
-def coprime_fit_classes(rs: RootSystem, lattice: str) -> Tuple[int, ...]:
-    """Residue classes containing infinitely many b coprime to h.
+def coprime_fit_classes(rs: RootSystem) -> Tuple[int, ...]:
+    """Coroot residue classes containing infinitely many b coprime to h.
 
     The class of j modulo the period m contains such b exactly when j shares
     no prime with gcd(m, h); only these classes support the count and
     expected-size identities.
     """
-    m = quasi_period(rs, lattice)
+    m = quasi_period(rs, "coroot")
     shared = gcd(m, rs.coxeter_number)
     return tuple(j for j in range(m) if gcd(j, shared) == 1)
 
@@ -328,12 +284,11 @@ def coprime_samples(
     requested coroot residue class still without a sample the smallest
     coprime b of that class.
     """
-    if not is_simply_laced(rs):
-        raise ValueError("the polynomial method requires a simply-laced root system")
+    if k and not is_simply_laced(rs):
+        raise ValueError("weighted sums require a simply-laced root system")
     h = rs.coxeter_number
     m = quasi_period(rs, "coroot")
-    allowed = coprime_fit_classes(rs, "coroot")
-    if any(j not in allowed for j in classes):
+    if not set(classes) <= set(coprime_fit_classes(rs)):
         raise ValueError("residue classes must contain dilations coprime to h")
     coprime = (b for b in count(1) if gcd(b, h) == 1)
     samples = list(islice(coprime, _unknowns(rs, k, centered) + 2))
@@ -348,15 +303,15 @@ def coprime_polynomial(
 ) -> PolyQ:
     """The polynomial P(b) = sum over coroot points x of bA of
     (F_b(x) - mu_b)^k, valid at every b coprime to h (P. Johnson's
-    polynomial method).
+    polynomial method); at k = 0 it is the count, on every type.
 
     P = Z R with Z the product of b - z over :func:`_known_zeros`.  P obeys
     the reciprocity P(-h-b) = (-1)^n P(b), and the reflection b -> -h-b maps
     the zeros of Z onto themselves, so R(-h-b) = (-1)^(n + deg Z) R(b).  In
-    t = 2b + h, R is therefore c(t^2)
-    or t c(t^2), so only c is interpolated, at the first samples of
-    :func:`coprime_samples`; the rest are holdouts, which also check one
-    dilation of every class in ``classes``.
+    t = 2b + h, R is therefore c(t^2) or t c(t^2), so only c is
+    interpolated, at the first samples of :func:`coprime_samples`; the rest
+    are holdouts, which also check one dilation of every class in
+    ``classes``.
     """
     h = rs.coxeter_number
     zeros = _known_zeros(rs, k, centered)
@@ -384,22 +339,25 @@ def coprime_polynomial(
     return poly
 
 
-def _polynomial_method(k: int, lattice: str, centered: bool) -> bool:
-    """Whether a fit reads :func:`coprime_polynomial`: streamed coroot sums
-    do, while DP-backed and coweight sums keep the per-class
+def _polynomial_classes(
+    rs: RootSystem, lattice: str, classes: Sequence[int]
+) -> Tuple[int, ...]:
+    """The classes :func:`coprime_polynomial` answers: the coroot classes
+    with b coprime to h.  Every other class has its own
     :func:`fit_component`."""
-    return lattice == "coroot" and not dp_backed(k, centered)
+    coprime = coprime_fit_classes(rs) if lattice == "coroot" else ()
+    return tuple(j for j in classes if j in coprime)
 
 
 def fit_samples(
     rs: RootSystem, k: int, lattice: str, centered: bool, classes: Sequence[int]
 ) -> Tuple[int, ...]:
     """Every dilation :func:`fit_residue` reads for these residue classes."""
-    if _polynomial_method(k, lattice, centered):
-        return coprime_samples(rs, k, centered, classes)
-    return tuple(
-        b for j in classes for b in default_spec(rs, k, lattice, j, centered).samples
+    coprime = _polynomial_classes(rs, lattice, classes)
+    own = tuple(
+        b for j in classes if j not in coprime for b in _class_samples(rs, k, lattice, j)
     )
+    return (coprime_samples(rs, k, centered, coprime) if coprime else ()) + own
 
 
 def fit_residue(
@@ -411,45 +369,43 @@ def fit_residue(
     residue: int,
 ) -> PolyQ:
     """The fitted component of ``residue``, one of ``classes``: the coprime
-    polynomial of all the classes for streamed coroot sums, otherwise the
-    class's own :func:`fit_component`."""
-    if _polynomial_method(k, lattice, centered):
-        return coprime_polynomial(rs, k, centered, classes)
-    return fit_component(default_spec(rs, k, lattice, residue, centered))
+    polynomial of the coprime coroot classes among ``classes``, otherwise
+    the class's own :func:`fit_component`."""
+    coprime = _polynomial_classes(rs, lattice, classes)
+    if residue in coprime:
+        return coprime_polynomial(rs, k, centered, coprime)
+    return fit_component(rs, k, lattice, residue, centered)
 
 
 def verify_expected_size_polynomial(rs: RootSystem) -> Dict:
     """Check the expected-size identity: sum of the statistic over coroot
     points of the dilated alcove equals mean times count, in closed form.
 
-    The identity is checked as an exact equality of the fitted
-    quasipolynomial components of every residue class coprime to h with the
-    closed polynomial.
+    The identity is checked as an exact equality of the closed polynomial
+    with the coprime polynomial, whose holdouts cover every residue class
+    coprime to h.
     """
     if not is_simply_laced(rs):
         raise ValueError("expected-size identity requires a simply-laced root system")
     n = rs.rank
-    expected = _expected_size_poly(rs)
-    classes = coprime_fit_classes(rs, "coroot")
-    fitted = fit_quasi(rs, 1, "coroot", residues=classes)
-    match = all(
-        poly_trim(fitted.component(j)) == poly_trim(expected) for j in classes
-    )
+    expected = poly_trim(_expected_size_poly(rs))
+    classes = coprime_fit_classes(rs)
+    fitted = coprime_polynomial(rs, 1, False, classes)
     report: Dict = {
         "check": "expected_size_polynomial",
         "family": rs.family,
         "rank": n,
         "mode": "fit",
         "classes": classes,
-        "fitted": fitted.as_json_dict(),
-        "match": match,
+        "fitted": fitted,
+        "match": fitted == expected,
     }
     if (rs.family, n) == ("E", 6):
         # The displayed closed product with roots at 1 and -(e_i + 2).
         displayed: PolyQ = (Q(1, 207360),)
         for root in (1, -1, -4, -5, -7, -8, -11, -13):
             displayed = poly_mul(displayed, (Q(-root), Q(1)))
-        report["displayed_product_matches"] = poly_trim(displayed) == poly_trim(expected)
+        report["displayed_product_matches"] = poly_trim(displayed) == expected
     return report
 
 
@@ -551,8 +507,8 @@ def leading_coefficient_checks(rs: RootSystem, k: int) -> Dict:
         "expected": _expected_leading_ratio(rs, k),
     }
     try:
-        count_poly = fit_component(default_spec(rs, 0, "coroot", residue))
-        weight_poly = fit_residue(rs, k, "coroot", centered, (residue,), residue)
+        count_poly = coprime_polynomial(rs, 0, False, (residue,))
+        weight_poly = coprime_polynomial(rs, k, centered, (residue,))
     except HoldoutError as exc:
         return dict(report, verdict="mismatch(%s)" % exc)
     if len(count_poly) != n + 1:

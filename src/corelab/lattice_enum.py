@@ -20,7 +20,7 @@ from math import gcd, isqrt, lcm
 from operator import add, mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from corelab.affine import compute_w_b, in_dilated_alcove, sommers_contains
+from corelab.affine import in_dilated_alcove, sommers_contains, w_b_inverse
 from corelab.rootsys import (
     QuadraticForm,
     RootSystem,
@@ -143,7 +143,7 @@ def core_points_in_sommers(rs: RootSystem, b: int) -> LatticePointSet:
     h = rs.coxeter_number
     if gcd(b, h) != 1:
         raise ValueError("b not coprime to Coxeter number")
-    winv = compute_w_b(rs, b).inverse()
+    winv = w_b_inverse(rs, b)
     moved = [winv.apply(x) for x in coroot_points_in_bA(rs, b).points]
     for x in moved:
         assert is_coroot_point(x)

@@ -24,6 +24,7 @@ from corelab.affine import (
     inversions_of_inverse,
     size_of_element,
     to_dominant,
+    w_b_inverse,
 )
 from corelab.cores import Partition, toggle_corners
 from corelab.lattice_enum import coroot_points_in_bA, core_points_in_sommers
@@ -48,12 +49,6 @@ def size_point(rs: RootSystem, x: Sequence[Q]) -> Q:
 def q_form_point(rs: RootSystem, x: Sequence[Q]) -> Q:
     """The centered form ``F_0(x) = g/2 ||x||^2 - n (h+1)/24``; minimal value of size."""
     return QuadraticForm(rs, 0)(x)
-
-
-@lru_cache(maxsize=None)
-def w_b_inverse(rs: RootSystem, b: int) -> AffineElement:
-    """The inverse of ``w_b``, which carries ``b * A`` onto the height-``b`` region."""
-    return compute_w_b(rs, b).inverse()
 
 
 def zise_point(rs: RootSystem, b: int, x: Sequence[Q | int]) -> Q:
@@ -115,8 +110,8 @@ class MomentReport:
     max_multiplicity: int
     argmax: Tuple[int, ...]
     mean: Q
-    m2: Optional[Q]
-    m3: Optional[Q]
+    m2: Q
+    m3: Q
     closed_forms: Tuple[Tuple[str, Optional[Q]], ...]
     verdicts: Tuple[Tuple[str, str], ...]
 
@@ -138,7 +133,7 @@ def verdict_of(enumerated: Optional[Q], closed: Optional[Q]) -> str:
 
 
 @lru_cache(maxsize=None)
-def moments(rs: RootSystem, b: int, max_k: int = 3) -> MomentReport:
+def moments(rs: RootSystem, b: int) -> MomentReport:
     """Exact moments of zise over the coroot points of ``b * A``, computed
     once per argument list however many callers read them.
 
@@ -147,8 +142,6 @@ def moments(rs: RootSystem, b: int, max_k: int = 3) -> MomentReport:
     them.  The maximum is reported with its multiplicity and the first
     ``b * A`` point attaining it.  Closed forms fill in per type as available.
     """
-    if max_k not in (1, 2, 3):
-        raise ValueError("max_k must be 1, 2, or 3")
     h = rs.coxeter_number
     if gcd(b, h) != 1:
         raise ValueError("b not coprime to Coxeter number")
@@ -161,31 +154,23 @@ def moments(rs: RootSystem, b: int, max_k: int = 3) -> MomentReport:
     best = max(values)
     mult = values.count(best)
     mean = Q(s1, s0)
-    m2 = s2 / s0 - mean * mean if max_k >= 2 else None
-    m3 = (
-        s3 / s0 - 3 * mean * (s2 / s0) + 2 * mean**3 if max_k >= 3 else None
-    )
-    if m2 is not None:
-        assert m2 == sum((v - mean) ** 2 for v in values) / s0
-    if m3 is not None:
-        assert m3 == sum((v - mean) ** 3 for v in values) / s0
+    m2 = s2 / s0 - mean * mean
+    m3 = s3 / s0 - 3 * mean * (s2 / s0) + 2 * mean**3
+    assert m2 == sum((v - mean) ** 2 for v in values) / s0
+    assert m3 == sum((v - mean) ** 3 for v in values) / s0
     simply = is_simply_laced(rs)
     closed: Dict[str, Optional[Q]] = {"count": haiman_count(rs, b)}
     closed["max"] = closed_max(rs, b) if simply else None
     closed["mean"] = closed_mean(rs, b) if simply else None
-    if max_k >= 2:
-        closed["m2"] = closed_variance(rs, b) if simply else None
-    if max_k >= 3:
-        closed["m3"] = closed_m3_type_a(rs, b) if rs.family == "A" else None
+    closed["m2"] = closed_variance(rs, b) if simply else None
+    closed["m3"] = closed_m3_type_a(rs, b) if rs.family == "A" else None
     verdicts = {
         "count": verdict_of(Q(s0), closed["count"]),
         "max": verdict_of(best, closed["max"]),
         "mean": verdict_of(mean, closed["mean"]),
+        "m2": verdict_of(m2, closed["m2"]),
+        "m3": verdict_of(m3, closed["m3"]),
     }
-    if max_k >= 2:
-        verdicts["m2"] = verdict_of(m2, closed["m2"])
-    if max_k >= 3:
-        verdicts["m3"] = verdict_of(m3, closed["m3"])
     return MomentReport(
         family=rs.family,
         rank=rs.rank,

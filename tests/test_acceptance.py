@@ -132,7 +132,7 @@ def test_criterion_04_simply_laced_formulas():
         h = rs.coxeter_number
         for b in dilations:
             if gcd(b, h) == 1:
-                report = moments(rs, b, max_k=2)
+                report = moments(rs, b)
                 assert report.grade == "match", (family, rank, b, report.verdicts)
                 best, mult, _ = verify_max(rs, b)
                 assert mult == 1
@@ -150,7 +150,7 @@ def test_criterion_04_simply_laced_formulas():
                 centered = weighted_lattice_sum(rs, b, 2, "coroot", centered=True)
                 assert centered == closed_variance(rs, b) * count
                 closed_checked += 1
-    e8 = moments(build_root_system("E", 8), 7, max_k=2)
+    e8 = moments(build_root_system("E", 8), 7)
     assert e8.count == 39
     assert e8.mean == 76
     _finish(
@@ -190,15 +190,17 @@ def test_criterion_06_e6_expected_size_quasipolynomial():
     report = verify_expected_size_polynomial(e6)
     assert report["match"] is True
     assert report["displayed_product_matches"] is True
-    for family, rank in [("E", 7), ("E", 8)]:
+    types = [("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 9)]
+    types += [("E", 7), ("E", 8)]
+    for family, rank in types:
         fitted = verify_expected_size_polynomial(build_root_system(family, rank))
         assert fitted["mode"] == "fit"
-        assert fitted["match"] is True
+        assert fitted["match"] is True, (family, rank)
     _finish(
         6,
         t0,
-        "per-residue fits with holdouts reproduce the degree-8 product; "
-        "E7/E8 fitted on every coprime class",
+        "the coprime polynomial reproduces the degree-8 product; "
+        "A1-A8, D4-D8 and E6-E8 fitted with a holdout in every coprime class",
     )
 
 

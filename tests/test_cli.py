@@ -264,13 +264,32 @@ class TestFit:
         for family, rank in [("A", 3), ("D", 4), ("A", 6)]:
             rs = build_root_system(family, rank)
             m = ehrhart.quasi_period(rs, "coroot")
-            for j in ehrhart.coprime_fit_classes(rs, "coroot"):
+            for j in ehrhart.coprime_fit_classes(rs):
                 read.clear()
                 code, doc = run_json(["fit", "--type", family, "--rank", str(rank), "--k",
                                       "2", "--lattice", "coroot", "--residue", str(j)])
                 assert code == EXIT_OK
                 assert doc["results"][1]["holdouts"] == "pass"
                 assert any(b % m == j for b in read), (family, j, read)
+
+    def test_coprime_classes_skip_the_per_class_fit(self, monkeypatch):
+        exact = ehrhart.fit_component
+        fitted = []
+
+        def counted(rs, k, lattice, residue, centered=False):
+            fitted.append(residue)
+            return exact(rs, k, lattice, residue, centered)
+
+        monkeypatch.setattr(ehrhart, "fit_component", counted)
+        code, doc = run_json(["fit", "--type", "E", "--rank", "8", "--k", "1",
+                              "--lattice", "coroot"])
+        assert code == EXIT_OK and len(doc["results"]) == 17
+        assert fitted == []
+        # class 0 of A4 holds no b coprime to h = 5, so only it is fitted alone
+        code, doc = run_json(["fit", "--type", "A", "--rank", "4", "--k", "0",
+                              "--lattice", "coroot"])
+        assert code == EXIT_OK and len(doc["results"]) == 6
+        assert fitted == [0]
 
     def test_holdout_miss_fails_every_coprime_row(self, monkeypatch):
         argv = ["fit", "--type", "A", "--rank", "3", "--k", "4", "--lattice", "coroot"]

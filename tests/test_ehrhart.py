@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 
 from corelab import ehrhart
 from corelab.ehrhart import (
-    FitSpec,
     HoldoutError,
     QuasiPolynomial,
-    default_spec,
     coprime_fit_classes,
     coprime_polynomial,
     coprime_samples,
@@ -34,6 +32,10 @@ A3 = build_root_system("A", 3)
 D4 = build_root_system("D", 4)
 D5 = build_root_system("D", 5)
 E6 = build_root_system("E", 6)
+
+SIMPLY_LACED = [("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 9)] + [
+    ("E", 6), ("E", 7), ("E", 8)
+]
 
 
 class TestQuasiPeriod:
@@ -118,38 +120,54 @@ class TestWeightedLatticeSum:
 
 class TestFitComponent:
     def test_count_polynomial_type_a(self):
-        poly = fit_component(default_spec(A2, 0, "coweight", 0))
+        poly = fit_component(A2, 0, "coweight", 0)
         assert poly == (Q(1), Q(3, 2), Q(1, 2))
 
-    def test_fitspec_validation(self):
+    def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            FitSpec(A2, 0, "coweight", 1, 2, (1, 2, 3, 4))
+            fit_component(A2, 0, "badlattice", 0)
         with pytest.raises(ValueError):
-            FitSpec(A2, 0, "coweight", 0, 2, (0, 1, 1, 2))
+            fit_component(A2, -1, "coweight", 0)
         with pytest.raises(ValueError):
-            FitSpec(A2, 0, "coroot", 1, 2, (1, 2, 4, 7))
+            fit_component(A2, 0, "coweight", 1)
         with pytest.raises(ValueError):
-            FitSpec(A2, 0, "coweight", 0, 3, (0, 1, 2))
+            fit_component(A2, 0, "coroot", 3)
         with pytest.raises(ValueError):
-            FitSpec(A2, 0, "badlattice", 0, 2, (0, 1, 2, 3))
+            fit_component(A2, 0, "coroot", -1)
 
-    def test_requires_two_holdouts(self):
-        spec = FitSpec(A2, 0, "coweight", 0, 2, (0, 1, 2, 3))
-        with pytest.raises(ValueError, match="holdout"):
-            fit_component(spec)
+    def test_holdout_miss_raises(self, monkeypatch):
+        # the count of A2 is fitted at b = 0, 1, 2 and held out at b = 3, 4
+        exact = ehrhart.weighted_lattice_sum
+        for holdout in (3, 4):
+            def off(rs, b, k, lattice, centered=False):
+                return exact(rs, b, k, lattice, centered) + (b == holdout)
 
-    def test_underestimated_degree_is_detected(self):
-        spec = FitSpec(A2, 1, "coweight", 0, 3, tuple(range(6)))
-        with pytest.raises(ValueError, match="period/degree assumption violated"):
-            fit_component(spec)
+            monkeypatch.setattr(ehrhart, "weighted_lattice_sum", off)
+            with pytest.raises(HoldoutError, match="period/degree assumption violated"):
+                fit_component(A2, 0, "coweight", 0)
 
-    def test_wrong_period_is_detected(self):
+    def test_underestimated_degree_is_detected(self, monkeypatch):
+        # linear-weight sums, of degree n + 2, passed off as counts of degree n
+        exact = ehrhart.weighted_lattice_sum
+
+        def linear(rs, b, k, lattice, centered=False):
+            return exact(rs, b, 1, lattice, centered)
+
+        monkeypatch.setattr(ehrhart, "weighted_lattice_sum", linear)
+        with pytest.raises(HoldoutError, match="period/degree assumption violated"):
+            fit_component(A2, 0, "coweight", 0)
+
+    def test_wrong_period_is_detected(self, monkeypatch):
         # Type A coroot counts have period 3; a period-1 pretence must fail
         # the holdout validation once samples cross residue classes.
-        spec = FitSpec(A2, 0, "coweight", 0, 2, (0, 3, 6, 9, 12))
-        poly = fit_component(spec)
-        counts = [int(weighted_lattice_sum(A2, b, 0, "coroot")) for b in range(5)]
-        assert any(poly_eval(poly, b) * Q(1, 3) != counts[b] for b in range(5))
+        exact = ehrhart.weighted_lattice_sum
+
+        def coroot(rs, b, k, lattice, centered=False):
+            return exact(rs, b, k, "coroot", centered)
+
+        monkeypatch.setattr(ehrhart, "weighted_lattice_sum", coroot)
+        with pytest.raises(HoldoutError, match="period/degree assumption violated"):
+            fit_component(A2, 0, "coweight", 0)
 
 
 class TestQuasiPolynomial:
@@ -238,16 +256,20 @@ class TestLatticeRatio:
 
 class TestExpectedSizePolynomial:
     def test_coprime_classes(self):
-        assert coprime_fit_classes(A2, "coroot") == (1, 2)
-        assert coprime_fit_classes(D4, "coroot") == (1,)
-        assert coprime_fit_classes(D5, "coroot") == (1, 3)
-        assert coprime_fit_classes(E6, "coroot") == (1, 5)
+        assert coprime_fit_classes(A2) == (1, 2)
+        assert coprime_fit_classes(D4) == (1,)
+        assert coprime_fit_classes(D5) == (1, 3)
+        assert coprime_fit_classes(E6) == (1, 5)
 
     def test_type_a_and_d(self):
-        for rs in (A2, A3, D4):
+        for family, rank in SIMPLY_LACED:
+            if family == "E":
+                continue
+            rs = build_root_system(family, rank)
             report = verify_expected_size_polynomial(rs)
             assert report["mode"] == "fit"
-            assert report["match"] is True
+            assert report["classes"] == coprime_fit_classes(rs)
+            assert report["match"] is True, (family, rank)
 
     def test_e6_matches_displayed_product(self):
         report = verify_expected_size_polynomial(E6)
@@ -303,8 +325,8 @@ class TestLeadingCoefficients:
         out = leading_coefficient_checks(D4, 6)
         assert out["ratio"] == Q(5561, 11211200) == out["expected"] / 2
         assert out["verdict"].startswith("counterexample(")
-        weight = fit_component(default_spec(D4, 6, "coroot", 1, centered=True))
-        count = fit_component(default_spec(D4, 0, "coroot", 1))
+        weight = fit_component(D4, 6, "coroot", 1, centered=True)
+        count = fit_component(D4, 0, "coroot", 1)
         assert weight[-1] / count[-1] == out["ratio"]
         # the per-class fit of D5 samples up to b = 77 and takes minutes
         out = leading_coefficient_checks(D5, 6)
@@ -333,10 +355,6 @@ ORACLE_CASES = [
     if rank < 4 or family == "D" or ehrhart.dp_backed(k, centered)
 ]
 
-SIMPLY_LACED = [("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 9)] + [
-    ("E", 6), ("E", 7), ("E", 8)
-]
-
 
 class TestCoprimePolynomial:
     @settings(max_examples=100, deadline=None)
@@ -344,10 +362,21 @@ class TestCoprimePolynomial:
     def test_matches_per_class_fits(self, case):
         family, rank, k, centered = case
         rs = build_root_system(family, rank)
-        classes = coprime_fit_classes(rs, "coroot")
+        classes = coprime_fit_classes(rs)
         poly = coprime_polynomial(rs, k, centered, classes)
         for j in classes:
-            assert poly == fit_component(default_spec(rs, k, "coroot", j, centered))
+            assert poly == fit_component(rs, k, "coroot", j, centered)
+
+    def test_count_matches_per_class_fits_beyond_simply_laced(self):
+        for family, rank in [("B", 2), ("B", 3), ("B", 4), ("C", 3), ("C", 4),
+                             ("F", 4), ("G", 2)]:
+            rs = build_root_system(family, rank)
+            classes = coprime_fit_classes(rs)
+            poly = coprime_polynomial(rs, 0, False, classes)
+            for j in classes:
+                assert poly == fit_component(rs, 0, "coroot", j), (family, rank, j)
+        with pytest.raises(ValueError):
+            coprime_polynomial(build_root_system("B", 3), 1, False, (1,))
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(SIMPLY_LACED), st.integers(0, 4), st.booleans(), st.data())
@@ -355,7 +384,7 @@ class TestCoprimePolynomial:
         rs = build_root_system(*case)
         h = rs.coxeter_number
         m = quasi_period(rs, "coroot")
-        allowed = coprime_fit_classes(rs, "coroot")
+        allowed = coprime_fit_classes(rs)
         classes = data.draw(st.lists(st.sampled_from(allowed), min_size=1, unique=True))
         samples = coprime_samples(rs, k, centered, classes)
         assert len(set(samples)) == len(samples)

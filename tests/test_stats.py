@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from corelab.affine import b_omega_action, omega_group
+from corelab.affine import b_omega_action, omega_group, w_b_inverse
 from corelab.lattice_enum import coeffs_to_point, coroot_points_in_bA, coweight_points_in_bA
 from corelab.rootsys import (
     QuadraticForm,
@@ -33,7 +33,6 @@ from corelab.stats import (
     sc_weighted_size,
     size_point,
     verify_max,
-    w_b_inverse,
     zise_point,
 )
 
@@ -118,7 +117,7 @@ def test_form_is_size_pulled_back_through_w_b(case):
 
 
 def test_moments_a2_b4_ground_truth():
-    report = moments(A2, 4, max_k=3)
+    report = moments(A2, 4)
     assert report.count == 5
     assert report.mean == 2
     assert report.max_value == 5
@@ -137,13 +136,13 @@ def test_moments_type_a_grid():
         for b in range(2, 8):
             if gcd(b, rs.coxeter_number) != 1:
                 continue
-            report = moments(rs, b, max_k=3)
+            report = moments(rs, b)
             assert report.grade == "match"
             assert dict(report.verdicts)["m3"] == "match"
 
 
 def test_moments_simply_laced_outside_a():
-    report = moments(D4, 5, max_k=3)
+    report = moments(D4, 5)
     verdicts = dict(report.verdicts)
     assert verdicts["count"] == "match"
     assert verdicts["max"] == "match"
@@ -154,7 +153,7 @@ def test_moments_simply_laced_outside_a():
 
 
 def test_moments_non_simply_laced():
-    report = moments(C2, 5, max_k=2)
+    report = moments(C2, 5)
     verdicts = dict(report.verdicts)
     assert verdicts["count"] == "match"
     assert verdicts["max"] == "no closed form"
@@ -165,8 +164,6 @@ def test_moments_non_simply_laced():
 def test_moments_rejects_bad_input():
     with pytest.raises(ValueError):
         moments(A2, 3)
-    with pytest.raises(ValueError):
-        moments(A2, 4, max_k=4)
 
 
 def test_closed_form_values():
