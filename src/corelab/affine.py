@@ -2,9 +2,9 @@
 
 Elements act on coroot coordinates as ``x -> M x + tau`` with an integer
 linear part ``M`` (a finite Weyl group matrix) and an exact rational
-translation ``tau``.  Elements of the extended group (nontrivial coweight
-translations) carry ``extended=True``; the same composition engine serves
-both groups.
+translation ``tau``, integral on the affine Weyl group ``W ⋉ Q^∨``.
+Elements of the extended group (nontrivial coweight translations) carry
+``extended=True``; the same composition engine serves both groups.
 
 The fundamental alcove is ``A = {x : <x, alpha_i> >= 0, <x, alpha~> <= 1}``
 and the base point used to pin down elements from alcoves is ``rho_check/h``,
@@ -17,11 +17,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 from typing import List, Sequence, Tuple
 
 from corelab.rootsys import (
     RootSystem,
     Vector,
+    clear_denominators,
     mat_vec,
     pairing,
     root_vector,
@@ -66,6 +68,13 @@ class AffineElement:
 
     def apply(self, x: Sequence[Q]) -> Vector:
         return tuple(m + t for m, t in zip(mat_vec(self.linear, x), self.translation))
+
+    def apply_int(self, y: Sequence[int], d: int = 1) -> Tuple[int, ...]:
+        """``d * self(y / d)`` for an integer vector ``y``, in ``int`` arithmetic;
+        the translation must be stored as ints, as :func:`w_b_inverse` does."""
+        return tuple(
+            sum(map(mul, row, y)) + d * t for row, t in zip(self.linear, self.translation)
+        )
 
     def __mul__(self, other: "AffineElement") -> "AffineElement":
         return AffineElement(
@@ -321,25 +330,32 @@ def in_dilated_alcove(rs: RootSystem, b: int, x: Sequence[Q]) -> bool:
     return pairing(rs, xq, rs.highest_root.coeffs) <= b
 
 
-def sommers_contains(rs: RootSystem, b: int, x: Sequence[Q]) -> bool:
+@lru_cache(maxsize=None)
+def _root_forms(rs: RootSystem, height: int) -> Tuple[Tuple[int, ...], ...]:
+    """``f = A c`` for every root ``alpha`` of this height with coefficients ``c``:
+    ``<x, alpha> = sum_i f_i x_i``."""
+    return tuple(
+        tuple(sum(map(mul, row, root.coeffs)) for row in rs.cartan)
+        for root in roots_of_height(rs, height)
+    )
+
+
+def sommers_contains(rs: RootSystem, b: int, x: Sequence[Q | int]) -> bool:
     """Membership in the closed region cut out by the affine roots of height ``b``.
 
     Writing ``b = t h + r`` with ``0 < r < h``, the region is bounded below by
     ``<x, alpha> >= -t`` over roots of height ``r`` and above by
-    ``<x, alpha> <= t + 1`` over roots of height ``h - r``.
+    ``<x, alpha> <= t + 1`` over roots of height ``h - r``.  A rational point
+    is scaled to the integer vector ``d x`` and the bounds by ``d``.
     """
     h = rs.coxeter_number
     if b <= 0 or gcd(b, h) != 1:
         raise ValueError("b not coprime to Coxeter number")
     t, r = divmod(b, h)
-    xq = _freeze_vec(x)
-    for root in roots_of_height(rs, r):
-        if pairing(rs, xq, root.coeffs) < -t:
-            return False
-    for root in roots_of_height(rs, h - r):
-        if pairing(rs, xq, root.coeffs) > t + 1:
-            return False
-    return True
+    d, y = clear_denominators(x)
+    return all(sum(map(mul, f, y)) >= -t * d for f in _root_forms(rs, r)) and all(
+        sum(map(mul, f, y)) <= (t + 1) * d for f in _root_forms(rs, h - r)
+    )
 
 
 def alcove_vertices(rs: RootSystem, b: int) -> List[Vector]:
@@ -371,8 +387,14 @@ def compute_w_b(rs: RootSystem, b: int) -> AffineElement:
 
 @lru_cache(maxsize=None)
 def w_b_inverse(rs: RootSystem, b: int) -> AffineElement:
-    """The inverse of ``w_b``, which carries ``b * A`` onto the height-``b`` region."""
-    return compute_w_b(rs, b).inverse()
+    """The inverse of ``w_b``, which carries ``b * A`` onto the height-``b`` region.
+
+    ``w_b`` lies in ``W ⋉ Q^∨``, so the translation is integral (asserted) and
+    is stored as ints for :meth:`AffineElement.apply_int`.
+    """
+    winv = compute_w_b(rs, b).inverse()
+    assert all(t.denominator == 1 for t in winv.translation)
+    return AffineElement(winv.linear, tuple(t.numerator for t in winv.translation))
 
 
 def to_dominant(rs: RootSystem, x: Sequence[Q]) -> AffineElement:

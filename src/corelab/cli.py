@@ -22,7 +22,7 @@ from .cores import core_from_coroot, enumerate_simultaneous_cores
 from .ehrhart import (
     coprime_fit_classes,
     dp_backed,
-    fit_residue,
+    fit_residues,
     fit_samples,
     HoldoutError,
     leading_fit,
@@ -169,10 +169,12 @@ def _require_coprime(rs: RootSystem, b: int) -> None:
 def cmd_enum(args) -> Tuple[int, List[Dict]]:
     """List lattice points with their statistic.
 
-    ``--stat size`` walks the height-``b`` region, whose coroot points are
-    the cores (type A records carry the partition); it needs ``b`` coprime
-    to ``h``.  ``--stat zise`` walks the dilated alcove and extends to any
-    ``b`` through the closed quadratic on simply-laced systems.
+    ``--stat size`` lists the points of the height-``b`` region, carried
+    from the dilated alcove by ``w_b^{-1}``; it needs ``b`` coprime to
+    ``h``.  Its coroot points are the cores, and type A records carry the
+    partition, read off the abacus.  ``--stat zise`` lists the dilated
+    alcove itself and extends to any ``b`` through the closed quadratic on
+    simply-laced systems.
     """
     rs = _root_system(args)
     bs = _dilations(args)
@@ -414,12 +416,10 @@ def cmd_fit(args) -> Tuple[int, List[Dict]]:
     components: List[Optional[Tuple[Q, ...]]] = [None] * m
     worst = EXIT_OK
     results: List[Dict] = []
-    for j in classes:
-        try:
-            poly = fit_residue(rs, k, lattice, False, classes, j)
-        except HoldoutError as exc:
+    for j, poly in fit_residues(rs, k, lattice, False, classes):
+        if isinstance(poly, HoldoutError):
             results.append(
-                {"residue": j, "holdouts": "fail(%s)" % exc, "coefficients": None}
+                {"residue": j, "holdouts": "fail(%s)" % poly, "coefficients": None}
             )
             worst = EXIT_MISMATCH
             continue

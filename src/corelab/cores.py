@@ -3,10 +3,13 @@
 An a-core is a partition with no hook length divisible by a.  The rank
 ``a - 1`` affine letters act on a-cores through box contents: letter ``i``
 toggles every addable or removable corner whose content is congruent to
-``i`` modulo ``a``.  Applying a reduced word of the translation by a coroot
-``lam`` to the empty partition realizes the classical bijection between the
-coroot lattice and a-cores, and transporting the dilated-alcove points
-through the height-``b`` element enumerates the simultaneous (a,b)-cores.
+``i`` modulo ``a``.  The classical bijection between the coroot lattice and
+a-cores is read off an ``a``-runner abacus whose bead counts are the
+differences of consecutive coroot coordinates; it intertwines the action of
+the affine letters on coroots with the letter action on cores.  The
+simultaneous (a,b)-cores are the cores of the coroot points of the
+height-``b`` region, which the inverse height-``b`` element carries there
+from the dilated alcove in integer arithmetic.
 """
 
 from __future__ import annotations
@@ -17,9 +20,8 @@ from functools import lru_cache
 from math import comb, gcd
 from typing import Collection, Iterator, List, Sequence, Tuple
 
-from corelab.affine import alcove_walk, base_point, w_b_inverse
-from corelab.lattice_enum import coroot_points_in_bA
-from corelab.rootsys import QuadraticForm, RootSystem, build_root_system, vec_add
+from corelab.lattice_enum import core_points_in_sommers
+from corelab.rootsys import QuadraticForm, RootSystem, build_root_system
 
 
 @dataclass(frozen=True)
@@ -149,50 +151,49 @@ def _a_system(a: int) -> RootSystem:
 
 
 def core_from_coroot(a: int, lam: Sequence[Q | int]) -> CorePartition:
-    """The a-core matched to a coroot lattice point.
+    """The a-core matched to a coroot lattice point, read off an abacus.
 
-    A reduced word for the translation by ``lam`` is read off an alcove walk
-    and applied to the empty partition, rightmost letter first.  The box
-    count always equals the size form at ``lam``; that is asserted.
+    Pad ``lam`` to ``(0, lam_1, ..., lam_{a-1}, 0)``.  Runner ``i < a`` holds
+    a bead at ``i + a k`` for every integer ``k < lam_{i+1} - lam_i``; with
+    the beads in decreasing order ``beta_1 > beta_2 > ...``, part ``j`` is
+    ``beta_j + j`` while that is positive.  This is the core that a reduced
+    word of the translation by ``lam`` builds from the empty partition.  The
+    box count always equals the size form at ``lam``; that is asserted.
     """
     if a < 2:
         raise ValueError("modulus must be at least 2")
     rs = _a_system(a)
-    lam_q = tuple(Q(v) for v in lam)
-    if len(lam_q) != rs.rank:
+    if len(lam) != rs.rank:
         raise ValueError(f"expected {rs.rank} coordinates")
-    if any(v.denominator != 1 for v in lam_q):
+    if any(Q(v).denominator != 1 for v in lam):
         raise ValueError("not a coroot point")
-    elem, word = alcove_walk(rs, vec_add(lam_q, base_point(rs)))
-    assert all(
-        elem.linear[r][c] == int(r == c) for r in range(rs.rank) for c in range(rs.rank)
+    coords = [0] + [int(v) for v in lam] + [0]
+    gaps = [coords[i + 1] - coords[i] for i in range(a)]
+    # every position below a * low holds a bead, and parts end there
+    low = min(gaps)
+    beads = sorted(
+        (i + a * k for i, top in enumerate(gaps) for k in range(low, top)), reverse=True
     )
-    assert elem.translation == lam_q
-    parts: Tuple[int, ...] = ()
-    for letter in reversed(word):
-        parts = toggle_corners(parts, a, (letter,))
+    parts = tuple(p for p in (beta + j for j, beta in enumerate(beads, 1)) if p > 0)
     core = CorePartition(Partition(parts), a)
-    assert core.size == QuadraticForm(rs, 1)(lam_q)
+    assert 24 * core.size == QuadraticForm(rs, 1).scaled_at(coords[1:-1])
     return core
 
 
 def enumerate_simultaneous_cores(a: int, b: int) -> List[CorePartition]:
     """All simultaneous (a,b)-cores, sorted lexicographically by parts.
 
-    Coroot points of the ``b``-dilated alcove are carried through the inverse
-    height-``b`` element and then through the coroot-to-core map.  Every
-    output is checked to be a ``b``-core as well, and the count is checked
-    against ``C(a+b, b) / (a+b)``.
+    The coroot points of the height-``b`` region go through the
+    coroot-to-core map.  Every output is checked to be a ``b``-core as well,
+    and the count is checked against ``C(a+b, b) / (a+b)``.
     """
     if a < 2 or b < 1:
         raise ValueError("need a >= 2 and b >= 1")
     if gcd(a, b) != 1:
         raise ValueError("a and b must be coprime")
-    rs = _a_system(a)
-    winv = w_b_inverse(rs, b)
     cores = []
-    for x in coroot_points_in_bA(rs, b).points:
-        core = core_from_coroot(a, winv.apply(x))
+    for x in core_points_in_sommers(_a_system(a), b).points:
+        core = core_from_coroot(a, x)
         # a 1-core has no boxes at all; larger b get the hook test
         assert core.partition.parts == () if b == 1 else is_a_core(core.partition, b)
         cores.append(core)

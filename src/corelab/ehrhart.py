@@ -17,7 +17,7 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import count, islice
 from math import gcd, lcm, prod
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .genfun import poly_add, poly_eval, poly_mul, poly_trim
 from .lattice_enum import alcove_size_sums, iter_scaled_points, lattice_scale
@@ -36,7 +36,7 @@ __all__ = [
     "coprime_samples",
     "coprime_polynomial",
     "fit_samples",
-    "fit_residue",
+    "fit_residues",
     "reciprocity_check",
     "verify_expected_size_polynomial",
     "leading_fit",
@@ -202,13 +202,15 @@ def fit_quasi(
     residues: Optional[Sequence[int]] = None,
     centered: bool = False,
 ) -> QuasiPolynomial:
-    """Fit components for the given residue classes (all classes by default),
-    each through :func:`fit_residue`."""
+    """Fit components for the given residue classes (all classes by default)
+    through :func:`fit_residues`; a missed holdout raises its HoldoutError."""
     m = quasi_period(rs, lattice)
     chosen = tuple(range(m) if residues is None else residues)
     components: List[Optional[PolyQ]] = [None] * m
-    for residue in chosen:
-        components[residue] = fit_residue(rs, k, lattice, centered, chosen, residue)
+    for residue, poly in fit_residues(rs, k, lattice, centered, chosen):
+        if isinstance(poly, HoldoutError):
+            raise poly
+        components[residue] = poly
     return QuasiPolynomial(m, tuple(components), rs.rank + 2 * k)
 
 
@@ -352,7 +354,7 @@ def _polynomial_classes(
 def fit_samples(
     rs: RootSystem, k: int, lattice: str, centered: bool, classes: Sequence[int]
 ) -> Tuple[int, ...]:
-    """Every dilation :func:`fit_residue` reads for these residue classes."""
+    """Every dilation :func:`fit_residues` reads for these residue classes."""
     coprime = _polynomial_classes(rs, lattice, classes)
     own = tuple(
         b for j in classes if j not in coprime for b in _class_samples(rs, k, lattice, j)
@@ -360,21 +362,28 @@ def fit_samples(
     return (coprime_samples(rs, k, centered, coprime) if coprime else ()) + own
 
 
-def fit_residue(
-    rs: RootSystem,
-    k: int,
-    lattice: str,
-    centered: bool,
-    classes: Sequence[int],
-    residue: int,
-) -> PolyQ:
-    """The fitted component of ``residue``, one of ``classes``: the coprime
-    polynomial of the coprime coroot classes among ``classes``, otherwise
-    the class's own :func:`fit_component`."""
+def fit_residues(
+    rs: RootSystem, k: int, lattice: str, centered: bool, classes: Sequence[int]
+) -> List[Tuple[int, Union[PolyQ, HoldoutError]]]:
+    """``(residue, component)`` for every class of ``classes``, in order.
+
+    The coprime coroot classes among ``classes`` share one coprime
+    polynomial, fitted once; every other class has its own
+    :func:`fit_component`.  A fit that misses a holdout gives its
+    HoldoutError in place of the component.
+    """
     coprime = _polynomial_classes(rs, lattice, classes)
-    if residue in coprime:
-        return coprime_polynomial(rs, k, centered, coprime)
-    return fit_component(rs, k, lattice, residue, centered)
+
+    def fit(j: Optional[int]) -> Union[PolyQ, HoldoutError]:
+        try:
+            if j is None:
+                return coprime_polynomial(rs, k, centered, coprime)
+            return fit_component(rs, k, lattice, j, centered)
+        except HoldoutError as exc:
+            return exc
+
+    shared = fit(None) if coprime else None
+    return [(j, shared if j in coprime else fit(j)) for j in classes]
 
 
 def verify_expected_size_polynomial(rs: RootSystem) -> Dict:

@@ -139,16 +139,16 @@ def coroot_points_in_bA(rs: RootSystem, b: int) -> LatticePointSet:
 
 
 def core_points_in_sommers(rs: RootSystem, b: int) -> LatticePointSet:
-    """Coroot points of the height-``b`` region, as the ``w_b`` transport of ``b * A``."""
+    """Coroot points of the height-``b`` region as int tuples, carried from
+    ``b * A`` by ``w_b^{-1}`` in integer arithmetic."""
     h = rs.coxeter_number
     if gcd(b, h) != 1:
         raise ValueError("b not coprime to Coxeter number")
     winv = w_b_inverse(rs, b)
-    moved = [winv.apply(x) for x in coroot_points_in_bA(rs, b).points]
+    moved = tuple(sorted(winv.apply_int(x) for x in coroot_points_in_bA(rs, b).points))
     for x in moved:
-        assert is_coroot_point(x)
         assert sommers_contains(rs, b, x)
-    return LatticePointSet(rs, b, "coroot", tuple(sorted(moved)))
+    return LatticePointSet(rs, b, "coroot", moved)
 
 
 def coroot_points_in_size_ellipsoid(

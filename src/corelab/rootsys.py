@@ -181,10 +181,15 @@ def invert_matrix(m: Sequence[Sequence[Q]]) -> Tuple[Vector, ...]:
     return tuple(tuple(row[n:]) for row in a)
 
 
+def clear_denominators(x: Sequence[Q | int]) -> Tuple[int, List[int]]:
+    """The least ``d >= 1`` with ``d * x`` integral, and the integer vector ``d * x``."""
+    d = lcm(*(v.denominator for v in x))
+    return d, [v.numerator * (d // v.denominator) for v in x]
+
+
 def mat_vec(m: Sequence[Sequence[Q]], v: Sequence[Q]) -> Vector:
     # scale v to integers: one Fraction per entry instead of one per product
-    d = lcm(*(x.denominator for x in v))
-    y = [x.numerator * (d // x.denominator) for x in v]
+    d, y = clear_denominators(v)
     return tuple(Q(sum(r * yi for r, yi in zip(row, y)), d) for row in m)
 
 
@@ -421,8 +426,7 @@ class QuadraticForm:
 
     def __call__(self, x: Sequence[Q | int]) -> Q:
         """The exact value ``F_b(x)`` at a rational point."""
-        d = lcm(*(v.denominator for v in x))
-        y = [v.numerator * (d // v.denominator) for v in x]
+        d, y = clear_denominators(x)
         return Q(self.scaled_at(y, d), 24 * d * d)
 
 

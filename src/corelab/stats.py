@@ -33,6 +33,7 @@ from corelab.rootsys import (
     RootSystem,
     Vector,
     build_root_system,
+    clear_denominators,
     exponent_product,
     is_simply_laced,
     roots_of_height,
@@ -53,14 +54,16 @@ def q_form_point(rs: RootSystem, x: Sequence[Q]) -> Q:
 
 def zise_point(rs: RootSystem, b: int, x: Sequence[Q | int]) -> Q:
     """Size pulled back through ``w_b``; checked against the closed form ``F_b``
-    on every simply-laced call."""
+    on every simply-laced call.  The point is scaled to an integer vector and
+    carried by ``w_b^{-1}`` in integer arithmetic."""
     h = rs.coxeter_number
     if gcd(b, h) != 1:
         raise ValueError("b not coprime to Coxeter number")
-    value = size_point(rs, w_b_inverse(rs, b).apply(x))
+    d, y = clear_denominators(x)
+    value = QuadraticForm(rs, 1).scaled_at(w_b_inverse(rs, b).apply_int(y, d), d)
     if is_simply_laced(rs):
-        assert value == QuadraticForm(rs, b)(x)
-    return value
+        assert value == QuadraticForm(rs, b).scaled_at(y, d)
+    return Q(value, 24 * d * d)
 
 
 def haiman_count(rs: RootSystem, b: int) -> Q:
@@ -200,7 +203,7 @@ def verify_max(rs: RootSystem, b: int) -> Tuple[Q, int, Vector]:
         assert best == closed_max(rs, b)
         assert mult == 1
         assert arg == (0,) * rs.rank
-    return best, mult, w_b_inverse(rs, b).apply(arg)
+    return best, mult, w_b_inverse(rs, b).apply_int(arg)
 
 
 def floor_identity_check(rs: RootSystem, b: int) -> bool:

@@ -25,9 +25,10 @@ from corelab.affine import (
     size_of_element,
     sommers_contains,
     to_dominant,
+    w_b_inverse,
     word_of,
 )
-from corelab.rootsys import build_root_system, pairing, vec_scale
+from corelab.rootsys import build_root_system, pairing, roots_of_height, vec_add, vec_scale
 
 
 A2 = build_root_system("A", 2)
@@ -178,6 +179,41 @@ def test_sommers_region_a2_b4():
     assert not sommers_contains(A2, 4, (Q(2), Q(1)))
     with pytest.raises(ValueError, match="coprime"):
         sommers_contains(A2, 3, (Q(0), Q(0)))
+
+
+def sommers_by_pairing(rs, b, x):
+    """The height-``b`` region by its definition, one Fraction pairing per root."""
+    t, r = divmod(b, rs.coxeter_number)
+    return all(pairing(rs, x, root.coeffs) >= -t for root in roots_of_height(rs, r)) and all(
+        pairing(rs, x, root.coeffs) <= t + 1
+        for root in roots_of_height(rs, rs.coxeter_number - r)
+    )
+
+
+SOMMERS_SYSTEMS = [build_root_system("A", n) for n in range(2, 7)] + [
+    D4,
+    build_root_system("E", 6),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sommers_contains_matches_root_pairings(data):
+    rs = data.draw(st.sampled_from(SOMMERS_SYSTEMS))
+    h = rs.coxeter_number
+    b = data.draw(st.integers(1, 3 * h).filter(lambda b: gcd(b, h) == 1))
+    # a rational point of the region, carried from b * A, then moved off it
+    verts = alcove_vertices(rs, b)
+    weights = data.draw(st.lists(st.integers(0, 3), min_size=len(verts),
+                                 max_size=len(verts)).filter(any))
+    inside = tuple(sum(w * v[i] for w, v in zip(weights, verts)) / sum(weights)
+                   for i in range(rs.rank))
+    shift = [data.draw(st.fractions(-1, 1, max_denominator=3)) for _ in range(rs.rank)]
+    x = vec_add(w_b_inverse(rs, b).apply(inside), shift)
+    assert sommers_contains(rs, b, x) == sommers_by_pairing(rs, b, x)
+    # an integer point may be passed as ints
+    y = tuple(v.numerator for v in x)
+    assert sommers_contains(rs, b, y) == sommers_by_pairing(rs, b, tuple(map(Q, y)))
 
 
 def test_in_dilated_alcove():

@@ -5,6 +5,7 @@ envelope; a single subprocess test covers the ``python -m`` entry point.
 """
 
 import ast
+import hashlib
 import io
 import json
 import subprocess
@@ -118,6 +119,20 @@ class TestEnum:
         code, _ = run(["enum", "--type", "D", "--rank", "4", "--b", "3",
                        "--lattice", "coweight", "--stat", "size"])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            ("enum --type A --rank 4 --b 7 --stat size",
+             "6f687559facc027a9f8369d59ce9818ec023922138202e7c0aad9c9ca93dea53"),
+            ("enum --type A --rank 3 --b 41",
+             "dadf5883baca53b854d7250cacc83c40af0521cc0fb164ea2ba0d04f0128dfea"),
+        ],
+    )
+    def test_stdout_bytes_are_pinned(self, argv, digest):
+        code, text = run(argv.split())
+        assert code == EXIT_OK
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_zise_values_match_size_multiset(self):
         code, doc = run_json(["enum", "--type", "A", "--rank", "2", "--b", "4"])
@@ -290,6 +305,20 @@ class TestFit:
                               "--lattice", "coroot"])
         assert code == EXIT_OK and len(doc["results"]) == 6
         assert fitted == [0]
+
+    def test_coprime_polynomial_is_fitted_once_per_request(self, monkeypatch):
+        exact = ehrhart.coprime_polynomial
+        calls = []
+
+        def counted(rs, k, centered, classes):
+            calls.append(tuple(classes))
+            return exact(rs, k, centered, classes)
+
+        monkeypatch.setattr(ehrhart, "coprime_polynomial", counted)
+        code, doc = run_json(["fit", "--type", "E", "--rank", "8", "--k", "1",
+                              "--lattice", "coroot"])
+        assert code == EXIT_OK and len(doc["results"]) == 17
+        assert len(calls) == 1 and len(calls[0]) == 16
 
     def test_holdout_miss_fails_every_coprime_row(self, monkeypatch):
         argv = ["fit", "--type", "A", "--rank", "3", "--k", "4", "--lattice", "coroot"]

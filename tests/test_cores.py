@@ -5,8 +5,10 @@ from fractions import Fraction as Q
 from math import comb, gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from corelab.affine import simple_reflection
+from corelab.affine import alcove_walk, base_point, simple_reflection
 from corelab.cores import (
     CorePartition,
     Partition,
@@ -16,8 +18,9 @@ from corelab.cores import (
     hook_lengths,
     is_a_core,
     simple_action_on_core,
+    toggle_corners,
 )
-from corelab.rootsys import build_root_system
+from corelab.rootsys import build_root_system, vec_add
 from corelab.stats import size_point
 
 
@@ -130,6 +133,28 @@ def test_core_from_coroot_equivariance():
                 assert core_from_coroot(a, moved) == simple_action_on_core(
                     a, i, core
                 )
+
+
+def walk_core(a, lam):
+    """The oracle: toggle corners along a reduced word of the translation by
+    ``lam``, read off the alcove walk of ``lam`` plus the base point."""
+    rs = build_root_system("A", a - 1)
+    lam_q = tuple(Q(v) for v in lam)
+    elem, word = alcove_walk(rs, vec_add(lam_q, base_point(rs)))
+    assert elem.translation == lam_q
+    assert all(elem.linear[r][c] == int(r == c) for r in range(a - 1) for c in range(a - 1))
+    parts = ()
+    for letter in reversed(word):
+        parts = toggle_corners(parts, a, (letter,))
+    return parts
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_abacus_core_matches_walk_oracle(data):
+    a = data.draw(st.integers(2, 9))
+    lam = data.draw(st.lists(st.integers(-6, 6), min_size=a - 1, max_size=a - 1))
+    assert core_from_coroot(a, lam).partition.parts == walk_core(a, lam)
 
 
 def test_enumerate_34():
