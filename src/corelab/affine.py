@@ -1,10 +1,11 @@
 """Affine Weyl group elements, alcove walks, and inversion sets.
 
 Elements act on coroot coordinates as ``x -> M x + tau`` with an integer
-linear part ``M`` (a finite Weyl group matrix) and an exact rational
-translation ``tau``, integral on the affine Weyl group ``W ⋉ Q^∨``.
-Elements of the extended group (nontrivial coweight translations) carry
-``extended=True``; the same composition engine serves both groups.
+linear part ``M`` (a finite Weyl group matrix) and a translation ``tau``,
+stored as ints on the affine Weyl group ``W ⋉ Q^∨``.  Elements of the
+extended group (nontrivial coweight translations, as Fractions) carry
+``extended=True``.  Words are composed one letter at a time by a sparse
+right multiplication, and walks and root actions run in ``int`` arithmetic.
 
 The fundamental alcove is ``A = {x : <x, alpha_i> >= 0, <x, alpha~> <= 1}``
 and the base point used to pin down elements from alcoves is ``rho_check/h``,
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import List, Sequence, Tuple
 
@@ -24,22 +25,17 @@ from corelab.rootsys import (
     RootSystem,
     Vector,
     clear_denominators,
+    invert_matrix,
     mat_vec,
     pairing,
-    root_vector,
     roots_of_height,
     vec_scale,
     vec_sub,
-    vector_to_root_coeffs,
 )
 
 Word = Tuple[int, ...]
 
 IntMatrix = Tuple[Tuple[int, ...], ...]
-
-
-def _freeze_vec(v: Sequence[Q | int]) -> Vector:
-    return tuple(Q(x) for x in v)
 
 
 def _mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -64,14 +60,14 @@ class AffineElement:
 
     @classmethod
     def identity(cls, rank: int) -> "AffineElement":
-        return cls(_identity_matrix(rank), tuple(Q(0) for _ in range(rank)))
+        return cls(_identity_matrix(rank), (0,) * rank)
 
     def apply(self, x: Sequence[Q]) -> Vector:
         return tuple(m + t for m, t in zip(mat_vec(self.linear, x), self.translation))
 
     def apply_int(self, y: Sequence[int], d: int = 1) -> Tuple[int, ...]:
         """``d * self(y / d)`` for an integer vector ``y``, in ``int`` arithmetic;
-        the translation must be stored as ints, as :func:`w_b_inverse` does."""
+        the translation must be ints, as on every element of ``W ⋉ Q^∨``."""
         return tuple(
             sum(map(mul, row, y)) + d * t for row, t in zip(self.linear, self.translation)
         )
@@ -79,18 +75,14 @@ class AffineElement:
     def __mul__(self, other: "AffineElement") -> "AffineElement":
         return AffineElement(
             _mat_mul(self.linear, other.linear),
-            tuple(m + t for m, t in zip(mat_vec(self.linear, other.translation),
-                                        self.translation)),
+            tuple(sum(map(mul, row, other.translation)) + t
+                  for row, t in zip(self.linear, self.translation)),
             self.extended or other.extended,
         )
 
     def inverse(self) -> "AffineElement":
-        n = len(self.linear)
-        from corelab.rootsys import invert_matrix
-
-        inv_q = invert_matrix([[Q(x) for x in row] for row in self.linear])
-        inv = tuple(tuple(int(x) for x in row) for row in inv_q)
-        tau = tuple(-x for x in mat_vec(inv, self.translation))
+        inv = tuple(tuple(int(x) for x in row) for row in invert_matrix(self.linear))
+        tau = tuple(-sum(map(mul, row, self.translation)) for row in inv)
         return AffineElement(inv, tau, self.extended)
 
     def is_identity(self) -> bool:
@@ -118,26 +110,6 @@ class AffineRoot:
 @lru_cache(maxsize=None)
 def _root_coeff_set(rs: RootSystem) -> frozenset:
     return frozenset(r.coeffs for r in rs.positive_roots)
-
-
-def simple_reflection(rs: RootSystem, i: int) -> AffineElement:
-    """Reflection in wall ``i``; ``i = 0`` is the affine wall ``<x, alpha~> = 1``."""
-    n = rs.rank
-    if not 0 <= i <= n:
-        raise ValueError(f"reflection index {i} out of range")
-    if i == 0:
-        u = [sum(rs.cartan[k][j] * rs.marks[j] for j in range(n)) for k in range(n)]
-        d = rs.comarks
-        mat = tuple(
-            tuple(int(r == c) - d[r] * u[c] for c in range(n)) for r in range(n)
-        )
-        return AffineElement(mat, _freeze_vec(d))
-    j = i - 1
-    mat = tuple(
-        tuple(int(r == c) - (rs.cartan[c][j] if r == j else 0) for c in range(n))
-        for r in range(n)
-    )
-    return AffineElement(mat, tuple(Q(0) for _ in range(n)))
 
 
 @lru_cache(maxsize=None)
@@ -200,21 +172,19 @@ def element_from_word(rs: RootSystem, word: Sequence[int]) -> AffineElement:
     return out
 
 
-def alcove_walk(rs: RootSystem, x: Sequence[Q]) -> Tuple[AffineElement, Word]:
-    """Walk ``x`` into the fundamental alcove; return the element whose alcove held it.
+def alcove_walk(rs: RootSystem, x: Sequence[Q]) -> Tuple[Vector, Word]:
+    """Walk ``x`` into the fundamental alcove; return the point reached and the word.
 
     Repeatedly reflects through the lowest-index violated wall (walls
     ``1..n`` in order, then the affine wall ``0``) until no wall is violated.
-    Letters are recorded in discovery order, so the returned element is
-    ``s_{i_1} o ... o s_{i_k}`` and it maps the final interior point back to
-    ``x``.  A point on any wall encountered during the walk raises
-    ``ValueError("point not regular")``.
+    Letters are recorded in discovery order, so the element
+    ``s_{i_1} o ... o s_{i_k}`` of the word (see :func:`element_from_word`)
+    maps the final interior point back to ``x``.  A point on any wall
+    encountered during the walk raises ``ValueError("point not regular")``.
     """
     n = rs.rank
     A = rs.cartan
-    xq = _freeze_vec(x)
-    denom = lcm(*(v.denominator for v in xq)) if n else 1
-    xi = [int(v * denom) for v in xq]
+    denom, xi = clear_denominators(x)
     u, ad, nz_row, _nc, _nu = _walk_data(rs)
     # pair[i] = denom * <x, alpha_{i+1}>, hr = denom * <x, highest root>
     pair = [sum(A[k][i] * xi[k] for k in range(n)) for i in range(n)]
@@ -250,10 +220,7 @@ def alcove_walk(rs: RootSystem, x: Sequence[Q]) -> Tuple[AffineElement, Word]:
                 pair[k] -= val * A[j][k]
             hr -= val * u[j]
         word.append(idx)
-    elem = element_from_word(rs, word)
-    final = tuple(Q(v, denom) for v in xi)
-    assert elem.apply(final) == xq
-    return elem, tuple(word)
+    return tuple(Q(v, denom) for v in xi), tuple(word)
 
 
 def base_point(rs: RootSystem) -> Vector:
@@ -262,10 +229,17 @@ def base_point(rs: RootSystem) -> Vector:
 
 
 def word_of(rs: RootSystem, w: AffineElement) -> Word:
-    """A reduced word for a (non-extended) element, recovered by an alcove walk."""
+    """A reduced word for a (non-extended) element, recovered by an alcove walk.
+
+    ``W_aff`` acts simply transitively on alcoves, so the walk of ``w`` applied
+    to the base point ends exactly at the base point when its word composes
+    to ``w``.  The elements of ``Omega`` fix the base point, so ``w`` must
+    not be extended.
+    """
     assert not w.extended
-    elem, word = alcove_walk(rs, w.apply(base_point(rs)))
-    assert elem == w
+    base = base_point(rs)
+    final, word = alcove_walk(rs, w.apply(base))
+    assert final == base
     return word
 
 
@@ -277,13 +251,22 @@ def simple_affine_root(rs: RootSystem, i: int) -> AffineRoot:
 
 def apply_to_affine_root(rs: RootSystem, g: AffineElement, ar: AffineRoot) -> AffineRoot:
     """Image of a real affine root under ``g``: ``alpha + k delta`` maps to
-    ``g(alpha) + (k - <tau, g(alpha)>) delta``."""
-    vec = root_vector(rs, ar.coeffs)
-    new_vec = mat_vec(g.linear, vec)
-    coeffs = vector_to_root_coeffs(rs, new_vec)
-    abs_coeffs = tuple(abs(c) for c in coeffs)
-    assert abs_coeffs in _root_coeff_set(rs)
-    shift = pairing(rs, g.translation, coeffs)
+    ``g(alpha) + (k - <tau, g(alpha)>) delta``.
+
+    In coroot coordinates ``alpha`` is ``(c_i l_i)`` for the simple lengths
+    ``l``; with ``l`` scaled to integers, ``M`` maps the coefficients in
+    ``int`` arithmetic.
+    """
+    _, lengths = clear_denominators(rs.simple_lengths)
+    scaled = [c * l for c, l in zip(ar.coeffs, lengths)]
+    image: List[int] = []
+    for row, l in zip(g.linear, lengths):
+        c, rem = divmod(sum(map(mul, row, scaled)), l)
+        assert rem == 0
+        image.append(c)
+    coeffs = tuple(image)
+    assert tuple(abs(c) for c in coeffs) in _root_coeff_set(rs)
+    shift = sum(t * sum(map(mul, row, coeffs)) for t, row in zip(g.translation, rs.cartan))
     assert shift.denominator == 1
     return AffineRoot(coeffs, ar.level - int(shift))
 
@@ -322,12 +305,11 @@ def in_dilated_alcove(rs: RootSystem, b: int, x: Sequence[Q]) -> bool:
     """Membership in the closed dilated alcove ``b * A`` (``b >= 0``)."""
     if b < 0:
         raise ValueError("dilation factor must be nonnegative")
-    xq = _freeze_vec(x)
     for i in range(rs.rank):
         simple = tuple(int(j == i) for j in range(rs.rank))
-        if pairing(rs, xq, simple) < 0:
+        if pairing(rs, x, simple) < 0:
             return False
-    return pairing(rs, xq, rs.highest_root.coeffs) <= b
+    return pairing(rs, x, rs.highest_root.coeffs) <= b
 
 
 @lru_cache(maxsize=None)
@@ -377,7 +359,7 @@ def compute_w_b(rs: RootSystem, b: int) -> AffineElement:
         raise ValueError("b not coprime to Coxeter number")
     base = base_point(rs)
     target = vec_scale(Q(b), base)
-    elem, _word = alcove_walk(rs, target)
+    elem = element_from_word(rs, alcove_walk(rs, target)[1])
     assert elem.apply(base) == target
     winv = elem.inverse()
     for v in alcove_vertices(rs, b):
@@ -389,28 +371,35 @@ def compute_w_b(rs: RootSystem, b: int) -> AffineElement:
 def w_b_inverse(rs: RootSystem, b: int) -> AffineElement:
     """The inverse of ``w_b``, which carries ``b * A`` onto the height-``b`` region.
 
-    ``w_b`` lies in ``W ⋉ Q^∨``, so the translation is integral (asserted) and
-    is stored as ints for :meth:`AffineElement.apply_int`.
+    ``w_b`` lies in ``W ⋉ Q^∨``, so the translation is integral (asserted), as
+    :meth:`AffineElement.apply_int` needs.
     """
     winv = compute_w_b(rs, b).inverse()
-    assert all(t.denominator == 1 for t in winv.translation)
-    return AffineElement(winv.linear, tuple(t.numerator for t in winv.translation))
+    assert all(isinstance(t, int) for t in winv.translation)
+    return winv
 
 
 def to_dominant(rs: RootSystem, x: Sequence[Q]) -> AffineElement:
-    """A finite Weyl element ``u`` with ``u(x)`` in the closed dominant chamber."""
+    """A finite Weyl element ``u`` with ``u(x)`` in the closed dominant chamber.
+
+    Reflects through the lowest-index wall with a negative pairing until none
+    is left, updating the integer pairings of the scaled point along the
+    sparse Cartan rows; ``u`` composes the letters in reverse order.
+    """
     n = rs.rank
-    xq = list(_freeze_vec(x))
-    out = AffineElement.identity(n)
+    A = rs.cartan
+    nz_row = _walk_data(rs)[2]
+    _, y = clear_denominators(x)
+    pair = [sum(A[k][i] * y[k] for k in range(n)) for i in range(n)]
+    word: List[int] = []
     while True:
-        for i in range(n):
-            v = sum(rs.cartan[k][i] * xq[k] for k in range(n))
-            if v < 0:
-                xq[i] -= v
-                out = simple_reflection(rs, i + 1) * out
-                break
-        else:
-            return out
+        j = next((i for i in range(n) if pair[i] < 0), None)
+        if j is None:
+            return element_from_word(rs, word[::-1])
+        v = pair[j]
+        for k in nz_row[j]:
+            pair[k] -= v * A[j][k]
+        word.append(j + 1)
 
 
 def omega_group(rs: RootSystem) -> List[AffineElement]:

@@ -482,6 +482,7 @@ def cmd_experiment(args) -> Tuple[int, List[Dict]]:
         results = []
         for b in bs:
             _require_coprime(rs, b)
+            _check_budget(_count_estimate(rs, b, "coroot"), args)
             report = dict(experiment_weak_order_maximality(rs, b))
             raw = report.pop("verdict")
             violations = report.get("violations", ())

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from corelab.affine import (
     AffineElement,
-    compute_w_b,
+    base_point,
     element_from_word,
     inversions_of_inverse,
     size_of_element,
@@ -37,7 +37,6 @@ from corelab.rootsys import (
     exponent_product,
     is_simply_laced,
     roots_of_height,
-    vec_scale,
     vec_sub,
 )
 
@@ -279,15 +278,14 @@ def experiment_weak_order_maximality(rs: RootSystem, b: int) -> Dict[str, object
     h = rs.coxeter_number
     if gcd(b, h) != 1:
         raise ValueError("b not coprime to Coxeter number")
-    wb = compute_w_b(rs, b)
-    big = set(inversions_of_inverse(rs, wb.inverse()))
-    base = vec_scale(Q(1, h), rs.rho_check)
+    big = set(inversions_of_inverse(rs, w_b_inverse(rs, b)))
+    base = base_point(rs)
     contained = 0
     violations: List[Tuple[Vector, int]] = []
     points = core_points_in_sommers(rs, b).points
     for lam in points:
         u = to_dominant(rs, vec_sub(base, lam))
-        w = AffineElement(u.linear, tuple(-v for v in u.apply(lam)))
+        w = AffineElement(u.linear, tuple(-v for v in u.apply_int(lam)))
         assert w.apply(lam) == tuple(Q(0) for _ in range(rs.rank))
         inv_w = set(inversions_of_inverse(rs, w.inverse()))
         if inv_w <= big:

@@ -21,14 +21,22 @@ from corelab.affine import (
     inversions_of_inverse,
     omega_group,
     simple_affine_root,
-    simple_reflection,
     size_of_element,
     sommers_contains,
     to_dominant,
     w_b_inverse,
     word_of,
 )
-from corelab.rootsys import build_root_system, pairing, roots_of_height, vec_add, vec_scale
+from corelab.rootsys import (
+    build_root_system,
+    mat_vec,
+    pairing,
+    root_vector,
+    roots_of_height,
+    vec_add,
+    vec_scale,
+    vector_to_root_coeffs,
+)
 
 
 A2 = build_root_system("A", 2)
@@ -40,24 +48,25 @@ D4 = build_root_system("D", 4)
 def test_simple_reflections_are_involutions():
     for rs in (A2, C2, D4, build_root_system("G", 2)):
         for i in range(rs.rank + 1):
-            s = simple_reflection(rs, i)
+            s = element_from_word(rs, (i,))
             assert (s * s).is_identity()
             assert not s.is_identity()
 
 
 def test_braid_relation_a2():
-    s1 = simple_reflection(A2, 1)
-    s2 = simple_reflection(A2, 2)
+    s1 = element_from_word(A2, (1,))
+    s2 = element_from_word(A2, (2,))
     assert s1 * s2 * s1 == s2 * s1 * s2
+    assert element_from_word(A2, (1, 2, 1)) == element_from_word(A2, (2, 1, 2))
 
 
 def test_reflection_index_out_of_range():
     with pytest.raises(ValueError):
-        simple_reflection(A2, 3)
+        element_from_word(A2, (3,))
 
 
 def test_affine_reflection_fixes_wall_and_moves_origin():
-    s0 = simple_reflection(A2, 0)
+    s0 = element_from_word(A2, (0,))
     # the origin reflects to the highest coroot
     assert s0.apply((Q(0), Q(0))) == (Q(1), Q(1))
     # a point on the affine wall is fixed
@@ -66,17 +75,20 @@ def test_affine_reflection_fixes_wall_and_moves_origin():
 
 
 def test_walk_at_base_point_is_trivial():
-    elem, word = alcove_walk(A2, base_point(A2))
+    final, word = alcove_walk(A2, base_point(A2))
     assert word == ()
-    assert elem.is_identity()
+    assert final == base_point(A2)
 
 
 def test_walk_word_a2_b4():
     x = vec_scale(Q(4), base_point(A2))
-    elem, word = alcove_walk(A2, x)
+    final, word = alcove_walk(A2, x)
     assert word == (0, 1, 2, 1)
+    assert final == base_point(A2)
+    elem = element_from_word(A2, word)
     assert elem.linear == ((1, 0), (0, 1))
     assert elem.translation == (Q(1), Q(1))
+    assert elem.apply(final) == x
 
 
 def test_walk_rejects_wall_points():
@@ -148,12 +160,14 @@ def test_word_roundtrip_short_words():
 @given(st.lists(st.integers(min_value=0, max_value=3), max_size=10))
 def test_walk_recovers_element_from_any_word(word):
     w = element_from_word(A3, word)
-    elem, _ = alcove_walk(A3, w.apply(base_point(A3)))
-    assert elem == w
+    final, walked = alcove_walk(A3, w.apply(base_point(A3)))
+    assert final == base_point(A3)
+    assert element_from_word(A3, walked) == w
+    assert word_of(A3, w) == walked
 
 
 def test_apply_to_affine_root_levels():
-    s0 = simple_reflection(A2, 0)
+    s0 = element_from_word(A2, (0,))
     a0 = simple_affine_root(A2, 0)
     assert a0 == AffineRoot((-1, -1), 1)
     # s0 negates its own root
@@ -162,6 +176,53 @@ def test_apply_to_affine_root_levels():
     assert apply_to_affine_root(A2, s0, simple_affine_root(A2, 1)) == AffineRoot(
         (0, -1), 1
     )
+
+
+ORACLE_SYSTEMS = [build_root_system("A", n) for n in range(1, 7)] + [
+    build_root_system(family, rank)
+    for family, rank in (("B", 3), ("C", 3), ("D", 4), ("E", 6), ("F", 4), ("G", 2))
+]
+
+
+def root_image_by_fractions(rs, g, ar):
+    """The oracle: the root as a Fraction vector through the linear part, and
+    the translation paired with the image in Fractions."""
+    coeffs = vector_to_root_coeffs(rs, mat_vec(g.linear, root_vector(rs, ar.coeffs)))
+    shift = pairing(rs, g.translation, coeffs)
+    assert shift.denominator == 1
+    return AffineRoot(coeffs, ar.level - int(shift))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_apply_to_affine_root_matches_fraction_definition(data):
+    rs = data.draw(st.sampled_from(ORACLE_SYSTEMS))
+    g = element_from_word(rs, data.draw(st.lists(st.integers(0, rs.rank), max_size=12)))
+    root = data.draw(st.sampled_from(rs.positive_roots))
+    sign = data.draw(st.sampled_from((1, -1)))
+    ar = AffineRoot(tuple(sign * c for c in root.coeffs), data.draw(st.integers(-3, 3)))
+    assert apply_to_affine_root(rs, g, ar) == root_image_by_fractions(rs, g, ar)
+    for i in range(rs.rank + 1):
+        simple = simple_affine_root(rs, i)
+        assert apply_to_affine_root(rs, g, simple) == root_image_by_fractions(rs, g, simple)
+
+
+def test_apply_to_affine_root_matches_fraction_definition_on_omega():
+    for rs in ORACLE_SYSTEMS + [build_root_system("D", 5), build_root_system("E", 7)]:
+        for g in omega_group(rs):
+            for root in rs.positive_roots:
+                neg = tuple(-c for c in root.coeffs)
+                for ar in (AffineRoot(root.coeffs, 0), AffineRoot(neg, 2)):
+                    assert apply_to_affine_root(rs, g, ar) == root_image_by_fractions(rs, g, ar)
+
+
+def test_word_of_rejects_omega_element():
+    # a nontrivial element of Omega fixes the base point, so its walk is empty
+    g = omega_group(D4)[1]
+    assert not g.is_identity()
+    assert g.apply(base_point(D4)) == base_point(D4)
+    with pytest.raises(AssertionError):
+        word_of(D4, g)
 
 
 def test_affine_root_positivity():
@@ -231,6 +292,45 @@ def test_to_dominant():
         for i in range(2):
             simple = tuple(int(j == i) for j in range(2))
             assert pairing(A2, y, simple) >= 0
+
+
+def dense_reflection(rs, i):
+    """The finite reflection ``s_i`` (``1 <= i <= n``) as a dense matrix."""
+    n = rs.rank
+    mat = tuple(
+        tuple(int(r == c) - (rs.cartan[c][i - 1] if r == i - 1 else 0) for c in range(n))
+        for r in range(n)
+    )
+    return AffineElement(mat, (0,) * n)
+
+
+def to_dominant_by_products(rs, x):
+    """The oracle: left products of dense reflections, one Fraction pairing per wall."""
+    n = rs.rank
+    xq = list(x)
+    out = AffineElement.identity(n)
+    while True:
+        for i in range(n):
+            v = pairing(rs, xq, tuple(int(j == i) for j in range(n)))
+            if v < 0:
+                xq[i] -= v
+                out = dense_reflection(rs, i + 1) * out
+                break
+        else:
+            return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_to_dominant_matches_dense_reflection_products(data):
+    rs = data.draw(st.sampled_from(ORACLE_SYSTEMS))
+    n = rs.rank
+    x = tuple(data.draw(st.lists(st.fractions(-6, 6, max_denominator=7), min_size=n,
+                                 max_size=n)))
+    u = to_dominant(rs, x)
+    assert u == to_dominant_by_products(rs, x)
+    y = u.apply(x)
+    assert all(pairing(rs, y, tuple(int(j == i) for j in range(n))) >= 0 for i in range(n))
 
 
 def test_omega_group_orders():

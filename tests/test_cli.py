@@ -127,6 +127,12 @@ class TestEnum:
              "6f687559facc027a9f8369d59ce9818ec023922138202e7c0aad9c9ca93dea53"),
             ("enum --type A --rank 3 --b 41",
              "dadf5883baca53b854d7250cacc83c40af0521cc0fb164ea2ba0d04f0128dfea"),
+            ("experiment weak-order --type D --rank 4 --b 7",
+             "01ed9f5a352e6a8e608531bc517085494fcdd28a2690dde9d11407edb0b17888"),
+            ("experiment weak-order --type B --rank 3 --b 7",
+             "40df1c01b582c326228faffc557a2761be4a7ed0bae4349f0968efd964b615f3"),
+            ("experiment cn-weighting --rank 3 --trials 50",
+             "959a0d6b4f76820bc6f3cd3dbacb9b5de38fd1295e76bf5a1572c9d256a5c980"),
         ],
     )
     def test_stdout_bytes_are_pinned(self, argv, digest):
@@ -369,6 +375,11 @@ class TestExperiment:
         entry = doc["results"][0]
         assert entry["contained"] == entry["total"] == 5
         assert entry["verdict"] == "consistent"
+
+    def test_weak_order_respects_point_budget(self):
+        argv = ["experiment", "weak-order", "--type", "A", "--rank", "2", "--b", "4"]
+        assert run(argv + ["--max-points", "4"])[0] == EXIT_BUDGET
+        assert run(argv)[0] == EXIT_OK
 
     def test_fuss_mean_value(self):
         code, doc = run_json(["experiment", "cn-fuss", "--rank", "2", "--m", "1"])

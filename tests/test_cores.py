@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corelab.affine import alcove_walk, base_point, simple_reflection
+from corelab.affine import alcove_walk, base_point, element_from_word
 from corelab.cores import (
     CorePartition,
     Partition,
@@ -112,7 +112,7 @@ def test_core_from_coroot_equivariance():
     # acting by an affine letter on the coroot matches the letter action on cores
     for a in (3, 4):
         rs = build_root_system("A", a - 1)
-        refl = [simple_reflection(rs, i) for i in range(a)]
+        refl = [element_from_word(rs, (i,)) for i in range(a)]
         points = [
             tuple(Q(v) for v in vec)
             for vec in (
@@ -140,7 +140,9 @@ def walk_core(a, lam):
     ``lam``, read off the alcove walk of ``lam`` plus the base point."""
     rs = build_root_system("A", a - 1)
     lam_q = tuple(Q(v) for v in lam)
-    elem, word = alcove_walk(rs, vec_add(lam_q, base_point(rs)))
+    final, word = alcove_walk(rs, vec_add(lam_q, base_point(rs)))
+    assert final == base_point(rs)
+    elem = element_from_word(rs, word)
     assert elem.translation == lam_q
     assert all(elem.linear[r][c] == int(r == c) for r in range(a - 1) for c in range(a - 1))
     parts = ()
