@@ -50,6 +50,15 @@ def _identity_matrix(n: int) -> IntMatrix:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
+@lru_cache(maxsize=None)
+def _scaled_gram_inverse(rs: RootSystem) -> Tuple[int, IntMatrix]:
+    """The least ``den`` with ``den * G^{-1}`` integral, and that integer matrix."""
+    ginv = invert_matrix(rs.gram)
+    den, flat = clear_denominators([v for row in ginv for v in row])
+    n = rs.rank
+    return den, tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
+
+
 @dataclass(frozen=True)
 class AffineElement:
     """An element ``x -> linear @ x + translation`` of the (extended) affine group."""
@@ -80,10 +89,19 @@ class AffineElement:
             self.extended or other.extended,
         )
 
-    def inverse(self) -> "AffineElement":
-        inv = tuple(tuple(int(x) for x in row) for row in invert_matrix(self.linear))
-        tau = tuple(-sum(map(mul, row, self.translation)) for row in inv)
-        return AffineElement(inv, tau, self.extended)
+    def inverse(self, rs: RootSystem) -> "AffineElement":
+        """The inverse element, in ``int`` arithmetic on the linear part.
+
+        A Weyl group matrix ``M`` preserves the Gram form ``G``, so its
+        inverse is ``G^{-1} M^T G``, an integer matrix (checked).
+        """
+        den, ginv = _scaled_gram_inverse(rs)
+        scaled = _mat_mul(ginv, _mat_mul(tuple(zip(*self.linear)), rs.gram))
+        if any(v % den for row in scaled for v in row):
+            raise ValueError("linear part does not preserve the Gram form")
+        rows = tuple(tuple(v // den for v in row) for row in scaled)
+        tau = tuple(-sum(map(mul, row, self.translation)) for row in rows)
+        return AffineElement(rows, tau, self.extended)
 
     def is_identity(self) -> bool:
         n = len(self.linear)
@@ -361,7 +379,7 @@ def compute_w_b(rs: RootSystem, b: int) -> AffineElement:
     target = vec_scale(Q(b), base)
     elem = element_from_word(rs, alcove_walk(rs, target)[1])
     assert elem.apply(base) == target
-    winv = elem.inverse()
+    winv = elem.inverse(rs)
     for v in alcove_vertices(rs, b):
         assert sommers_contains(rs, b, winv.apply(v))
     return elem
@@ -374,7 +392,7 @@ def w_b_inverse(rs: RootSystem, b: int) -> AffineElement:
     ``w_b`` lies in ``W ⋉ Q^∨``, so the translation is integral (asserted), as
     :meth:`AffineElement.apply_int` needs.
     """
-    winv = compute_w_b(rs, b).inverse()
+    winv = compute_w_b(rs, b).inverse(rs)
     assert all(isinstance(t, int) for t in winv.translation)
     return winv
 
@@ -421,7 +439,7 @@ def omega_group(rs: RootSystem) -> List[AffineElement]:
         mu = rs.fund_coweights[i]
         u = to_dominant(rs, vec_sub(base, mu))
         assert u.apply(vec_sub(base, mu)) == base
-        g = AffineElement(u.inverse().linear, mu, extended=True)
+        g = AffineElement(u.inverse(rs).linear, mu, extended=True)
         assert g.apply(base) == base
         assert {g.apply(v) for v in verts} == set(verts)
         elements.append(g)

@@ -20,8 +20,8 @@ from math import gcd, lcm, prod
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .genfun import poly_add, poly_eval, poly_mul, poly_trim
-from .lattice_enum import alcove_size_sums, iter_scaled_points, lattice_scale
-from .rootsys import QuadraticForm, RootSystem, is_simply_laced
+from .lattice_enum import alcove_size_sums, lattice_scale, scaled_power_sum
+from .rootsys import RootSystem, is_simply_laced
 from .stats import verdict_of
 
 __all__ = [
@@ -139,10 +139,13 @@ def weighted_lattice_sum(
 ) -> Q:
     """Sum of the k-th power of the dilation statistic over lattice points.
 
-    The statistic is the form ``F_b`` (:class:`QuadraticForm`), the closed
-    form of zise, evaluated on every lattice point of the closed dilated
-    alcove; ``centered`` subtracts the closed-form mean n(b-1)(h+b+1)/24
-    before raising to the k-th power.
+    The statistic is the form ``F_b`` (:class:`~corelab.rootsys.QuadraticForm`),
+    the closed form of zise, evaluated on every lattice point of the closed
+    dilated alcove; ``centered`` subtracts the closed-form mean
+    n(b-1)(h+b+1)/24 before raising to the k-th power.  Counts and
+    uncentered first powers are read from the moment DP; every other sum
+    walks the mark knapsack once in integers
+    (:func:`~corelab.lattice_enum.scaled_power_sum`), at O(1) per point.
     """
     if lattice not in LATTICES:
         raise ValueError("unknown lattice %r" % lattice)
@@ -156,14 +159,10 @@ def weighted_lattice_sum(
         return Q(alcove_size_sums(rs, b, lattice)[k])
     n = rs.rank
     h = rs.coxeter_number
-    form = QuadraticForm(rs, b)
     # the form is summed as the integer 24 d^2 F_b(y / d) on points y scaled by d
     d = lattice_scale(rs, lattice)
     mu_scaled = d * d * n * (b - 1) * (h + b + 1) if centered else 0
-    total = 0
-    for y in iter_scaled_points(rs, b, lattice):
-        total += (form.scaled_at(y, d) - mu_scaled) ** k
-    return Q(total, (24 * d * d) ** k)
+    return Q(scaled_power_sum(rs, b, k, lattice, mu_scaled), (24 * d * d) ** k)
 
 
 class HoldoutError(ValueError):

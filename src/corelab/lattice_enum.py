@@ -7,8 +7,13 @@ with integer coroot coordinates.  Enumeration is lexicographic in the
 coweight coefficients so output is deterministic.  Points leave the knapsack
 as integer vectors scaled by the coweight denominator; the coroot point sets
 are int tuples, and only the coweight point sets build Fractions, through
-``coeffs_to_point``.  Large folds go through either the integer point stream
-or an exact dynamic program that never materializes the point set.
+``coeffs_to_point``.  Folds over the points never materialize them: powers
+of the form ``F_b`` are summed by a recursion over the knapsack itself, which
+carries the form's value and the coroot class of each prefix and steps the
+last coefficient along the progression the lattice keeps
+(:func:`scaled_power_sum`), and counts and first powers come from an exact
+dynamic program over budgets and classes (:func:`alcove_size_sums`).  Both
+read one table of per-item data, :func:`_knapsack_items`.
 """
 
 from __future__ import annotations
@@ -84,6 +89,77 @@ def _scaled_coweight_rows(rs: RootSystem) -> Tuple[int, Tuple[Tuple[int, ...], .
     return den, rows
 
 
+KnapsackItem = Tuple[int, Tuple[int, ...], Tuple[int, ...], int, Tuple[int, ...]]
+
+
+@lru_cache(maxsize=None)
+def _knapsack_items(rs: RootSystem) -> Tuple[KnapsackItem, ...]:
+    """Per fundamental coweight ``i``: ``(c_i, w, 2 G w, <w, w>, class shift)``.
+
+    ``w = D * omega_check_i`` is the integer vector that taking the item once
+    adds to ``y = D * x``, so ``<y + w, y + w> = <y, y> + <2 G w, y> + <w, w>``.
+    The class shift is ``omega_check_i`` modulo the coroot lattice, as
+    ``adj(A^T)`` column ``i`` mod ``f`` with ``adj = f * inv(A^T)`` integral; a
+    point is a coroot point exactly when its shifts add up to zero mod ``f``.
+    """
+    n = rs.rank
+    f = rs.index_f
+    rows = _scaled_coweight_rows(rs)[1]
+    adj = [[rs.inv_cartan_t[r][c] * f for c in range(n)] for r in range(n)]
+    assert all(v.denominator == 1 for row in adj for v in row)
+    items = []
+    for i in range(n):
+        w = tuple(row[i] for row in rows)
+        gw2 = tuple(2 * sum(map(mul, grow, w)) for grow in rs.gram)
+        cls_shift = tuple(int(adj[r][i]) % f for r in range(n))
+        items.append((rs.marks[i], w, gw2, sum(map(mul, w, gw2)) // 2, cls_shift))
+    return tuple(items)
+
+
+@lru_cache(maxsize=None)
+def _class_steps(
+    rs: RootSystem, lattice: str
+) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[Optional[int], ...], int]:
+    """The classes of knapsack prefixes that the lattice tells apart, by id.
+
+    Returns ``(steps, start, stride)``: ``steps[i][c]`` is the class of a
+    prefix of class ``c`` after item ``i`` is taken once more, and the
+    prefixes of class ``c`` whose last coefficient ``t`` completes a lattice
+    point are those with ``t = start[c] (mod stride)`` (none when ``start[c]``
+    is ``None``).  The coweight lattice has one class and stride 1; on the
+    coroot lattice the classes are the coweight lattice modulo the coroot
+    lattice, class 0 the coroot points, and the stride the order of the last
+    item's class shift.
+    """
+    items = _knapsack_items(rs)
+    if lattice == "coweight":
+        return tuple((0,) for _ in items), (0,), 1
+    f = rs.index_f
+    zero = tuple(0 for _ in items)
+    classes = [zero]
+    ids = {zero: 0}
+    for cls in classes:  # grows to the group the shifts generate
+        for item in items:
+            new = tuple((c + s) % f for c, s in zip(cls, item[4]))
+            if new not in ids:
+                ids[new] = len(classes)
+                classes.append(new)
+    assert len(classes) == f
+    steps = tuple(
+        tuple(ids[tuple((c + s) % f for c, s in zip(cls, item[4]))] for cls in classes)
+        for item in items
+    )
+    # a prefix of class c plus t last shifts is zero exactly when c = -t * shift
+    negated = [ids[tuple(-c % f for c in cls)] for cls in classes]
+    start: List[Optional[int]] = [None] * f
+    multiple = stride = 0
+    while start[negated[multiple]] is None:
+        start[negated[multiple]] = stride
+        multiple = steps[-1][multiple]
+        stride += 1
+    return steps, tuple(start), stride
+
+
 def lattice_scale(rs: RootSystem, lattice: str) -> int:
     """The factor ``d`` of :func:`iter_scaled_points`: 1 on the coroot lattice,
     the least ``d`` with every ``d * omega_check_i`` integral on the coweight lattice."""
@@ -117,6 +193,69 @@ def iter_scaled_points(rs: RootSystem, b: int, lattice: str) -> Iterator[Tuple[i
             yield tuple(y)
         elif all(v % step == 0 for v in y):
             yield tuple(v // step for v in y)
+
+
+def scaled_power_sum(rs: RootSystem, b: int, k: int, lattice: str, center: int = 0) -> int:
+    """The sum of ``(24 d^2 F_b(x) - center)^k`` over the lattice points ``x`` of
+    ``b * A``, ``d = lattice_scale(rs, lattice)``: the points of
+    :func:`iter_scaled_points`, summed without building any of them.
+
+    The knapsack is walked coefficient by coefficient, carrying for the prefix
+    ``y = D * x`` its lattice class and its value ``V = 24 D^2 F_b(y / D)``,
+    which is linear in ``<y, y>`` and ``sum(y)``.  Taking item ``i`` ``v``
+    more times adds ``v * (2 <w_i, y>) + v^2 <w_i, w_i>`` to ``<y, y>``, where
+    ``2 <w_i, y> = sum_j 2 M_ij x_j`` over the prefix's coefficients ``x_j``,
+    with ``M`` the integer Gram matrix of the scaled coweights ``w_i``.  So
+    ``V`` is a quadratic in each coefficient; along the last one it is stepped
+    by finite differences over the arithmetic progression that the lattice
+    keeps, and a point costs O(1).
+    """
+    if b < 0:
+        raise ValueError("dilation must be nonnegative")
+    D = _scaled_coweight_rows(rs)[0]
+    # V is (D / d)^2 times the summed value 24 d^2 F_b(x), exactly on the lattice
+    e2 = (D // lattice_scale(rs, lattice)) ** 2
+    form = QuadraticForm(rs, b)
+    items = _knapsack_items(rs)
+    steps, start, stride = _class_steps(rs, lattice)
+    last = len(items) - 1
+    marks = [item[0] for item in items]
+    # V's change for one more item i: v * (sum_j cross[i][j] x_j + linear[i]) + v^2 quad[i]
+    unit = form.scaled(1, 0, D, 0)  # V per unit of <y, y>
+    cross = [
+        [unit * sum(map(mul, item[2], items[j][1])) for j in range(i)]
+        for i, item in enumerate(items)
+    ]
+    linear = [form.scaled(0, sum(item[1]), D, 0) for item in items]
+    quad = [unit * item[3] for item in items]
+    x = [0] * len(items)
+    # along the last coefficient: its second difference at steps of stride
+    mark, lin, a = marks[last], linear[last], quad[last]
+    dd, rest = divmod(2 * stride * stride * a, e2)
+    assert rest == 0
+
+    def rec(i: int, budget: int, value: int, cls: int) -> int:
+        acc = 0
+        if i == last:
+            t = start[cls]
+            if t is not None and t * mark <= budget:
+                slope = sum(map(mul, cross[last], x)) + lin
+                value = (value + t * (slope + t * a)) // e2 - center
+                delta = stride * (slope + (2 * t + stride) * a) // e2
+                for _ in range(t, budget // mark + 1, stride):
+                    acc += value**k
+                    value += delta
+                    delta += dd
+            return acc
+        weight, q, step = marks[i], quad[i], steps[i]
+        slope = sum(map(mul, cross[i], x)) + linear[i]
+        for v in range(budget // weight + 1):
+            x[i] = v
+            acc += rec(i + 1, budget - v * weight, value + v * (slope + v * q), cls)
+            cls = step[cls]
+        return acc
+
+    return rec(0, b, form.scaled(0, 0, D), 0)
 
 
 def coweight_points_in_bA(rs: RootSystem, b: int) -> LatticePointSet:
@@ -232,39 +371,25 @@ def alcove_size_sums(rs: RootSystem, b: int, lattice: str) -> Tuple[int, Optiona
 def _size_sum_table(rs: RootSystem, top: int, lattice: str) -> List[Tuple[int, Optional[Q]]]:
     """``alcove_size_sums(rs, beta, lattice)`` for every ``beta <= top``, from one run.
 
-    The program runs over knapsack budgets and coroot-residue classes,
-    carrying for the integer vectors ``y = D * x`` of the points their
-    number, their coordinate sums and the sum of ``<y, y>``, and never
-    materializes the point set.  The slack item comes last, so
-    ``state[beta]`` then holds every point of ``beta * A``.
+    The program runs over knapsack budgets and the lattice's classes of
+    prefixes (:func:`_class_steps`), carrying for the integer vectors
+    ``y = D * x`` of the points their number, their coordinate sums and the
+    sum of ``<y, y>``, and never materializes the point set.  The slack item
+    comes last and keeps the class, so ``state[beta]`` then holds every point
+    of ``beta * A``.
     """
-    n = rs.rank
-    f = rs.index_f
-    # integer coweight vectors: D * omega_check_i
-    D, rows = _scaled_coweight_rows(rs)
-    # residue class of sum x_i omega_check_i modulo the coroot lattice:
-    # adj(A^T) y mod f, where adj = f * inv(A^T) is integral
-    adj = [[rs.inv_cartan_t[r][c] * f for c in range(n)] for r in range(n)]
-    assert all(v.denominator == 1 for row in adj for v in row)
-    zero = tuple(0 for _ in range(n))
-    # each item adds w to y: <y + w, y + w> = <y, y> + <2 gram w, y> + <w, w>
-    items = []
-    for i in range(n):
-        w = tuple(row[i] for row in rows)
-        gw2 = tuple(2 * sum(map(mul, grow, w)) for grow in rs.gram)
-        cls_shift = tuple(int(adj[r][i]) % f for r in range(n))
-        items.append((rs.marks[i], w, gw2, sum(map(mul, w, gw2)) // 2, cls_shift))
-    items.append((1, zero, zero, 0, zero))  # slack item
+    D = _scaled_coweight_rows(rs)[0]
+    steps = _class_steps(rs, lattice)[0]
+    zero = tuple(0 for _ in range(rs.rank))
+    slack = ((1, zero, zero, 0, zero), tuple(range(len(steps[0]))))
     # state[budget][cls] = (M0, M1, M2): count, coordinate sums, sum of <y, y>
-    state: List[Dict[Tuple[int, ...], Tuple[int, Tuple[int, ...], int]]] = [
-        dict() for _ in range(top + 1)
-    ]
-    state[0][zero] = (1, zero, 0)
-    for weight, w, gw2, ww, cls_shift in items:
+    state: List[Dict[int, Tuple[int, Tuple[int, ...], int]]] = [dict() for _ in range(top + 1)]
+    state[0][0] = (1, zero, 0)
+    for (weight, w, gw2, ww, _), step in list(zip(_knapsack_items(rs), steps)) + [slack]:
         for budget in range(weight, top + 1):
             dst = state[budget]
             for cls, (m0, m1, m2) in state[budget - weight].items():
-                new_cls = tuple((c + s) % f for c, s in zip(cls, cls_shift))
+                new_cls = step[cls]
                 nm1 = tuple(a + wr * m0 for a, wr in zip(m1, w))
                 nm2 = m2 + sum(map(mul, m1, gw2)) + ww * m0
                 if new_cls in dst:
@@ -275,15 +400,12 @@ def _size_sum_table(rs: RootSystem, top: int, lattice: str) -> List[Tuple[int, O
 
     simply_laced = is_simply_laced(rs)
     table: List[Tuple[int, Optional[Q]]] = []
-    # every budget holds the origin, so class zero is never empty
+    # class 0 holds the lattice points; every budget holds the origin, so it is never empty
     for beta, final in enumerate(state):
-        picked = list(final.values()) if lattice == "coweight" else [final[zero]]
-        s0 = sum(p[0] for p in picked)
+        s0, m1, square = final[0]
         s1 = None
         if simply_laced:
-            total = sum(sum(p[1]) for p in picked)
-            square = sum(p[2] for p in picked)
-            s1 = Q(QuadraticForm(rs, beta).scaled(square, total, D, s0), 24 * D * D)
+            s1 = Q(QuadraticForm(rs, beta).scaled(square, sum(m1), D, s0), 24 * D * D)
         table.append((s0, s1))
     return table
 

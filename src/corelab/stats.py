@@ -287,7 +287,7 @@ def experiment_weak_order_maximality(rs: RootSystem, b: int) -> Dict[str, object
         u = to_dominant(rs, vec_sub(base, lam))
         w = AffineElement(u.linear, tuple(-v for v in u.apply_int(lam)))
         assert w.apply(lam) == tuple(Q(0) for _ in range(rs.rank))
-        inv_w = set(inversions_of_inverse(rs, w.inverse()))
+        inv_w = set(inversions_of_inverse(rs, w.inverse(rs)))
         if inv_w <= big:
             contained += 1
         else:

@@ -29,6 +29,7 @@ from corelab.affine import (
 )
 from corelab.rootsys import (
     build_root_system,
+    invert_matrix,
     mat_vec,
     pairing,
     root_vector,
@@ -132,7 +133,7 @@ def test_inversion_set_of_w_b_matches_height_formula():
             if gcd(b, h) != 1:
                 continue
             wb = compute_w_b(rs, b)
-            got = set(inversions_of_inverse(rs, wb.inverse()))
+            got = set(inversions_of_inverse(rs, wb.inverse(rs)))
             expected = set()
             for root in rs.positive_roots:
                 neg = tuple(-c for c in root.coeffs)
@@ -207,13 +208,56 @@ def test_apply_to_affine_root_matches_fraction_definition(data):
         assert apply_to_affine_root(rs, g, simple) == root_image_by_fractions(rs, g, simple)
 
 
+WITH_D5_E7 = ORACLE_SYSTEMS + [build_root_system("D", 5), build_root_system("E", 7)]
+
+
 def test_apply_to_affine_root_matches_fraction_definition_on_omega():
-    for rs in ORACLE_SYSTEMS + [build_root_system("D", 5), build_root_system("E", 7)]:
+    for rs in WITH_D5_E7:
         for g in omega_group(rs):
             for root in rs.positive_roots:
                 neg = tuple(-c for c in root.coeffs)
                 for ar in (AffineRoot(root.coeffs, 0), AffineRoot(neg, 2)):
                     assert apply_to_affine_root(rs, g, ar) == root_image_by_fractions(rs, g, ar)
+
+
+def inverse_by_fractions(g):
+    """The oracle: the linear part inverted by Gauss-Jordan over the rationals."""
+    inv = invert_matrix(g.linear)
+    assert all(v.denominator == 1 for row in inv for v in row)
+    linear = tuple(tuple(int(v) for v in row) for row in inv)
+    return AffineElement(linear, tuple(-v for v in mat_vec(inv, g.translation)), g.extended)
+
+
+def check_inverse(rs, g):
+    inv = g.inverse(rs)
+    assert inv == inverse_by_fractions(g)
+    assert all(type(v) is int for row in inv.linear for v in row)
+    assert (g * inv).is_identity() and (inv * g).is_identity()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_inverse_matches_fraction_inverse(data):
+    rs = data.draw(st.sampled_from(WITH_D5_E7))
+    word = data.draw(st.lists(st.integers(0, rs.rank), max_size=16))
+    g = element_from_word(rs, word)
+    check_inverse(rs, g)
+    inv = g.inverse(rs)
+    assert inv == element_from_word(rs, word[::-1])
+    assert all(type(v) is int for v in inv.translation)
+
+
+def test_inverse_matches_fraction_inverse_on_omega():
+    for rs in WITH_D5_E7:
+        for g in omega_group(rs):
+            check_inverse(rs, g)
+
+
+def test_inverse_rejects_matrix_off_the_gram_form():
+    # a unimodular matrix that does not preserve the A2 form has no integral G^-1 M^T G
+    shear = AffineElement(((1, 1), (0, 1)), (0, 0))
+    with pytest.raises(ValueError, match="Gram form"):
+        shear.inverse(A2)
 
 
 def test_word_of_rejects_omega_element():

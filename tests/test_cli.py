@@ -133,6 +133,10 @@ class TestEnum:
              "40df1c01b582c326228faffc557a2761be4a7ed0bae4349f0968efd964b615f3"),
             ("experiment cn-weighting --rank 3 --trials 50",
              "959a0d6b4f76820bc6f3cd3dbacb9b5de38fd1295e76bf5a1572c9d256a5c980"),
+            ("fit --type A --rank 6 --k 2",
+             "1f5ba7ac76a093ba9a29a1dce721ae879f5651d39ce42bbfb550e4faccc4f9d1"),
+            ("fit --type D --rank 4 --k 3 --lattice coroot",
+             "bb9efa54fcd6c08d0431ff2fd9d75128f84729251edc0e7dd00899a6ab83a2cd"),
         ],
     )
     def test_stdout_bytes_are_pinned(self, argv, digest):

@@ -24,10 +24,11 @@ from corelab.lattice_enum import (
     iter_coweight_coeffs,
     iter_scaled_points,
     lattice_scale,
+    scaled_power_sum,
     streamed_size_sums,
 )
 from corelab.affine import sommers_contains
-from corelab.rootsys import build_root_system, is_simply_laced
+from corelab.rootsys import QuadraticForm, build_root_system, is_simply_laced
 from corelab.stats import size_point
 
 
@@ -239,6 +240,39 @@ def test_size_sum_table_matches_streaming(case, bs, lattice):
             assert got == expected, b
         else:
             assert got == (expected[0], None), b
+
+
+def streamed_power_sum(rs, b, k, lattice, center):
+    """The oracle: every point of the integer stream, evaluated on its own."""
+    d = lattice_scale(rs, lattice)
+    form = QuadraticForm(rs, b)
+    return sum((form.scaled_at(y, d) - center) ** k for y in iter_scaled_points(rs, b, lattice))
+
+
+POWER_SUM_TYPES = [("A", n) for n in range(1, 7)] + [("D", 4), ("D", 5), ("E", 6)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(POWER_SUM_TYPES),
+    st.sampled_from(("coweight", "coroot")),
+    st.integers(0, 4),
+    st.booleans(),
+    st.data(),
+)
+def test_power_sum_matches_streamed_points(case, lattice, k, centered, data):
+    rs = build_root_system(*case)
+    n, h = rs.rank, rs.coxeter_number
+    b = data.draw(st.integers(0, 2 * h))
+    d = lattice_scale(rs, lattice)
+    center = d * d * n * (b - 1) * (h + b + 1) if centered else 0
+    expected = streamed_power_sum(rs, b, k, lattice, center)
+    assert scaled_power_sum(rs, b, k, lattice, center) == expected
+
+
+def test_power_sum_rejects_negative_dilation():
+    with pytest.raises(ValueError):
+        scaled_power_sum(A2, -1, 1, "coroot")
 
 
 def test_size_sum_runs_grow_geometrically(monkeypatch):
