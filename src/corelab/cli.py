@@ -14,6 +14,7 @@ import io
 import json
 import sys
 from fractions import Fraction as Q
+from functools import lru_cache
 from math import comb, gcd
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -39,7 +40,14 @@ from .lattice_enum import (
     coweight_points_in_bA,
     coroot_points_in_size_ellipsoid,
 )
-from .rootsys import QuadraticForm, RootSystem, build_root_system, exponent_product, inner
+from .rootsys import (
+    QuadraticForm,
+    RootSystem,
+    VerificationError,
+    build_root_system,
+    exponent_product,
+    inner,
+)
 from .stats import (
     experiment_cn_fuss,
     experiment_cn_selfconjugate_weighting,
@@ -51,7 +59,7 @@ from .stats import (
     size_point,
     verdict_of,
     verify_max,
-    zise_point,
+    zise_form,
 )
 
 SCHEMA_VERSION = 1
@@ -216,10 +224,9 @@ def cmd_enum(args) -> Tuple[int, List[Dict]]:
         points = coroot_points_in_bA(rs, b).points
     else:
         points = coweight_points_in_bA(rs, b).points
-    form = QuadraticForm(rs, b)
+    form = zise_form(rs, b) if coprime else QuadraticForm(rs, b)
     for x in points:
-        value = zise_point(rs, b, x) if coprime else form(x)
-        results.append({"point": _vec(x), "zise": _rat(value)})
+        results.append({"point": _vec(x), "zise": _rat(form(x))})
     return EXIT_OK, results
 
 
@@ -336,25 +343,13 @@ def _verify_one(selector: str, rs: RootSystem, b: Optional[int], args) -> Dict:
         _require_coprime(rs, b)
         _check_budget(_count_estimate(rs, b, "coroot"), args)
         if selector == "max":
-            try:
-                value, multiplicity, argmax = verify_max(rs, b)
-                verdict = "match" if multiplicity == 1 else "mismatch(multiplicity)"
-            except AssertionError as exc:
-                value, multiplicity, argmax = Q(0), 0, ()
-                verdict = "mismatch(%s)" % exc
-            result.update(
-                value=_rat(value),
-                multiplicity=multiplicity,
-                argmax=_vec(argmax),
-                verdict=verdict,
-            )
+            value, multiplicity, argmax, verdict = verify_max(rs, b)
+            result.update(value=_rat(value), multiplicity=multiplicity, argmax=_vec(argmax),
+                          verdict=verdict)
             return result
         report = moments(rs, b)
         key = {"mean": "mean", "variance": "m2", "m3": "m3"}[selector]
-        result.update(
-            value=_rat(getattr(report, key)),
-            verdict=report.verdict_map()[key],
-        )
+        result.update(value=_rat(getattr(report, key)), verdict=report.verdict_map()[key])
         return result
     raise UsageError("unknown selector %r" % selector)
 
@@ -503,9 +498,11 @@ def cmd_experiment(args) -> Tuple[int, List[Dict]]:
         if args.m < 1:
             raise UsageError("--m must be positive")
         try:
-            report = dict(experiment_cn_fuss(args.rank, args.m))
+            rs = build_root_system("C", args.rank)
         except ValueError as exc:
             raise UsageError(str(exc))
+        _check_budget(_count_estimate(rs, args.m * rs.coxeter_number + 1, "coroot"), args)
+        report = dict(experiment_cn_fuss(args.rank, args.m))
         raw = report.pop("verdict")
         report["mean"] = _rat(report["mean"])
         report["conjecture"] = _rat(report["conjecture"])
@@ -639,6 +636,7 @@ def _emit(args, exit_code: int, results: List[Dict], out) -> None:
     out.write(json.dumps(envelope, indent=2, sort_keys=True) + "\n")
 
 
+@lru_cache(maxsize=None)  # built once per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="corelab",
@@ -715,6 +713,8 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     except BudgetError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_BUDGET
+    except VerificationError as exc:
+        exit_code, results = EXIT_MISMATCH, [{"verdict": "mismatch(%s)" % exc}]
     _emit(args, exit_code, results, out)
     return exit_code
 

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .genfun import poly_add, poly_eval, poly_mul, poly_trim
 from .lattice_enum import alcove_size_sums, lattice_scale, scaled_power_sum
-from .rootsys import RootSystem, is_simply_laced
+from .rootsys import QuadraticForm, RootSystem, is_simply_laced
 from .stats import verdict_of
 
 __all__ = [
@@ -157,12 +157,11 @@ def weighted_lattice_sum(
         raise ValueError("weighted sums require a simply-laced root system")
     if dp_backed(k, centered):
         return Q(alcove_size_sums(rs, b, lattice)[k])
-    n = rs.rank
-    h = rs.coxeter_number
     # the form is summed as the integer 24 d^2 F_b(y / d) on points y scaled by d
     d = lattice_scale(rs, lattice)
-    mu_scaled = d * d * n * (b - 1) * (h + b + 1) if centered else 0
-    return Q(scaled_power_sum(rs, b, k, lattice, mu_scaled), (24 * d * d) ** k)
+    mu_scaled = d * d * rs.rank * (b - 1) * (rs.coxeter_number + b + 1) if centered else 0
+    total = scaled_power_sum(rs, b, k, lattice, QuadraticForm(rs, b), mu_scaled)[0]
+    return Q(total, (24 * d * d) ** k)
 
 
 class HoldoutError(ValueError):

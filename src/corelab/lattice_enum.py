@@ -8,12 +8,13 @@ coweight coefficients so output is deterministic.  Points leave the knapsack
 as integer vectors scaled by the coweight denominator; the coroot point sets
 are int tuples, and only the coweight point sets build Fractions, through
 ``coeffs_to_point``.  Folds over the points never materialize them: powers
-of the form ``F_b`` are summed by a recursion over the knapsack itself, which
-carries the form's value and the coroot class of each prefix and steps the
-last coefficient along the progression the lattice keeps
-(:func:`scaled_power_sum`), and counts and first powers come from an exact
-dynamic program over budgets and classes (:func:`alcove_size_sums`).  Both
-read one table of per-item data, :func:`_knapsack_items`.
+of a quadratic form (``F_b`` or zise) are summed, and its maximum found, by a
+recursion over the knapsack itself, which carries the form's value and the
+coroot class of each prefix and steps the last coefficient along the
+progression the lattice keeps (:func:`scaled_power_sum`), and counts and
+first powers of ``F_b`` come from an exact dynamic program over budgets and
+classes (:func:`alcove_size_sums`).  Both read one table of per-item data,
+:func:`_knapsack_items`.
 """
 
 from __future__ import annotations
@@ -195,27 +196,30 @@ def iter_scaled_points(rs: RootSystem, b: int, lattice: str) -> Iterator[Tuple[i
             yield tuple(v // step for v in y)
 
 
-def scaled_power_sum(rs: RootSystem, b: int, k: int, lattice: str, center: int = 0) -> int:
-    """The sum of ``(24 d^2 F_b(x) - center)^k`` over the lattice points ``x`` of
-    ``b * A``, ``d = lattice_scale(rs, lattice)``: the points of
-    :func:`iter_scaled_points`, summed without building any of them.
+def scaled_power_sum(
+    rs: RootSystem, b: int, k: int, lattice: str, form: QuadraticForm, center: int = 0
+) -> Tuple[int, int, int]:
+    """The sum of ``(24 d^2 F(x) - center)^k`` over the lattice points ``x`` of
+    ``b * A``, ``d = lattice_scale(rs, lattice)``, then the maximum of
+    ``24 d^2 F(x)`` and the number of points at it, for any form ``F`` of
+    ``rs`` (``F_b`` for the fits, zise for the moments); no point is built.
 
     The knapsack is walked coefficient by coefficient, carrying for the prefix
-    ``y = D * x`` its lattice class and its value ``V = 24 D^2 F_b(y / D)``,
-    which is linear in ``<y, y>`` and ``sum(y)``.  Taking item ``i`` ``v``
+    ``y = D * x`` its lattice class and its value ``V = 24 D^2 F(y / D)``,
+    which is linear in ``<y, y>`` and ``l . y``.  Taking item ``i`` ``v``
     more times adds ``v * (2 <w_i, y>) + v^2 <w_i, w_i>`` to ``<y, y>``, where
     ``2 <w_i, y> = sum_j 2 M_ij x_j`` over the prefix's coefficients ``x_j``,
     with ``M`` the integer Gram matrix of the scaled coweights ``w_i``.  So
     ``V`` is a quadratic in each coefficient; along the last one it is stepped
     by finite differences over the arithmetic progression that the lattice
-    keeps, and a point costs O(1).
+    keeps, and a point costs O(1).  It is convex there, so the maximum of a
+    run is at one of its ends.
     """
     if b < 0:
         raise ValueError("dilation must be nonnegative")
     D = _scaled_coweight_rows(rs)[0]
-    # V is (D / d)^2 times the summed value 24 d^2 F_b(x), exactly on the lattice
+    # V is (D / d)^2 times the summed value 24 d^2 F(x), exactly on the lattice
     e2 = (D // lattice_scale(rs, lattice)) ** 2
-    form = QuadraticForm(rs, b)
     items = _knapsack_items(rs)
     steps, start, stride = _class_steps(rs, lattice)
     last = len(items) - 1
@@ -226,36 +230,50 @@ def scaled_power_sum(rs: RootSystem, b: int, k: int, lattice: str, center: int =
         [unit * sum(map(mul, item[2], items[j][1])) for j in range(i)]
         for i, item in enumerate(items)
     ]
-    linear = [form.scaled(0, sum(item[1]), D, 0) for item in items]
+    linear = [form.scaled(0, form.dot(item[1]), D, 0) for item in items]
     quad = [unit * item[3] for item in items]
     x = [0] * len(items)
-    # along the last coefficient: its second difference at steps of stride
+    # along the last coefficient: its second difference at steps of stride;
+    # the prefix carries the sum over its coefficients of cross[last]
     mark, lin, a = marks[last], linear[last], quad[last]
     dd, rest = divmod(2 * stride * stride * a, e2)
     assert rest == 0
+    best, ties = -float("inf"), 0  # the largest centered value, and its points
 
-    def rec(i: int, budget: int, value: int, cls: int) -> int:
+    def rec(i: int, budget: int, value: int, cls: int, tail: int) -> int:
+        nonlocal best, ties
         acc = 0
         if i == last:
             t = start[cls]
             if t is not None and t * mark <= budget:
-                slope = sum(map(mul, cross[last], x)) + lin
-                value = (value + t * (slope + t * a)) // e2 - center
+                slope = tail + lin
+                run = (budget // mark - t) // stride + 1
+                u = t + (run - 1) * stride
+                first = (value + t * (slope + t * a)) // e2 - center
+                end = (value + u * (slope + u * a)) // e2 - center
+                top = first if first >= end else end
+                if top >= best:
+                    here = 1 if run == 1 else (first == top) + (end == top)
+                    best, ties = top, here + ties * (top == best)
+                if k == 0:
+                    return run
+                value = first
                 delta = stride * (slope + (2 * t + stride) * a) // e2
-                for _ in range(t, budget // mark + 1, stride):
+                for _ in range(run):
                     acc += value**k
                     value += delta
                     delta += dd
             return acc
-        weight, q, step = marks[i], quad[i], steps[i]
+        weight, q, step, c = marks[i], quad[i], steps[i], cross[last][i]
         slope = sum(map(mul, cross[i], x)) + linear[i]
         for v in range(budget // weight + 1):
             x[i] = v
-            acc += rec(i + 1, budget - v * weight, value + v * (slope + v * q), cls)
+            acc += rec(i + 1, budget - v * weight, value + v * (slope + v * q), cls, tail + v * c)
             cls = step[cls]
         return acc
 
-    return rec(0, b, form.scaled(0, 0, D), 0)
+    total = rec(0, b, form.scaled(0, 0, D), 0, 0)
+    return total, best + center, ties
 
 
 def coweight_points_in_bA(rs: RootSystem, b: int) -> LatticePointSet:
@@ -322,10 +340,10 @@ def coroot_points_in_size_ellipsoid(
     limit = 24 * N
     out: List[Tuple[Tuple[int, ...], Q]] = []
 
-    # carry <x, x> and sum(x) incrementally, coordinate by coordinate
-    def rec(i: int, prefix: List[int], square: int, total: int):
+    # carry <x, x> and l . x = -sum(x) incrementally, coordinate by coordinate
+    def rec(i: int, prefix: List[int], square: int, linear: int):
         if i == n:
-            s = form.scaled(square, total)
+            s = form.scaled(square, linear)
             if s <= limit:
                 assert s % 24 == 0
                 out.append((tuple(prefix), Q(s // 24)))
@@ -334,7 +352,7 @@ def coroot_points_in_size_ellipsoid(
         cross = sum(row[j] * prefix[j] for j in range(i))
         for v in ranges[i]:
             prefix.append(v)
-            rec(i + 1, prefix, square + row[i] * v * v + 2 * v * cross, total + v)
+            rec(i + 1, prefix, square + row[i] * v * v + 2 * v * cross, linear - v)
             prefix.pop()
 
     rec(0, [], 0, 0)
@@ -405,17 +423,7 @@ def _size_sum_table(rs: RootSystem, top: int, lattice: str) -> List[Tuple[int, O
         s0, m1, square = final[0]
         s1 = None
         if simply_laced:
-            s1 = Q(QuadraticForm(rs, beta).scaled(square, sum(m1), D, s0), 24 * D * D)
+            form = QuadraticForm(rs, beta)
+            s1 = Q(form.scaled(square, form.dot(m1), D, s0), 24 * D * D)
         table.append((s0, s1))
     return table
-
-
-def streamed_size_sums(rs: RootSystem, b: int, lattice: str) -> Tuple[int, Q]:
-    """Reference implementation of alcove_size_sums by direct streaming."""
-    d = lattice_scale(rs, lattice)
-    form = QuadraticForm(rs, b)
-    s0 = s1 = 0
-    for y in iter_scaled_points(rs, b, lattice):
-        s0 += 1
-        s1 += form.scaled_at(y, d)
-    return s0, Q(s1, 24 * d * d)

@@ -11,9 +11,11 @@ carries internally consistent tables.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import factorial, lcm
+from operator import mul
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 Vector = Tuple[Q, ...]
@@ -191,10 +193,6 @@ def mat_vec(m: Sequence[Sequence[Q]], v: Sequence[Q]) -> Vector:
     # scale v to integers: one Fraction per entry instead of one per product
     d, y = clear_denominators(v)
     return tuple(Q(sum(r * yi for r, yi in zip(row, y)), d) for row in m)
-
-
-def vec_add(x: Sequence[Q], y: Sequence[Q]) -> Vector:
-    return tuple(a + b for a, b in zip(x, y))
 
 
 def vec_sub(x: Sequence[Q], y: Sequence[Q]) -> Vector:
@@ -386,46 +384,59 @@ def is_simply_laced(rs: RootSystem) -> bool:
     return all(l == 1 for l in rs.simple_lengths)
 
 
-class QuadraticForm:
-    """The size form at dilation ``b``:
-    ``F_b(x) = g/2 <x, x> - b <x, rho> + (b^2 - 1) n (h + 1)/24``.
+class VerificationError(ArithmeticError):
+    """A paper identity failed on exact data."""
 
-    ``F_1`` is the size form (the box count of the matching core in type A),
-    ``F_0`` the centered form ``g/2 <x, x> - n (h + 1)/24``, whose constant
-    is ``<rho, rho>/2g`` by the strange formula, and on simply-laced systems
-    ``F_b`` is the closed form of zise, the pullback of size through ``w_b``.  In coroot coordinates
-    ``<x, rho> = sum(x)``.  The Gram matrix is integral, so for an integer
-    vector ``y`` and a positive integer ``d`` the scaled value
-    ``24 d^2 F_b(y / d)`` is an integer; every evaluation goes through it.
+
+class QuadraticForm:
+    """``F(x) = g/2 <x, x> + l . x + c`` in coroot coordinates, with ``l`` and
+    ``24 c`` integral.  ``QuadraticForm(rs, b)`` is the size form at dilation
+    ``b``, ``F_b(x) = g/2 <x, x> - b <x, rho> + (b^2 - 1) n (h + 1)/24``, so
+    ``l = -b (1, ..., 1)``.  ``F_1`` is size (the box count of the matching
+    core in type A), ``F_0`` the centered form, and zise at dilation ``b`` is
+    ``F_1`` pulled back through ``w_b^{-1}`` (:meth:`pullback`), which is
+    ``F_b`` on simply-laced systems.  For an integer vector ``y`` and ``d >= 1``
+    the scaled value ``24 d^2 F(y / d)`` is an integer; every evaluation goes
+    through it.
     """
 
     def __init__(self, rs: RootSystem, b: int) -> None:
         self.gram = rs.gram
         self.g = rs.dual_coxeter_number
-        self.b = b
-        self.const = (b * b - 1) * rs.rank * (rs.coxeter_number + 1)
+        self.linear = (-b,) * rs.rank
+        self.const = (b * b - 1) * rs.rank * (rs.coxeter_number + 1)  # 24 c
+
+    def pullback(self, element) -> "QuadraticForm":
+        """``F(M x + t)`` for an element with integer ``linear`` rows ``M``,
+        which preserve ``G``, and integer ``translation`` ``t``: ``l`` becomes
+        ``M^T (g G t + l)`` and ``24 c`` gains ``12 g <t, t> + 24 l . t``."""
+        t = element.translation
+        shifted = [self.g * sum(map(mul, row, t)) + li for row, li in zip(self.gram, self.linear)]
+        out = copy(self)
+        out.linear = tuple(sum(map(mul, col, shifted)) for col in zip(*element.linear))
+        out.const = self.const + 12 * self.g * self.square(t) + 24 * self.dot(t)
+        return out
 
     def square(self, y: Sequence[int]) -> int:
         """``<y, y>`` of an integer vector."""
-        gram = self.gram
-        return sum(
-            yi * sum(gij * yj for gij, yj in zip(gram[i], y) if yj)
-            for i, yi in enumerate(y)
-            if yi
-        )
+        return sum(yi * sum(map(mul, row, y)) for row, yi in zip(self.gram, y) if yi)
 
-    def scaled(self, square: int, total: int, d: int = 1, count: int = 1) -> int:
-        """``24 d^2`` times the sum of ``F_b(y / d)`` over ``count`` integer
+    def dot(self, y: Sequence[int]) -> int:
+        """``l . y`` of an integer vector."""
+        return sum(map(mul, self.linear, y))
+
+    def scaled(self, square: int, linear: int, d: int = 1, count: int = 1) -> int:
+        """``24 d^2`` times the sum of ``F(y / d)`` over ``count`` integer
         vectors ``y`` whose ``<y, y>`` add up to ``square`` and whose
-        coordinates add up to ``total``."""
-        return 12 * self.g * square - 24 * self.b * d * total + count * d * d * self.const
+        ``l . y`` add up to ``linear``."""
+        return 12 * self.g * square + 24 * d * linear + count * d * d * self.const
 
     def scaled_at(self, y: Sequence[int], d: int = 1) -> int:
-        """``24 d^2 F_b(y / d)`` for one integer vector ``y``."""
-        return self.scaled(self.square(y), sum(y), d)
+        """``24 d^2 F(y / d)`` for one integer vector ``y``."""
+        return self.scaled(self.square(y), self.dot(y), d)
 
     def __call__(self, x: Sequence[Q | int]) -> Q:
-        """The exact value ``F_b(x)`` at a rational point."""
+        """The exact value ``F(x)`` at a rational point."""
         d, y = clear_denominators(x)
         return Q(self.scaled_at(y, d), 24 * d * d)
 
@@ -453,18 +464,3 @@ def pairing(rs: RootSystem, x: Sequence[Q], root_coeffs: Sequence[int]) -> Q:
 def roots_of_height(rs: RootSystem, height: int) -> Tuple[Root, ...]:
     """All positive roots of the given height (empty tuple if none)."""
     return rs.roots_by_height.get(height, ())
-
-
-def root_vector(rs: RootSystem, coeffs: Sequence[int]) -> Vector:
-    """Coroot-basis coordinates of the root with the given coefficients."""
-    return tuple(coeffs[i] * rs.simple_lengths[i] for i in range(rs.rank))
-
-
-def vector_to_root_coeffs(rs: RootSystem, vec: Sequence[Q]) -> Tuple[int, ...]:
-    """Inverse of :func:`root_vector`; asserts the result is integral."""
-    out = []
-    for i in range(rs.rank):
-        c = vec[i] / rs.simple_lengths[i]
-        assert c.denominator == 1
-        out.append(int(c))
-    return tuple(out)

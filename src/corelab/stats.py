@@ -1,11 +1,12 @@
 """Size statistics on lattice points: exact moments, experiments.
 
 ``size`` is the form ``F_1`` of :class:`~corelab.rootsys.QuadraticForm` on
-coroot coordinates; ``zise`` at dilation ``b`` is its pullback through ``w_b``.
-Moments over the coroot points of ``b * A`` are folded exactly as power
-sums and compared against closed formulas where those exist (count for
-every type; maximum, mean, and variance for simply-laced systems; the
-third central moment for type A only).
+coroot coordinates; ``zise`` at dilation ``b`` is its pullback through ``w_b``,
+one form per system and dilation (:func:`zise_form`).  Moments over the coroot
+points of ``b * A`` are its power sums, walked without building a point, and
+are compared against closed formulas where those exist (count for every type;
+maximum, mean, and variance for simply-laced systems; the third central
+moment for type A only).
 """
 
 from __future__ import annotations
@@ -27,13 +28,13 @@ from corelab.affine import (
     w_b_inverse,
 )
 from corelab.cores import Partition, toggle_corners
-from corelab.lattice_enum import coroot_points_in_bA, core_points_in_sommers
+from corelab.lattice_enum import core_points_in_sommers, scaled_power_sum
 from corelab.rootsys import (
     QuadraticForm,
     RootSystem,
+    VerificationError,
     Vector,
     build_root_system,
-    clear_denominators,
     exponent_product,
     is_simply_laced,
     roots_of_height,
@@ -46,23 +47,23 @@ def size_point(rs: RootSystem, x: Sequence[Q]) -> Q:
     return QuadraticForm(rs, 1)(x)
 
 
-def q_form_point(rs: RootSystem, x: Sequence[Q]) -> Q:
-    """The centered form ``F_0(x) = g/2 ||x||^2 - n (h+1)/24``; minimal value of size."""
-    return QuadraticForm(rs, 0)(x)
+@lru_cache(maxsize=None)
+def zise_form(rs: RootSystem, b: int) -> QuadraticForm:
+    """Zise at dilation ``b``, ``x -> F_1(w_b^{-1} x)``, built once per system
+    and dilation.  On simply-laced systems it is checked, exactly, to be the
+    closed form ``F_b`` (the zise identity); a failure raises
+    :class:`~corelab.rootsys.VerificationError`."""
+    if b < 1 or gcd(b, rs.coxeter_number) != 1:
+        raise ValueError("b not positive and coprime to Coxeter number")
+    form = QuadraticForm(rs, 1).pullback(w_b_inverse(rs, b))
+    if is_simply_laced(rs) and vars(form) != vars(QuadraticForm(rs, b)):
+        raise VerificationError("zise identity F_1(w_b^-1 x) = F_b(x) fails at b=%d" % b)
+    return form
 
 
 def zise_point(rs: RootSystem, b: int, x: Sequence[Q | int]) -> Q:
-    """Size pulled back through ``w_b``; checked against the closed form ``F_b``
-    on every simply-laced call.  The point is scaled to an integer vector and
-    carried by ``w_b^{-1}`` in integer arithmetic."""
-    h = rs.coxeter_number
-    if gcd(b, h) != 1:
-        raise ValueError("b not coprime to Coxeter number")
-    d, y = clear_denominators(x)
-    value = QuadraticForm(rs, 1).scaled_at(w_b_inverse(rs, b).apply_int(y, d), d)
-    if is_simply_laced(rs):
-        assert value == QuadraticForm(rs, b).scaled_at(y, d)
-    return Q(value, 24 * d * d)
+    """Size pulled back through ``w_b``, at one point (:func:`zise_form`)."""
+    return zise_form(rs, b)(x)
 
 
 def haiman_count(rs: RootSystem, b: int) -> Q:
@@ -102,7 +103,7 @@ def closed_m3_type_a(rs: RootSystem, b: int) -> Q:
 
 @dataclass(frozen=True)
 class MomentReport:
-    """Exact enumerated statistics next to their closed forms and verdicts."""
+    """Exact statistics of zise next to their closed forms and verdicts."""
 
     family: str
     rank: int
@@ -110,7 +111,6 @@ class MomentReport:
     count: int
     max_value: Q
     max_multiplicity: int
-    argmax: Tuple[int, ...]
     mean: Q
     m2: Q
     m3: Q
@@ -139,27 +139,19 @@ def moments(rs: RootSystem, b: int) -> MomentReport:
     """Exact moments of zise over the coroot points of ``b * A``, computed
     once per argument list however many callers read them.
 
-    Power sums are folded in one streaming pass; mean and central moments
-    are then formed symbolically, and an independent centered fold checks
-    them.  The maximum is reported with its multiplicity and the first
-    ``b * A`` point attaining it.  Closed forms fill in per type as available.
+    The power sums of ``24 zise``, ``k = 0..3``, and its maximum with its
+    multiplicity come from four walks of the knapsack, which build no point
+    (:func:`~corelab.lattice_enum.scaled_power_sum`); the mean and central
+    moments follow exactly.  Closed forms fill in per type as available.
     """
-    h = rs.coxeter_number
-    if gcd(b, h) != 1:
-        raise ValueError("b not coprime to Coxeter number")
-    points = coroot_points_in_bA(rs, b).points
-    values = [zise_point(rs, b, x) for x in points]
-    s0 = len(values)
-    s1 = sum(values)
-    s2 = sum(v * v for v in values)
-    s3 = sum(v * v * v for v in values)
-    best = max(values)
-    mult = values.count(best)
-    mean = Q(s1, s0)
-    m2 = s2 / s0 - mean * mean
-    m3 = s3 / s0 - 3 * mean * (s2 / s0) + 2 * mean**3
-    assert m2 == sum((v - mean) ** 2 for v in values) / s0
-    assert m3 == sum((v - mean) ** 3 for v in values) / s0
+    form = zise_form(rs, b)
+    s0, top, mult = scaled_power_sum(rs, b, 0, "coroot", form)
+    s1, s2, s3 = (scaled_power_sum(rs, b, k, "coroot", form)[0] for k in (1, 2, 3))
+    best = Q(top, 24)
+    mean = Q(s1, 24 * s0)
+    square = Q(s2, 24**2 * s0)
+    m2 = square - mean * mean
+    m3 = Q(s3, 24**3 * s0) - 3 * mean * square + 2 * mean**3
     simply = is_simply_laced(rs)
     closed: Dict[str, Optional[Q]] = {"count": haiman_count(rs, b)}
     closed["max"] = closed_max(rs, b) if simply else None
@@ -180,7 +172,6 @@ def moments(rs: RootSystem, b: int) -> MomentReport:
         count=s0,
         max_value=best,
         max_multiplicity=mult,
-        argmax=points[values.index(best)],
         mean=mean,
         m2=m2,
         m3=m3,
@@ -189,20 +180,20 @@ def moments(rs: RootSystem, b: int) -> MomentReport:
     )
 
 
-def verify_max(rs: RootSystem, b: int) -> Tuple[Q, int, Vector]:
-    """Maximum of size over the height-``b`` core points, with multiplicity and argmax.
-
-    Read from :func:`moments`.  For simply-laced systems the maximum is
-    asserted to be the closed value ``n (b^2-1)(h+1)/24``, attained exactly
-    once, at the image of the origin.
+def verify_max(rs: RootSystem, b: int) -> Tuple[Q, int, Tuple[int, ...], str]:
+    """Maximum of size over the height-``b`` core points on a simply-laced
+    system, with its multiplicity, its argmax and a verdict, ``match`` or
+    ``mismatch(...)``: read from :func:`moments`, the maximum must be the
+    closed value ``F_b(0) = n (b^2-1)(h+1)/24``, attained once.  Zise at the
+    origin is ``F_b(0)`` (checked by :func:`zise_form`), so the origin is then
+    the unique maximiser, and the argmax is its image ``w_b^{-1}(0)``.
     """
     report = moments(rs, b)
-    best, mult, arg = report.max_value, report.max_multiplicity, report.argmax
-    if is_simply_laced(rs):
-        assert best == closed_max(rs, b)
-        assert mult == 1
-        assert arg == (0,) * rs.rank
-    return best, mult, w_b_inverse(rs, b).apply_int(arg)
+    best, mult = report.max_value, report.max_multiplicity
+    verdict = verdict_of(best, closed_max(rs, b))
+    if verdict == "match" and mult != 1:
+        verdict = "mismatch(multiplicity %d)" % mult
+    return best, mult, tuple(w_b_inverse(rs, b).translation), verdict
 
 
 def floor_identity_check(rs: RootSystem, b: int) -> bool:
@@ -249,9 +240,9 @@ def experiment_cn_fuss(n: int, m: int) -> Dict[str, object]:
     rs = build_root_system("C", n)
     h = rs.coxeter_number
     b = m * h + 1
-    points = coroot_points_in_bA(rs, b).points
-    total = sum(zise_point(rs, b, x) for x in points)
-    mean = Q(total, len(points))
+    form = zise_form(rs, b)
+    count, total = (scaled_power_sum(rs, b, k, "coroot", form)[0] for k in (0, 1))
+    mean = Q(total, 24 * count)
     conjecture = Q(m * n * (2 * (m + 1) * n * n + (m + 3) * n - (m + 1)), 12)
     return {
         "experiment": "fuss_mean",
@@ -259,7 +250,7 @@ def experiment_cn_fuss(n: int, m: int) -> Dict[str, object]:
         "rank": n,
         "m": m,
         "b": b,
-        "count": len(points),
+        "count": count,
         "mean": mean,
         "conjecture": conjecture,
         "verdict": "agree" if mean == conjecture else "disagree",

@@ -1,0 +1,83 @@
+"""Slow reference implementations that the tests hold the fast paths to.
+
+Nothing in corelab reads these.  Each one builds every point it needs and
+evaluates it on its own, in Fractions where the fast path works in integers.
+"""
+
+from fractions import Fraction as Q
+from typing import Dict, Sequence, Tuple
+
+from corelab.affine import w_b_inverse
+from corelab.lattice_enum import coroot_points_in_bA, iter_scaled_points, lattice_scale
+from corelab.rootsys import QuadraticForm, RootSystem, Vector
+
+
+def vec_add(x: Sequence[Q], y: Sequence[Q]) -> Vector:
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def root_vector(rs: RootSystem, coeffs: Sequence[int]) -> Vector:
+    """Coroot-basis coordinates of the root with the given coefficients."""
+    return tuple(coeffs[i] * rs.simple_lengths[i] for i in range(rs.rank))
+
+
+def vector_to_root_coeffs(rs: RootSystem, vec: Sequence[Q]) -> Tuple[int, ...]:
+    """Inverse of :func:`root_vector`; the result must be integral."""
+    out = []
+    for i in range(rs.rank):
+        c = vec[i] / rs.simple_lengths[i]
+        assert c.denominator == 1
+        out.append(int(c))
+    return tuple(out)
+
+
+def q_form_point(rs: RootSystem, x: Sequence[Q]) -> Q:
+    """The centered form ``F_0(x) = g/2 ||x||^2 - n (h+1)/24``; minimal value of size."""
+    return QuadraticForm(rs, 0)(x)
+
+
+def streamed_size_sums(rs: RootSystem, b: int, lattice: str) -> Tuple[int, Q]:
+    """``alcove_size_sums`` by streaming every lattice point through ``F_b``."""
+    d = lattice_scale(rs, lattice)
+    form = QuadraticForm(rs, b)
+    s0 = s1 = 0
+    for y in iter_scaled_points(rs, b, lattice):
+        s0 += 1
+        s1 += form.scaled_at(y, d)
+    return s0, Q(s1, 24 * d * d)
+
+
+def streamed_power_sum(
+    rs: RootSystem, b: int, k: int, lattice: str, form: QuadraticForm, center: int
+) -> Tuple[int, int, int]:
+    """``scaled_power_sum``: every point of the integer stream, evaluated on its own."""
+    d = lattice_scale(rs, lattice)
+    values = [form.scaled_at(y, d) for y in iter_scaled_points(rs, b, lattice)]
+    best = max(values)
+    return sum((v - center) ** k for v in values), best, values.count(best)
+
+
+def zise_by_transport(rs: RootSystem, b: int, x: Sequence[Q]) -> Q:
+    """Zise at one point: move it by ``w_b^{-1}`` in Fractions, then take its size."""
+    return QuadraticForm(rs, 1)(w_b_inverse(rs, b).apply(x))
+
+
+def folded_moments(rs: RootSystem, b: int) -> Dict[str, object]:
+    """The moments of zise over the coroot points of ``b * A``, from every
+    point moved by ``w_b^{-1}`` and folded as Fractions, with the central
+    moments both from the power sums and from two centered folds."""
+    values = [zise_by_transport(rs, b, x) for x in coroot_points_in_bA(rs, b).points]
+    s0 = len(values)
+    s1, s2, s3 = (sum(v**k for v in values) for k in (1, 2, 3))
+    mean = Q(s1, s0)
+    best = max(values)
+    return {
+        "count": s0,
+        "max": best,
+        "multiplicity": values.count(best),
+        "mean": mean,
+        "m2": s2 / s0 - mean * mean,
+        "m3": s3 / s0 - 3 * mean * (s2 / s0) + 2 * mean**3,
+        "centered_m2": sum((v - mean) ** 2 for v in values) / s0,
+        "centered_m3": sum((v - mean) ** 3 for v in values) / s0,
+    }

@@ -97,8 +97,8 @@ def test_criterion_02_three_four_ground_truth():
     assert report.m2 == Q(14, 5)
     assert report.m3 == Q(18, 5)
     assert report.grade == "match"
-    best, mult, _ = verify_max(rs, 4)
-    assert (best, mult) == (5, 1)
+    best, mult, _, verdict = verify_max(rs, 4)
+    assert (best, mult, verdict) == (5, 1, "match")
     _finish(2, t0, "five (3,4)-cores with mean 2, max 5, variance 14/5, m3 18/5")
 
 
@@ -134,8 +134,8 @@ def test_criterion_04_simply_laced_formulas():
             if gcd(b, h) == 1:
                 report = moments(rs, b)
                 assert report.grade == "match", (family, rank, b, report.verdicts)
-                best, mult, _ = verify_max(rs, b)
-                assert mult == 1
+                best, mult, _, verdict = verify_max(rs, b)
+                assert (mult, verdict) == (1, "match")
                 assert best == Q(rank * (b * b - 1) * (h + 1), 24)
                 coprime_checked += 1
             else:

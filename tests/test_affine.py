@@ -32,12 +32,10 @@ from corelab.rootsys import (
     invert_matrix,
     mat_vec,
     pairing,
-    root_vector,
     roots_of_height,
-    vec_add,
     vec_scale,
-    vector_to_root_coeffs,
 )
+from oracles import root_vector, vec_add, vector_to_root_coeffs
 
 
 A2 = build_root_system("A", 2)

@@ -4,6 +4,7 @@ Each test drives ``main`` with an argv list and captures the emitted
 envelope; a single subprocess test covers the ``python -m`` entry point.
 """
 
+import argparse
 import ast
 import hashlib
 import io
@@ -12,10 +13,12 @@ import subprocess
 import sys
 from fractions import Fraction as Q
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 
 from corelab import cli, ehrhart, stats
+from corelab.affine import AffineElement
 from corelab.cli import EXIT_BUDGET, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from corelab.rootsys import build_root_system
 
@@ -188,19 +191,20 @@ class TestVerify:
         assert set(verdicts.values()) == {"match"}
 
     def test_moment_selectors_enumerate_each_dilation_once(self, monkeypatch):
+        # every moment selector reads one report per dilation: four knapsack walks
         calls = []
-        enumerate_points = stats.coroot_points_in_bA
+        walk = stats.scaled_power_sum
 
-        def counted(rs, b):
-            calls.append(b)
-            return enumerate_points(rs, b)
+        def counted(rs, b, k, lattice, form, center=0):
+            calls.append((b, k))
+            return walk(rs, b, k, lattice, form, center)
 
-        monkeypatch.setattr(stats, "coroot_points_in_bA", counted)
+        monkeypatch.setattr(stats, "scaled_power_sum", counted)
         stats.moments.cache_clear()
         code, _ = run(["verify", "count", "max", "mean", "variance", "m3", "--type", "A",
                        "--rank", "3", "--b-range", "1..9"])
         assert code == EXIT_OK
-        assert calls == [1, 3, 5, 7, 9]
+        assert calls == [(b, k) for b in (1, 3, 5, 7, 9) for k in range(4)]
 
     def test_count_sweep_is_budgeted_by_dp_states(self):
         code, doc = run_json(["verify", "--type", "E", "--rank", "7", "--b-range", "1..100",
@@ -217,6 +221,50 @@ class TestVerify:
         assert code == EXIT_MISMATCH
         assert doc["verdict"] == "fail"
         assert doc["results"][0]["verdict"].startswith("mismatch")
+
+    def test_max_off_its_closed_value_is_a_mismatch_verdict(self, monkeypatch):
+        closed = stats.closed_max
+        monkeypatch.setattr(stats, "closed_max", lambda rs, b: closed(rs, b) + 1)
+        stats.moments.cache_clear()
+        try:
+            code, doc = run_json(["verify", "max", "--type", "A", "--rank", "3", "--b", "5"])
+        finally:
+            stats.moments.cache_clear()
+        assert code == EXIT_MISMATCH
+        assert doc["verdict"] == "fail"
+        (entry,) = doc["results"]
+        assert entry["verdict"] == "mismatch(15!=16)"
+        assert (entry["value"], entry["multiplicity"]) == ("15/1", 1)
+
+    def test_moment_selectors_survive_optimize(self):
+        argv = ["-m", "corelab.cli", "verify", "--type", "A", "--rank", "3", "--b-range",
+                "1..9", "count", "max", "mean", "variance", "m3"]
+        plain, optimized = (
+            subprocess.run([sys.executable, *flags, *argv], capture_output=True, timeout=120)
+            for flags in ([], ["-O"])
+        )
+        assert plain.returncode == optimized.returncode == EXIT_OK, optimized.stderr
+        assert optimized.stdout == plain.stdout
+
+    def test_failed_zise_identity_is_a_mismatch_verdict(self, monkeypatch):
+        exact = stats.w_b_inverse
+
+        def shifted(rs, b):
+            winv = exact(rs, b)
+            return AffineElement(winv.linear, (winv.translation[0] + 1,) + winv.translation[1:])
+
+        monkeypatch.setattr(stats, "w_b_inverse", shifted)
+        stats.zise_form.cache_clear()
+        stats.moments.cache_clear()
+        try:
+            code, doc = run_json(["verify", "mean", "--type", "A", "--rank", "2", "--b", "4"])
+        finally:
+            stats.zise_form.cache_clear()
+            stats.moments.cache_clear()
+        assert code == EXIT_MISMATCH
+        assert doc["verdict"] == "fail"
+        assert doc["results"] == [{"verdict": "mismatch(zise identity F_1(w_b^-1 x) = F_b(x)"
+                                   " fails at b=4)"}]
 
     def test_unknown_selector_is_usage(self):
         code, _ = run(["verify", "bogus", "--type", "A", "--rank", "2", "--b", "4"])
@@ -392,6 +440,14 @@ class TestExperiment:
         assert entry["conjecture"] == "11/3"
         assert entry["verdict"] == "consistent"
 
+    def test_fuss_is_budgeted_before_any_work(self, monkeypatch):
+        def refuse(n, m):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setattr(cli, "experiment_cn_fuss", refuse)
+        argv = ["experiment", "cn-fuss", "--rank", "3", "--m", "1000", "--max-points", "1000"]
+        assert run(argv)[0] == EXIT_BUDGET
+
     def test_top_coefficient_table_entry(self):
         code, doc = run_json(
             ["experiment", "top-coeff", "--type", "A", "--rank", "2", "--k", "4"]
@@ -479,6 +535,27 @@ class TestPlumbing:
             if alias.name.startswith("_")
         ]
         assert private == []
+
+    def test_parser_is_built_once_per_process(self, monkeypatch):
+        built = []
+
+        class Counted(argparse.ArgumentParser):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("prog"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "argparse", SimpleNamespace(ArgumentParser=Counted))
+        cli._build_parser.cache_clear()
+        try:
+            argv = ["verify", "mean", "--type", "A", "--rank", "2", "--b", "4"]
+            first = run(argv)
+            after_first = len(built)
+            second = run(argv)
+        finally:
+            cli._build_parser.cache_clear()
+        assert after_first > 0
+        assert len(built) == after_first
+        assert first == second
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -20,8 +20,9 @@ from corelab.cores import (
     simple_action_on_core,
     toggle_corners,
 )
-from corelab.rootsys import build_root_system, vec_add
+from corelab.rootsys import build_root_system
 from corelab.stats import size_point
+from oracles import vec_add
 
 
 def test_partition_validation():

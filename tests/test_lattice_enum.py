@@ -25,11 +25,11 @@ from corelab.lattice_enum import (
     iter_scaled_points,
     lattice_scale,
     scaled_power_sum,
-    streamed_size_sums,
 )
 from corelab.affine import sommers_contains
 from corelab.rootsys import QuadraticForm, build_root_system, is_simply_laced
-from corelab.stats import size_point
+from corelab.stats import size_point, zise_form
+from oracles import streamed_power_sum, streamed_size_sums
 
 
 A2 = build_root_system("A", 2)
@@ -242,13 +242,6 @@ def test_size_sum_table_matches_streaming(case, bs, lattice):
             assert got == (expected[0], None), b
 
 
-def streamed_power_sum(rs, b, k, lattice, center):
-    """The oracle: every point of the integer stream, evaluated on its own."""
-    d = lattice_scale(rs, lattice)
-    form = QuadraticForm(rs, b)
-    return sum((form.scaled_at(y, d) - center) ** k for y in iter_scaled_points(rs, b, lattice))
-
-
 POWER_SUM_TYPES = [("A", n) for n in range(1, 7)] + [("D", 4), ("D", 5), ("E", 6)]
 
 
@@ -266,13 +259,42 @@ def test_power_sum_matches_streamed_points(case, lattice, k, centered, data):
     b = data.draw(st.integers(0, 2 * h))
     d = lattice_scale(rs, lattice)
     center = d * d * n * (b - 1) * (h + b + 1) if centered else 0
-    expected = streamed_power_sum(rs, b, k, lattice, center)
-    assert scaled_power_sum(rs, b, k, lattice, center) == expected
+    form = QuadraticForm(rs, b)
+    expected = streamed_power_sum(rs, b, k, lattice, form, center)
+    assert scaled_power_sum(rs, b, k, lattice, form, center) == expected
+
+
+ZISE_TYPES = [("B", 3), ("C", 3), ("F", 4), ("G", 2), ("A", 4), ("D", 4)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ZISE_TYPES), st.integers(0, 3), st.integers(-50, 50), st.data())
+def test_power_sum_of_zise_matches_streamed_points(case, k, center, data):
+    # the pulled-back form has a linear part off the -b (1, ..., 1) line on B, C, F and G
+    rs = build_root_system(*case)
+    h = rs.coxeter_number
+    b = data.draw(st.integers(1, 2 * h).filter(lambda b: gcd(b, h) == 1))
+    form = zise_form(rs, b)
+    expected = streamed_power_sum(rs, b, k, "coroot", form, center)
+    assert scaled_power_sum(rs, b, k, "coroot", form, center) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(POWER_SUM_TYPES + ZISE_TYPES), st.sampled_from(("coweight", "coroot")),
+       st.data())
+def test_power_sum_maximum_of_any_form(case, lattice, data):
+    # F_c with c < 0 grows along the last coefficient, so its maximum is at the far end of a run
+    rs = build_root_system(*case)
+    h = rs.coxeter_number
+    b, c = data.draw(st.integers(0, 2 * h)), data.draw(st.integers(-2 * h, 2 * h))
+    form = QuadraticForm(rs, c)
+    expected = streamed_power_sum(rs, b, 1, lattice, form, 0)
+    assert scaled_power_sum(rs, b, 1, lattice, form) == expected
 
 
 def test_power_sum_rejects_negative_dilation():
     with pytest.raises(ValueError):
-        scaled_power_sum(A2, -1, 1, "coroot")
+        scaled_power_sum(A2, -1, 1, "coroot", QuadraticForm(A2, 1))
 
 
 def test_size_sum_runs_grow_geometrically(monkeypatch):

@@ -12,10 +12,9 @@ from corelab.rootsys import (
     inner,
     invert_matrix,
     pairing,
-    root_vector,
     roots_of_height,
-    vector_to_root_coeffs,
 )
+from oracles import root_vector, vector_to_root_coeffs
 
 # Every type exercised anywhere in the test suite, kept to rank <= 8.
 GRID = (

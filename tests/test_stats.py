@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from corelab import lattice_enum, stats
 from corelab.affine import b_omega_action, omega_group, w_b_inverse
 from corelab.lattice_enum import coeffs_to_point, coroot_points_in_bA, coweight_points_in_bA
 from corelab.rootsys import (
@@ -28,13 +29,14 @@ from corelab.stats import (
     haiman_count,
     is_simply_laced,
     moments,
-    q_form_point,
     sc_core_from_word,
     sc_weighted_size,
     size_point,
     verify_max,
+    zise_form,
     zise_point,
 )
+from oracles import folded_moments, q_form_point, zise_by_transport
 
 
 A2 = build_root_system("A", 2)
@@ -116,6 +118,64 @@ def test_form_is_size_pulled_back_through_w_b(case):
     assert QuadraticForm(rs, b)(x) == size_point(rs, w_b_inverse(rs, b).apply(x))
 
 
+ORACLE_TYPES = [("A", n) for n in range(1, 7)] + [
+    ("D", 4), ("D", 5), ("E", 6), ("B", 3), ("C", 3), ("F", 4), ("G", 2)
+]
+
+
+@st.composite
+def _coprime_cases(draw):
+    rs = _system(*draw(st.sampled_from(ORACLE_TYPES)))
+    h = rs.coxeter_number
+    return rs, draw(st.integers(1, 2 * h).filter(lambda b: gcd(b, h) == 1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_coprime_cases())
+def test_moments_match_the_fraction_fold(case):
+    rs, b = case
+    report = moments.__wrapped__(rs, b)
+    oracle = folded_moments(rs, b)
+    assert report.count == oracle["count"]
+    assert (report.max_value, report.max_multiplicity) == (oracle["max"], oracle["multiplicity"])
+    assert report.mean == oracle["mean"]
+    assert report.m2 == oracle["m2"] == oracle["centered_m2"]
+    assert report.m3 == oracle["m3"] == oracle["centered_m3"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(_coprime_cases(), st.sampled_from(("coweight", "coroot")))
+def test_zise_form_matches_the_transported_size(case, lattice):
+    rs, b = case
+    form = zise_form(rs, b)
+    if lattice == "coroot":
+        points = coroot_points_in_bA(rs, b).points
+    else:
+        points = coweight_points_in_bA(rs, b).points
+    assert all(form(x) == zise_by_transport(rs, b, x) for x in points)
+
+
+def test_moments_build_no_point(monkeypatch):
+    cases = [(A3, 5), (D4, 7), (_system("B", 3), 7), (_system("G", 2), 7)]
+    expected = [moments.__wrapped__(rs, b) for rs, b in cases]
+    maxima = [verify_max(rs, b) for rs, b in cases[:2]]
+    fuss = experiment_cn_fuss(3, 1)
+
+    def refuse(*args):
+        raise AssertionError("a point was built")
+
+    monkeypatch.setattr(lattice_enum, "coroot_points_in_bA", refuse)
+    monkeypatch.setattr(lattice_enum, "iter_scaled_points", refuse)
+    monkeypatch.setattr(stats, "zise_point", refuse)
+    moments.cache_clear()
+    try:
+        assert [moments(rs, b) for rs, b in cases] == expected
+        assert [verify_max(rs, b) for rs, b in cases[:2]] == maxima
+        assert experiment_cn_fuss(3, 1) == fuss
+    finally:
+        moments.cache_clear()
+
+
 def test_moments_a2_b4_ground_truth():
     report = moments(A2, 4)
     assert report.count == 5
@@ -175,17 +235,24 @@ def test_closed_form_values():
 
 
 def test_verify_max_a2_b4():
-    best, mult, argmax = verify_max(A2, 4)
-    assert (best, mult) == (5, 1)
+    best, mult, argmax, verdict = verify_max(A2, 4)
+    assert (best, mult, verdict) == (5, 1, "match")
     assert argmax == (Q(-1), Q(-1))
+
+
+def test_verify_max_with_two_maximisers_is_a_mismatch(monkeypatch):
+    report = moments(A2, 4)
+    twice = MomentReport(**{**vars(report), "max_multiplicity": 2})
+    monkeypatch.setattr(stats, "moments", lambda rs, b: twice)
+    assert verify_max(A2, 4) == (5, 2, (-1, -1), "mismatch(multiplicity 2)")
 
 
 def test_verify_max_on_simply_laced_grid():
     for rs, bs in ((A3, (3, 5)), (D4, (5, 7))):
         for b in bs:
-            best, mult, _ = verify_max(rs, b)
+            best, mult, _, verdict = verify_max(rs, b)
             assert best == closed_max(rs, b)
-            assert mult == 1
+            assert (mult, verdict) == (1, "match")
 
 
 def test_floor_identities():
