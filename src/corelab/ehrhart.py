@@ -492,7 +492,8 @@ def leading_coefficient_checks(rs: RootSystem, k: int) -> Dict:
     higher are conjecture tables.  A verdict starting with ``mismatch`` is a
     failed check: a holdout the fits miss, a polynomial short of its degree,
     or a theorem-grade ratio off its closed form.  A conjecture-grade ratio
-    off its table is a ``counterexample``.
+    off its table is a ``counterexample``, and a ratio equal to its closed
+    form or table is ``consistent``.
     """
     if k < 1:
         raise ValueError("weight exponent must be positive")
@@ -524,6 +525,8 @@ def leading_coefficient_checks(rs: RootSystem, k: int) -> Dict:
         return dict(report, verdict="mismatch(degree %d != %d)" % (len(weight_poly) - 1, top))
     ratio = _pcoeff(weight_poly, top) / count_poly[n]
     verdict = verdict_of(ratio, report["expected"])
-    if grade == "conjecture" and verdict.startswith("mismatch"):
+    if verdict == "match":
+        verdict = "consistent"
+    elif grade == "conjecture" and verdict.startswith("mismatch"):
         verdict = "counterexample" + verdict[len("mismatch"):]
     return dict(report, ratio=ratio, verdict=verdict)

@@ -1,141 +1,32 @@
-"""Truncated integer q-series and the product identities for core counts.
+"""Size generating functions of cores and coroot lattices as q-series.
 
-Provides exact arithmetic on integer power series truncated at a fixed
-order, the core-counting product for a single modulus, the characteristic
-polynomial of a Coxeter element in the reflection representation, and the
-product formula that expands that polynomial into the size generating
-function of the coroot lattice.
+A series truncated at order N is a list of N + 1 integer coefficients, low
+degree first, multiplied in place by 1 / (1 - q^s) and by f(q^s) with
+f(0) = 1.  Other polynomials, the Coxeter polynomial f among them, are
+coefficient tuples handled by the ``poly_*`` helpers that corelab shares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from operator import mul
+from typing import List, Sequence, Tuple
 
-from .affine import element_from_word
-from .rootsys import RootSystem, is_simply_laced
+from .affine import AffineElement, element_from_word
+from .rootsys import RootSystem, VerificationError, is_simply_laced
 
 __all__ = [
-    "IntSeries",
-    "IntPolynomial",
-    "core_product_series",
-    "coxeter_char_poly",
-    "macdonald_series",
-    "poly_add",
-    "poly_eval",
-    "poly_mul",
-    "poly_trim",
+    "IntSeries", "core_product_series", "coxeter_char_poly", "macdonald_series",
+    "poly_add", "poly_eval", "poly_mul", "poly_trim",
 ]
 
 
 @dataclass(frozen=True)
 class IntSeries:
-    """Integer power series modulo q^(truncation+1)."""
+    """Integer power series modulo q^(truncation+1), low degree first."""
 
     truncation: int
     coeffs: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        assert self.truncation >= 0
-        assert len(self.coeffs) == self.truncation + 1
-        assert all(isinstance(c, int) for c in self.coeffs)
-
-    @staticmethod
-    def one(truncation: int) -> "IntSeries":
-        return IntSeries(truncation, (1,) + (0,) * truncation)
-
-    @staticmethod
-    def from_coeffs(truncation: int, coeffs: Sequence[int]) -> "IntSeries":
-        """Pad with zeros or drop terms beyond the truncation order."""
-        fixed = list(coeffs[: truncation + 1])
-        fixed.extend([0] * (truncation + 1 - len(fixed)))
-        return IntSeries(truncation, tuple(fixed))
-
-    def coeff(self, k: int) -> int:
-        assert 0 <= k <= self.truncation
-        return self.coeffs[k]
-
-    def _check_compatible(self, other: "IntSeries") -> None:
-        if self.truncation != other.truncation:
-            raise ValueError("series truncations differ")
-
-    def __add__(self, other: "IntSeries") -> "IntSeries":
-        self._check_compatible(other)
-        return IntSeries(
-            self.truncation,
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-        )
-
-    def __sub__(self, other: "IntSeries") -> "IntSeries":
-        self._check_compatible(other)
-        return IntSeries(
-            self.truncation,
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
-        )
-
-    def __mul__(self, other: "IntSeries") -> "IntSeries":
-        self._check_compatible(other)
-        n = self.truncation
-        out = [0] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return IntSeries(n, tuple(out))
-
-    def inverse(self) -> "IntSeries":
-        """Multiplicative inverse; requires a unit constant term."""
-        c0 = self.coeffs[0]
-        if c0 not in (1, -1):
-            raise ValueError("series constant term must be a unit")
-        n = self.truncation
-        out = [0] * (n + 1)
-        out[0] = c0
-        for k in range(1, n + 1):
-            acc = 0
-            for j in range(1, k + 1):
-                acc += self.coeffs[j] * out[k - j]
-            out[k] = -c0 * acc
-        return IntSeries(n, tuple(out))
-
-    def power(self, exponent: int) -> "IntSeries":
-        assert exponent >= 0
-        result = IntSeries.one(self.truncation)
-        for _ in range(exponent):
-            result = result * self
-        return result
-
-
-@dataclass(frozen=True)
-class IntPolynomial:
-    """Polynomial with exact integer coefficients, low degree first."""
-
-    coeffs: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        assert self.coeffs, "zero-length coefficient list"
-        assert all(isinstance(c, int) for c in self.coeffs)
-        if len(self.coeffs) > 1:
-            assert self.coeffs[-1] != 0, "leading coefficient must be nonzero"
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, x: int) -> int:
-        return poly_eval(self.coeffs, x)
-
-    def at_q_power(self, step: int, truncation: int) -> IntSeries:
-        """The series f(q^step) truncated at the given order."""
-        assert step >= 1
-        out = [0] * (truncation + 1)
-        for k, c in enumerate(self.coeffs):
-            if c and k * step <= truncation:
-                out[k * step] = c
-        return IntSeries(truncation, tuple(out))
 
 
 def poly_add(p: Sequence, s: Sequence) -> Tuple:
@@ -175,88 +66,72 @@ def poly_trim(p: Sequence) -> Tuple:
     return tuple(out)
 
 
+def _one(truncation: int) -> List[int]:
+    if truncation < 0:
+        raise ValueError("truncation must be nonnegative")
+    return [1] + [0] * truncation
+
+
+def _divide_by_binomial(c: List[int], s: int) -> None:
+    """Divide the series ``c`` by 1 - q^s in place: ascending k reads the
+    coefficients already divided."""
+    for k in range(s, len(c)):
+        c[k] += c[k - s]
+
+
+def _multiply_at_power(c: List[int], f: Sequence[int], s: int) -> None:
+    """Multiply the series ``c`` by f(q^s) in place, for f(0) = 1: descending
+    k reads only lower coefficients, which the sweep has not changed yet."""
+    for k in range(len(c) - 1, s - 1, -1):
+        c[k] += sum(f[j] * c[k - j * s] for j in range(1, min(len(f), k // s + 1)))
+
+
 def _char_poly_coeffs(matrix: Sequence[Sequence[int]]) -> Tuple[int, ...]:
-    """det(qI - M) by division-free expansion over column subsets."""
+    """det(qI - M), low degree first, by the Faddeev–LeVerrier recursion in
+    integers: with N_1 = I, c_{n-k} = -tr(N_k M) / k and N_{k+1} = N_k M + c_{n-k} I."""
     n = len(matrix)
-    entries = [
-        [
-            ((-matrix[r][c], 1) if r == c else (-matrix[r][c],))
-            for c in range(n)
-        ]
-        for r in range(n)
-    ]
-    dets = {0: (1,)}
-    for row in range(n):
-        nxt: dict = {}
-        for mask, poly in dets.items():
-            for col in range(n):
-                bit = 1 << col
-                if mask & bit:
-                    continue
-                entry = entries[row][col]
-                if entry == (0,):
-                    continue
-                sign = -1 if bin(mask >> (col + 1)).count("1") % 2 else 1
-                term = poly_mul(poly, entry)
-                if sign < 0:
-                    term = tuple(-c for c in term)
-                key = mask | bit
-                if key in nxt:
-                    nxt[key] = poly_add(nxt[key], term)
-                else:
-                    nxt[key] = term
-        dets = nxt
-    return poly_trim(dets[(1 << n) - 1])
+    cols = tuple(zip(*matrix))
+    coeffs = [0] * n + [1]
+    acc = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        prod = [[sum(map(mul, row, col)) for col in cols] for row in acc]
+        coeff, rem = divmod(-sum(prod[i][i] for i in range(n)), k)
+        if rem:
+            raise ArithmeticError("trace not divisible by %d" % k)
+        coeffs[n - k] = coeff
+        for i in range(n):
+            prod[i][i] += coeff
+        acc = prod
+    return tuple(coeffs)
 
 
-def _monic_remainder(dividend: Tuple[int, ...], poly: Tuple[int, ...]) -> Tuple[int, ...]:
-    """Remainder of the dividend modulo a monic integer polynomial."""
-    assert poly[-1] == 1
-    rem = list(dividend)
-    deg = len(poly) - 1
-    for top in range(len(rem) - 1, deg - 1, -1):
-        factor = rem[top]
-        if factor == 0:
-            continue
-        for k, c in enumerate(poly):
-            rem[top - deg + k] -= factor * c
-    return tuple(rem[:deg])
-
-
-def _divides_root_of_unity_power(poly: Tuple[int, ...], h: int, n: int) -> bool:
-    """Whether the monic polynomial divides (q^h - 1)^n.
-
-    Eigenvalues of a Coxeter element are h-th roots of unity, but an
-    exponent can repeat (the middle exponent of an even-rank D system),
-    so the n-th power absorbs root multiplicities up to the degree.
-    """
-    base = [0] * (h + 1)
-    base[0] = -1
-    base[h] = 1
-    dividend: Tuple[int, ...] = (1,)
-    for _ in range(n):
-        dividend = poly_mul(dividend, tuple(base))
-    return all(c == 0 for c in _monic_remainder(dividend, poly))
-
-
-def coxeter_char_poly(rs: RootSystem) -> IntPolynomial:
-    """Characteristic polynomial of a Coxeter element.
+def coxeter_char_poly(rs: RootSystem) -> Tuple[int, ...]:
+    """Characteristic polynomial of a Coxeter element, low degree first.
 
     The element is the product of all simple reflections in index order,
     acting on coroot coordinates.  The result is independent of the order
-    because any two Coxeter elements are conjugate.
+    because any two Coxeter elements are conjugate.  Its value at 1 is the
+    index of the coroot lattice, it is a palindrome because the exponents
+    pair as e and h - e, and the element has order h; a failure raises
+    :class:`VerificationError`.
     """
-    n = rs.rank
+    n, h = rs.rank, rs.coxeter_number
     coxeter = element_from_word(rs, tuple(range(1, n + 1)))
-    assert coxeter.translation == (0,) * n
-    coeffs = _char_poly_coeffs(coxeter.linear)
-    assert len(coeffs) == n + 1 and coeffs[-1] == 1
-    assert coeffs[0] in (1, -1)
-    poly = IntPolynomial(coeffs)
-    assert poly(1) == rs.index_f
-    assert coeffs == coeffs[::-1], "exponents pair as e and h - e"
-    assert _divides_root_of_unity_power(coeffs, rs.coxeter_number, n)
-    return poly
+    f = _char_poly_coeffs(coxeter.linear)
+    at_one = poly_eval(f, 1)
+    if at_one != rs.index_f:
+        raise VerificationError(
+            "Coxeter polynomial at 1 is %d, not the index %d" % (at_one, rs.index_f))
+    if f != f[::-1]:
+        raise VerificationError("Coxeter polynomial is not a palindrome")
+    power, result = coxeter, AffineElement.identity(n)  # c^h by repeated squaring
+    for bit in bin(h)[:1:-1]:
+        if bit == "1":
+            result = result * power
+        power = power * power
+    if not result.is_identity():
+        raise VerificationError("Coxeter element does not have order h=%d" % h)
+    return f
 
 
 def core_product_series(a: int, truncation: int) -> IntSeries:
@@ -267,17 +142,13 @@ def core_product_series(a: int, truncation: int) -> IntSeries:
     """
     if a < 2:
         raise ValueError("modulus must be at least 2")
-    series = IntSeries.one(truncation)
+    c = _one(truncation)
     for i in range(1, truncation + 1):
-        binom = IntSeries.from_coeffs(truncation, [1] + [0] * (i - 1) + [-1])
-        series = series * binom.inverse()
-        if a * i <= truncation:
-            top = IntSeries.from_coeffs(
-                truncation, [1] + [0] * (a * i - 1) + [-1]
-            )
-            series = series * top.power(a)
-    assert series.coeff(0) == 1
-    return series
+        _divide_by_binomial(c, i)
+    for i in range(1, truncation // a + 1):
+        for _ in range(a):
+            _multiply_at_power(c, (1, -1), a * i)
+    return IntSeries(truncation, tuple(c))
 
 
 def macdonald_series(rs: RootSystem, truncation: int) -> IntSeries:
@@ -288,17 +159,12 @@ def macdonald_series(rs: RootSystem, truncation: int) -> IntSeries:
     """
     if not is_simply_laced(rs):
         raise ValueError("product formula requires a simply-laced root system")
+    c = _one(truncation)
     f = coxeter_char_poly(rs)
-    assert f.coeffs[0] == 1
     h = rs.coxeter_number
-    n = rs.rank
-    series = IntSeries.one(truncation)
     for i in range(1, truncation + 1):
-        series = series * f.at_q_power(i, truncation)
+        _multiply_at_power(c, f, i)
     for i in range(1, truncation // h + 1):
-        factor = IntSeries.from_coeffs(
-            truncation, [1] + [0] * (h * i - 1) + [-1]
-        )
-        series = series * factor.power(n)
-    assert series.coeff(0) == 1
-    return series
+        for _ in range(rs.rank):
+            _multiply_at_power(c, (1, -1), h * i)
+    return IntSeries(truncation, tuple(c))

@@ -244,6 +244,10 @@ def experiment_cn_fuss(n: int, m: int) -> Dict[str, object]:
     count, total = (scaled_power_sum(rs, b, k, "coroot", form)[0] for k in (0, 1))
     mean = Q(total, 24 * count)
     conjecture = Q(m * n * (2 * (m + 1) * n * n + (m + 3) * n - (m + 1)), 12)
+    verdict = "consistent"
+    if mean != conjecture:
+        verdict = "counterexample(mean %d/%d != %d/%d)" % (
+            mean.numerator, mean.denominator, conjecture.numerator, conjecture.denominator)
     return {
         "experiment": "fuss_mean",
         "family": "C",
@@ -253,7 +257,7 @@ def experiment_cn_fuss(n: int, m: int) -> Dict[str, object]:
         "count": count,
         "mean": mean,
         "conjecture": conjecture,
-        "verdict": "agree" if mean == conjecture else "disagree",
+        "verdict": verdict,
     }
 
 
@@ -291,7 +295,8 @@ def experiment_weak_order_maximality(rs: RootSystem, b: int) -> Dict[str, object
         "total": len(points),
         "contained": contained,
         "violations": violations,
-        "verdict": "agree" if not violations else "disagree",
+        "verdict": "consistent" if not violations
+        else "counterexample(%d of %d escape)" % (len(violations), len(points)),
     }
 
 
@@ -359,5 +364,6 @@ def experiment_cn_selfconjugate_weighting(
         "trials": trials,
         "agreements": agree,
         "mismatches": mismatches,
-        "verdict": "agree" if not mismatches else "disagree",
+        "verdict": "consistent" if not mismatches
+        else "counterexample(%d mismatches)" % len(mismatches),
     }

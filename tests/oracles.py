@@ -81,3 +81,14 @@ def folded_moments(rs: RootSystem, b: int) -> Dict[str, object]:
         "centered_m2": sum((v - mean) ** 2 for v in values) / s0,
         "centered_m3": sum((v - mean) ** 3 for v in values) / s0,
     }
+
+
+def truncated_product(c, f, s, truncation):
+    """The series ``c`` times f(q^s), truncated: a plain convolution."""
+    spread = [0] * (truncation + 1)
+    for j, fj in enumerate(f):
+        if j * s <= truncation:
+            spread[j * s] = fj
+    return [
+        sum(c[i] * spread[k - i] for i in range(k + 1)) for k in range(truncation + 1)
+    ]

@@ -406,6 +406,56 @@ class TestSeries:
         assert entry["coefficients"] is None
         assert entry["char_poly_at_one"] == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["series", "--type", "A", "--rank", "2"],
+            ["verify", "macdonald", "--type", "A", "--rank", "2"],
+            ["verify", "genfun-A", "--type", "A", "--rank", "2"],
+        ],
+        ids=["series", "macdonald", "genfun-A"],
+    )
+    def test_negative_truncation_is_usage(self, argv, capsys):
+        code, text = run(argv + ["--trunc", "-1"])
+        assert (code, text) == (EXIT_USAGE, "")
+        assert capsys.readouterr().err == "error: --trunc must be nonnegative\n"
+
+    @pytest.mark.parametrize("selector", ["series", "genfun-A"])
+    def test_series_is_budgeted_by_coefficient_updates(self, selector, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("series expanded past the budget")
+
+        monkeypatch.setattr(cli, "macdonald_series", refuse)
+        monkeypatch.setattr(cli, "core_product_series", refuse)
+        command = ["series"] if selector == "series" else ["verify", "genfun-A"]
+        argv = command + ["--type", "A", "--rank", "2"]
+        assert run(argv + ["--trunc", "100000"])[0] == EXIT_BUDGET
+        assert run(argv + ["--trunc", "10", "--max-points", "120"])[0] == EXIT_BUDGET
+
+    def test_budget_admits_exactly_the_coefficient_updates(self):
+        for command in (["series"], ["verify", "genfun-A"]):
+            argv = command + ["--type", "A", "--rank", "2", "--trunc", "10"]
+            code, doc = run_json(argv + ["--max-points", "121"])
+            assert code == EXIT_OK
+            assert doc["results"] == run_json(argv)[1]["results"]
+
+    def test_failed_coxeter_identity_survives_optimize(self):
+        script = (
+            "import sys\n"
+            "from corelab import genfun\n"
+            "from corelab.cli import main\n"
+            "genfun._char_poly_coeffs = lambda matrix: (1, 2, 1)\n"
+            "sys.exit(main(['series', '--type', 'A', '--rank', '2']))\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == EXIT_MISMATCH, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["verdict"] == "fail"
+        assert doc["results"] == [
+            {"verdict": "mismatch(Coxeter polynomial at 1 is 4, not the index 3)"}
+        ]
+
 
 class TestStat:
     def test_moment_sweep_with_skips(self):

@@ -1,4 +1,4 @@
-"""Tests for truncated series arithmetic and the product identities."""
+"""Tests for the in-place q-series helpers, the Coxeter polynomial and the product identities."""
 
 from collections import Counter
 
@@ -6,18 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corelab import genfun
 from corelab.cores import core_counting_coefficients
 from corelab.genfun import (
-    IntPolynomial,
-    IntSeries,
     _char_poly_coeffs,
+    _divide_by_binomial,
+    _multiply_at_power,
     core_product_series,
     coxeter_char_poly,
     macdonald_series,
+    poly_eval,
 )
 from corelab.affine import element_from_word
 from corelab.lattice_enum import coroot_points_in_size_ellipsoid
-from corelab.rootsys import build_root_system
+from corelab.rootsys import VerificationError, build_root_system
+from oracles import truncated_product
 
 
 def rs_named(name):
@@ -32,76 +35,55 @@ def size_histogram(family, cutoff):
     return [counts[k] for k in range(cutoff + 1)]
 
 
-class TestIntSeries:
-    def test_one_and_accessors(self):
-        s = IntSeries.one(4)
-        assert s.coeffs == (1, 0, 0, 0, 0)
-        assert s.coeff(0) == 1 and s.coeff(4) == 0
+class TestInPlaceHelpers:
+    def test_divide_by_one_minus_q_is_geometric(self):
+        c = [1, 0, 0, 0, 0, 0]
+        _divide_by_binomial(c, 1)
+        assert c == [1, 1, 1, 1, 1, 1]
+        c = [1, 0, 0, 0, 0, 0]
+        _divide_by_binomial(c, 2)
+        assert c == [1, 0, 1, 0, 1, 0]
 
-    def test_from_coeffs_pads_and_truncates(self):
-        assert IntSeries.from_coeffs(3, [1, 2]).coeffs == (1, 2, 0, 0)
-        assert IntSeries.from_coeffs(1, [1, 2, 9, 9]).coeffs == (1, 2)
+    def test_multiply_at_power_spreads_the_polynomial(self):
+        c = [1, 0, 0, 0, 0, 0]
+        _multiply_at_power(c, (1, 1, 1), 2)
+        assert c == [1, 0, 1, 0, 1, 0]
+        c = [1, 0, 0, 0, 0]
+        _multiply_at_power(c, (1, 1, 1), 3)
+        assert c == [1, 0, 0, 1, 0]
 
-    def test_add_sub_mul(self):
-        s = IntSeries.from_coeffs(3, [1, 1, 0, 0])
-        t = IntSeries.from_coeffs(3, [1, -1, 2, 0])
-        assert (s + t).coeffs == (2, 0, 2, 0)
-        assert (s - t).coeffs == (0, 2, -2, 0)
-        assert (s * t).coeffs == (1, 0, 1, 2)
+    def test_multiply_drops_terms_past_truncation(self):
+        c = [1, 1, 0]
+        _multiply_at_power(c, (1, 1), 1)
+        assert c == [1, 2, 1]
+        _multiply_at_power(c, (1, 1), 1)
+        assert c == [1, 3, 3]
 
-    def test_mul_truncates(self):
-        q = IntSeries.from_coeffs(2, [0, 1, 0])
-        assert (q * q).coeffs == (0, 0, 1)
-        assert ((q * q) * q).coeffs == (0, 0, 0)
-
-    def test_mismatched_truncations_rejected(self):
-        with pytest.raises(ValueError):
-            IntSeries.one(3) + IntSeries.one(4)
-
-    def test_inverse_geometric(self):
-        s = IntSeries.from_coeffs(5, [1, -1])
-        assert s.inverse().coeffs == (1, 1, 1, 1, 1, 1)
-
-    def test_inverse_requires_unit_constant(self):
-        with pytest.raises(ValueError):
-            IntSeries.from_coeffs(3, [2, 1]).inverse()
-
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(
-        st.lists(st.integers(-9, 9), min_size=6, max_size=6),
-        st.sampled_from([1, -1]),
+        st.lists(st.integers(-9, 9), min_size=0, max_size=6),
+        st.lists(st.integers(-9, 9), min_size=0, max_size=31),
+        st.integers(1, 5),
+        st.integers(0, 30),
     )
-    def test_inverse_round_trip(self, tail, unit):
-        s = IntSeries(6, (unit,) + tuple(tail))
-        assert (s * s.inverse()).coeffs == IntSeries.one(6).coeffs
-        assert (s.inverse() * s).coeffs == IntSeries.one(6).coeffs
-
-    def test_power(self):
-        s = IntSeries.from_coeffs(4, [1, 1])
-        assert s.power(2).coeffs == (1, 2, 1, 0, 0)
-        assert s.power(0).coeffs == IntSeries.one(4).coeffs
-
-
-class TestIntPolynomial:
-    def test_degree_and_eval(self):
-        p = IntPolynomial((1, 1, 1))
-        assert p.degree == 2
-        assert p(1) == 3 and p(2) == 7 and p(-1) == 1
-
-    def test_leading_zero_rejected(self):
-        with pytest.raises(AssertionError):
-            IntPolynomial((1, 1, 0))
-
-    def test_at_q_power(self):
-        p = IntPolynomial((1, 1, 1))
-        assert p.at_q_power(2, 5).coeffs == (1, 0, 1, 0, 1, 0)
-        assert p.at_q_power(3, 4).coeffs == (1, 0, 0, 1, 0)
+    def test_helpers_match_truncated_convolution(self, tail, series, s, truncation):
+        f = (1,) + tuple(tail)
+        c = (series + [0] * (truncation + 1))[: truncation + 1]
+        multiplied = list(c)
+        _multiply_at_power(multiplied, f, s)
+        assert multiplied == truncated_product(c, f, s, truncation)
+        # dividing by 1 - q^s undoes the product with it, and is that convolution's inverse
+        divided = list(c)
+        _divide_by_binomial(divided, s)
+        assert truncated_product(divided, (1, -1), s, truncation) == c
+        _multiply_at_power(divided, (1, -1), s)
+        assert divided == c
 
 
 class TestCoxeterCharPoly:
     def test_a2_cyclotomic(self):
         rs = rs_named("A2")
-        assert coxeter_char_poly(rs).coeffs == (1, 1, 1)
+        assert coxeter_char_poly(rs) == (1, 1, 1)
 
     def test_value_at_one_is_lattice_index(self):
         for family, expected in [
@@ -119,37 +101,88 @@ class TestCoxeterCharPoly:
         ]:
             rs = rs_named(family)
             poly = coxeter_char_poly(rs)
-            assert poly(1) == expected == rs.index_f
+            assert poly_eval(poly, 1) == expected == rs.index_f
 
     def test_monic_with_unit_constant(self):
         for family in ["A4", "B2", "D6", "E6"]:
             rs = rs_named(family)
             poly = coxeter_char_poly(rs)
-            assert poly.degree == rs.rank
-            assert poly.coeffs[-1] == 1
-            assert poly.coeffs[0] in (1, -1)
+            assert len(poly) == rs.rank + 1
+            assert poly[-1] == 1
+            assert poly[0] in (1, -1)
 
     def test_order_independence(self):
         for family, word in [("A3", (2, 3, 1)), ("D4", (3, 1, 4, 2))]:
             rs = rs_named(family)
             elem = element_from_word(rs, word)
-            assert _char_poly_coeffs(elem.linear) == coxeter_char_poly(rs).coeffs
+            assert _char_poly_coeffs(elem.linear) == coxeter_char_poly(rs)
+
+
+    @pytest.mark.parametrize(
+        "family",
+        ["A%d" % n for n in range(1, 9)]
+        + ["B%d" % n for n in range(2, 7)]
+        + ["C%d" % n for n in range(2, 7)]
+        + ["D%d" % n for n in range(4, 9)]
+        + ["E6", "E7", "E8", "F4", "G2"],
+    )
+    def test_cayley_hamilton(self, family):
+        rs = rs_named(family)
+        n = rs.rank
+        m = element_from_word(rs, tuple(range(1, n + 1))).linear
+        power = [[int(i == j) for j in range(n)] for i in range(n)]
+        total = [[0] * n for _ in range(n)]
+        for fk in coxeter_char_poly(rs):
+            for i in range(n):
+                for j in range(n):
+                    total[i][j] += fk * power[i][j]
+            power = [
+                [sum(power[i][k] * m[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)
+            ]
+        assert total == [[0] * n for _ in range(n)]
+
+    def test_failed_identities_raise(self, monkeypatch):
+        rs = rs_named("A2")
+        monkeypatch.setattr(genfun, "_char_poly_coeffs", lambda matrix: (1, 2, 1))
+        with pytest.raises(VerificationError, match="at 1 is 4, not the index 3"):
+            coxeter_char_poly(rs)
+        monkeypatch.setattr(genfun, "_char_poly_coeffs", lambda matrix: (2, 0, 1))
+        with pytest.raises(VerificationError, match="palindrome"):
+            coxeter_char_poly(rs)
+        monkeypatch.undo()
+        monkeypatch.setattr(rs, "coxeter_number", 4)
+        with pytest.raises(VerificationError, match="order h=4"):
+            coxeter_char_poly(rs)
+
+    def test_faddeev_leverrier_small_matrices(self):
+        assert _char_poly_coeffs(()) == (1,)
+        assert _char_poly_coeffs(((3,),)) == (-3, 1)
+        # det(qI - M) = q^2 - 5q - 2 for M = [[1, 2], [3, 4]]
+        assert _char_poly_coeffs(((1, 2), (3, 4))) == (-2, -5, 1)
 
 
 class TestCoreProductSeries:
     def test_constant_term(self):
         for a in [2, 3, 7]:
-            assert core_product_series(a, 10).coeff(0) == 1
+            assert core_product_series(a, 10).coeffs[0] == 1
 
     def test_modulus_validation(self):
         with pytest.raises(ValueError):
             core_product_series(1, 10)
 
+    def test_negative_truncation_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            core_product_series(3, -1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            macdonald_series(rs_named("A2"), -1)
+        assert core_product_series(3, 0).coeffs == macdonald_series(rs_named("A2"), 0).coeffs == (1,)
+
     def test_two_cores_are_staircases(self):
         series = core_product_series(2, 40)
         triangulars = {k * (k + 1) // 2 for k in range(10)}
         for size in range(41):
-            assert series.coeff(size) == (1 if size in triangulars else 0)
+            assert series.coeffs[size] == (1 if size in triangulars else 0)
 
     def test_matches_partition_search(self):
         for a in range(2, 6):

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corelab import lattice_enum, stats
-from corelab.affine import b_omega_action, omega_group, w_b_inverse
+from corelab.affine import AffineRoot, b_omega_action, omega_group, w_b_inverse
 from corelab.lattice_enum import coeffs_to_point, coroot_points_in_bA, coweight_points_in_bA
 from corelab.rootsys import (
     QuadraticForm,
@@ -291,10 +291,10 @@ def test_fuss_experiment_small_cases():
     assert r2["b"] == 5
     assert r2["mean"] == Q(11, 3)
     assert r2["conjecture"] == Q(11, 3)
-    assert r2["verdict"] == "agree"
+    assert r2["verdict"] == "consistent"
     r3 = experiment_cn_fuss(3, 1)
     assert r3["conjecture"] == Q(23, 2)
-    assert r3["verdict"] == "agree"
+    assert r3["verdict"] == "consistent"
     with pytest.raises(ValueError):
         experiment_cn_fuss(1, 1)
 
@@ -303,7 +303,7 @@ def test_weak_order_experiment_a2_b4():
     report = experiment_weak_order_maximality(A2, 4)
     assert report["total"] == 5
     assert report["contained"] == 5
-    assert report["verdict"] == "agree"
+    assert report["verdict"] == "consistent"
 
 
 def test_weak_order_experiment_d4_b5():
@@ -324,6 +324,36 @@ def test_selfconjugate_core_anchor():
 def test_selfconjugate_experiment():
     report = experiment_cn_selfconjugate_weighting(2, 50, seed=7)
     assert report["agreements"] + len(report["mismatches"]) == 50
-    assert report["verdict"] == "agree"
+    assert report["verdict"] == "consistent"
     report3 = experiment_cn_selfconjugate_weighting(3, 25, seed=11)
-    assert report3["verdict"] == "agree"
+    assert report3["verdict"] == "consistent"
+
+
+def test_experiment_counterexample_verdicts(monkeypatch):
+    exact_size = stats.sc_weighted_size
+    monkeypatch.setattr(stats, "sc_weighted_size", lambda core, n: exact_size(core, n) + 1)
+    report = experiment_cn_selfconjugate_weighting(2, 10, seed=7)
+    assert report["verdict"] == "counterexample(10 mismatches)"
+
+    exact_inversions = stats.inversions_of_inverse
+    calls = []
+
+    def escaping(rs, w):
+        # the first call is the height-b element itself; every later one escapes it
+        calls.append(w)
+        return exact_inversions(rs, w) + [AffineRoot((1, 1), 99)] * (len(calls) > 1)
+
+    monkeypatch.setattr(stats, "inversions_of_inverse", escaping)
+    report = experiment_weak_order_maximality(A2, 4)
+    assert report["verdict"] == "counterexample(5 of 5 escape)"
+
+    exact_sum = stats.scaled_power_sum
+
+    def shifted(rs, b, k, lattice, form, center=0):
+        value = exact_sum(rs, b, k, lattice, form, center)
+        return (value[0] + 24 * k,) + value[1:]
+
+    monkeypatch.setattr(stats, "scaled_power_sum", shifted)
+    report = experiment_cn_fuss(2, 1)
+    assert report["mean"] == Q(11, 3) + Q(1, 6)
+    assert report["verdict"] == "counterexample(mean 23/6 != 11/3)"
