@@ -147,19 +147,19 @@ def _dp_states(rs: RootSystem, top: int) -> int:
 
 def _fit_cost(
     rs: RootSystem, k: int, lattice: str, centered: bool, classes: Sequence[int]
-) -> int:
+) -> Tuple[int, str]:
     """The states of one DP run to the largest sample when the fit reads the
-    DP, otherwise the estimated points streamed over all its samples."""
+    DP, otherwise the estimated points streamed over all its samples; and its unit."""
     samples = fit_samples(rs, k, lattice, centered, classes)
     if dp_backed(k, centered):
-        return _dp_states(rs, max(samples))
-    return sum(_count_estimate(rs, b, lattice) for b in samples)
+        return _dp_states(rs, max(samples)), "DP states"
+    return sum(_count_estimate(rs, b, lattice) for b in samples), "points"
 
 
-def _check_budget(estimate: int, args) -> None:
+def _check_budget(estimate: int, unit: str, args) -> None:
     if estimate > args.max_points:
         raise BudgetError(
-            "estimated %d points exceeds --max-points %d" % (estimate, args.max_points)
+            "estimated %d %s exceeds --max-points %d" % (estimate, unit, args.max_points)
         )
 
 
@@ -170,7 +170,7 @@ def _trunc(args, budgeted: bool) -> int:
     if trunc < 0:
         raise UsageError("--trunc must be nonnegative")
     if budgeted:
-        _check_budget((trunc + 1) ** 2, args)
+        _check_budget((trunc + 1) ** 2, "coefficient updates", args)
     return trunc
 
 
@@ -204,7 +204,7 @@ def cmd_enum(args) -> Tuple[int, List[Dict]]:
         raise UsageError("b must be nonnegative")
     h = rs.coxeter_number
     coprime = b >= 1 and gcd(b, h) == 1
-    _check_budget(_count_estimate(rs, b, args.lattice), args)
+    _check_budget(_count_estimate(rs, b, args.lattice), "points", args)
     results = []
     if args.stat == "size":
         if not coprime:
@@ -272,7 +272,7 @@ def cmd_stat(args) -> Tuple[int, List[Dict]]:
             results.append({"b": b, "verdict": "skipped(b not coprime)"})
             continue
         _require_coprime(rs, b)
-        _check_budget(_count_estimate(rs, b, "coroot"), args)
+        _check_budget(_count_estimate(rs, b, "coroot"), "points", args)
         result = _moment_result(rs, b)
         if result["grade"] == "mismatch":
             worst = EXIT_MISMATCH
@@ -280,8 +280,9 @@ def cmd_stat(args) -> Tuple[int, List[Dict]]:
     return worst, results
 
 
-def _histogram_matches_series(rs: RootSystem, trunc: int) -> Tuple[bool, List[int]]:
+def _histogram_matches_series(rs: RootSystem, trunc: int, args) -> Tuple[bool, List[int]]:
     series = macdonald_series(rs, trunc)
+    _check_budget(sum(series.coeffs), "points", args)  # the coefficients count the points
     counts = [0] * (trunc + 1)
     for _, size in coroot_points_in_size_ellipsoid(rs, trunc):
         counts[int(size)] += 1
@@ -300,8 +301,8 @@ def _verify_one(selector: str, rs: RootSystem, b: Optional[int], args) -> Dict:
     if selector == "macdonald":
         if not is_simply_laced(rs):
             raise UsageError("macdonald requires a simply-laced root system")
-        trunc = _trunc(args, budgeted=False)
-        ok, counts = _histogram_matches_series(rs, trunc)
+        trunc = _trunc(args, budgeted=True)
+        ok, counts = _histogram_matches_series(rs, trunc, args)
         result.update(
             trunc=trunc,
             value=counts,
@@ -325,7 +326,7 @@ def _verify_one(selector: str, rs: RootSystem, b: Optional[int], args) -> Dict:
     result["b"] = b
     if selector == "count":
         _require_coprime(rs, b)
-        _check_budget(_dp_states(rs, b), args)
+        _check_budget(_dp_states(rs, b), "DP states", args)
         got = Q(alcove_size_sums(rs, b, "coroot")[0])
         expected = haiman_count(rs, b)
         result.update(value=_rat(got), expected=_rat(expected), verdict=verdict_of(got, expected))
@@ -352,7 +353,7 @@ def _verify_one(selector: str, rs: RootSystem, b: Optional[int], args) -> Dict:
         if selector == "max" and not is_simply_laced(rs):
             raise UsageError("max closed form requires a simply-laced root system")
         _require_coprime(rs, b)
-        _check_budget(_count_estimate(rs, b, "coroot"), args)
+        _check_budget(_count_estimate(rs, b, "coroot"), "points", args)
         if selector == "max":
             value, multiplicity, argmax, verdict = verify_max(rs, b)
             result.update(value=_rat(value), multiplicity=multiplicity, argmax=_vec(argmax),
@@ -418,7 +419,7 @@ def cmd_fit(args) -> Tuple[int, List[Dict]]:
         classes = coprime_fit_classes(rs)
     else:
         classes = tuple(range(m))
-    _check_budget(_fit_cost(rs, k, lattice, False, classes), args)
+    _check_budget(*_fit_cost(rs, k, lattice, False, classes), args)
     components: List[Optional[Tuple[Q, ...]]] = [None] * m
     worst = EXIT_OK
     results: List[Dict] = []
@@ -467,7 +468,7 @@ def cmd_series(args) -> Tuple[int, List[Dict]]:
         "trunc": trunc,
     }
     if is_simply_laced(rs):
-        result["coefficients"] = list(macdonald_series(rs, trunc).coeffs)
+        result["coefficients"] = list(macdonald_series(rs, trunc, poly).coeffs)
         if rs.family == "A":
             result["core_product_matches"] = (
                 core_product_series(rs.rank + 1, trunc).coeffs
@@ -486,7 +487,7 @@ def cmd_experiment(args) -> Tuple[int, List[Dict]]:
         results = []
         for b in bs:
             _require_coprime(rs, b)
-            _check_budget(_count_estimate(rs, b, "coroot"), args)
+            _check_budget(_count_estimate(rs, b, "coroot"), "points", args)
             report = dict(experiment_weak_order_maximality(rs, b))
             report["violations"] = [
                 {"point": _vec(lam), "escaped": extra} for lam, extra in report["violations"]
@@ -502,7 +503,8 @@ def cmd_experiment(args) -> Tuple[int, List[Dict]]:
             rs = build_root_system("C", args.rank)
         except ValueError as exc:
             raise UsageError(str(exc))
-        _check_budget(_count_estimate(rs, args.m * rs.coxeter_number + 1, "coroot"), args)
+        b = args.m * rs.coxeter_number + 1
+        _check_budget(_count_estimate(rs, b, "coroot"), "points", args)
         report = dict(experiment_cn_fuss(args.rank, args.m))
         report["mean"] = _rat(report["mean"])
         report["conjecture"] = _rat(report["conjecture"])
@@ -524,7 +526,7 @@ def cmd_experiment(args) -> Tuple[int, List[Dict]]:
         if not is_simply_laced(rs):
             raise UsageError("top-coeff requires a simply-laced root system")
         residue, centered = leading_fit(rs, args.k)
-        _check_budget(_fit_cost(rs, args.k, "coroot", centered, (residue,)), args)
+        _check_budget(*_fit_cost(rs, args.k, "coroot", centered, (residue,)), args)
         report = leading_coefficient_checks(rs, args.k)
         for key in ("ratio", "expected"):
             report[key] = None if report[key] is None else _rat(report[key])

@@ -31,8 +31,8 @@ from corelab.rootsys import (
     QuadraticForm,
     RootSystem,
     Vector,
+    VerificationError,
     exponent_product,
-    invert_matrix,
     is_simply_laced,
 )
 
@@ -311,52 +311,62 @@ def core_points_in_sommers(rs: RootSystem, b: int) -> LatticePointSet:
 def coroot_points_in_size_ellipsoid(
     rs: RootSystem, N: int
 ) -> List[Tuple[Tuple[int, ...], Q]]:
-    """All coroot lattice points with size at most ``N``, with their sizes.
+    """All coroot lattice points with size at most ``N``, with their sizes,
+    in coordinate order.
 
-    The size form is ``g/2 ||x - rho/g||^2`` minus a constant, so points live
-    in an ellipsoid around ``rho/g``; each coordinate is bounded through the
-    inverse Gram matrix with exact integer square roots, then candidates are
-    filtered.
+    Size is ``g/2 ||x - c||^2 - n(h+1)/24`` with ``c = rho/g``.  Fincke–Pohst:
+    with ``G = L^T D L``, ``L`` unit lower triangular, term ``i`` of
+    ``||x - c||^2 = sum_i D_i (L (x - c))_i^2`` depends on ``x_0 .. x_i``
+    only, so ``x_i`` runs over exactly the integers whose term fits in what
+    the earlier terms leave of ``2/g (N + n(h+1)/24)``.  Leaves are still
+    checked against ``24 N``.
     """
     if N < 0:
         raise ValueError("size bound must be nonnegative")
     n = rs.rank
     g = rs.dual_coxeter_number
-    h = rs.coxeter_number
-    center = tuple(Q(v, g) for v in rs.rho)
-    radius_sq = Q(2, g) * (N + Q(n * (h + 1), 24))
-    ginv = invert_matrix([list(row) for row in rs.gram])
-    ranges = []
-    for i in range(n):
-        bound = radius_sq * ginv[i][i]
-        # smallest integer s with s^2 >= bound
-        s = isqrt(bound.numerator // bound.denominator) + 1
-        lo = (center[i].numerator - s * center[i].denominator) // center[i].denominator
-        hi = -((-center[i].numerator - s * center[i].denominator) // center[i].denominator)
-        ranges.append(range(lo, hi + 1))
-
+    block = [[Q(v) for v in row] for row in rs.gram]
+    lower: List[List[Q]] = [[] for _ in range(n)]
+    for i in reversed(range(n)):  # row i of L and D_i, read off the trailing block
+        lower[i] = [v / block[i][i] for v in block[i][:i]]
+        for j in range(i):
+            for k in range(i):
+                block[j][k] -= block[i][j] * lower[i][k]
+    center = [Q(v, g) for v in rs.rho]
+    shifts = [c + sum(map(mul, row, center)) for row, c in zip(lower, center)]  # L c
+    # den (L (x - c))_i = den x_i + rows[i] . x - tops[i], and term i is
+    # weights[i] / scale times its square, as the radius is budget / scale
+    den = lcm(*(v.denominator for row in lower + [shifts] for v in row))
+    rows = [[int(v * den) for v in row] for row in lower]
+    tops = [int(t * den) for t in shifts]
+    terms = [block[i][i] / (den * den) for i in range(n)]
+    terms.append(Q(2, g) * (N + Q(n * (rs.coxeter_number + 1), 24)))
+    scale = lcm(*(t.denominator for t in terms))
+    *weights, budget = (int(t * scale) for t in terms)
     form = QuadraticForm(rs, 1)
-    gram = rs.gram
-    limit = 24 * N
     out: List[Tuple[Tuple[int, ...], Q]] = []
 
-    # carry <x, x> and l . x = -sum(x) incrementally, coordinate by coordinate
-    def rec(i: int, prefix: List[int], square: int, linear: int):
+    # carry the used radius, <x, x> and l . x = -sum(x), coordinate by coordinate
+    def rec(i: int, prefix: List[int], used: int, square: int, linear: int):
         if i == n:
             s = form.scaled(square, linear)
-            if s <= limit:
-                assert s % 24 == 0
+            if s <= 24 * N:
+                if s % 24:
+                    raise VerificationError("size %d/24 of %s is not an integer" % (s, prefix))
                 out.append((tuple(prefix), Q(s // 24)))
             return
-        row = gram[i]
-        cross = sum(row[j] * prefix[j] for j in range(i))
-        for v in ranges[i]:
+        weight, row = weights[i], rs.gram[i]
+        top = tops[i] - sum(map(mul, rows[i], prefix))
+        reach = isqrt((budget - used) // weight)  # the largest |den x_i - top| left
+        cross = sum(map(mul, row, prefix))
+        for v in range(-((reach - top) // den), (top + reach) // den + 1):
             prefix.append(v)
-            rec(i + 1, prefix, square + row[i] * v * v + 2 * v * cross, linear - v)
+            u = den * v - top
+            rec(i + 1, prefix, used + weight * u * u, square + row[i] * v * v + 2 * v * cross,
+                linear - v)
             prefix.pop()
 
-    rec(0, [], 0, 0)
-    out.sort(key=lambda item: item[0])
+    rec(0, [], 0, 0, 0)
     return out
 
 

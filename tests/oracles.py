@@ -5,11 +5,12 @@ evaluates it on its own, in Fractions where the fast path works in integers.
 """
 
 from fractions import Fraction as Q
-from typing import Dict, Sequence, Tuple
+from math import isqrt
+from typing import Dict, List, Sequence, Tuple
 
 from corelab.affine import w_b_inverse
 from corelab.lattice_enum import coroot_points_in_bA, iter_scaled_points, lattice_scale
-from corelab.rootsys import QuadraticForm, RootSystem, Vector
+from corelab.rootsys import QuadraticForm, RootSystem, Vector, invert_matrix
 
 
 def vec_add(x: Sequence[Q], y: Sequence[Q]) -> Vector:
@@ -92,3 +93,41 @@ def truncated_product(c, f, s, truncation):
     return [
         sum(c[i] * spread[k - i] for i in range(k + 1)) for k in range(truncation + 1)
     ]
+
+
+def box_size_ellipsoid(rs: RootSystem, N: int) -> List[Tuple[Tuple[int, ...], Q]]:
+    """``coroot_points_in_size_ellipsoid`` by filtering the ellipsoid's whole
+    bounding box: coordinate ``i`` lies within ``sqrt(R (G^-1)_ii)`` of
+    ``rho_i / g``, ``R = 2/g (N + n(h+1)/24)``, and every box point whose
+    size is at most ``N`` is kept, in coordinate order."""
+    n = rs.rank
+    g = rs.dual_coxeter_number
+    center = tuple(Q(v, g) for v in rs.rho)
+    radius_sq = Q(2, g) * (N + Q(n * (rs.coxeter_number + 1), 24))
+    ginv = invert_matrix([list(row) for row in rs.gram])
+    ranges = []
+    for i in range(n):
+        bound = radius_sq * ginv[i][i]
+        s = isqrt(bound.numerator // bound.denominator) + 1  # s^2 >= bound
+        num, den = center[i].numerator, center[i].denominator
+        ranges.append(range((num - s * den) // den, -((-num - s * den) // den) + 1))
+    form = QuadraticForm(rs, 1)
+    out = []
+
+    # carry <x, x> and l . x = -sum(x) incrementally, coordinate by coordinate
+    def rec(i: int, prefix: List[int], square: int, linear: int):
+        if i == n:
+            s = form.scaled(square, linear)
+            if s <= 24 * N:
+                assert s % 24 == 0
+                out.append((tuple(prefix), Q(s // 24)))
+            return
+        row = rs.gram[i]
+        cross = sum(row[j] * prefix[j] for j in range(i))
+        for v in ranges[i]:
+            prefix.append(v)
+            rec(i + 1, prefix, square + row[i] * v * v + 2 * v * cross, linear - v)
+            prefix.pop()
+
+    rec(0, [], 0, 0)
+    return out

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from corelab import cli, ehrhart, stats
+from corelab import cli, ehrhart, genfun, stats
 from corelab.affine import AffineElement
 from corelab.cli import EXIT_BUDGET, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from corelab.rootsys import build_root_system
@@ -266,6 +266,49 @@ class TestVerify:
         assert doc["results"] == [{"verdict": "mismatch(zise identity F_1(w_b^-1 x) = F_b(x)"
                                    " fails at b=4)"}]
 
+    def test_macdonald_e8_is_budgeted_before_enumerating(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("ellipsoid enumerated past the budget")
+
+        argv = ["verify", "--type", "E", "--rank", "8", "macdonald"]
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "coroot_points_in_size_ellipsoid", refuse)
+            assert run(argv + ["--max-points", "10"])[0] == EXIT_BUDGET
+        code, doc = run_json(argv)
+        assert code == EXIT_OK
+        (entry,) = doc["results"]
+        assert entry["verdict"] == "match" and sum(entry["value"]) == 70
+
+    def test_macdonald_budget_admits_exactly_the_points(self, capsys):
+        # A8 to q^30: 961 coefficient updates, then 4335 points
+        argv = ["verify", "--type", "A", "--rank", "8", "macdonald", "--trunc", "30"]
+        assert run(argv + ["--max-points", "4334"])[0] == EXIT_BUDGET
+        assert capsys.readouterr().err == (
+            "error: estimated 4335 points exceeds --max-points 4334\n")
+        code, doc = run_json(argv + ["--max-points", "4335"])
+        assert code == EXIT_OK
+        assert doc["results"][0]["verdict"] == "match"
+
+    def test_fractional_ellipsoid_size_survives_optimize(self):
+        script = (
+            "import sys\n"
+            "from corelab import lattice_enum\n"
+            "from corelab.cli import main\n"
+            "class Off(lattice_enum.QuadraticForm):\n"
+            "    def scaled(self, square, linear, d=1, count=1):\n"
+            "        return super().scaled(square, linear, d, count) - 1\n"
+            "lattice_enum.QuadraticForm = Off\n"
+            "sys.exit(main(['verify', '--type', 'A', '--rank', '2', 'macdonald']))\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == EXIT_MISMATCH, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["verdict"] == "fail"
+        assert doc["results"] == [
+            {"verdict": "mismatch(size 383/24 of [-2, -2] is not an integer)"}
+        ]
+
     def test_unknown_selector_is_usage(self):
         code, _ = run(["verify", "bogus", "--type", "A", "--rank", "2", "--b", "4"])
         assert code == EXIT_USAGE
@@ -399,6 +442,19 @@ class TestSeries:
         assert entry["core_product_matches"] is True
         assert entry["coefficients"][:6] == [1, 1, 2, 0, 2, 1]
 
+    def test_coxeter_polynomial_is_computed_once(self, monkeypatch):
+        calls = []
+        exact = genfun.coxeter_char_poly
+
+        def counted(rs):
+            calls.append(rs.rank)
+            return exact(rs)
+
+        monkeypatch.setattr(genfun, "coxeter_char_poly", counted)
+        monkeypatch.setattr(cli, "coxeter_char_poly", counted)
+        code, _ = run(["series", "--type", "E", "--rank", "8", "--trunc", "60"])
+        assert code == EXIT_OK and calls == [8]
+
     def test_non_simply_laced_has_char_poly_only(self):
         code, doc = run_json(["series", "--type", "B", "--rank", "3"])
         assert code == EXIT_OK
@@ -431,6 +487,12 @@ class TestSeries:
         argv = command + ["--type", "A", "--rank", "2"]
         assert run(argv + ["--trunc", "100000"])[0] == EXIT_BUDGET
         assert run(argv + ["--trunc", "10", "--max-points", "120"])[0] == EXIT_BUDGET
+
+    def test_budget_error_names_coefficient_updates(self, capsys):
+        code, text = run(["series", "--type", "A", "--rank", "2", "--trunc", "100000"])
+        assert (code, text) == (EXIT_BUDGET, "")
+        assert capsys.readouterr().err == (
+            "error: estimated 10000200001 coefficient updates exceeds --max-points 50000000\n")
 
     def test_budget_admits_exactly_the_coefficient_updates(self):
         for command in (["series"], ["verify", "genfun-A"]):

@@ -29,7 +29,7 @@ from corelab.lattice_enum import (
 from corelab.affine import sommers_contains
 from corelab.rootsys import QuadraticForm, build_root_system, is_simply_laced
 from corelab.stats import size_point, zise_form
-from oracles import streamed_power_sum, streamed_size_sums
+from oracles import box_size_ellipsoid, streamed_power_sum, streamed_size_sums
 
 
 A2 = build_root_system("A", 2)
@@ -133,6 +133,22 @@ def test_ellipsoid_matches_box_filter_off_simply_laced(family, rank, N, R):
     # two empty outer shells show the box is not cut short of the ellipsoid
     assert all(max(abs(v) for v in x) <= R - 2 for x, _ in expected)
     assert coroot_points_in_size_ellipsoid(rs, N) == expected
+
+
+ELLIPSOID_TYPES = [("A", n) for n in range(1, 7)] + [
+    ("D", 4), ("D", 5), ("E", 6), ("B", 3), ("C", 3), ("F", 4), ("G", 2)
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ELLIPSOID_TYPES), st.data())
+def test_ellipsoid_matches_box_walk(case, data):
+    # the box walk filters every point of the bounding box: 0.6 s on E6 at N=20
+    N = data.draw(st.integers(0, 12 if case == ("E", 6) else 30))
+    rs = build_root_system(*case)
+    got = coroot_points_in_size_ellipsoid(rs, N)
+    assert got == box_size_ellipsoid(rs, N)
+    assert all(type(v) is int for x, _ in got for v in x)
 
 
 def test_ellipsoid_histogram_matches_core_product():
