@@ -163,14 +163,13 @@ def _check_budget(estimate: int, unit: str, args) -> None:
         )
 
 
-def _trunc(args, budgeted: bool) -> int:
-    """The ``--trunc`` order, 20 by default; a budgeted request checks its
-    (trunc+1)^2 coefficient updates against ``--max-points``."""
+def _trunc(args) -> int:
+    """The ``--trunc`` order, 20 by default, with its (trunc+1)^2 coefficient
+    updates checked against ``--max-points``."""
     trunc = args.trunc if args.trunc is not None else 20
     if trunc < 0:
         raise UsageError("--trunc must be nonnegative")
-    if budgeted:
-        _check_budget((trunc + 1) ** 2, "coefficient updates", args)
+    _check_budget((trunc + 1) ** 2, "coefficient updates", args)
     return trunc
 
 
@@ -301,7 +300,7 @@ def _verify_one(selector: str, rs: RootSystem, b: Optional[int], args) -> Dict:
     if selector == "macdonald":
         if not is_simply_laced(rs):
             raise UsageError("macdonald requires a simply-laced root system")
-        trunc = _trunc(args, budgeted=True)
+        trunc = _trunc(args)
         ok, counts = _histogram_matches_series(rs, trunc, args)
         result.update(
             trunc=trunc,
@@ -312,7 +311,7 @@ def _verify_one(selector: str, rs: RootSystem, b: Optional[int], args) -> Dict:
     if selector == "genfun-A":
         if rs.family != "A":
             raise UsageError("genfun-A requires type A")
-        trunc = _trunc(args, budgeted=True)
+        trunc = _trunc(args)
         a = n + 1
         same = core_product_series(a, trunc).coeffs == macdonald_series(rs, trunc).coeffs
         result.update(
@@ -457,7 +456,7 @@ def cmd_fit(args) -> Tuple[int, List[Dict]]:
 
 def cmd_series(args) -> Tuple[int, List[Dict]]:
     rs = _root_system(args)
-    trunc = _trunc(args, budgeted=True)
+    trunc = _trunc(args)
     poly = coxeter_char_poly(rs)
     result: Dict = {
         "family": rs.family,
@@ -468,7 +467,7 @@ def cmd_series(args) -> Tuple[int, List[Dict]]:
         "trunc": trunc,
     }
     if is_simply_laced(rs):
-        result["coefficients"] = list(macdonald_series(rs, trunc, poly).coeffs)
+        result["coefficients"] = list(macdonald_series(rs, trunc).coeffs)
         if rs.family == "A":
             result["core_product_matches"] = (
                 core_product_series(rs.rank + 1, trunc).coeffs
@@ -503,8 +502,7 @@ def cmd_experiment(args) -> Tuple[int, List[Dict]]:
             rs = build_root_system("C", args.rank)
         except ValueError as exc:
             raise UsageError(str(exc))
-        b = args.m * rs.coxeter_number + 1
-        _check_budget(_count_estimate(rs, b, "coroot"), "points", args)
+        _check_budget(_count_estimate(rs, args.m * rs.coxeter_number + 1, "coroot"), "points", args)
         report = dict(experiment_cn_fuss(args.rank, args.m))
         report["mean"] = _rat(report["mean"])
         report["conjecture"] = _rat(report["conjecture"])

@@ -9,8 +9,9 @@ coefficient tuples handled by the ``poly_*`` helpers that corelab shares.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import mul
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .affine import AffineElement, element_from_word
 from .rootsys import RootSystem, VerificationError, is_simply_laced
@@ -105,6 +106,7 @@ def _char_poly_coeffs(matrix: Sequence[Sequence[int]]) -> Tuple[int, ...]:
     return tuple(coeffs)
 
 
+@lru_cache(maxsize=None)
 def coxeter_char_poly(rs: RootSystem) -> Tuple[int, ...]:
     """Characteristic polynomial of a Coxeter element, low degree first.
 
@@ -151,18 +153,16 @@ def core_product_series(a: int, truncation: int) -> IntSeries:
     return IntSeries(truncation, tuple(c))
 
 
-def macdonald_series(rs: RootSystem, truncation: int,
-                     f: Optional[Sequence[int]] = None) -> IntSeries:
+def macdonald_series(rs: RootSystem, truncation: int) -> IntSeries:
     """Size generating function for the coroot lattice of a simply-laced type.
 
     Expands prod_{i >= 1} f(q^i) (1 - q^(h i))^n where f is the Coxeter
-    characteristic polynomial, :func:`coxeter_char_poly` unless given, and h
-    the Coxeter number.
+    characteristic polynomial and h the Coxeter number.
     """
     if not is_simply_laced(rs):
         raise ValueError("product formula requires a simply-laced root system")
     c = _one(truncation)
-    f = coxeter_char_poly(rs) if f is None else f
+    f = coxeter_char_poly(rs)
     h = rs.coxeter_number
     for i in range(1, truncation + 1):
         _multiply_at_power(c, f, i)

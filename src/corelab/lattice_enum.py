@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import ceil, floor, gcd, isqrt, lcm
 from operator import add, mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -311,15 +311,13 @@ def core_points_in_sommers(rs: RootSystem, b: int) -> LatticePointSet:
 def coroot_points_in_size_ellipsoid(
     rs: RootSystem, N: int
 ) -> List[Tuple[Tuple[int, ...], Q]]:
-    """All coroot lattice points with size at most ``N``, with their sizes,
-    in coordinate order.
+    """All coroot lattice points with size at most ``N``, with their sizes, in
+    coordinate order.
 
-    Size is ``g/2 ||x - c||^2 - n(h+1)/24`` with ``c = rho/g``.  Fincke–Pohst:
-    with ``G = L^T D L``, ``L`` unit lower triangular, term ``i`` of
-    ``||x - c||^2 = sum_i D_i (L (x - c))_i^2`` depends on ``x_0 .. x_i``
-    only, so ``x_i`` runs over exactly the integers whose term fits in what
-    the earlier terms leave of ``2/g (N + n(h+1)/24)``.  Leaves are still
-    checked against ``24 N``.
+    Size is ``g/2 ||x - c||^2 - n(h+1)/24``, ``c = rho/g``.  Fincke–Pohst: with
+    ``G = L^T D L`` (``L`` unit lower triangular) term ``i`` of ``||x - c||^2``
+    depends on ``x_0 .. x_i`` only, so a prefix whose terms exceed the radius
+    is dropped at once.  Leaves are still checked against ``24 N``.
     """
     if N < 0:
         raise ValueError("size bound must be nonnegative")
@@ -334,20 +332,14 @@ def coroot_points_in_size_ellipsoid(
                 block[j][k] -= block[i][j] * lower[i][k]
     center = [Q(v, g) for v in rs.rho]
     shifts = [c + sum(map(mul, row, center)) for row, c in zip(lower, center)]  # L c
-    # den (L (x - c))_i = den x_i + rows[i] . x - tops[i], and term i is
-    # weights[i] / scale times its square, as the radius is budget / scale
-    den = lcm(*(v.denominator for row in lower + [shifts] for v in row))
-    rows = [[int(v * den) for v in row] for row in lower]
-    tops = [int(t * den) for t in shifts]
-    terms = [block[i][i] / (den * den) for i in range(n)]
-    terms.append(Q(2, g) * (N + Q(n * (rs.coxeter_number + 1), 24)))
-    scale = lcm(*(t.denominator for t in terms))
-    *weights, budget = (int(t * scale) for t in terms)
+    radius = Q(2, g) * (N + Q(n * (rs.coxeter_number + 1), 24))
     form = QuadraticForm(rs, 1)
     out: List[Tuple[Tuple[int, ...], Q]] = []
 
     # carry the used radius, <x, x> and l . x = -sum(x), coordinate by coordinate
-    def rec(i: int, prefix: List[int], used: int, square: int, linear: int):
+    def rec(i: int, prefix: List[int], used: Q, square: int, linear: int):
+        if used > radius:
+            return
         if i == n:
             s = form.scaled(square, linear)
             if s <= 24 * N:
@@ -355,15 +347,14 @@ def coroot_points_in_size_ellipsoid(
                     raise VerificationError("size %d/24 of %s is not an integer" % (s, prefix))
                 out.append((tuple(prefix), Q(s // 24)))
             return
-        weight, row = weights[i], rs.gram[i]
-        top = tops[i] - sum(map(mul, rows[i], prefix))
-        reach = isqrt((budget - used) // weight)  # the largest |den x_i - top| left
+        weight, row = block[i][i], rs.gram[i]
+        top = shifts[i] - sum(map(mul, lower[i], prefix))  # (L (x - c))_i = x_i - top
+        reach = isqrt(floor((radius - used) / weight)) + 1  # exceeds the |x_i - top| left
         cross = sum(map(mul, row, prefix))
-        for v in range(-((reach - top) // den), (top + reach) // den + 1):
+        for v in range(ceil(top) - reach, floor(top) + reach + 1):
             prefix.append(v)
-            u = den * v - top
-            rec(i + 1, prefix, used + weight * u * u, square + row[i] * v * v + 2 * v * cross,
-                linear - v)
+            rec(i + 1, prefix, used + weight * (v - top) ** 2,
+                square + row[i] * v * v + 2 * v * cross, linear - v)
             prefix.pop()
 
     rec(0, [], 0, 0, 0)

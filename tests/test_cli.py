@@ -444,14 +444,14 @@ class TestSeries:
 
     def test_coxeter_polynomial_is_computed_once(self, monkeypatch):
         calls = []
-        exact = genfun.coxeter_char_poly
+        exact = genfun._char_poly_coeffs
 
-        def counted(rs):
-            calls.append(rs.rank)
-            return exact(rs)
+        def counted(matrix):
+            calls.append(len(matrix))
+            return exact(matrix)
 
-        monkeypatch.setattr(genfun, "coxeter_char_poly", counted)
-        monkeypatch.setattr(cli, "coxeter_char_poly", counted)
+        genfun.coxeter_char_poly.cache_clear()
+        monkeypatch.setattr(genfun, "_char_poly_coeffs", counted)
         code, _ = run(["series", "--type", "E", "--rank", "8", "--trunc", "60"])
         assert code == EXIT_OK and calls == [8]
 

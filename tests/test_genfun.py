@@ -144,6 +144,7 @@ class TestCoxeterCharPoly:
 
     def test_failed_identities_raise(self, monkeypatch):
         rs = rs_named("A2")
+        coxeter_char_poly.cache_clear()  # computed by earlier tests
         monkeypatch.setattr(genfun, "_char_poly_coeffs", lambda matrix: (1, 2, 1))
         with pytest.raises(VerificationError, match="at 1 is 4, not the index 3"):
             coxeter_char_poly(rs)
