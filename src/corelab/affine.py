@@ -5,7 +5,7 @@ linear part ``M`` (a finite Weyl group matrix) and a translation ``tau``,
 stored as ints on the affine Weyl group ``W ⋉ Q^∨``.  Elements of the
 extended group (nontrivial coweight translations, as Fractions) carry
 ``extended=True``.  Words are composed one letter at a time by a sparse
-right multiplication, and walks and root actions run in ``int`` arithmetic.
+right multiplication, and walks and inversion sets run in ``int`` arithmetic.
 
 The fundamental alcove is ``A = {x : <x, alpha_i> >= 0, <x, alpha~> <= 1}``
 and the base point used to pin down elements from alcoves is ``rho_check/h``,
@@ -23,6 +23,7 @@ from typing import List, Sequence, Tuple
 
 from corelab.rootsys import (
     RootSystem,
+    VerificationError,
     Vector,
     clear_denominators,
     invert_matrix,
@@ -118,16 +119,6 @@ class AffineRoot:
 
     coeffs: Tuple[int, ...]
     level: int
-
-    def is_positive(self) -> bool:
-        if self.level != 0:
-            return self.level > 0
-        return all(c >= 0 for c in self.coeffs)
-
-
-@lru_cache(maxsize=None)
-def _root_coeff_set(rs: RootSystem) -> frozenset:
-    return frozenset(r.coeffs for r in rs.positive_roots)
 
 
 @lru_cache(maxsize=None)
@@ -246,72 +237,37 @@ def base_point(rs: RootSystem) -> Vector:
     return vec_scale(Q(1, rs.coxeter_number), rs.rho_check)
 
 
-def word_of(rs: RootSystem, w: AffineElement) -> Word:
-    """A reduced word for a (non-extended) element, recovered by an alcove walk.
+def separating_walls(rs: RootSystem, y: Sequence[int], d: int) -> List[AffineRoot]:
+    """The walls ``<x, alpha> = k`` between ``rho_check/h`` and ``x = y / d``, as
+    the positive affine roots negative at ``x``: ``-alpha + k delta`` for
+    ``1 <= k <= <x, alpha>`` and ``alpha + k delta`` for ``0 <= k <= -<x, alpha>``.
 
-    ``W_aff`` acts simply transitively on alcoves, so the walk of ``w`` applied
-    to the base point ends exactly at the base point when its word composes
-    to ``w``.  The elements of ``Omega`` fix the base point, so ``w`` must
-    not be extended.
+    Each positive root ``alpha`` costs one integer pairing ``<y, alpha>``; a
+    point on a wall raises ``ValueError("point not regular")``.
     """
-    assert not w.extended
-    base = base_point(rs)
-    final, word = alcove_walk(rs, w.apply(base))
-    assert final == base
-    return word
-
-
-def simple_affine_root(rs: RootSystem, i: int) -> AffineRoot:
-    if i == 0:
-        return AffineRoot(tuple(-c for c in rs.marks), 1)
-    return AffineRoot(tuple(int(j == i - 1) for j in range(rs.rank)), 0)
-
-
-def apply_to_affine_root(rs: RootSystem, g: AffineElement, ar: AffineRoot) -> AffineRoot:
-    """Image of a real affine root under ``g``: ``alpha + k delta`` maps to
-    ``g(alpha) + (k - <tau, g(alpha)>) delta``.
-
-    In coroot coordinates ``alpha`` is ``(c_i l_i)`` for the simple lengths
-    ``l``; with ``l`` scaled to integers, ``M`` maps the coefficients in
-    ``int`` arithmetic.
-    """
-    _, lengths = clear_denominators(rs.simple_lengths)
-    scaled = [c * l for c, l in zip(ar.coeffs, lengths)]
-    image: List[int] = []
-    for row, l in zip(g.linear, lengths):
-        c, rem = divmod(sum(map(mul, row, scaled)), l)
-        assert rem == 0
-        image.append(c)
-    coeffs = tuple(image)
-    assert tuple(abs(c) for c in coeffs) in _root_coeff_set(rs)
-    shift = sum(t * sum(map(mul, row, coeffs)) for t, row in zip(g.translation, rs.cartan))
-    assert shift.denominator == 1
-    return AffineRoot(coeffs, ar.level - int(shift))
-
-
-def inversions_of_word(rs: RootSystem, word: Sequence[int]) -> List[AffineRoot]:
-    """Left inversion set of the element with the given reduced word, in word order."""
-    g = AffineElement.identity(rs.rank)
     out: List[AffineRoot] = []
-    for i in word:
-        out.append(apply_to_affine_root(rs, g, simple_affine_root(rs, i)))
-        g = _rmul_simple(rs, g, i)
+    for height in range(1, rs.coxeter_number):
+        for root, f in zip(roots_of_height(rs, height), _root_forms(rs, height)):
+            v = sum(map(mul, f, y))
+            if v % d == 0:
+                raise ValueError("point not regular")
+            if v > 0:
+                neg = tuple(-c for c in root.coeffs)
+                out.extend(AffineRoot(neg, k) for k in range(1, v // d + 1))
+            else:
+                out.extend(AffineRoot(root.coeffs, k) for k in range(-v // d + 1))
     return out
 
 
 def inversions_of_inverse(rs: RootSystem, w: AffineElement) -> List[AffineRoot]:
-    """The inversion set of ``w^{-1}``, computed from a reduced word of ``w``.
+    """The inversion set of ``w^{-1}``, the walls between ``A`` and ``w^{-1}(A)``.
 
-    For ``w`` with reduced word ``(i_1, ..., i_k)`` the reversed word is
-    reduced for ``w^{-1}`` and the inversions are the prefix images of the
-    simple affine roots.  All returned roots are positive and pairwise
-    distinct.
+    The elements of ``Omega`` fix ``A``, so an extended ``w`` raises ``ValueError``.
     """
-    word = word_of(rs, w)
-    out = inversions_of_word(rs, tuple(reversed(word)))
-    assert all(ar.is_positive() for ar in out)
-    assert len(set(out)) == len(out)
-    return out
+    if w.extended:
+        raise ValueError("inversion sets need an element of W ⋉ Q^∨, not of Omega")
+    d, y = clear_denominators(base_point(rs))
+    return separating_walls(rs, w.inverse(rs).apply_int(y, d), d)
 
 
 def size_of_element(rs: RootSystem, w: AffineElement) -> int:
@@ -370,7 +326,7 @@ def compute_w_b(rs: RootSystem, b: int) -> AffineElement:
     """The unique element mapping ``rho_check/h`` to ``b rho_check/h``.
 
     Its inverse carries ``b * A`` onto the height-``b`` bounded region, which
-    is checked here on the vertex set.
+    is checked here on the vertex set (a ``VerificationError`` if it fails).
     """
     h = rs.coxeter_number
     if b <= 0 or gcd(b, h) != 1:
@@ -378,10 +334,11 @@ def compute_w_b(rs: RootSystem, b: int) -> AffineElement:
     base = base_point(rs)
     target = vec_scale(Q(b), base)
     elem = element_from_word(rs, alcove_walk(rs, target)[1])
-    assert elem.apply(base) == target
+    if elem.apply(base) != target:
+        raise VerificationError("w_b does not map rho_check/h to %d rho_check/h" % b)
     winv = elem.inverse(rs)
-    for v in alcove_vertices(rs, b):
-        assert sommers_contains(rs, b, winv.apply(v))
+    if not all(sommers_contains(rs, b, winv.apply(v)) for v in alcove_vertices(rs, b)):
+        raise VerificationError("w_b^-1 moves a vertex of %dA off the height-%d region" % (b, b))
     return elem
 
 
@@ -389,32 +346,36 @@ def compute_w_b(rs: RootSystem, b: int) -> AffineElement:
 def w_b_inverse(rs: RootSystem, b: int) -> AffineElement:
     """The inverse of ``w_b``, which carries ``b * A`` onto the height-``b`` region.
 
-    ``w_b`` lies in ``W ⋉ Q^∨``, so the translation is integral (asserted), as
+    ``w_b`` lies in ``W ⋉ Q^∨``, so the translation is integral (checked), as
     :meth:`AffineElement.apply_int` needs.
     """
     winv = compute_w_b(rs, b).inverse(rs)
-    assert all(isinstance(t, int) for t in winv.translation)
+    if not all(isinstance(t, int) for t in winv.translation):
+        raise VerificationError("w_b^-1 translates by a non-integral vector at b=%d" % b)
     return winv
 
 
-def to_dominant(rs: RootSystem, x: Sequence[Q]) -> AffineElement:
-    """A finite Weyl element ``u`` with ``u(x)`` in the closed dominant chamber.
+def to_dominant(rs: RootSystem, x: Sequence[Q]) -> Tuple[int, Tuple[int, ...], Word]:
+    """Walk ``x`` into the closed dominant chamber; return ``d``, the point
+    reached scaled by ``d`` to integers, and the word, whose element maps it
+    back to ``x`` (as in :func:`alcove_walk`).
 
     Reflects through the lowest-index wall with a negative pairing until none
-    is left, updating the integer pairings of the scaled point along the
-    sparse Cartan rows; ``u`` composes the letters in reverse order.
+    is left, updating the scaled point and its integer pairings along the
+    sparse Cartan rows.
     """
     n = rs.rank
     A = rs.cartan
     nz_row = _walk_data(rs)[2]
-    _, y = clear_denominators(x)
+    d, y = clear_denominators(x)
     pair = [sum(A[k][i] * y[k] for k in range(n)) for i in range(n)]
     word: List[int] = []
     while True:
         j = next((i for i in range(n) if pair[i] < 0), None)
         if j is None:
-            return element_from_word(rs, word[::-1])
+            return d, tuple(y), tuple(word)
         v = pair[j]
+        y[j] -= v
         for k in nz_row[j]:
             pair[k] -= v * A[j][k]
         word.append(j + 1)
@@ -437,9 +398,8 @@ def omega_group(rs: RootSystem) -> List[AffineElement]:
         if rs.marks[i] != 1:
             continue
         mu = rs.fund_coweights[i]
-        u = to_dominant(rs, vec_sub(base, mu))
-        assert u.apply(vec_sub(base, mu)) == base
-        g = AffineElement(u.inverse(rs).linear, mu, extended=True)
+        word = to_dominant(rs, vec_sub(base, mu))[2]
+        g = AffineElement(element_from_word(rs, word).linear, mu, extended=True)
         assert g.apply(base) == base
         assert {g.apply(v) for v in verts} == set(verts)
         elements.append(g)

@@ -106,7 +106,7 @@ def _root_system(args) -> RootSystem:
         raise UsageError("--type and --rank are required")
     try:
         return build_root_system(args.type, args.rank)
-    except (ValueError, AssertionError) as exc:
+    except ValueError as exc:
         raise UsageError("invalid root system: %s" % exc)
 
 
@@ -512,6 +512,7 @@ def cmd_experiment(args) -> Tuple[int, List[Dict]]:
             raise UsageError("--rank is required")
         if args.trials < 1:
             raise UsageError("--trials must be positive")
+        _check_budget(args.trials, "trials", args)
         try:
             report = experiment_cn_selfconjugate_weighting(args.rank, args.trials, args.seed)
         except ValueError as exc:

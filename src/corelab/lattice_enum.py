@@ -303,8 +303,8 @@ def core_points_in_sommers(rs: RootSystem, b: int) -> LatticePointSet:
         raise ValueError("b not coprime to Coxeter number")
     winv = w_b_inverse(rs, b)
     moved = tuple(sorted(winv.apply_int(x) for x in coroot_points_in_bA(rs, b).points))
-    for x in moved:
-        assert sommers_contains(rs, b, x)
+    if not all(sommers_contains(rs, b, x) for x in moved):
+        raise VerificationError("w_b^-1 moves a point of %dA off the height-%d region" % (b, b))
     return LatticePointSet(rs, b, "coroot", moved)
 
 

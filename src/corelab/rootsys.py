@@ -345,9 +345,8 @@ class RootSystem:
         for r in roots:
             assert pairing(self, self.rho_check, r.coeffs) == r.height
         g = self.dual_coxeter_number
-        assert inner(self, self.rho, self.rho) * 24 == 2 * g * n * (h + 1), (
-            "strange formula failed"
-        )
+        if inner(self, self.rho, self.rho) * 24 != 2 * g * n * (h + 1):
+            raise VerificationError("strange formula fails on %s%d" % (self.family, n))
 
     def __repr__(self) -> str:
         return f"RootSystem({self.rstype})"

@@ -19,10 +19,9 @@ from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from corelab.affine import (
-    AffineElement,
     base_point,
     element_from_word,
-    inversions_of_inverse,
+    separating_walls,
     size_of_element,
     to_dominant,
     w_b_inverse,
@@ -35,6 +34,7 @@ from corelab.rootsys import (
     VerificationError,
     Vector,
     build_root_system,
+    clear_denominators,
     exponent_product,
     is_simply_laced,
     roots_of_height,
@@ -265,24 +265,25 @@ def experiment_weak_order_maximality(rs: RootSystem, b: int) -> Dict[str, object
     """Check inversion-set containment in the height-``b`` element.
 
     For every coroot point ``lam`` of the bounded region, the dominant
-    representative ``w`` with ``w^{-1}(0) = lam`` is built by a chamber walk
-    and its inversion set compared against the inversions of the element for
-    dilation ``b``.  Containment for all points is the conjectured behavior;
-    violations are reported, never raised.
+    representative ``w`` with ``w^{-1}(0) = lam`` is ``x -> u(x - lam)``, ``u``
+    the chamber walk of ``rho_check/h - lam``.  Its inversion set, the walls
+    at ``u(rho_check/h - lam)``, is compared against the inversions of
+    ``w_b``, the walls at ``b rho_check/h``.  No element is built.  Containment
+    for all points is the conjectured behavior; violations are reported, never
+    raised.
     """
     h = rs.coxeter_number
     if gcd(b, h) != 1:
         raise ValueError("b not coprime to Coxeter number")
-    big = set(inversions_of_inverse(rs, w_b_inverse(rs, b)))
     base = base_point(rs)
+    d, y = clear_denominators(base)
+    big = set(separating_walls(rs, [b * v for v in y], d))
     contained = 0
     violations: List[Tuple[Vector, int]] = []
     points = core_points_in_sommers(rs, b).points
     for lam in points:
-        u = to_dominant(rs, vec_sub(base, lam))
-        w = AffineElement(u.linear, tuple(-v for v in u.apply_int(lam)))
-        assert w.apply(lam) == tuple(Q(0) for _ in range(rs.rank))
-        inv_w = set(inversions_of_inverse(rs, w.inverse(rs)))
+        d, y, _ = to_dominant(rs, vec_sub(base, lam))
+        inv_w = set(separating_walls(rs, y, d))
         if inv_w <= big:
             contained += 1
         else:

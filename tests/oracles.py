@@ -8,9 +8,23 @@ from fractions import Fraction as Q
 from math import isqrt
 from typing import Dict, List, Sequence, Tuple
 
-from corelab.affine import w_b_inverse
+from corelab.affine import (
+    AffineElement,
+    AffineRoot,
+    alcove_walk,
+    base_point,
+    element_from_word,
+    w_b_inverse,
+)
 from corelab.lattice_enum import coroot_points_in_bA, iter_scaled_points, lattice_scale
-from corelab.rootsys import QuadraticForm, RootSystem, Vector, invert_matrix
+from corelab.rootsys import (
+    QuadraticForm,
+    RootSystem,
+    Vector,
+    invert_matrix,
+    mat_vec,
+    pairing,
+)
 
 
 def vec_add(x: Sequence[Q], y: Sequence[Q]) -> Vector:
@@ -130,4 +144,36 @@ def box_size_ellipsoid(rs: RootSystem, N: int) -> List[Tuple[Tuple[int, ...], Q]
             prefix.pop()
 
     rec(0, [], 0, 0)
+    return out
+
+
+def simple_affine_root(rs: RootSystem, i: int) -> AffineRoot:
+    """``alpha_i`` for ``1 <= i <= n``, and ``-theta + delta`` for ``i = 0``."""
+    if i == 0:
+        return AffineRoot(tuple(-c for c in rs.marks), 1)
+    return AffineRoot(tuple(int(j == i - 1) for j in range(rs.rank)), 0)
+
+
+def apply_to_affine_root(rs: RootSystem, g: AffineElement, ar: AffineRoot) -> AffineRoot:
+    """``alpha + k delta`` maps to ``g(alpha) + (k - <tau, g(alpha)>) delta``: the
+    root as a Fraction vector through the linear part, the shift a Fraction pairing."""
+    coeffs = vector_to_root_coeffs(rs, mat_vec(g.linear, root_vector(rs, ar.coeffs)))
+    shift = pairing(rs, g.translation, coeffs)
+    assert shift.denominator == 1
+    return AffineRoot(coeffs, ar.level - int(shift))
+
+
+def inversions_by_word(rs: RootSystem, w: AffineElement) -> List[AffineRoot]:
+    """``inversions_of_inverse`` from a reduced word.  The alcove walk of
+    ``w(rho_check/h)`` gives a reduced word of ``w``; its reverse is reduced
+    for ``w^{-1}``, whose inversions are the simple affine roots moved by the
+    prefix before each letter."""
+    base = base_point(rs)
+    final, word = alcove_walk(rs, w.apply(base))
+    assert final == base
+    g = AffineElement.identity(rs.rank)
+    out = []
+    for i in reversed(word):
+        out.append(apply_to_affine_root(rs, g, simple_affine_root(rs, i)))
+        g = g * element_from_word(rs, (i,))
     return out

@@ -16,12 +16,13 @@ from math import comb, gcd
 from corelab.affine import (
     AffineRoot,
     alcove_vertices,
+    alcove_walk,
     b_omega_action,
+    base_point,
     compute_w_b,
     inversions_of_inverse,
     omega_group,
     sommers_contains,
-    word_of,
 )
 from corelab.cores import (
     core_counting_coefficients,
@@ -341,7 +342,7 @@ def test_criterion_09_structural_invariants():
                     expected.add(AffineRoot(neg, k))
                     k += 1
             assert got == expected, (family, rank, b)
-            assert len(got) == len(word_of(rs, wb))
+            assert len(got) == len(alcove_walk(rs, wb.apply(base_point(rs)))[1])
 
     # floor identities in both simply-laced families
     for family, lo in (("A", 1), ("D", 3)):

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corelab import affine, lattice_enum
 from corelab.affine import (
     AffineElement,
     AffineRoot,
     alcove_vertices,
     alcove_walk,
-    apply_to_affine_root,
     b_omega_action,
     base_point,
     compute_w_b,
@@ -20,14 +20,14 @@ from corelab.affine import (
     in_dilated_alcove,
     inversions_of_inverse,
     omega_group,
-    simple_affine_root,
+    separating_walls,
     size_of_element,
     sommers_contains,
     to_dominant,
     w_b_inverse,
-    word_of,
 )
 from corelab.rootsys import (
+    VerificationError,
     build_root_system,
     invert_matrix,
     mat_vec,
@@ -35,7 +35,7 @@ from corelab.rootsys import (
     roots_of_height,
     vec_scale,
 )
-from oracles import root_vector, vec_add, vector_to_root_coeffs
+from oracles import apply_to_affine_root, inversions_by_word, simple_affine_root, vec_add
 
 
 A2 = build_root_system("A", 2)
@@ -110,6 +110,30 @@ def test_compute_w_b_rejects_non_coprime():
         compute_w_b(D4, 2)
 
 
+def test_failed_w_b_transport_raises(monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(affine, "element_from_word", lambda rs, word: AffineElement.identity(2))
+        with pytest.raises(VerificationError, match="does not map"):
+            compute_w_b(A2, 4)
+    with monkeypatch.context() as patch:
+        patch.setattr(affine, "sommers_contains", lambda rs, b, x: False)
+        with pytest.raises(VerificationError, match="vertex of 4A"):
+            compute_w_b(A2, 4)
+    with monkeypatch.context() as patch:
+        patch.setattr(lattice_enum, "sommers_contains", lambda rs, b, x: False)
+        with pytest.raises(VerificationError, match="point of 4A"):
+            lattice_enum.core_points_in_sommers(A2, 4)
+    half = AffineElement(((1, 0), (0, 1)), (Q(1, 2), Q(0)))
+    w_b_inverse.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(affine, "compute_w_b", lambda rs, b: half)
+            with pytest.raises(VerificationError, match="non-integral"):
+                w_b_inverse(A2, 4)
+    finally:
+        w_b_inverse.cache_clear()
+
+
 def test_inversions_of_inverse_a2_example():
     # the element s1 s2 s1 s0, whose inverse moves the base point to 4/3 rho_check
     w = element_from_word(A2, (1, 2, 1, 0))
@@ -140,7 +164,7 @@ def test_inversion_set_of_w_b_matches_height_formula():
                     expected.add(AffineRoot(neg, k))
                     k += 1
             assert got == expected
-            assert len(got) == len(word_of(rs, wb))
+            assert len(got) == len(alcove_walk(rs, wb.apply(base_point(rs)))[1])
 
 
 def test_size_of_c2_word():
@@ -151,7 +175,7 @@ def test_size_of_c2_word():
 def test_word_roundtrip_short_words():
     for word in [(1,), (0,), (1, 2), (0, 1, 0), (2, 1, 0, 1)]:
         w = element_from_word(A2, word)
-        recovered = element_from_word(A2, word_of(A2, w))
+        recovered = element_from_word(A2, alcove_walk(A2, w.apply(base_point(A2)))[1])
         assert recovered == w
 
 
@@ -162,10 +186,10 @@ def test_walk_recovers_element_from_any_word(word):
     final, walked = alcove_walk(A3, w.apply(base_point(A3)))
     assert final == base_point(A3)
     assert element_from_word(A3, walked) == w
-    assert word_of(A3, w) == walked
 
 
 def test_apply_to_affine_root_levels():
+    # the word oracle's root action
     s0 = element_from_word(A2, (0,))
     a0 = simple_affine_root(A2, 0)
     assert a0 == AffineRoot((-1, -1), 1)
@@ -183,39 +207,27 @@ ORACLE_SYSTEMS = [build_root_system("A", n) for n in range(1, 7)] + [
 ]
 
 
-def root_image_by_fractions(rs, g, ar):
-    """The oracle: the root as a Fraction vector through the linear part, and
-    the translation paired with the image in Fractions."""
-    coeffs = vector_to_root_coeffs(rs, mat_vec(g.linear, root_vector(rs, ar.coeffs)))
-    shift = pairing(rs, g.translation, coeffs)
-    assert shift.denominator == 1
-    return AffineRoot(coeffs, ar.level - int(shift))
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_apply_to_affine_root_matches_fraction_definition(data):
+def test_inversions_match_word_oracle(data):
     rs = data.draw(st.sampled_from(ORACLE_SYSTEMS))
-    g = element_from_word(rs, data.draw(st.lists(st.integers(0, rs.rank), max_size=12)))
-    root = data.draw(st.sampled_from(rs.positive_roots))
-    sign = data.draw(st.sampled_from((1, -1)))
-    ar = AffineRoot(tuple(sign * c for c in root.coeffs), data.draw(st.integers(-3, 3)))
-    assert apply_to_affine_root(rs, g, ar) == root_image_by_fractions(rs, g, ar)
-    for i in range(rs.rank + 1):
-        simple = simple_affine_root(rs, i)
-        assert apply_to_affine_root(rs, g, simple) == root_image_by_fractions(rs, g, simple)
+    w = element_from_word(rs, data.draw(st.lists(st.integers(0, rs.rank), max_size=12)))
+    got = inversions_of_inverse(rs, w)
+    expected = inversions_by_word(rs, w)
+    assert len(set(got)) == len(got)
+    assert set(got) == set(expected)
+    assert size_of_element(rs, w) == sum(ar.level for ar in expected)
+
+
+def test_separating_walls_reject_wall_points():
+    with pytest.raises(ValueError, match="not regular"):
+        separating_walls(A2, (0, 0), 1)
+    with pytest.raises(ValueError, match="not regular"):
+        separating_walls(A2, (1, 1), 2)  # on the affine wall <x, theta> = 1
+    assert separating_walls(A2, (1, 1), 3) == []
 
 
 WITH_D5_E7 = ORACLE_SYSTEMS + [build_root_system("D", 5), build_root_system("E", 7)]
-
-
-def test_apply_to_affine_root_matches_fraction_definition_on_omega():
-    for rs in WITH_D5_E7:
-        for g in omega_group(rs):
-            for root in rs.positive_roots:
-                neg = tuple(-c for c in root.coeffs)
-                for ar in (AffineRoot(root.coeffs, 0), AffineRoot(neg, 2)):
-                    assert apply_to_affine_root(rs, g, ar) == root_image_by_fractions(rs, g, ar)
 
 
 def inverse_by_fractions(g):
@@ -258,20 +270,15 @@ def test_inverse_rejects_matrix_off_the_gram_form():
         shear.inverse(A2)
 
 
-def test_word_of_rejects_omega_element():
-    # a nontrivial element of Omega fixes the base point, so its walk is empty
+def test_inversions_reject_omega_element():
+    # a nontrivial element of Omega fixes the base point, so no wall separates it
     g = omega_group(D4)[1]
     assert not g.is_identity()
     assert g.apply(base_point(D4)) == base_point(D4)
-    with pytest.raises(AssertionError):
-        word_of(D4, g)
-
-
-def test_affine_root_positivity():
-    assert AffineRoot((-1, -1), 1).is_positive()
-    assert AffineRoot((1, 0), 0).is_positive()
-    assert not AffineRoot((-1, 0), 0).is_positive()
-    assert not AffineRoot((1, 1), -1).is_positive()
+    with pytest.raises(ValueError, match="Omega"):
+        inversions_of_inverse(D4, g)
+    with pytest.raises(ValueError, match="Omega"):
+        size_of_element(D4, g)
 
 
 def test_sommers_region_a2_b4():
@@ -329,8 +336,9 @@ def test_in_dilated_alcove():
 
 def test_to_dominant():
     for x in [(Q(-3), Q(2)), (Q(0), Q(-5)), (Q(7), Q(1))]:
-        u = to_dominant(A2, x)
-        y = u.apply(x)
+        d, scaled, word = to_dominant(A2, x)
+        y = tuple(Q(v, d) for v in scaled)
+        assert element_from_word(A2, word).apply(y) == x
         for i in range(2):
             simple = tuple(int(j == i) for j in range(2))
             assert pairing(A2, y, simple) >= 0
@@ -369,9 +377,11 @@ def test_to_dominant_matches_dense_reflection_products(data):
     n = rs.rank
     x = tuple(data.draw(st.lists(st.fractions(-6, 6, max_denominator=7), min_size=n,
                                  max_size=n)))
-    u = to_dominant(rs, x)
-    assert u == to_dominant_by_products(rs, x)
-    y = u.apply(x)
+    d, scaled, word = to_dominant(rs, x)
+    u = to_dominant_by_products(rs, x)
+    assert element_from_word(rs, word[::-1]) == u
+    y = tuple(Q(v, d) for v in scaled)
+    assert u.apply(x) == y
     assert all(pairing(rs, y, tuple(int(j == i) for j in range(n))) >= 0 for i in range(n))
 
 

@@ -152,6 +152,24 @@ class TestEnum:
         assert code == EXIT_OK
         assert sorted(rat(r["zise"]) for r in doc["results"]) == [0, 1, 2, 2, 5]
 
+    def test_failed_w_b_transport_survives_optimize(self):
+        script = (
+            "import sys\n"
+            "from corelab import affine, lattice_enum\n"
+            "from corelab.cli import main\n"
+            "affine.sommers_contains = lattice_enum.sommers_contains = lambda rs, b, x: False\n"
+            "sys.exit(main(['enum', '--type', 'A', '--rank', '2', '--b', '4',"
+            " '--stat', 'size']))\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == EXIT_MISMATCH, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["verdict"] == "fail"
+        assert doc["results"] == [
+            {"verdict": "mismatch(w_b^-1 moves a vertex of 4A off the height-4 region)"}
+        ]
+
 
 class TestVerify:
     def test_count_e8_at_seven(self):
@@ -308,6 +326,22 @@ class TestVerify:
         assert doc["results"] == [
             {"verdict": "mismatch(size 383/24 of [-2, -2] is not an integer)"}
         ]
+
+    def test_failed_strange_formula_survives_optimize(self):
+        script = (
+            "import sys\n"
+            "from corelab import rootsys\n"
+            "from corelab.cli import main\n"
+            "exact = rootsys.inner\n"
+            "rootsys.inner = lambda rs, x, y: exact(rs, x, y) + 1\n"
+            "sys.exit(main(['verify', '--type', 'A', '--rank', '2', 'strange']))\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == EXIT_MISMATCH, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["verdict"] == "fail"
+        assert doc["results"] == [{"verdict": "mismatch(strange formula fails on A2)"}]
 
     def test_unknown_selector_is_usage(self):
         code, _ = run(["verify", "bogus", "--type", "A", "--rank", "2", "--b", "4"])
@@ -609,6 +643,18 @@ class TestExperiment:
                               "--k", "6"])
         assert code == EXIT_OK
         assert doc["results"][0]["verdict"] == "counterexample(5561/11211200!=5561/5605600)"
+
+    def test_weighting_trials_are_budgeted_before_any_trial(self, monkeypatch):
+        def refuse(n, trials, seed):
+            raise AssertionError("the experiment ran")
+
+        argv = ["experiment", "cn-weighting", "--rank", "2", "--trials", "51"]
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "experiment_cn_selfconjugate_weighting", refuse)
+            assert run(argv + ["--max-points", "50"])[0] == EXIT_BUDGET
+        code, doc = run_json(argv + ["--max-points", "51"])
+        assert code == EXIT_OK
+        assert doc["results"][0]["trials"] == 51
 
     def test_weighting_trials_respect_seed(self):
         argv = ["experiment", "cn-weighting", "--rank", "2", "--trials", "20",

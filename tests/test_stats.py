@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from corelab import lattice_enum, stats
-from corelab.affine import AffineRoot, b_omega_action, omega_group, w_b_inverse
+from corelab import affine, lattice_enum, stats
+from corelab.affine import AffineElement, AffineRoot, b_omega_action, omega_group, w_b_inverse
 from corelab.lattice_enum import coeffs_to_point, coroot_points_in_bA, coweight_points_in_bA
 from corelab.rootsys import (
     QuadraticForm,
@@ -306,6 +306,22 @@ def test_weak_order_experiment_a2_b4():
     assert report["verdict"] == "consistent"
 
 
+def test_weak_order_builds_no_element(monkeypatch):
+    E6 = build_root_system("E", 6)
+    w_b_inverse(E6, 7)
+
+    def refuse(*args):
+        raise AssertionError("an element was composed or inverted")
+
+    for module in (affine, stats):
+        monkeypatch.setattr(module, "element_from_word", refuse)
+    monkeypatch.setattr(AffineElement, "inverse", refuse)
+    assert experiment_weak_order_maximality(E6, 7) == {
+        "experiment": "weak_order_maximality", "family": "E", "rank": 6, "b": 7,
+        "total": 77, "contained": 77, "violations": [], "verdict": "consistent",
+    }
+
+
 def test_weak_order_experiment_d4_b5():
     report = experiment_weak_order_maximality(D4, 5)
     assert report["total"] == 20
@@ -335,15 +351,15 @@ def test_experiment_counterexample_verdicts(monkeypatch):
     report = experiment_cn_selfconjugate_weighting(2, 10, seed=7)
     assert report["verdict"] == "counterexample(10 mismatches)"
 
-    exact_inversions = stats.inversions_of_inverse
+    exact_walls = stats.separating_walls
     calls = []
 
-    def escaping(rs, w):
+    def escaping(rs, y, d):
         # the first call is the height-b element itself; every later one escapes it
-        calls.append(w)
-        return exact_inversions(rs, w) + [AffineRoot((1, 1), 99)] * (len(calls) > 1)
+        calls.append(y)
+        return exact_walls(rs, y, d) + [AffineRoot((1, 1), 99)] * (len(calls) > 1)
 
-    monkeypatch.setattr(stats, "inversions_of_inverse", escaping)
+    monkeypatch.setattr(stats, "separating_walls", escaping)
     report = experiment_weak_order_maximality(A2, 4)
     assert report["verdict"] == "counterexample(5 of 5 escape)"
 
