@@ -14,7 +14,7 @@ import io
 import json
 import sys
 from fractions import Fraction as Q
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, gcd
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -67,21 +67,6 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-VERIFY_SELECTORS = (
-    "count",
-    "max",
-    "mean",
-    "variance",
-    "m3",
-    "floor",
-    "strange",
-    "macdonald",
-    "anderson",
-    "genfun-A",
-)
-
-EXPERIMENTS = ("weak-order", "cn-fuss", "cn-weighting", "top-coeff")
 
 
 class UsageError(ValueError):
@@ -140,9 +125,9 @@ def _count_estimate(rs: RootSystem, b: int, lattice: str) -> int:
     return max(est, 1)
 
 
-def _dp_states(rs: RootSystem, top: int) -> int:
+def _dp_cost(rs: RootSystem, top: int) -> Tuple[int, str]:
     """States of one moment-DP run to ``top``: budgets times residue classes."""
-    return (top + 1) * rs.index_f
+    return (top + 1) * rs.index_f, "DP states"
 
 
 def _fit_cost(
@@ -152,7 +137,7 @@ def _fit_cost(
     DP, otherwise the estimated points streamed over all its samples; and its unit."""
     samples = fit_samples(rs, k, lattice, centered, classes)
     if dp_backed(k, centered):
-        return _dp_states(rs, max(samples)), "DP states"
+        return _dp_cost(rs, max(samples))
     return sum(_count_estimate(rs, b, lattice) for b in samples), "points"
 
 
@@ -173,12 +158,28 @@ def _trunc(args) -> int:
     return trunc
 
 
-def _require_coprime(rs: RootSystem, b: int) -> None:
+def _points(rs: RootSystem, b: int) -> Tuple[int, str]:
+    """The estimated coroot points of ``b A``, as a cost for :func:`_admit`."""
+    return _count_estimate(rs, b, "coroot"), "points"
+
+
+def _admit(
+    rs: RootSystem, b: int, cost: Callable, args, skips: Optional[List[Dict]] = None, **row
+) -> bool:
+    """Whether dilation ``b`` is coprime to h and its ``cost(rs, b)``, an
+    estimate and its unit, is within the budget.  A ``b`` that is not coprime
+    is a usage error, or, in a ``--b-range`` sweep, a ``skipped`` row (``row``
+    and ``b``) appended to ``skips``."""
     if b < 1 or gcd(b, rs.coxeter_number) != 1:
-        raise UsageError(
-            "b must be positive and coprime to the Coxeter number %d"
-            % rs.coxeter_number
-        )
+        if skips is None:
+            raise UsageError(
+                "b must be positive and coprime to the Coxeter number %d"
+                % rs.coxeter_number
+            )
+        skips.append(dict(row, b=b, verdict="skipped(b not coprime)"))
+        return False
+    _check_budget(*cost(rs, b), args)
+    return True
 
 
 # ---------------------------------------------------------------- commands
@@ -263,138 +264,139 @@ def _moment_result(rs: RootSystem, b: int) -> Dict:
 
 def cmd_stat(args) -> Tuple[int, List[Dict]]:
     rs = _root_system(args)
-    sweep = args.b_range is not None
-    results = []
-    worst = EXIT_OK
+    results: List[Dict] = []
+    skips = results if args.b_range is not None else None
     for b in _dilations(args):
-        if sweep and (b < 1 or gcd(b, rs.coxeter_number) != 1):
-            results.append({"b": b, "verdict": "skipped(b not coprime)"})
-            continue
-        _require_coprime(rs, b)
-        _check_budget(_count_estimate(rs, b, "coroot"), "points", args)
-        result = _moment_result(rs, b)
-        if result["grade"] == "mismatch":
-            worst = EXIT_MISMATCH
-        results.append(result)
-    return worst, results
+        if _admit(rs, b, _points, args, skips):
+            results.append(_moment_result(rs, b))
+    failed = any(result.get("grade") == "mismatch" for result in results)
+    return (EXIT_MISMATCH if failed else EXIT_OK), results
 
 
-def _histogram_matches_series(rs: RootSystem, trunc: int, args) -> Tuple[bool, List[int]]:
+def _verify_strange(rs: RootSystem, b: None, args) -> Dict:
+    lhs = 24 * inner(rs, rs.rho, rs.rho)
+    rhs = 2 * rs.dual_coxeter_number * rs.rank * (rs.coxeter_number + 1)
+    return dict(value=_rat(lhs), expected=_rat(Q(rhs)), verdict=verdict_of(lhs, Q(rhs)))
+
+
+def _verify_macdonald(rs: RootSystem, b: None, args) -> Dict:
+    if not is_simply_laced(rs):
+        raise UsageError("macdonald requires a simply-laced root system")
+    trunc = _trunc(args)
     series = macdonald_series(rs, trunc)
     _check_budget(sum(series.coeffs), "points", args)  # the coefficients count the points
     counts = [0] * (trunc + 1)
     for _, size in coroot_points_in_size_ellipsoid(rs, trunc):
         counts[int(size)] += 1
-    return list(series.coeffs) == counts, counts
+    ok = list(series.coeffs) == counts
+    return dict(
+        trunc=trunc,
+        value=counts,
+        verdict="match" if ok else "mismatch(series != histogram)",
+    )
 
 
-def _verify_one(selector: str, rs: RootSystem, b: Optional[int], args) -> Dict:
-    n = rs.rank
-    h = rs.coxeter_number
-    result: Dict = {"selector": selector, "family": rs.family, "rank": n}
-    if selector == "strange":
-        lhs = 24 * inner(rs, rs.rho, rs.rho)
-        rhs = 2 * rs.dual_coxeter_number * n * (h + 1)
-        result.update(value=_rat(lhs), expected=_rat(Q(rhs)), verdict=verdict_of(lhs, Q(rhs)))
-        return result
-    if selector == "macdonald":
-        if not is_simply_laced(rs):
-            raise UsageError("macdonald requires a simply-laced root system")
-        trunc = _trunc(args)
-        ok, counts = _histogram_matches_series(rs, trunc, args)
-        result.update(
-            trunc=trunc,
-            value=counts,
-            verdict="match" if ok else "mismatch(series != histogram)",
-        )
-        return result
-    if selector == "genfun-A":
-        if rs.family != "A":
-            raise UsageError("genfun-A requires type A")
-        trunc = _trunc(args)
-        a = n + 1
-        same = core_product_series(a, trunc).coeffs == macdonald_series(rs, trunc).coeffs
-        result.update(
-            trunc=trunc,
-            verdict="match" if same else "mismatch(product != macdonald)",
-        )
-        return result
-    # remaining selectors need a dilation
-    if b is None:
-        raise UsageError("selector %r needs --b or --b-range" % selector)
-    result["b"] = b
-    if selector == "count":
-        _require_coprime(rs, b)
-        _check_budget(_dp_states(rs, b), "DP states", args)
-        got = Q(alcove_size_sums(rs, b, "coroot")[0])
-        expected = haiman_count(rs, b)
-        result.update(value=_rat(got), expected=_rat(expected), verdict=verdict_of(got, expected))
-        return result
-    if selector == "floor":
-        try:
-            ok = floor_identity_check(rs, b)
-        except ValueError as exc:
-            raise UsageError(str(exc))
-        result.update(verdict="match" if ok else "mismatch(identity failed)")
-        return result
-    if selector == "anderson":
-        if rs.family != "A":
-            raise UsageError("anderson requires type A")
-        try:
-            cores = enumerate_simultaneous_cores(n + 1, b)
-        except ValueError as exc:
-            raise UsageError(str(exc))
-        got = Q(len(cores))
-        expected = Q(comb(n + 1 + b, n + 1), n + 1 + b)
-        result.update(value=_rat(got), expected=_rat(expected), verdict=verdict_of(got, expected))
-        return result
-    if selector in ("max", "mean", "variance", "m3"):
-        if selector == "max" and not is_simply_laced(rs):
-            raise UsageError("max closed form requires a simply-laced root system")
-        _require_coprime(rs, b)
-        _check_budget(_count_estimate(rs, b, "coroot"), "points", args)
-        if selector == "max":
-            value, multiplicity, argmax, verdict = verify_max(rs, b)
-            result.update(value=_rat(value), multiplicity=multiplicity, argmax=_vec(argmax),
-                          verdict=verdict)
-            return result
-        report = moments(rs, b)
-        key = {"mean": "mean", "variance": "m2", "m3": "m3"}[selector]
-        result.update(value=_rat(getattr(report, key)), verdict=report.verdict_map()[key])
-        return result
-    raise UsageError("unknown selector %r" % selector)
+def _verify_genfun_a(rs: RootSystem, b: None, args) -> Dict:
+    if rs.family != "A":
+        raise UsageError("genfun-A requires type A")
+    trunc = _trunc(args)
+    a = rs.rank + 1
+    same = core_product_series(a, trunc).coeffs == macdonald_series(rs, trunc).coeffs
+    return dict(
+        trunc=trunc,
+        verdict="match" if same else "mismatch(product != macdonald)",
+    )
 
 
-COPRIME_SELECTORS = ("count", "max", "mean", "variance", "m3", "floor", "anderson")
+def _verify_count(rs: RootSystem, b: int, args) -> Dict:
+    got = Q(alcove_size_sums(rs, b, "coroot")[0])
+    expected = haiman_count(rs, b)
+    return dict(value=_rat(got), expected=_rat(expected), verdict=verdict_of(got, expected))
+
+
+def _floor_cost(rs: RootSystem, b: int) -> Tuple[int, str]:
+    """The inner terms of the general floor sum: floor(i h / b) for each
+    0 < i < b, which add up to (b - 1)(h - 1)/2 for b coprime to h."""
+    if not is_simply_laced(rs):
+        raise UsageError("floor identities apply to simply-laced systems")
+    return (b - 1) * (rs.coxeter_number - 1) // 2, "terms"
+
+
+def _verify_floor(rs: RootSystem, b: int, args) -> Dict:
+    ok = floor_identity_check(rs, b)
+    return dict(verdict="match" if ok else "mismatch(identity failed)")
+
+
+def _anderson_cost(rs: RootSystem, b: int) -> Tuple[int, str]:
+    """The (n+1, b)-cores: the coroot points of the height-b region."""
+    if rs.family != "A":
+        raise UsageError("anderson requires type A")
+    return _points(rs, b)
+
+
+def _verify_anderson(rs: RootSystem, b: int, args) -> Dict:
+    a = rs.rank + 1
+    got = Q(len(enumerate_simultaneous_cores(a, b)))
+    expected = Q(comb(a + b, a), a + b)
+    return dict(value=_rat(got), expected=_rat(expected), verdict=verdict_of(got, expected))
+
+
+def _max_cost(rs: RootSystem, b: int) -> Tuple[int, str]:
+    if not is_simply_laced(rs):
+        raise UsageError("max closed form requires a simply-laced root system")
+    return _points(rs, b)
+
+
+def _verify_max(rs: RootSystem, b: int, args) -> Dict:
+    value, multiplicity, argmax, verdict = verify_max(rs, b)
+    return dict(value=_rat(value), multiplicity=multiplicity, argmax=_vec(argmax),
+                verdict=verdict)
+
+
+def _verify_moment(key: str, rs: RootSystem, b: int, args) -> Dict:
+    report = moments(rs, b)
+    return dict(value=_rat(getattr(report, key)), verdict=report.verdict_map()[key])
+
+
+# Every verify selector: its cost on one dilation, or None when it takes no
+# dilation, and its handler.  A dilation must be coprime to h.  The cost is an
+# estimate and its unit, checked against --max-points before the handler runs;
+# on a root system the selector does not apply to it is a usage error instead.
+# The moment selectors pass the MomentReport field they read.
+_VERIFY: Dict[str, Tuple[Optional[Callable], Callable]] = {
+    "count": (_dp_cost, _verify_count),
+    "max": (_max_cost, _verify_max),
+    "mean": (_points, partial(_verify_moment, "mean")),
+    "variance": (_points, partial(_verify_moment, "m2")),
+    "m3": (_points, partial(_verify_moment, "m3")),
+    "floor": (_floor_cost, _verify_floor),
+    "strange": (None, _verify_strange),
+    "macdonald": (None, _verify_macdonald),
+    "anderson": (_anderson_cost, _verify_anderson),
+    "genfun-A": (None, _verify_genfun_a),
+}
 
 
 def cmd_verify(args) -> Tuple[int, List[Dict]]:
     rs = _root_system(args)
     bs = _dilations(args, required=False)
-    ranged = args.b_range is not None
-    results = []
-    worst = EXIT_OK
+    results: List[Dict] = []
+    skips = results if args.b_range is not None else None
     for selector in args.selectors:
-        if selector not in VERIFY_SELECTORS:
+        if selector not in _VERIFY:
             raise UsageError("unknown selector %r" % selector)
-        needs_b = selector not in ("strange", "macdonald", "genfun-A")
-        sweep: Sequence[Optional[int]] = bs if (needs_b and bs) else [None]
-        for b in sweep:
-            if (
-                ranged
-                and b is not None
-                and selector in COPRIME_SELECTORS
-                and (b < 1 or gcd(b, rs.coxeter_number) != 1)
-            ):
-                results.append(
-                    {"selector": selector, "b": b, "verdict": "skipped(b not coprime)"}
-                )
-                continue
-            result = _verify_one(selector, rs, b, args)
-            if result["verdict"].startswith("mismatch"):
-                worst = EXIT_MISMATCH
-            results.append(result)
-    return worst, results
+        cost, run = _VERIFY[selector]
+        row = {"selector": selector, "family": rs.family, "rank": rs.rank}
+        if cost is None:
+            results.append(dict(row, **run(rs, None, args)))
+            continue
+        if not bs:
+            raise UsageError("selector %r needs --b or --b-range" % selector)
+        for b in bs:
+            if _admit(rs, b, cost, args, skips, selector=selector):
+                results.append(dict(row, b=b, **run(rs, b, args)))
+    failed = any(result["verdict"].startswith("mismatch") for result in results)
+    return (EXIT_MISMATCH if failed else EXIT_OK), results
 
 
 def cmd_fit(args) -> Tuple[int, List[Dict]]:
@@ -422,7 +424,7 @@ def cmd_fit(args) -> Tuple[int, List[Dict]]:
     components: List[Optional[Tuple[Q, ...]]] = [None] * m
     worst = EXIT_OK
     results: List[Dict] = []
-    for j, poly in fit_residues(rs, k, lattice, False, classes):
+    for j, poly in fit_residues(rs, k, lattice, classes):
         if isinstance(poly, HoldoutError):
             results.append(
                 {"residue": j, "holdouts": "fail(%s)" % poly, "coefficients": None}
@@ -478,91 +480,76 @@ def cmd_series(args) -> Tuple[int, List[Dict]]:
     return EXIT_OK, [result]
 
 
+def _weak_order(args) -> Tuple[int, List[Dict]]:
+    rs = _root_system(args)
+    results = []
+    for b in _dilations(args):
+        _admit(rs, b, _points, args)
+        report = dict(experiment_weak_order_maximality(rs, b))
+        report["violations"] = [
+            {"point": _vec(lam), "escaped": extra} for lam, extra in report["violations"]
+        ]
+        results.append(report)
+    return EXIT_OK, results
+
+
+def _cn_fuss(args) -> Tuple[int, List[Dict]]:
+    if args.rank is None:
+        raise UsageError("--rank is required")
+    if args.m < 1:
+        raise UsageError("--m must be positive")
+    try:
+        rs = build_root_system("C", args.rank)
+    except ValueError as exc:
+        raise UsageError(str(exc))
+    _check_budget(*_points(rs, args.m * rs.coxeter_number + 1), args)
+    report = dict(experiment_cn_fuss(args.rank, args.m))
+    report["mean"] = _rat(report["mean"])
+    report["conjecture"] = _rat(report["conjecture"])
+    return EXIT_OK, [report]
+
+
+def _cn_weighting(args) -> Tuple[int, List[Dict]]:
+    if args.rank is None:
+        raise UsageError("--rank is required")
+    if args.trials < 1:
+        raise UsageError("--trials must be positive")
+    _check_budget(args.trials, "trials", args)
+    try:
+        report = experiment_cn_selfconjugate_weighting(args.rank, args.trials, args.seed)
+    except ValueError as exc:
+        raise UsageError(str(exc))
+    return EXIT_OK, [report]
+
+
+def _top_coeff(args) -> Tuple[int, List[Dict]]:
+    rs = _root_system(args)
+    if args.k is None or args.k < 1:
+        raise UsageError("--k >= 1 is required")
+    if not is_simply_laced(rs):
+        raise UsageError("top-coeff requires a simply-laced root system")
+    residue, centered = leading_fit(rs, args.k)
+    _check_budget(*_fit_cost(rs, args.k, "coroot", centered, (residue,)), args)
+    report = leading_coefficient_checks(rs, args.k)
+    for key in ("ratio", "expected"):
+        report[key] = None if report[key] is None else _rat(report[key])
+    failed = report["verdict"].startswith("mismatch")
+    return (EXIT_MISMATCH if failed else EXIT_OK), [report]
+
+
+_EXPERIMENT: Dict[str, Callable] = {
+    "weak-order": _weak_order,
+    "cn-fuss": _cn_fuss,
+    "cn-weighting": _cn_weighting,
+    "top-coeff": _top_coeff,
+}
+
+
 def cmd_experiment(args) -> Tuple[int, List[Dict]]:
-    name = args.experiment
-    if name == "weak-order":
-        rs = _root_system(args)
-        bs = _dilations(args)
-        results = []
-        for b in bs:
-            _require_coprime(rs, b)
-            _check_budget(_count_estimate(rs, b, "coroot"), "points", args)
-            report = dict(experiment_weak_order_maximality(rs, b))
-            report["violations"] = [
-                {"point": _vec(lam), "escaped": extra} for lam, extra in report["violations"]
-            ]
-            results.append(report)
-        return EXIT_OK, results
-    if name == "cn-fuss":
-        if args.rank is None:
-            raise UsageError("--rank is required")
-        if args.m < 1:
-            raise UsageError("--m must be positive")
-        try:
-            rs = build_root_system("C", args.rank)
-        except ValueError as exc:
-            raise UsageError(str(exc))
-        _check_budget(_count_estimate(rs, args.m * rs.coxeter_number + 1, "coroot"), "points", args)
-        report = dict(experiment_cn_fuss(args.rank, args.m))
-        report["mean"] = _rat(report["mean"])
-        report["conjecture"] = _rat(report["conjecture"])
-        return EXIT_OK, [report]
-    if name == "cn-weighting":
-        if args.rank is None:
-            raise UsageError("--rank is required")
-        if args.trials < 1:
-            raise UsageError("--trials must be positive")
-        _check_budget(args.trials, "trials", args)
-        try:
-            report = experiment_cn_selfconjugate_weighting(args.rank, args.trials, args.seed)
-        except ValueError as exc:
-            raise UsageError(str(exc))
-        return EXIT_OK, [report]
-    if name == "top-coeff":
-        rs = _root_system(args)
-        if args.k is None or args.k < 1:
-            raise UsageError("--k >= 1 is required")
-        if not is_simply_laced(rs):
-            raise UsageError("top-coeff requires a simply-laced root system")
-        residue, centered = leading_fit(rs, args.k)
-        _check_budget(*_fit_cost(rs, args.k, "coroot", centered, (residue,)), args)
-        report = leading_coefficient_checks(rs, args.k)
-        for key in ("ratio", "expected"):
-            report[key] = None if report[key] is None else _rat(report[key])
-        failed = report["verdict"].startswith("mismatch")
-        return (EXIT_MISMATCH if failed else EXIT_OK), [report]
-    raise UsageError("unknown experiment %r" % name)
+    return _EXPERIMENT[args.experiment](args)
 
 
 # ---------------------------------------------------------------- plumbing
-
-
-def _config_dict(args) -> Dict:
-    keys = (
-        "command",
-        "type",
-        "rank",
-        "b",
-        "b_range",
-        "k",
-        "trunc",
-        "lattice",
-        "format",
-        "max_points",
-        "seed",
-        "selectors",
-        "experiment",
-        "m",
-        "trials",
-        "stat",
-        "residue",
-    )
-    out = {}
-    for key in keys:
-        value = getattr(args, key, None)
-        if value is not None:
-            out[key] = value
-    return out
 
 
 def _flatten_cell(value) -> str:
@@ -577,35 +564,23 @@ def _flatten_cell(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
-def _render_csv(results: List[Dict]) -> str:
+def _render(results: List[Dict], form: str) -> str:
+    """The result rows as csv or as an aligned table: a header of the sorted
+    union of their fields, then one line of flattened cells per row."""
     fields = sorted({key for row in results for key in row})
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fields)
-    for row in results:
-        writer.writerow([_flatten_cell(row.get(f)) for f in fields])
-    return buf.getvalue()
-
-
-def _render_table(results: List[Dict]) -> str:
-    fields = sorted({key for row in results for key in row})
-    rows = [[_flatten_cell(row.get(f)) for f in fields] for row in results]
-    widths = [
-        max(len(f), *(len(r[i]) for r in rows)) if rows else len(f)
-        for i, f in enumerate(fields)
-    ]
-    lines = ["  ".join(f.ljust(w) for f, w in zip(fields, widths)).rstrip()]
-    for r in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
-    return "\n".join(lines) + "\n"
+    lines = [fields] + [[_flatten_cell(row.get(f)) for f in fields] for row in results]
+    if form == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(lines)
+        return buf.getvalue()
+    widths = [max(map(len, column)) for column in zip(*lines)]
+    aligned = ("  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip() for line in lines)
+    return "\n".join(aligned) + "\n"
 
 
 def _emit(args, exit_code: int, results: List[Dict], out) -> None:
-    if args.format == "csv":
-        out.write(_render_csv(results))
-        return
-    if args.format == "table":
-        out.write(_render_table(results))
+    if args.format != "json":
+        out.write(_render(results, args.format))
         return
     grade = "conjecture" if args.command == "experiment" else "theorem"
     if args.command == "experiment":
@@ -614,7 +589,7 @@ def _emit(args, exit_code: int, results: List[Dict], out) -> None:
         verdict = "pass" if exit_code == EXIT_OK else "fail"
     envelope = {
         "schema_version": SCHEMA_VERSION,
-        "config": _config_dict(args),
+        "config": {key: value for key, value in vars(args).items() if value is not None},
         "results": results,
         "grade": grade,
         "verdict": verdict,
@@ -661,7 +636,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_series)
 
     p_exp = sub.add_parser("experiment", help="conjecture experiments, non-gating")
-    p_exp.add_argument("experiment", choices=EXPERIMENTS)
+    p_exp.add_argument("experiment", choices=_EXPERIMENT)
     common(p_exp)
     p_exp.add_argument("--m", type=int, default=1)
     p_exp.add_argument("--trials", type=int, default=50)

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import lru_cache
 from math import comb, gcd
 from typing import Collection, Iterator, List, Sequence, Tuple
 
 from corelab.lattice_enum import core_points_in_sommers
-from corelab.rootsys import QuadraticForm, RootSystem, build_root_system
+from corelab.rootsys import QuadraticForm, build_root_system
 
 
 @dataclass(frozen=True)
@@ -145,11 +144,6 @@ def simple_action_on_core(a: int, i: int, core: CorePartition) -> CorePartition:
     return CorePartition(Partition(toggle_corners(core.partition.parts, a, (i,))), a)
 
 
-@lru_cache(maxsize=None)
-def _a_system(a: int) -> RootSystem:
-    return build_root_system("A", a - 1)
-
-
 def core_from_coroot(a: int, lam: Sequence[Q | int]) -> CorePartition:
     """The a-core matched to a coroot lattice point, read off an abacus.
 
@@ -162,7 +156,7 @@ def core_from_coroot(a: int, lam: Sequence[Q | int]) -> CorePartition:
     """
     if a < 2:
         raise ValueError("modulus must be at least 2")
-    rs = _a_system(a)
+    rs = build_root_system("A", a - 1)
     if len(lam) != rs.rank:
         raise ValueError(f"expected {rs.rank} coordinates")
     if any(Q(v).denominator != 1 for v in lam):
@@ -192,7 +186,7 @@ def enumerate_simultaneous_cores(a: int, b: int) -> List[CorePartition]:
     if gcd(a, b) != 1:
         raise ValueError("a and b must be coprime")
     cores = []
-    for x in core_points_in_sommers(_a_system(a), b).points:
+    for x in core_points_in_sommers(build_root_system("A", a - 1), b).points:
         core = core_from_coroot(a, x)
         # a 1-core has no boxes at all; larger b get the hook test
         assert core.partition.parts == () if b == 1 else is_a_core(core.partition, b)

@@ -175,9 +175,7 @@ def _class_samples(rs: RootSystem, k: int, lattice: str, residue: int) -> Tuple[
     return tuple(residue + m * t for t in range(rs.rank + 2 * k + 3))
 
 
-def fit_component(
-    rs: RootSystem, k: int, lattice: str, residue: int, centered: bool = False
-) -> PolyQ:
+def fit_component(rs: RootSystem, k: int, lattice: str, residue: int) -> PolyQ:
     """Interpolate one residue class of the weighted quasipolynomial at its
     n + 2k + 1 smallest dilations and verify it on the next two."""
     if k < 0:
@@ -186,7 +184,7 @@ def fit_component(
     if not 0 <= residue < m:
         raise ValueError("residue out of range for period %d" % m)
     samples = _class_samples(rs, k, lattice, residue)
-    values = [weighted_lattice_sum(rs, b, k, lattice, centered) for b in samples]
+    values = [weighted_lattice_sum(rs, b, k, lattice) for b in samples]
     poly = _lagrange_fit(samples[:-2], values[:-2])
     if any(poly_eval(poly, b) != y for b, y in zip(samples[-2:], values[-2:])):
         raise HoldoutError("period/degree assumption violated")
@@ -198,14 +196,13 @@ def fit_quasi(
     k: int,
     lattice: str,
     residues: Optional[Sequence[int]] = None,
-    centered: bool = False,
 ) -> QuasiPolynomial:
     """Fit components for the given residue classes (all classes by default)
     through :func:`fit_residues`; a missed holdout raises its HoldoutError."""
     m = quasi_period(rs, lattice)
     chosen = tuple(range(m) if residues is None else residues)
     components: List[Optional[PolyQ]] = [None] * m
-    for residue, poly in fit_residues(rs, k, lattice, centered, chosen):
+    for residue, poly in fit_residues(rs, k, lattice, chosen):
         if isinstance(poly, HoldoutError):
             raise poly
         components[residue] = poly
@@ -361,7 +358,7 @@ def fit_samples(
 
 
 def fit_residues(
-    rs: RootSystem, k: int, lattice: str, centered: bool, classes: Sequence[int]
+    rs: RootSystem, k: int, lattice: str, classes: Sequence[int]
 ) -> List[Tuple[int, Union[PolyQ, HoldoutError]]]:
     """``(residue, component)`` for every class of ``classes``, in order.
 
@@ -375,8 +372,8 @@ def fit_residues(
     def fit(j: Optional[int]) -> Union[PolyQ, HoldoutError]:
         try:
             if j is None:
-                return coprime_polynomial(rs, k, centered, coprime)
-            return fit_component(rs, k, lattice, j, centered)
+                return coprime_polynomial(rs, k, False, coprime)
+            return fit_component(rs, k, lattice, j)
         except HoldoutError as exc:
             return exc
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import lru_cache
 from math import factorial, lcm
 from operator import mul
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -358,8 +359,10 @@ class RootSystem:
         return hash(self.rstype)
 
 
+@lru_cache(maxsize=None)
 def build_root_system(family: str | RootSystemType, rank: int | None = None) -> RootSystem:
-    """Construct and validate the root system, e.g. ``build_root_system("E", 6)``."""
+    """Construct and validate the root system, e.g. ``build_root_system("E", 6)``;
+    built once per argument list and shared by every caller."""
     if isinstance(family, RootSystemType):
         rstype = family
     else:

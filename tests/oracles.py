@@ -1,7 +1,8 @@
 """Slow reference implementations that the tests hold the fast paths to.
 
 Nothing in corelab reads these.  Each one builds every point it needs and
-evaluates it on its own, in Fractions where the fast path works in integers.
+evaluates it on its own, in Fractions where the fast path works in integers,
+except the centered class fit, which interpolates one class at a time.
 """
 
 from fractions import Fraction as Q
@@ -16,6 +17,8 @@ from corelab.affine import (
     element_from_word,
     w_b_inverse,
 )
+from corelab.ehrhart import _lagrange_fit, quasi_period, weighted_lattice_sum
+from corelab.genfun import poly_eval
 from corelab.lattice_enum import coroot_points_in_bA, iter_scaled_points, lattice_scale
 from corelab.rootsys import (
     QuadraticForm,
@@ -177,3 +180,16 @@ def inversions_by_word(rs: RootSystem, w: AffineElement) -> List[AffineRoot]:
         out.append(apply_to_affine_root(rs, g, simple_affine_root(rs, i)))
         g = g * element_from_word(rs, (i,))
     return out
+
+
+def centered_class_fit(rs: RootSystem, k: int, residue: int) -> Tuple[Q, ...]:
+    """Coroot class ``residue`` of the sum of (F_b - mean)^k, the mean being
+    n(b-1)(h+b+1)/24, interpolated alone at the class's n + 2k + 1 smallest
+    dilations and checked at the next two: the per-class fit that the
+    centered :func:`corelab.ehrhart.coprime_polynomial` must equal."""
+    m = quasi_period(rs, "coroot")
+    samples = [residue + m * t for t in range(rs.rank + 2 * k + 3)]
+    values = [weighted_lattice_sum(rs, b, k, "coroot", True) for b in samples]
+    poly = _lagrange_fit(samples[:-2], values[:-2])
+    assert [poly_eval(poly, b) for b in samples[-2:]] == values[-2:]
+    return poly

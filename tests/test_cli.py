@@ -50,6 +50,23 @@ def rat(s):
     return Q(int(num), int(den))
 
 
+# what the budgeted verify selectors and experiments compute once admitted
+BUDGETED_WORK = (
+    "alcove_size_sums",
+    "verify_max",
+    "moments",
+    "floor_identity_check",
+    "enumerate_simultaneous_cores",
+    "macdonald_series",
+    "core_product_series",
+    "coroot_points_in_size_ellipsoid",
+    "experiment_weak_order_maximality",
+    "experiment_cn_fuss",
+    "experiment_cn_selfconjugate_weighting",
+    "leading_coefficient_checks",
+)
+
+
 class TestEnvelope:
     def test_schema_fields_and_rational_rendering(self):
         code, doc = run_json(["verify", "mean", "--type", "A", "--rank", "2", "--b", "4"])
@@ -140,6 +157,32 @@ class TestEnum:
              "1f5ba7ac76a093ba9a29a1dce721ae879f5651d39ce42bbfb550e4faccc4f9d1"),
             ("fit --type D --rank 4 --k 3 --lattice coroot",
              "bb9efa54fcd6c08d0431ff2fd9d75128f84729251edc0e7dd00899a6ab83a2cd"),
+            # every verify selector family over a sweep with skipped rows, stat's
+            # sweep, both projections of each, and the experiments without a pin
+            ("verify --type E --rank 7 --b-range 1..20 count",
+             "4d0b55e56023dfb08ca892d5089056a5ae1434f4c6aefdb3f0f734902fa51d4b"),
+            ("verify --type D --rank 4 --b-range 1..7 max mean variance m3",
+             "53725c14ef636241e628b88bec474d3a93c12f4dfe689f9c7a42a1d7c856d37e"),
+            ("verify --type A --rank 6 --b-range 1..12 floor",
+             "5f4380f51cc5812facfc14229354a6935cf564ee4b74628970419dbc3a7c22bb"),
+            ("verify --type A --rank 3 --b-range 1..9 anderson strange macdonald genfun-A",
+             "19aa8a61af9917ccfcee2c60aa05cc55346e09b9b601df85a188b8f1ded4256b"),
+            ("stat --type A --rank 3 --b-range 2..6",
+             "2983b54726668c37a8efaaf5423597de5aca648c53ab8cb41ebf32b1b808a85a"),
+            ("verify --type A --rank 3 --b-range 1..9 count "
+             "max mean variance m3 floor anderson strange --format csv",
+             "93914d756f98961f55cb404c0ba6d497bae6eb8d5016ecf6574374203c7b38cb"),
+            ("verify --type A --rank 3 --b-range 1..9 count "
+             "max mean variance m3 floor anderson strange --format table",
+             "a521054e698bf442a52b3de586434708118ab74e490ee94d24e494d4109709eb"),
+            ("stat --type D --rank 4 --b-range 1..7 --format csv",
+             "2138d585e640a5973211afb99f379157b9da93510beec206fe3f85e08316c04e"),
+            ("stat --type D --rank 4 --b-range 1..7 --format table",
+             "bd6b26c0d22d42ee56a6935723ad8aabefaf0bcd446c81ded25ddb2ccfcea768"),
+            ("experiment cn-fuss --rank 3 --m 2",
+             "5c462d8a00d4ef7b939a02ee1dff4cae81a7956386fa13cee9d3565b67ef8d4f"),
+            ("experiment top-coeff --type A --rank 3 --k 3",
+             "245fadc5ec43003eee4490e5c1bf58bb5d61b8f1cf2a984a221d6191df53faae"),
         ],
     )
     def test_stdout_bytes_are_pinned(self, argv, digest):
@@ -307,6 +350,42 @@ class TestVerify:
         assert code == EXIT_OK
         assert doc["results"][0]["verdict"] == "match"
 
+    def test_anderson_budget_admits_exactly_the_cores(self, monkeypatch, capsys):
+        # the (7, 9)-cores: C(16, 7)/16 = 715 coroot points of the height-9 region
+        def refuse(a, b):
+            raise AssertionError("cores enumerated past the budget")
+
+        argv = ["verify", "--type", "A", "--rank", "6", "--b", "9", "anderson"]
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "enumerate_simultaneous_cores", refuse)
+            assert run(argv + ["--max-points", "714"])[0] == EXIT_BUDGET
+        assert capsys.readouterr().err == (
+            "error: estimated 715 points exceeds --max-points 714\n")
+        code, doc = run_json(argv + ["--max-points", "715"])
+        assert code == EXIT_OK
+        assert doc["results"][0]["value"] == "715/1"
+
+    def test_floor_budget_admits_exactly_the_terms(self, monkeypatch, capsys):
+        def refuse(rs, b):
+            raise AssertionError("floor sum evaluated past the budget")
+
+        # the estimate is the exact number of inner terms, floor(i h / b) for 0 < i < b
+        for family, rank, b in [("A", 3, 5), ("A", 6, 12), ("D", 4, 7), ("E", 6, 7)]:
+            rs = build_root_system(family, rank)
+            h = rs.coxeter_number
+            assert cli._floor_cost(rs, b) == (sum(i * h // b for i in range(1, b)), "terms")
+        huge = ["verify", "--type", "A", "--rank", "3", "--b", "30000001", "floor"]
+        argv = ["verify", "--type", "A", "--rank", "6", "--b", "12", "floor"]
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "floor_identity_check", refuse)
+            assert run(huge + ["--max-points", "10"])[0] == EXIT_BUDGET
+            assert capsys.readouterr().err == (
+                "error: estimated 45000000 terms exceeds --max-points 10\n")
+            assert run(argv + ["--max-points", "32"])[0] == EXIT_BUDGET
+        code, doc = run_json(argv + ["--max-points", "33"])
+        assert code == EXIT_OK
+        assert doc["results"][0]["verdict"] == "match"
+
     def test_fractional_ellipsoid_size_survives_optimize(self):
         script = (
             "import sys\n"
@@ -426,9 +505,9 @@ class TestFit:
         exact = ehrhart.fit_component
         fitted = []
 
-        def counted(rs, k, lattice, residue, centered=False):
+        def counted(rs, k, lattice, residue):
             fitted.append(residue)
-            return exact(rs, k, lattice, residue, centered)
+            return exact(rs, k, lattice, residue)
 
         monkeypatch.setattr(ehrhart, "fit_component", counted)
         code, doc = run_json(["fit", "--type", "E", "--rank", "8", "--k", "1",
@@ -681,6 +760,26 @@ class TestPlumbing:
             code, _ = run(command + ["--type", "A", "--rank", "2", "--b", "4",
                                      "--max-points", "3"])
             assert code == EXIT_BUDGET
+
+    @pytest.mark.parametrize(
+        "command",
+        [["verify", name] for name in cli._VERIFY]
+        + [["experiment", name] for name in cli._EXPERIMENT],
+        ids=" ".join,
+    )
+    def test_every_selector_and_experiment_is_budgeted(self, command, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("work done past the budget")
+
+        for name in BUDGETED_WORK:
+            monkeypatch.setattr(cli, name, refuse)
+        code, text = run(command + ["--type", "A", "--rank", "2", "--b", "4", "--k", "2",
+                                    "--max-points", "0"])
+        if command[1] == "strange":  # one closed formula, nothing to count
+            assert code == EXIT_OK
+            return
+        assert (code, text) == (EXIT_BUDGET, "")
+        assert capsys.readouterr().err.startswith("error: estimated ")
 
     def test_cli_imports_only_public_corelab_names(self):
         tree = ast.parse(open(cli.__file__).read())

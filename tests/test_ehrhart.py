@@ -26,6 +26,7 @@ from corelab.genfun import poly_eval, poly_trim
 from corelab.lattice_enum import coroot_points_in_bA, coweight_points_in_bA
 from corelab.rootsys import QuadraticForm, build_root_system
 from corelab.stats import closed_mean
+from oracles import centered_class_fit
 
 A2 = build_root_system("A", 2)
 A3 = build_root_system("A", 3)
@@ -325,7 +326,7 @@ class TestLeadingCoefficients:
         out = leading_coefficient_checks(D4, 6)
         assert out["ratio"] == Q(5561, 11211200) == out["expected"] / 2
         assert out["verdict"].startswith("counterexample(")
-        weight = fit_component(D4, 6, "coroot", 1, centered=True)
+        weight = centered_class_fit(D4, 6, 1)
         count = fit_component(D4, 0, "coroot", 1)
         assert weight[-1] / count[-1] == out["ratio"]
         # the per-class fit of D5 samples up to b = 77 and takes minutes
@@ -365,7 +366,10 @@ class TestCoprimePolynomial:
         classes = coprime_fit_classes(rs)
         poly = coprime_polynomial(rs, k, centered, classes)
         for j in classes:
-            assert poly == fit_component(rs, k, "coroot", j, centered)
+            if centered:
+                assert poly == centered_class_fit(rs, k, j)
+            else:
+                assert poly == fit_component(rs, k, "coroot", j)
 
     def test_count_matches_per_class_fits_beyond_simply_laced(self):
         for family, rank in [("B", 2), ("B", 3), ("B", 4), ("C", 3), ("C", 4),
