@@ -315,11 +315,10 @@ def _verify_count(rs: RootSystem, b: int, args) -> Dict:
 
 
 def _floor_cost(rs: RootSystem, b: int) -> Tuple[int, str]:
-    """The inner terms of the general floor sum: floor(i h / b) for each
-    0 < i < b, which add up to (b - 1)(h - 1)/2 for b coprime to h."""
+    """The h - 1 terms of each floor sum, one per inner index j."""
     if not is_simply_laced(rs):
         raise UsageError("floor identities apply to simply-laced systems")
-    return (b - 1) * (rs.coxeter_number - 1) // 2, "terms"
+    return rs.coxeter_number - 1, "terms"
 
 
 def _verify_floor(rs: RootSystem, b: int, args) -> Dict:

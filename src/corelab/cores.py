@@ -1,26 +1,26 @@
-"""Partitions, hooks, a-cores, and the coroot-to-core dictionary in type A.
+"""Partitions, a-cores, and the coroot-to-core dictionary in type A.
 
-An a-core is a partition with no hook length divisible by a.  The rank
-``a - 1`` affine letters act on a-cores through box contents: letter ``i``
-toggles every addable or removable corner whose content is congruent to
-``i`` modulo ``a``.  The classical bijection between the coroot lattice and
-a-cores is read off an ``a``-runner abacus whose bead counts are the
-differences of consecutive coroot coordinates; it intertwines the action of
-the affine letters on coroots with the letter action on cores.  The
-simultaneous (a,b)-cores are the cores of the coroot points of the
-height-``b`` region, which the inverse height-``b`` element carries there
-from the dilated alcove in integer arithmetic.
+Every corner operation reads a partition as its bead set (Maya diagram)
+``{lambda_r - r}``.  A box of content ``c`` is added or removed by moving a
+bead between ``c - 1`` and ``c``, and a hook of length ``k`` is a bead with a
+gap ``k`` places below it, so an a-core (no hook length divisible by ``a``)
+is a bead set flush on every runner of the ``a``-runner abacus.  Affine
+letter ``i`` acts on a-cores by toggling the corners of content ``i`` mod
+``a``.  The bijection from coroot points to a-cores reads the runners' bead
+counts off consecutive coordinate differences and intertwines the two
+actions; the (a,b)-cores are the cores of the height-``b`` region's points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import lru_cache
 from math import comb, gcd
-from typing import Collection, Iterator, List, Sequence, Tuple
+from typing import Collection, Iterable, List, Sequence, Set, Tuple
 
 from corelab.lattice_enum import core_points_in_sommers
-from corelab.rootsys import QuadraticForm, build_root_system
+from corelab.rootsys import QuadraticForm, RootSystem, VerificationError, build_root_system
 
 
 @dataclass(frozen=True)
@@ -33,9 +33,7 @@ class Partition:
         object.__setattr__(self, "parts", tuple(self.parts))
         if any(p <= 0 for p in self.parts):
             raise ValueError("parts must be positive")
-        if any(
-            self.parts[i] < self.parts[i + 1] for i in range(len(self.parts) - 1)
-        ):
+        if any(p < q for p, q in zip(self.parts, self.parts[1:])):
             raise ValueError("parts must be weakly decreasing")
 
     @property
@@ -43,31 +41,39 @@ class Partition:
         return sum(self.parts)
 
     def conjugate(self) -> "Partition":
-        if not self.parts:
-            return Partition()
-        return Partition(
-            tuple(
-                sum(1 for p in self.parts if p >= c)
-                for c in range(1, self.parts[0] + 1)
-            )
-        )
+        top = self.parts[0] if self.parts else 0
+        return Partition(tuple(sum(1 for p in self.parts if p >= c) for c in range(1, top + 1)))
 
 
-def hook_lengths(p: Partition) -> List[int]:
-    """Hook lengths of every cell, in row-major order."""
-    conj = p.conjugate().parts
+def _beads(parts: Sequence[int], pad: int = 0) -> Set[int]:
+    """The beads ``lambda_r - r`` of ``parts`` followed by ``pad`` zero parts;
+    every position below ``-len(parts) - pad`` holds a bead too."""
+    return {p - r for r, p in enumerate(parts, 1)} | set(range(-len(parts) - pad, -len(parts)))
+
+
+def _parts(beads: Iterable[int]) -> Tuple[int, ...]:
+    """The partition whose beads are ``beads`` and every position below some
+    point under them, normalized so that its ``r``-th largest bead
+    ``beta_r`` is ``lambda_r - r``: part ``r`` is ``beta_r + r`` while that
+    is positive."""
     out = []
-    for r, row_len in enumerate(p.parts, start=1):
-        for c in range(1, row_len + 1):
-            out.append(row_len - c + conj[c - 1] - r + 1)
-    return out
+    for r, beta in enumerate(sorted(beads, reverse=True), 1):
+        if beta + r <= 0:
+            break
+        out.append(beta + r)
+    return tuple(out)
 
 
 def is_a_core(p: Partition, a: int) -> bool:
-    """True iff no hook length of ``p`` is divisible by ``a``."""
+    """True iff no hook length of ``p`` is divisible by ``a``: every bead
+    has a bead ``a`` places below it.  A hook of length ``k a`` is a bead
+    with a gap ``k a`` places below it, and the walk down from one to the
+    other in steps of ``a`` passes a bead with a gap ``a`` below it."""
     if a < 2:
         raise ValueError("modulus must be at least 2")
-    return all(h % a != 0 for h in hook_lengths(p))
+    beads = _beads(p.parts)
+    low = -len(p.parts)
+    return all(beta - a in beads or beta - a < low for beta in beads)
 
 
 @dataclass(frozen=True)
@@ -88,89 +94,58 @@ class CorePartition:
         return self.partition.size
 
 
-def _corners(parts: Sequence[int]) -> Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]:
-    """Addable and removable corners as (1-indexed row, content) pairs."""
-    addable = []
-    removable = []
-    rows = len(parts)
-    for r in range(rows + 1):
-        here = parts[r] if r < rows else 0
-        above = parts[r - 1] if r > 0 else None
-        if above is None or above > here:
-            addable.append((r + 1, here + 1 - (r + 1)))
-        if r < rows and parts[r] > 0 and (r + 1 >= rows or parts[r + 1] < parts[r]):
-            removable.append((r + 1, parts[r] - (r + 1)))
-    return addable, removable
-
-
 def toggle_corners(
     parts: Tuple[int, ...], m: int, residues: Collection[int]
 ) -> Tuple[int, ...]:
-    """Add every addable corner whose content mod ``m`` lies in ``residues``,
-    or, if there is none, remove every such removable corner.
+    """Add every addable corner whose content mod ``m`` lies in ``residues``
+    and remove every such removable corner.
 
-    The two kinds are asserted never to coexist; hooks are not re-certified.
+    Each such content ``c`` swaps the bead positions ``c - 1`` and ``c``; one
+    zero part of padding keeps the lowest swap on the set.  On an ``m``-core
+    with one residue, and on a self-conjugate ``2n``-core with the residues
+    ``{i, -i}``, addable and removable corners of the class never coexist, so
+    this is the letter action; applying it twice returns ``parts``.
     """
-    addable, removable = _corners(parts)
-    add_hits = [r for r, c in addable if c % m in residues]
-    rem_hits = [r for r, c in removable if c % m in residues]
-    assert not (add_hits and rem_hits)
-    out = list(parts)
-    if add_hits:
-        for r in add_hits:
-            if r - 1 < len(out):
-                out[r - 1] += 1
-            else:
-                out.append(1)
-    elif rem_hits:
-        for r in rem_hits:
-            out[r - 1] -= 1
-        while out and out[-1] == 0:
-            out.pop()
-    return tuple(out)
+    beads = _beads(parts, 1)
+    for c in range(-len(parts), (parts[0] if parts else 0) + 1):
+        if c % m in residues and (c - 1 in beads) != (c in beads):
+            beads ^= {c - 1, c}
+    return _parts(beads)
 
 
-def simple_action_on_core(a: int, i: int, core: CorePartition) -> CorePartition:
-    """Letter ``i`` toggles the corners of content congruent to ``i`` mod ``a``.
-
-    For an a-core, addable and removable corners of one content class never
-    coexist (asserted); the letter adds all corners of its class if any are
-    addable, removes all if any are removable, and otherwise fixes the core.
-    Applying the same letter twice returns the original core.
-    """
-    if not 0 <= i < a:
-        raise ValueError(f"residue {i} out of range for modulus {a}")
-    assert core.modulus == a
-    return CorePartition(Partition(toggle_corners(core.partition.parts, a, (i,))), a)
+@lru_cache(maxsize=None)
+def _size_form(a: int) -> Tuple[RootSystem, QuadraticForm]:
+    """The type A root system of rank ``a - 1`` and its size form ``F_1``."""
+    rs = build_root_system("A", a - 1)
+    return rs, QuadraticForm(rs, 1)
 
 
 def core_from_coroot(a: int, lam: Sequence[Q | int]) -> CorePartition:
     """The a-core matched to a coroot lattice point, read off an abacus.
 
     Pad ``lam`` to ``(0, lam_1, ..., lam_{a-1}, 0)``.  Runner ``i < a`` holds
-    a bead at ``i + a k`` for every integer ``k < lam_{i+1} - lam_i``; with
-    the beads in decreasing order ``beta_1 > beta_2 > ...``, part ``j`` is
-    ``beta_j + j`` while that is positive.  This is the core that a reduced
-    word of the translation by ``lam`` builds from the empty partition.  The
-    box count always equals the size form at ``lam``; that is asserted.
+    a bead at ``i + a k`` for every integer ``k < lam_{i+1} - lam_i``.  This
+    is the core that a reduced word of the translation by ``lam`` builds
+    from the empty partition.  Its box count must equal the size form at
+    ``lam``; a failure raises :class:`~corelab.rootsys.VerificationError`.
     """
     if a < 2:
         raise ValueError("modulus must be at least 2")
-    rs = build_root_system("A", a - 1)
+    rs, size = _size_form(a)
     if len(lam) != rs.rank:
         raise ValueError(f"expected {rs.rank} coordinates")
     if any(Q(v).denominator != 1 for v in lam):
         raise ValueError("not a coroot point")
     coords = [0] + [int(v) for v in lam] + [0]
     gaps = [coords[i + 1] - coords[i] for i in range(a)]
-    # every position below a * low holds a bead, and parts end there
+    # every position below a * low holds a bead
     low = min(gaps)
-    beads = sorted(
-        (i + a * k for i, top in enumerate(gaps) for k in range(low, top)), reverse=True
-    )
-    parts = tuple(p for p in (beta + j for j, beta in enumerate(beads, 1)) if p > 0)
+    parts = _parts(i + a * k for i, top in enumerate(gaps) for k in range(low, top))
     core = CorePartition(Partition(parts), a)
-    assert 24 * core.size == QuadraticForm(rs, 1).scaled_at(coords[1:-1])
+    scaled = size.scaled_at(coords[1:-1])
+    if 24 * core.size != scaled:
+        raise VerificationError("the %d-core of %s has %d boxes, not F_1 = %s"
+                                % (a, coords[1:-1], core.size, Q(scaled, 24)))
     return core
 
 
@@ -178,43 +153,23 @@ def enumerate_simultaneous_cores(a: int, b: int) -> List[CorePartition]:
     """All simultaneous (a,b)-cores, sorted lexicographically by parts.
 
     The coroot points of the height-``b`` region go through the
-    coroot-to-core map.  Every output is checked to be a ``b``-core as well,
-    and the count is checked against ``C(a+b, b) / (a+b)``.
+    coroot-to-core map.  Every output must be a ``b``-core as well, and the
+    count must be Anderson's ``C(a+b, b) / (a+b)``; a failure raises
+    :class:`~corelab.rootsys.VerificationError`.
     """
     if a < 2 or b < 1:
         raise ValueError("need a >= 2 and b >= 1")
     if gcd(a, b) != 1:
         raise ValueError("a and b must be coprime")
     cores = []
-    for x in core_points_in_sommers(build_root_system("A", a - 1), b).points:
+    for x in core_points_in_sommers(_size_form(a)[0], b).points:
         core = core_from_coroot(a, x)
-        # a 1-core has no boxes at all; larger b get the hook test
-        assert core.partition.parts == () if b == 1 else is_a_core(core.partition, b)
+        # a 1-core has no boxes at all
+        if not (core.partition.parts == () if b == 1 else is_a_core(core.partition, b)):
+            raise VerificationError("the %d-core %s is not a %d-core"
+                                    % (a, list(core.partition.parts), b))
         cores.append(core)
-    expected = comb(a + b, b) // (a + b)
-    assert comb(a + b, b) % (a + b) == 0
-    assert len(cores) == expected
+    if (a + b) * len(cores) != comb(a + b, b):
+        raise VerificationError("%d (%d,%d)-cores, not C(%d,%d)/%d"
+                                % (len(cores), a, b, a + b, b, a + b))
     return sorted(cores, key=lambda c: c.partition.parts)
-
-
-def _partitions_of(k: int, max_part: int) -> Iterator[Tuple[int, ...]]:
-    if k == 0:
-        yield ()
-        return
-    for first in range(min(k, max_part), 0, -1):
-        for rest in _partitions_of(k - first, first):
-            yield (first,) + rest
-
-
-def core_counting_coefficients(a: int, N: int) -> List[int]:
-    """Number of a-cores of each size ``0..N``, by direct partition search."""
-    if a < 2:
-        raise ValueError("modulus must be at least 2")
-    if N < 0:
-        raise ValueError("need N >= 0")
-    counts = []
-    for k in range(N + 1):
-        counts.append(
-            sum(1 for parts in _partitions_of(k, k) if is_a_core(Partition(parts), a))
-        )
-    return counts

@@ -31,7 +31,6 @@ __all__ = [
     "dp_backed",
     "weighted_lattice_sum",
     "fit_component",
-    "fit_quasi",
     "coprime_fit_classes",
     "coprime_samples",
     "coprime_polynomial",
@@ -189,24 +188,6 @@ def fit_component(rs: RootSystem, k: int, lattice: str, residue: int) -> PolyQ:
     if any(poly_eval(poly, b) != y for b, y in zip(samples[-2:], values[-2:])):
         raise HoldoutError("period/degree assumption violated")
     return poly
-
-
-def fit_quasi(
-    rs: RootSystem,
-    k: int,
-    lattice: str,
-    residues: Optional[Sequence[int]] = None,
-) -> QuasiPolynomial:
-    """Fit components for the given residue classes (all classes by default)
-    through :func:`fit_residues`; a missed holdout raises its HoldoutError."""
-    m = quasi_period(rs, lattice)
-    chosen = tuple(range(m) if residues is None else residues)
-    components: List[Optional[PolyQ]] = [None] * m
-    for residue, poly in fit_residues(rs, k, lattice, chosen):
-        if isinstance(poly, HoldoutError):
-            raise poly
-        components[residue] = poly
-    return QuasiPolynomial(m, tuple(components), rs.rank + 2 * k)
 
 
 def reciprocity_check(

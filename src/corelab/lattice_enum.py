@@ -285,13 +285,13 @@ def coweight_points_in_bA(rs: RootSystem, b: int) -> LatticePointSet:
 
 
 def coroot_points_in_bA(rs: RootSystem, b: int) -> LatticePointSet:
-    """Coroot lattice points of ``b * A`` as integer tuples; counts follow the
-    exponent product rule."""
+    """Coroot lattice points of ``b * A`` as integer tuples.  For ``b``
+    coprime to ``h`` their count must be Haiman's ``prod (b + e_i) / |W|``;
+    a failure raises :class:`~corelab.rootsys.VerificationError`."""
     points = tuple(sorted(iter_scaled_points(rs, b, "coroot")))
-    if gcd(b, rs.coxeter_number) == 1:
-        expected, rest = divmod(exponent_product(rs, b), rs.weyl_order)
-        assert rest == 0
-        assert len(points) == expected
+    if gcd(b, rs.coxeter_number) == 1 and len(points) * rs.weyl_order != exponent_product(rs, b):
+        raise VerificationError("%d coroot points in %dA, not prod(b + e_i)/|W| = %s"
+                                % (len(points), b, Q(exponent_product(rs, b), rs.weyl_order)))
     return LatticePointSet(rs, b, "coroot", points)
 
 

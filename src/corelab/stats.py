@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from corelab.affine import (
     base_point,
@@ -196,41 +196,48 @@ def verify_max(rs: RootSystem, b: int) -> Tuple[Q, int, Tuple[int, ...], str]:
     return best, mult, tuple(w_b_inverse(rs, b).translation), verdict
 
 
+def _floor_sum(b: int, h: int, weight: Callable[[int], int]) -> int:
+    """``sum_{0<i<b} (b - i) sum_{0<j<=floor(i h / b)} weight(j)`` in ``h - 1``
+    terms: the ``i`` with ``floor(i h / b) >= j`` run from ``ceil(j b / h)``
+    to ``b - 1``, so term ``j`` is ``weight(j) T(b - ceil(j b / h))`` with
+    ``T(t) = t (t + 1) / 2``."""
+    total = 0
+    for j in range(1, h):
+        t = b + (-j * b // h)
+        total += weight(j) * t * (t + 1) // 2
+    return total
+
+
+def _floor_sums(rs: RootSystem, b: int) -> List[Tuple[int, int]]:
+    """Each floor sum of :func:`floor_identity_check` with the value 24 times
+    it must take: the general one, whose inner terms count the roots of
+    height ``h - j``, then the displayed type A or D specialization."""
+    n, h = rs.rank, rs.coxeter_number
+    scale = n * (b * b - 1)
+    sums = [(_floor_sum(b, h, lambda j: len(roots_of_height(rs, h - j))), scale * (h + 1))]
+    if rs.family == "A":
+        # (b - i)/2 fl (1 + fl) is (b - i) times the sum of j up to fl
+        sums.append((_floor_sum(b, h, lambda j: j), scale * (n + 2)))
+    if rs.family == "D":
+        # ceil(j/2) up to n - 2, then ceil((j + 2)/2)
+        d_sum = _floor_sum(b, h, lambda j: (j + 1) // 2 + (j > n - 2))
+        sums.append((d_sum, scale * (2 * n - 1)))
+    return sums
+
+
 def floor_identity_check(rs: RootSystem, b: int) -> bool:
     """Exact floor-sum identities for the total size of the height-``b`` core set.
 
     The general rank-by-rank sum is compared to ``n (b^2-1)(h+1)/24``; for
-    types A and D the displayed floor/ceiling specializations are evaluated
-    and compared as well.  Returns True iff every evaluated form agrees.
+    types A and D the displayed floor/ceiling specializations are compared
+    as well, each in ``h - 1`` integer terms.  Returns True iff every
+    evaluated form agrees.
     """
     if not is_simply_laced(rs):
         raise ValueError("floor identities apply to simply-laced systems")
-    n, h = rs.rank, rs.coxeter_number
-    if gcd(b, h) != 1:
+    if gcd(b, rs.coxeter_number) != 1:
         raise ValueError("b not coprime to Coxeter number")
-    target = Q(n * (b * b - 1) * (h + 1), 24)
-    general = Q(0)
-    for i in range(1, b):
-        for j in range(1, (i * h) // b + 1):
-            general += (b - i) * len(roots_of_height(rs, h - j))
-    results = [general == target]
-    if rs.family == "A":
-        a_target = Q(n * (b * b - 1) * (n + 2), 24)
-        a_sum = Q(0)
-        for i in range(1, b):
-            fl = (i * (n + 1)) // b
-            a_sum += Q(b - i, 2) * fl * (1 + fl)
-        results.append(a_sum == a_target)
-    if rs.family == "D":
-        d_target = Q(n * (b * b - 1) * (2 * n - 1), 24)
-        d_sum = Q(0)
-        for i in range(1, b):
-            fl = (i * (2 * n - 2)) // b
-            low = sum((j + 1) // 2 for j in range(1, min(fl, n - 2) + 1))
-            high = sum(-((-(j + 3)) // 2) for j in range(n - 2, fl))
-            d_sum += (b - i) * (low + high)
-        results.append(d_sum == d_target)
-    return all(results)
+    return all(24 * value == target for value, target in _floor_sums(rs, b))
 
 
 def experiment_cn_fuss(n: int, m: int) -> Dict[str, object]:

@@ -1,13 +1,14 @@
 """Slow reference implementations that the tests hold the fast paths to.
 
-Nothing in corelab reads these.  Each one builds every point it needs and
-evaluates it on its own, in Fractions where the fast path works in integers,
-except the centered class fit, which interpolates one class at a time.
+Nothing in corelab reads these.  Each one builds every point, cell or corner
+it needs and evaluates it on its own, in Fractions where the fast path works
+in integers, except the centered class fit, which interpolates one class at
+a time.  ``fit_quasi`` assembles a whole quasipolynomial for the tests.
 """
 
 from fractions import Fraction as Q
 from math import isqrt
-from typing import Dict, List, Sequence, Tuple
+from typing import Collection, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from corelab.affine import (
     AffineElement,
@@ -17,7 +18,15 @@ from corelab.affine import (
     element_from_word,
     w_b_inverse,
 )
-from corelab.ehrhart import _lagrange_fit, quasi_period, weighted_lattice_sum
+from corelab.cores import Partition, is_a_core
+from corelab.ehrhart import (
+    HoldoutError,
+    QuasiPolynomial,
+    _lagrange_fit,
+    fit_residues,
+    quasi_period,
+    weighted_lattice_sum,
+)
 from corelab.genfun import poly_eval
 from corelab.lattice_enum import coroot_points_in_bA, iter_scaled_points, lattice_scale
 from corelab.rootsys import (
@@ -27,6 +36,7 @@ from corelab.rootsys import (
     invert_matrix,
     mat_vec,
     pairing,
+    roots_of_height,
 )
 
 
@@ -193,3 +203,122 @@ def centered_class_fit(rs: RootSystem, k: int, residue: int) -> Tuple[Q, ...]:
     poly = _lagrange_fit(samples[:-2], values[:-2])
     assert [poly_eval(poly, b) for b in samples[-2:]] == values[-2:]
     return poly
+
+
+def fit_quasi(
+    rs: RootSystem,
+    k: int,
+    lattice: str,
+    residues: Optional[Sequence[int]] = None,
+) -> QuasiPolynomial:
+    """Fit components for the given residue classes (all classes by default)
+    through :func:`corelab.ehrhart.fit_residues`; a missed holdout raises its
+    HoldoutError."""
+    m = quasi_period(rs, lattice)
+    chosen = tuple(range(m) if residues is None else residues)
+    components: List[Optional[Tuple[Q, ...]]] = [None] * m
+    for residue, poly in fit_residues(rs, k, lattice, chosen):
+        if isinstance(poly, HoldoutError):
+            raise poly
+        components[residue] = poly
+    return QuasiPolynomial(m, tuple(components), rs.rank + 2 * k)
+
+
+def floor_sums_by_terms(rs: RootSystem, b: int) -> List[Q]:
+    """The floor sums of ``floor_identity_check`` term by term in Fractions:
+    the general sum over 0 < i < b and 0 < j <= floor(i h / b) of (b - i)
+    times the number of roots of height h - j, then the type A or D
+    specialization over 0 < i < b."""
+    n, h = rs.rank, rs.coxeter_number
+    general = Q(0)
+    for i in range(1, b):
+        for j in range(1, (i * h) // b + 1):
+            general += (b - i) * len(roots_of_height(rs, h - j))
+    sums = [general]
+    if rs.family == "A":
+        a_sum = Q(0)
+        for i in range(1, b):
+            fl = (i * (n + 1)) // b
+            a_sum += Q(b - i, 2) * fl * (1 + fl)
+        sums.append(a_sum)
+    if rs.family == "D":
+        d_sum = Q(0)
+        for i in range(1, b):
+            fl = (i * (2 * n - 2)) // b
+            low = sum((j + 1) // 2 for j in range(1, min(fl, n - 2) + 1))
+            high = sum(-((-(j + 3)) // 2) for j in range(n - 2, fl))
+            d_sum += (b - i) * (low + high)
+        sums.append(d_sum)
+    return sums
+
+
+def hook_lengths(p: Partition) -> List[int]:
+    """Hook lengths of every cell, in row-major order."""
+    conj = p.conjugate().parts
+    out = []
+    for r, row_len in enumerate(p.parts, start=1):
+        for c in range(1, row_len + 1):
+            out.append(row_len - c + conj[c - 1] - r + 1)
+    return out
+
+
+def corners(parts: Sequence[int]) -> Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]:
+    """Addable and removable corners as (1-indexed row, content) pairs."""
+    addable = []
+    removable = []
+    rows = len(parts)
+    for r in range(rows + 1):
+        here = parts[r] if r < rows else 0
+        above = parts[r - 1] if r > 0 else None
+        if above is None or above > here:
+            addable.append((r + 1, here + 1 - (r + 1)))
+        if r < rows and parts[r] > 0 and (r + 1 >= rows or parts[r + 1] < parts[r]):
+            removable.append((r + 1, parts[r] - (r + 1)))
+    return addable, removable
+
+
+def toggle_corners_by_scan(
+    parts: Tuple[int, ...], m: int, residues: Collection[int]
+) -> Tuple[int, ...]:
+    """``toggle_corners`` from a scan of the corners: add every addable
+    corner whose content mod ``m`` lies in ``residues``, or, if there is
+    none, remove every such removable corner; the two never coexist."""
+    addable, removable = corners(parts)
+    add_hits = [r for r, c in addable if c % m in residues]
+    rem_hits = [r for r, c in removable if c % m in residues]
+    assert not (add_hits and rem_hits)
+    out = list(parts)
+    if add_hits:
+        for r in add_hits:
+            if r - 1 < len(out):
+                out[r - 1] += 1
+            else:
+                out.append(1)
+    elif rem_hits:
+        for r in rem_hits:
+            out[r - 1] -= 1
+        while out and out[-1] == 0:
+            out.pop()
+    return tuple(out)
+
+
+def partitions_of(k: int, max_part: int) -> Iterator[Tuple[int, ...]]:
+    """Every partition of ``k`` with parts at most ``max_part``."""
+    if k == 0:
+        yield ()
+        return
+    for first in range(min(k, max_part), 0, -1):
+        for rest in partitions_of(k - first, first):
+            yield (first,) + rest
+
+
+def core_counting_coefficients(a: int, N: int) -> List[int]:
+    """Number of a-cores of each size ``0..N``, by direct partition search."""
+    if a < 2:
+        raise ValueError("modulus must be at least 2")
+    if N < 0:
+        raise ValueError("need N >= 0")
+    return [
+        sum(1 for parts in partitions_of(k, k) if is_a_core(Partition(parts), a))
+        for k in range(N + 1)
+    ]

@@ -24,13 +24,8 @@ from corelab.affine import (
     omega_group,
     sommers_contains,
 )
-from corelab.cores import (
-    core_counting_coefficients,
-    core_from_coroot,
-    enumerate_simultaneous_cores,
-)
+from corelab.cores import core_from_coroot, enumerate_simultaneous_cores
 from corelab.ehrhart import (
-    fit_quasi,
     leading_coefficient_checks,
     reciprocity_check,
     verify_expected_size_polynomial,
@@ -56,6 +51,7 @@ from corelab.stats import (
     size_point,
     verify_max,
 )
+from oracles import core_counting_coefficients, fit_quasi
 
 BUDGETS = {1: 10, 2: 5, 3: 60, 4: 300, 5: 30, 6: 600, 7: 60, 8: 300, 9: 120, 10: 600}
 

@@ -13,6 +13,7 @@ import subprocess
 import sys
 from fractions import Fraction as Q
 from math import gcd
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -49,6 +50,13 @@ def rat(s):
     assert int(den) > 0
     return Q(int(num), int(den))
 
+
+# the command-line examples of README.md, as argv lists
+README_EXAMPLES = [
+    line.split()[1:]
+    for line in (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    if line.startswith("corelab ")
+]
 
 # what the budgeted verify selectors and experiments compute once admitted
 BUDGETED_WORK = (
@@ -369,22 +377,69 @@ class TestVerify:
         def refuse(rs, b):
             raise AssertionError("floor sum evaluated past the budget")
 
-        # the estimate is the exact number of inner terms, floor(i h / b) for 0 < i < b
+        # the estimate is the exact number of terms of each floor sum, one per
+        # 0 < j < h, whatever the dilation
         for family, rank, b in [("A", 3, 5), ("A", 6, 12), ("D", 4, 7), ("E", 6, 7)]:
             rs = build_root_system(family, rank)
-            h = rs.coxeter_number
-            assert cli._floor_cost(rs, b) == (sum(i * h // b for i in range(1, b)), "terms")
+            assert cli._floor_cost(rs, b) == (rs.coxeter_number - 1, "terms")
         huge = ["verify", "--type", "A", "--rank", "3", "--b", "30000001", "floor"]
         argv = ["verify", "--type", "A", "--rank", "6", "--b", "12", "floor"]
         with monkeypatch.context() as patch:
             patch.setattr(cli, "floor_identity_check", refuse)
-            assert run(huge + ["--max-points", "10"])[0] == EXIT_BUDGET
+            assert run(huge + ["--max-points", "2"])[0] == EXIT_BUDGET
             assert capsys.readouterr().err == (
-                "error: estimated 45000000 terms exceeds --max-points 10\n")
-            assert run(argv + ["--max-points", "32"])[0] == EXIT_BUDGET
-        code, doc = run_json(argv + ["--max-points", "33"])
+                "error: estimated 3 terms exceeds --max-points 2\n")
+            assert run(argv + ["--max-points", "5"])[0] == EXIT_BUDGET
+        code, doc = run_json(argv + ["--max-points", "6"])
         assert code == EXIT_OK
         assert doc["results"][0]["verdict"] == "match"
+        code, doc = run_json(huge)
+        assert code == EXIT_OK
+        assert doc["results"][0]["verdict"] == "match"
+
+    @pytest.mark.parametrize(
+        "patch, argv, verdict",
+        [
+            # a core whose box count is not the size form at its coroot point
+            ("class Off(cores.QuadraticForm):\n"
+             "    def scaled_at(self, y, d=1):\n"
+             "        return super().scaled_at(y, d) + 24\n"
+             "cores.QuadraticForm = Off\n",
+             "enum --type A --rank 2 --b 4 --stat size",
+             "the 3-core of [-1, -1] has 5 boxes, not F_1 = 6"),
+            # an (a,b)-core that is not a b-core
+            ("cores.is_a_core = lambda p, a: a != 4\n",
+             "verify --type A --rank 2 --b 4 anderson",
+             "the 3-core [3, 1, 1] is not a 4-core"),
+            # one (a,b)-core short of Anderson's count
+            ("exact = cores.core_points_in_sommers\n"
+             "cores.core_points_in_sommers = lambda rs, b: dataclasses.replace(\n"
+             "    exact(rs, b), points=exact(rs, b).points[1:])\n",
+             "verify --type A --rank 2 --b 4 anderson",
+             "4 (3,4)-cores, not C(7,4)/7"),
+            # one coroot point of bA short of Haiman's count
+            ("exact = lattice_enum.iter_scaled_points\n"
+             "lattice_enum.iter_scaled_points = lambda rs, b, lattice: (\n"
+             "    list(exact(rs, b, lattice))[1:])\n",
+             "enum --type A --rank 2 --b 4",
+             "4 coroot points in 4A, not prod(b + e_i)/|W| = 5"),
+        ],
+        ids=["size-form", "b-core", "anderson-count", "haiman-count"],
+    )
+    def test_failed_count_and_core_identities_survive_optimize(self, patch, argv, verdict):
+        script = (
+            "import dataclasses, sys\n"
+            "from corelab import cores, lattice_enum\n"
+            "from corelab.cli import main\n"
+            + patch
+            + "sys.exit(main(%r))\n" % argv.split()
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == EXIT_MISMATCH, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["verdict"] == "fail"
+        assert doc["results"] == [{"verdict": "mismatch(%s)" % verdict}]
 
     def test_fractional_ellipsoid_size_survives_optimize(self):
         script = (
@@ -813,6 +868,27 @@ class TestPlumbing:
         assert after_first > 0
         assert len(built) == after_first
         assert first == second
+
+    def test_readme_examples_survive_optimize(self):
+        # every example in one process per interpreter flag set: exit code and stdout
+        script = (
+            "import io, json, sys\n"
+            "from corelab.cli import main\n"
+            "runs = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    out = io.StringIO()\n"
+            "    runs.append([main(argv, out=out), out.getvalue()])\n"
+            "json.dump(runs, sys.stdout)\n"
+        )
+        plain, optimized = (
+            subprocess.run([sys.executable, *flags, "-c", script, json.dumps(README_EXAMPLES)],
+                           capture_output=True, text=True, timeout=300)
+            for flags in ([], ["-O"])
+        )
+        assert plain.returncode == optimized.returncode == 0, optimized.stderr
+        assert len(README_EXAMPLES) == 11
+        assert [code for code, _ in json.loads(plain.stdout)] == [EXIT_OK] * 11
+        assert optimized.stdout == plain.stdout
 
     def test_module_entry_point(self):
         proc = subprocess.run(

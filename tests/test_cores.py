@@ -1,4 +1,4 @@
-"""Tests for partitions, hooks, the letter action on cores, and core enumeration."""
+"""Tests for partitions, a-cores, the letter action on cores, and core enumeration."""
 
 from collections import Counter
 from fractions import Fraction as Q
@@ -12,17 +12,20 @@ from corelab.affine import alcove_walk, base_point, element_from_word
 from corelab.cores import (
     CorePartition,
     Partition,
-    core_counting_coefficients,
     core_from_coroot,
     enumerate_simultaneous_cores,
-    hook_lengths,
     is_a_core,
-    simple_action_on_core,
     toggle_corners,
 )
 from corelab.rootsys import build_root_system
 from corelab.stats import size_point
-from oracles import vec_add
+from oracles import (
+    core_counting_coefficients,
+    hook_lengths,
+    partitions_of,
+    toggle_corners_by_scan,
+    vec_add,
+)
 
 
 def test_partition_validation():
@@ -66,30 +69,57 @@ def test_core_partition_validates():
         CorePartition(Partition((2,)), 2)
 
 
+def letter(a, i, core):
+    """Affine letter ``i`` on an a-core."""
+    return CorePartition(Partition(toggle_corners(core.partition.parts, a, (i,))), a)
+
+
 def test_simple_action_first_step():
-    empty = CorePartition(Partition(), 3)
-    assert simple_action_on_core(3, 0, empty).partition == Partition((1,))
+    assert toggle_corners((), 3, (0,)) == (1,)
     # the other residues fix the empty core
-    assert simple_action_on_core(3, 1, empty) == empty
-    assert simple_action_on_core(3, 2, empty) == empty
-    with pytest.raises(ValueError):
-        simple_action_on_core(3, 3, empty)
+    assert toggle_corners((), 3, (1,)) == ()
+    assert toggle_corners((), 3, (2,)) == ()
 
 
 def test_simple_action_word_example():
     # s1 s2 s1 s0 applied to the empty core, rightmost letter first
-    core = CorePartition(Partition(), 3)
-    for letter in reversed((1, 2, 1, 0)):
-        core = simple_action_on_core(3, letter, core)
-    assert core.partition == Partition((3, 1, 1))
+    parts = ()
+    for i in reversed((1, 2, 1, 0)):
+        parts = toggle_corners(parts, 3, (i,))
+    assert parts == (3, 1, 1)
 
 
 def test_simple_action_is_involutive():
     for a, b in ((3, 4), (4, 5)):
         for core in enumerate_simultaneous_cores(a, b):
             for i in range(a):
-                once = simple_action_on_core(a, i, core)
-                assert simple_action_on_core(a, i, once) == core
+                assert letter(a, i, letter(a, i, core)) == core
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_bead_toggle_matches_corner_scan(data):
+    # a random word over the letters of one modulus: a-cores for a = 2..9,
+    # or self-conjugate 2n-cores under the residue pairs {i, -i mod 2n}
+    if data.draw(st.booleans()):
+        m = data.draw(st.integers(2, 9))
+        classes = [(i,) for i in range(m)]
+    else:
+        n = data.draw(st.integers(2, 5))
+        m = 2 * n
+        classes = [{i % m, -i % m} for i in range(n + 1)]
+    parts = ()
+    for residues in data.draw(st.lists(st.sampled_from(classes), max_size=40)):
+        expected = toggle_corners_by_scan(parts, m, residues)
+        assert toggle_corners(parts, m, residues) == expected
+        parts = expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 12), max_size=12), st.integers(2, 9))
+def test_bead_core_test_matches_hooks(parts, a):
+    p = Partition(sorted(parts, reverse=True))
+    assert is_a_core(p, a) == all(h % a for h in hook_lengths(p))
 
 
 def test_core_from_coroot_anchors():
@@ -131,9 +161,7 @@ def test_core_from_coroot_equivariance():
             core = core_from_coroot(a, lam)
             for i in range(a):
                 moved = refl[i].apply(lam)
-                assert core_from_coroot(a, moved) == simple_action_on_core(
-                    a, i, core
-                )
+                assert core_from_coroot(a, moved) == letter(a, i, core)
 
 
 def walk_core(a, lam):
@@ -147,8 +175,8 @@ def walk_core(a, lam):
     assert elem.translation == lam_q
     assert all(elem.linear[r][c] == int(r == c) for r in range(a - 1) for c in range(a - 1))
     parts = ()
-    for letter in reversed(word):
-        parts = toggle_corners(parts, a, (letter,))
+    for i in reversed(word):
+        parts = toggle_corners_by_scan(parts, a, (i,))
     return parts
 
 
@@ -191,11 +219,9 @@ def test_enumerate_counts():
 
 
 def brute_force_simultaneous(a, b, max_size):
-    from corelab.cores import _partitions_of
-
     found = []
     for k in range(max_size + 1):
-        for parts in _partitions_of(k, k):
+        for parts in partitions_of(k, k):
             p = Partition(parts)
             if is_a_core(p, a) and is_a_core(p, b):
                 found.append(parts)

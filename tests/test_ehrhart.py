@@ -15,7 +15,6 @@ from corelab.ehrhart import (
     coprime_polynomial,
     coprime_samples,
     fit_component,
-    fit_quasi,
     leading_coefficient_checks,
     quasi_period,
     reciprocity_check,
@@ -26,7 +25,7 @@ from corelab.genfun import poly_eval, poly_trim
 from corelab.lattice_enum import coroot_points_in_bA, coweight_points_in_bA
 from corelab.rootsys import QuadraticForm, build_root_system
 from corelab.stats import closed_mean
-from oracles import centered_class_fit
+from oracles import centered_class_fit, fit_quasi
 
 A2 = build_root_system("A", 2)
 A3 = build_root_system("A", 3)

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corelab import genfun
-from corelab.cores import core_counting_coefficients
 from corelab.genfun import (
     _char_poly_coeffs,
     _divide_by_binomial,
@@ -20,7 +19,7 @@ from corelab.genfun import (
 from corelab.affine import element_from_word
 from corelab.lattice_enum import coroot_points_in_size_ellipsoid
 from corelab.rootsys import VerificationError, build_root_system
-from oracles import truncated_product
+from oracles import core_counting_coefficients, truncated_product
 
 
 def rs_named(name):

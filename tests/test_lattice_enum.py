@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from corelab import lattice_enum
 from corelab.affine import b_omega_action, omega_group
 from corelab.cli import main
-from corelab.ehrhart import coprime_fit_classes, fit_quasi, weighted_lattice_sum
+from corelab.ehrhart import coprime_fit_classes, weighted_lattice_sum
 from corelab.lattice_enum import (
     alcove_size_sums,
     coroot_points_in_bA,
@@ -29,7 +29,7 @@ from corelab.lattice_enum import (
 from corelab.affine import sommers_contains
 from corelab.rootsys import QuadraticForm, build_root_system, is_simply_laced
 from corelab.stats import size_point, zise_form
-from oracles import box_size_ellipsoid, streamed_power_sum, streamed_size_sums
+from oracles import box_size_ellipsoid, fit_quasi, streamed_power_sum, streamed_size_sums
 
 
 A2 = build_root_system("A", 2)

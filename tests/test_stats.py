@@ -36,7 +36,7 @@ from corelab.stats import (
     zise_form,
     zise_point,
 )
-from oracles import folded_moments, q_form_point, zise_by_transport
+from oracles import floor_sums_by_terms, folded_moments, q_form_point, zise_by_transport
 
 
 A2 = build_root_system("A", 2)
@@ -267,6 +267,17 @@ def test_floor_identities():
         floor_identity_check(C2, 3)
     with pytest.raises(ValueError):
         floor_identity_check(A2, 6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([("A", 1), ("A", 2), ("A", 5), ("D", 4), ("D", 6), ("E", 6), ("E", 8)]),
+    st.integers(1, 120),
+)
+def test_floor_sums_match_term_by_term(system, b):
+    # any dilation: the exchange of the two sums does not need b coprime to h
+    rs = build_root_system(*system)
+    assert [value for value, _ in stats._floor_sums(rs, b)] == floor_sums_by_terms(rs, b)
 
 
 def test_zise_constant_on_stabilizer_orbits():
