@@ -4,8 +4,8 @@ Elements act on coroot coordinates as ``x -> M x + tau`` with an integer
 linear part ``M`` (a finite Weyl group matrix) and a translation ``tau``,
 stored as ints on the affine Weyl group ``W ⋉ Q^∨``.  Elements of the
 extended group (nontrivial coweight translations, as Fractions) carry
-``extended=True``.  Words are composed one letter at a time by a sparse
-right multiplication, and walks and inversion sets run in ``int`` arithmetic.
+``extended=True``.  Words are composed letter by letter on the rows of
+``[M | t]``, and walks and inversion sets run in ``int`` arithmetic.
 
 The fundamental alcove is ``A = {x : <x, alpha_i> >= 0, <x, alpha~> <= 1}``
 and the base point used to pin down elements from alcoves is ``rho_check/h``,
@@ -121,64 +121,72 @@ class AffineRoot:
     level: int
 
 
-@lru_cache(maxsize=None)
-def _walk_data(rs: RootSystem):
-    """Precomputed sparse data for walks and reflection products.
+def element_from_word(rs: RootSystem, word: Sequence[int]) -> AffineElement:
+    """Compose ``s_{word[0]} o s_{word[1]} o ...`` (rightmost letter acts first).
 
-    ``u = A c`` gives the highest-root pairing as a linear form in the
-    coordinates, ``ad = A^T d`` the pairing shift under the affine
-    reflection, and the nonzero patterns of the Cartan matrix keep the
-    per-step updates proportional to the diagram valence.
+    Each letter, right to left, acts on the rows of ``[M | t]``: ``s_j``
+    (``j >= 1``) subtracts the pairing with ``alpha_j`` from row ``j - 1``
+    alone, and ``s_0`` moves every row along ``theta_check`` (the comarks)
+    by the pairing with ``theta`` (the marks), less one on ``t``.
     """
     n = rs.rank
     A = rs.cartan
-    c = rs.marks
-    d = rs.comarks
-    u = tuple(sum(A[k][j] * c[j] for j in range(n)) for k in range(n))
-    ad = tuple(sum(A[j][k] * d[j] for j in range(n)) for k in range(n))
-    nz_row = tuple(
-        tuple(k for k in range(n) if A[j][k] != 0) for j in range(n)
-    )
-    nz_col = tuple(
-        tuple(l for l in range(n) if A[l][j] != 0) for j in range(n)
-    )
-    nz_u = tuple(l for l in range(n) if u[l] != 0)
-    return u, ad, nz_row, nz_col, nz_u
+    # the nonzero pairings <alpha_k^vee, alpha_j> and <alpha_k^vee, theta>, as (k, value)
+    cols = [[(k, row[j]) for k, row in enumerate(A) if row[j]] for j in range(n)]
+    theta = [(k, c) for k, c in enumerate(sum(map(mul, row, rs.marks)) for row in A) if c]
+    rows = [[int(i == j) for j in range(n)] + [0] for i in range(n)]
+    for j in reversed(word):
+        if not 0 <= j <= n:
+            raise ValueError(f"reflection index {j} out of range")
+        if j:
+            new = rows[j - 1]
+            for k, c in cols[j - 1]:
+                new = [a - c * r for a, r in zip(new, rows[k])]
+            rows[j - 1] = new
+        else:
+            p = [0] * n + [-1]
+            for k, c in theta:
+                p = [a + c * r for a, r in zip(p, rows[k])]
+            rows = [[a - d * v for a, v in zip(row, p)] for d, row in zip(rs.comarks, rows)]
+    return AffineElement(tuple(tuple(row[:n]) for row in rows), tuple(row[n] for row in rows))
 
 
-def _rmul_simple(rs: RootSystem, elem: AffineElement, j: int) -> AffineElement:
-    """``elem * s_j`` using the sparsity of the reflection, without a full product."""
+def _walk(rs: RootSystem, d: int, y: List[int], affine: bool) -> Tuple[List[int], Word]:
+    """Reflect ``y / d`` through the lowest-index violated wall until none is
+    left (the list ``y`` may change); return the scaled point and the word.
+
+    Wall ``i`` of ``1..n`` is violated by a negative pairing with ``alpha_i``;
+    with ``affine``, once those hold, wall ``0`` is violated by
+    ``<x, theta> > 1``, and a point on any wall raises
+    ``ValueError("point not regular")``.
+    """
     n = rs.rank
     A = rs.cartan
-    u, _ad, _nr, nz_col, nz_u = _walk_data(rs)
-    M = [list(row) for row in elem.linear]
-    if j == 0:
-        d = rs.comarks
-        ed = [sum(M[i][k] * d[k] for k in range(n)) for i in range(n)]
-        for i in range(n):
-            if ed[i]:
-                for l in nz_u:
-                    M[i][l] -= ed[i] * u[l]
-        tau = tuple(t + e for t, e in zip(elem.translation, ed))
-    else:
-        jj = j - 1
-        for i in range(n):
-            eij = M[i][jj]
-            if eij:
-                for l in nz_col[jj]:
-                    M[i][l] -= eij * A[l][jj]
-        tau = elem.translation
-    return AffineElement(tuple(tuple(row) for row in M), tau, elem.extended)
-
-
-def element_from_word(rs: RootSystem, word: Sequence[int]) -> AffineElement:
-    """Compose ``s_{word[0]} o s_{word[1]} o ...`` (rightmost letter acts first)."""
-    out = AffineElement.identity(rs.rank)
-    for i in word:
-        if not 0 <= i <= rs.rank:
-            raise ValueError(f"reflection index {i} out of range")
-        out = _rmul_simple(rs, out, i)
-    return out
+    pair = [sum(A[k][i] * y[k] for k in range(n)) for i in range(n)]
+    shift = [sum(c * row[i] for c, row in zip(rs.comarks, A)) for i in range(n)]
+    # the nonzero pairings <alpha_j^vee, alpha_k>, as (k, value)
+    edges = [[(k, a) for k, a in enumerate(row) if a] for row in A]
+    word: List[int] = []
+    while True:
+        if affine and 0 in pair:
+            raise ValueError("point not regular")
+        for j in range(n):
+            v = pair[j]
+            if v < 0:
+                y[j] -= v
+                for k, a in edges[j]:
+                    pair[k] -= v * a
+                word.append(j + 1)
+                break
+        else:
+            v = d - sum(map(mul, rs.marks, pair))
+            if not affine or v > 0:
+                return y, tuple(word)
+            if v == 0:
+                raise ValueError("point not regular")
+            y = [a + v * c for a, c in zip(y, rs.comarks)]
+            pair = [p + v * a for p, a in zip(pair, shift)]
+            word.append(0)
 
 
 def alcove_walk(rs: RootSystem, x: Sequence[Q]) -> Tuple[Vector, Word]:
@@ -191,45 +199,9 @@ def alcove_walk(rs: RootSystem, x: Sequence[Q]) -> Tuple[Vector, Word]:
     maps the final interior point back to ``x``.  A point on any wall
     encountered during the walk raises ``ValueError("point not regular")``.
     """
-    n = rs.rank
-    A = rs.cartan
-    denom, xi = clear_denominators(x)
-    u, ad, nz_row, _nc, _nu = _walk_data(rs)
-    # pair[i] = denom * <x, alpha_{i+1}>, hr = denom * <x, highest root>
-    pair = [sum(A[k][i] * xi[k] for k in range(n)) for i in range(n)]
-    hr = sum(rs.marks[j] * pair[j] for j in range(n))
-    word: List[int] = []
-    while True:
-        hit = None
-        for i in range(n):
-            v = pair[i]
-            if v == 0:
-                raise ValueError("point not regular")
-            if v < 0:
-                hit = (i + 1, v)
-                break
-        if hit is None:
-            v0 = denom - hr
-            if v0 == 0:
-                raise ValueError("point not regular")
-            if v0 < 0:
-                hit = (0, v0)
-        if hit is None:
-            break
-        idx, val = hit
-        if idx == 0:
-            for k in range(n):
-                xi[k] += val * rs.comarks[k]
-                pair[k] += val * ad[k]
-            hr += 2 * val
-        else:
-            j = idx - 1
-            xi[j] -= val
-            for k in nz_row[j]:
-                pair[k] -= val * A[j][k]
-            hr -= val * u[j]
-        word.append(idx)
-    return tuple(Q(v, denom) for v in xi), tuple(word)
+    d, y = clear_denominators(x)
+    y, word = _walk(rs, d, y, True)
+    return tuple(Q(v, d) for v in y), word
 
 
 def base_point(rs: RootSystem) -> Vector:
@@ -361,24 +333,11 @@ def to_dominant(rs: RootSystem, x: Sequence[Q]) -> Tuple[int, Tuple[int, ...], W
     back to ``x`` (as in :func:`alcove_walk`).
 
     Reflects through the lowest-index wall with a negative pairing until none
-    is left, updating the scaled point and its integer pairings along the
-    sparse Cartan rows.
+    is left, on the scaled point and its integer pairings.
     """
-    n = rs.rank
-    A = rs.cartan
-    nz_row = _walk_data(rs)[2]
     d, y = clear_denominators(x)
-    pair = [sum(A[k][i] * y[k] for k in range(n)) for i in range(n)]
-    word: List[int] = []
-    while True:
-        j = next((i for i in range(n) if pair[i] < 0), None)
-        if j is None:
-            return d, tuple(y), tuple(word)
-        v = pair[j]
-        y[j] -= v
-        for k in nz_row[j]:
-            pair[k] -= v * A[j][k]
-        word.append(j + 1)
+    y, word = _walk(rs, d, y, False)
+    return d, tuple(y), word
 
 
 def omega_group(rs: RootSystem) -> List[AffineElement]:

@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import comb, gcd
 from typing import Collection, Iterable, List, Sequence, Set, Tuple
 
-from corelab.lattice_enum import core_points_in_sommers
+from corelab.lattice_enum import core_points_in_sommers, is_coroot_point
 from corelab.rootsys import QuadraticForm, RootSystem, VerificationError, build_root_system
 
 
@@ -134,7 +134,7 @@ def core_from_coroot(a: int, lam: Sequence[Q | int]) -> CorePartition:
     rs, size = _size_form(a)
     if len(lam) != rs.rank:
         raise ValueError(f"expected {rs.rank} coordinates")
-    if any(Q(v).denominator != 1 for v in lam):
+    if not is_coroot_point(lam):
         raise ValueError("not a coroot point")
     coords = [0] + [int(v) for v in lam] + [0]
     gaps = [coords[i + 1] - coords[i] for i in range(a)]

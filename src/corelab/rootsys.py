@@ -17,7 +17,7 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from math import factorial, lcm
 from operator import mul
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 Vector = Tuple[Q, ...]
 

@@ -33,6 +33,7 @@ from corelab.rootsys import (
     QuadraticForm,
     RootSystem,
     Vector,
+    inner,
     invert_matrix,
     mat_vec,
     pairing,
@@ -190,6 +191,42 @@ def inversions_by_word(rs: RootSystem, w: AffineElement) -> List[AffineRoot]:
         out.append(apply_to_affine_root(rs, g, simple_affine_root(rs, i)))
         g = g * element_from_word(rs, (i,))
     return out
+
+
+def affine_reflection_by_definition(rs: RootSystem) -> AffineElement:
+    """``s_0(x) = x - (<x, theta> - 1) theta^vee`` as a dense element in
+    Fractions, with ``theta^vee = 2 theta / (theta, theta)``."""
+    n = rs.rank
+    theta = rs.highest_root.coeffs
+    vec = root_vector(rs, theta)
+    check = tuple(2 * v / inner(rs, vec, vec) for v in vec)
+    pairs = [pairing(rs, tuple(int(j == k) for j in range(n)), theta) for k in range(n)]
+    mat = tuple(tuple(int(i == k) - check[i] * pairs[k] for k in range(n)) for i in range(n))
+    return AffineElement(mat, check)
+
+
+def alcove_walk_by_fractions(rs: RootSystem, x: Sequence[Q]) -> Tuple[Vector, Tuple[int, ...]]:
+    """``alcove_walk`` in Fractions: every wall's pairing recomputed at each
+    step, ``s_i(x) = x - <x, alpha_i> alpha_i^vee`` applied as defined, and
+    ``s_0`` as :func:`affine_reflection_by_definition`."""
+    n = rs.rank
+    s0 = affine_reflection_by_definition(rs)
+    x = list(x)
+    word: List[int] = []
+    while True:
+        pairs = [pairing(rs, x, tuple(int(j == i) for j in range(n))) for i in range(n)]
+        top = pairing(rs, x, rs.highest_root.coeffs)
+        if 0 in pairs or top == 1:
+            raise ValueError("point not regular")
+        i = next((i for i, v in enumerate(pairs) if v < 0), None)
+        if i is not None:
+            x[i] -= pairs[i]
+            word.append(i + 1)
+        elif top > 1:
+            x = list(s0.apply(x))
+            word.append(0)
+        else:
+            return tuple(x), tuple(word)
 
 
 def centered_class_fit(rs: RootSystem, k: int, residue: int) -> Tuple[Q, ...]:

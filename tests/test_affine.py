@@ -35,7 +35,14 @@ from corelab.rootsys import (
     roots_of_height,
     vec_scale,
 )
-from oracles import apply_to_affine_root, inversions_by_word, simple_affine_root, vec_add
+from oracles import (
+    affine_reflection_by_definition,
+    alcove_walk_by_fractions,
+    apply_to_affine_root,
+    inversions_by_word,
+    simple_affine_root,
+    vec_add,
+)
 
 
 A2 = build_root_system("A", 2)
@@ -383,6 +390,31 @@ def test_to_dominant_matches_dense_reflection_products(data):
     y = tuple(Q(v, d) for v in scaled)
     assert u.apply(x) == y
     assert all(pairing(rs, y, tuple(int(j == i) for j in range(n))) >= 0 for i in range(n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_composition_and_walk_match_fraction_oracles(data):
+    rs = data.draw(st.sampled_from(ORACLE_SYSTEMS))
+    n = rs.rank
+    letters = [affine_reflection_by_definition(rs)] + [
+        dense_reflection(rs, j) for j in range(1, n + 1)
+    ]
+    word = data.draw(st.lists(st.integers(0, n), max_size=16))
+    product = AffineElement.identity(n)
+    for j in word:
+        product = product * letters[j]
+    assert element_from_word(rs, word) == product
+    # a prime denominator keeps most points off the walls
+    x = tuple(Q(v, 211) for v in data.draw(st.lists(st.integers(-633, 633), min_size=n,
+                                                     max_size=n)))
+    try:
+        expected = alcove_walk_by_fractions(rs, x)
+    except ValueError:
+        with pytest.raises(ValueError, match="not regular"):
+            alcove_walk(rs, x)
+    else:
+        assert alcove_walk(rs, x) == expected
 
 
 def test_omega_group_orders():

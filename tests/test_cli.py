@@ -58,7 +58,7 @@ README_EXAMPLES = [
     if line.startswith("corelab ")
 ]
 
-# what the budgeted verify selectors and experiments compute once admitted
+# what the budgeted commands, verify selectors and experiments compute once admitted
 BUDGETED_WORK = (
     "alcove_size_sums",
     "verify_max",
@@ -72,6 +72,11 @@ BUDGETED_WORK = (
     "experiment_cn_fuss",
     "experiment_cn_selfconjugate_weighting",
     "leading_coefficient_checks",
+    "core_points_in_sommers",
+    "coroot_points_in_bA",
+    "coweight_points_in_bA",
+    "fit_residues",
+    "coxeter_char_poly",
 )
 
 
@@ -819,7 +824,9 @@ class TestPlumbing:
     @pytest.mark.parametrize(
         "command",
         [["verify", name] for name in cli._VERIFY]
-        + [["experiment", name] for name in cli._EXPERIMENT],
+        + [["experiment", name] for name in cli._EXPERIMENT]
+        + [["enum", "--stat", "size"], ["enum", "--stat", "zise"], ["stat"], ["fit"],
+           ["series"]],
         ids=" ".join,
     )
     def test_every_selector_and_experiment_is_budgeted(self, command, monkeypatch, capsys):
@@ -830,7 +837,7 @@ class TestPlumbing:
             monkeypatch.setattr(cli, name, refuse)
         code, text = run(command + ["--type", "A", "--rank", "2", "--b", "4", "--k", "2",
                                     "--max-points", "0"])
-        if command[1] == "strange":  # one closed formula, nothing to count
+        if command == ["verify", "strange"]:  # one closed formula, nothing to count
             assert code == EXIT_OK
             return
         assert (code, text) == (EXIT_BUDGET, "")

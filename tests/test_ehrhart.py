@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from corelab import ehrhart
 from corelab.ehrhart import (
     HoldoutError,
-    QuasiPolynomial,
     coprime_fit_classes,
     coprime_polynomial,
     coprime_samples,

@@ -27,7 +27,6 @@ from corelab.stats import (
     experiment_weak_order_maximality,
     floor_identity_check,
     haiman_count,
-    is_simply_laced,
     moments,
     sc_core_from_word,
     sc_weighted_size,
