@@ -31,7 +31,6 @@ from corelab.rootsys import (
     pairing,
     roots_of_height,
     vec_scale,
-    vec_sub,
 )
 
 Word = Tuple[int, ...]
@@ -338,36 +337,3 @@ def to_dominant(rs: RootSystem, x: Sequence[Q]) -> Tuple[int, Tuple[int, ...], W
     d, y = clear_denominators(x)
     y, word = _walk(rs, d, y, False)
     return d, tuple(y), word
-
-
-def omega_group(rs: RootSystem) -> List[AffineElement]:
-    """The stabilizer of the fundamental alcove in the extended affine group.
-
-    One element per coset of the coroot lattice in the coweight lattice: the
-    identity plus, for each mark-1 node, the element translating by that
-    fundamental coweight composed with the finite Weyl part that returns the
-    alcove to itself.  Every element fixes ``rho_check/h`` and permutes the
-    alcove's vertex set; the group is abelian of order ``index_f``.
-    """
-    n = rs.rank
-    base = base_point(rs)
-    verts = alcove_vertices(rs, 1)
-    elements = [AffineElement.identity(n)]
-    for i in range(n):
-        if rs.marks[i] != 1:
-            continue
-        mu = rs.fund_coweights[i]
-        word = to_dominant(rs, vec_sub(base, mu))[2]
-        g = AffineElement(element_from_word(rs, word).linear, mu, extended=True)
-        assert g.apply(base) == base
-        assert {g.apply(v) for v in verts} == set(verts)
-        elements.append(g)
-    assert len(elements) == rs.index_f
-    return [elements[0]] + sorted(elements[1:], key=lambda g: g.translation)
-
-
-def b_omega_action(rs: RootSystem, b: int, g: AffineElement, x: Sequence[Q]) -> Vector:
-    """Action of the alcove stabilizer rescaled to ``b * A``: ``x -> M x + b tau``."""
-    return tuple(
-        m + b * t for m, t in zip(mat_vec(g.linear, x), g.translation)
-    )

@@ -3,17 +3,17 @@
 Coweight points of ``b * A`` are the solutions of the mark knapsack
 ``sum_i c_i x_i <= b`` in nonnegative integers, written in coroot
 coordinates as ``sum_i x_i omega_check_i``.  Coroot points are the subset
-with integer coroot coordinates.  Enumeration is lexicographic in the
-coweight coefficients so output is deterministic.  Points leave the knapsack
-as integer vectors scaled by the coweight denominator; the coroot point sets
-are int tuples, and only the coweight point sets build Fractions, through
-``coeffs_to_point``.  Folds over the points never materialize them: powers
-of a quadratic form (``F_b`` or zise) are summed, and its maximum found, by a
-recursion over the knapsack itself, which carries the form's value and the
+with integer coroot coordinates.  Every walk of the knapsack carries the
 coroot class of each prefix and steps the last coefficient along the
-progression the lattice keeps (:func:`scaled_power_sum`), and counts and
-first powers of ``F_b`` come from an exact dynamic program over budgets and
-classes (:func:`alcove_size_sums`).  Both read one table of per-item data,
+progression the lattice keeps (:func:`_class_steps`), so it visits no point
+off the lattice, in lexicographic order of the coweight coefficients.  The
+coroot point sets are int tuples; only the coweight point sets build
+Fractions, through ``coeffs_to_point``.  Folds over the points never
+materialize them: powers of a quadratic form (``F_b`` or zise) are summed,
+and its maximum found, by that walk carrying the form's value
+(:func:`scaled_power_sum`), and counts and first powers of ``F_b`` come from
+an exact dynamic program over budgets and classes
+(:func:`alcove_size_sums`).  Both read one table of per-item data,
 :func:`_knapsack_items`.
 """
 
@@ -56,24 +56,32 @@ class LatticePointSet:
         return len(self.points)
 
 
-def iter_coweight_coeffs(rs: RootSystem, b: int) -> Iterator[Tuple[int, ...]]:
-    """Knapsack solutions ``sum c_i x_i <= b`` in lexicographic order."""
+def iter_coweight_coeffs(rs: RootSystem, b: int, lattice: str) -> Iterator[Tuple[int, ...]]:
+    """The knapsack solutions ``sum c_i x_i <= b`` on the lattice, in
+    lexicographic order: each prefix carries its class (:func:`_class_steps`)
+    and the last coefficient runs over the progression completing a point."""
     if b < 0:
         raise ValueError("dilation must be nonnegative")
-    n = rs.rank
+    steps, start, stride = _class_steps(rs, lattice)
     marks = rs.marks
-    coeffs = [0] * n
+    last = rs.rank - 1
+    coeffs = [0] * rs.rank
 
-    def rec(i: int, budget: int) -> Iterator[Tuple[int, ...]]:
-        if i == n:
-            yield tuple(coeffs)
+    def rec(i: int, budget: int, cls: int) -> Iterator[Tuple[int, ...]]:
+        if i == last:
+            t = start[cls]
+            if t is not None:
+                for v in range(t, budget // marks[i] + 1, stride):
+                    coeffs[i] = v
+                    yield tuple(coeffs)
             return
+        step = steps[i]
         for v in range(budget // marks[i] + 1):
             coeffs[i] = v
-            yield from rec(i + 1, budget - v * marks[i])
-        coeffs[i] = 0
+            yield from rec(i + 1, budget - v * marks[i], cls)
+            cls = step[cls]
 
-    yield from rec(0, b)
+    yield from rec(0, b, 0)
 
 
 @lru_cache(maxsize=None)
@@ -135,6 +143,8 @@ def _class_steps(
     items = _knapsack_items(rs)
     if lattice == "coweight":
         return tuple((0,) for _ in items), (0,), 1
+    if lattice != "coroot":
+        raise ValueError(f"unknown lattice {lattice!r}")
     f = rs.index_f
     zero = tuple(0 for _ in items)
     classes = [zero]
@@ -181,19 +191,11 @@ def is_coroot_point(x: Sequence[Q]) -> bool:
 
 def iter_scaled_points(rs: RootSystem, b: int, lattice: str) -> Iterator[Tuple[int, ...]]:
     """Every lattice point ``x`` of ``b * A`` as the integer vector ``d * x``,
-    ``d = lattice_scale(rs, lattice)``, in knapsack order.
-
-    A coweight point, scaled by the coweight denominator, is a coroot point
-    when every coordinate is divisible by that denominator.
-    """
+    ``d = lattice_scale(rs, lattice)``, in knapsack order."""
     den, rows = _scaled_coweight_rows(rs)
     step = den // lattice_scale(rs, lattice)
-    for coeffs in iter_coweight_coeffs(rs, b):
-        y = [sum(map(mul, coeffs, row)) for row in rows]
-        if step == 1:
-            yield tuple(y)
-        elif all(v % step == 0 for v in y):
-            yield tuple(v // step for v in y)
+    for coeffs in iter_coweight_coeffs(rs, b, lattice):
+        yield tuple(sum(map(mul, coeffs, row)) // step for row in rows)
 
 
 def scaled_power_sum(
@@ -278,7 +280,7 @@ def scaled_power_sum(
 
 def coweight_points_in_bA(rs: RootSystem, b: int) -> LatticePointSet:
     """All coweight lattice points of the closed dilated alcove ``b * A``."""
-    points = tuple(sorted(coeffs_to_point(rs, c) for c in iter_coweight_coeffs(rs, b)))
+    points = tuple(sorted(coeffs_to_point(rs, c) for c in iter_coweight_coeffs(rs, b, "coweight")))
     for x in points[: min(len(points), 64)]:
         assert in_dilated_alcove(rs, b, x)
     return LatticePointSet(rs, b, "coweight", points)
@@ -376,8 +378,6 @@ def alcove_size_sums(rs: RootSystem, b: int, lattice: str) -> Tuple[int, Optiona
     program to at least twice the table's length, so a sweep or a fit over
     rising dilations costs a logarithmic number of runs.
     """
-    if lattice not in ("coweight", "coroot"):
-        raise ValueError(f"unknown lattice {lattice!r}")
     if b < 0:
         raise ValueError("dilation must be nonnegative")
     key = (rs, lattice)

@@ -3,7 +3,8 @@
 Nothing in corelab reads these.  Each one builds every point, cell or corner
 it needs and evaluates it on its own, in Fractions where the fast path works
 in integers, except the centered class fit, which interpolates one class at
-a time.  ``fit_quasi`` assembles a whole quasipolynomial for the tests.
+a time.  ``fit_quasi`` assembles a whole quasipolynomial for the tests, and
+``omega_group`` builds the alcove's stabilizer for the Omega-symmetry tests.
 """
 
 from fractions import Fraction as Q
@@ -13,9 +14,11 @@ from typing import Collection, Dict, Iterator, List, Optional, Sequence, Tuple
 from corelab.affine import (
     AffineElement,
     AffineRoot,
+    alcove_vertices,
     alcove_walk,
     base_point,
     element_from_word,
+    to_dominant,
     w_b_inverse,
 )
 from corelab.cores import Partition, is_a_core
@@ -38,6 +41,7 @@ from corelab.rootsys import (
     mat_vec,
     pairing,
     roots_of_height,
+    vec_sub,
 )
 
 
@@ -203,6 +207,37 @@ def affine_reflection_by_definition(rs: RootSystem) -> AffineElement:
     pairs = [pairing(rs, tuple(int(j == k) for j in range(n)), theta) for k in range(n)]
     mat = tuple(tuple(int(i == k) - check[i] * pairs[k] for k in range(n)) for i in range(n))
     return AffineElement(mat, check)
+
+
+def omega_group(rs: RootSystem) -> List[AffineElement]:
+    """The stabilizer of the fundamental alcove in the extended affine group.
+
+    One element per coset of the coroot lattice in the coweight lattice: the
+    identity plus, for each mark-1 node, the element translating by that
+    fundamental coweight composed with the finite Weyl part that returns the
+    alcove to itself.  Every element fixes ``rho_check/h`` and permutes the
+    alcove's vertex set; the group is abelian of order ``index_f``.
+    """
+    n = rs.rank
+    base = base_point(rs)
+    verts = alcove_vertices(rs, 1)
+    elements = [AffineElement.identity(n)]
+    for i in range(n):
+        if rs.marks[i] != 1:
+            continue
+        mu = rs.fund_coweights[i]
+        word = to_dominant(rs, vec_sub(base, mu))[2]
+        g = AffineElement(element_from_word(rs, word).linear, mu, extended=True)
+        assert g.apply(base) == base
+        assert {g.apply(v) for v in verts} == set(verts)
+        elements.append(g)
+    assert len(elements) == rs.index_f
+    return [elements[0]] + sorted(elements[1:], key=lambda g: g.translation)
+
+
+def b_omega_action(rs: RootSystem, b: int, g: AffineElement, x: Sequence[Q]) -> Vector:
+    """Action of the alcove stabilizer rescaled to ``b * A``: ``x -> M x + b tau``."""
+    return tuple(m + b * t for m, t in zip(mat_vec(g.linear, x), g.translation))
 
 
 def alcove_walk_by_fractions(rs: RootSystem, x: Sequence[Q]) -> Tuple[Vector, Tuple[int, ...]]:

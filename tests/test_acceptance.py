@@ -17,11 +17,9 @@ from corelab.affine import (
     AffineRoot,
     alcove_vertices,
     alcove_walk,
-    b_omega_action,
     base_point,
     compute_w_b,
     inversions_of_inverse,
-    omega_group,
     sommers_contains,
 )
 from corelab.cores import core_from_coroot, enumerate_simultaneous_cores
@@ -51,7 +49,7 @@ from corelab.stats import (
     size_point,
     verify_max,
 )
-from oracles import core_counting_coefficients, fit_quasi
+from oracles import b_omega_action, core_counting_coefficients, fit_quasi, omega_group
 
 BUDGETS = {1: 10, 2: 5, 3: 60, 4: 300, 5: 30, 6: 600, 7: 60, 8: 300, 9: 120, 10: 600}
 

@@ -13,13 +13,11 @@ from corelab.affine import (
     AffineRoot,
     alcove_vertices,
     alcove_walk,
-    b_omega_action,
     base_point,
     compute_w_b,
     element_from_word,
     in_dilated_alcove,
     inversions_of_inverse,
-    omega_group,
     separating_walls,
     size_of_element,
     sommers_contains,
@@ -39,7 +37,9 @@ from oracles import (
     affine_reflection_by_definition,
     alcove_walk_by_fractions,
     apply_to_affine_root,
+    b_omega_action,
     inversions_by_word,
+    omega_group,
     simple_affine_root,
     vec_add,
 )

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corelab import lattice_enum
-from corelab.affine import b_omega_action, omega_group
 from corelab.cli import main
 from corelab.ehrhart import coprime_fit_classes, weighted_lattice_sum
 from corelab.lattice_enum import (
@@ -29,7 +28,14 @@ from corelab.lattice_enum import (
 from corelab.affine import sommers_contains
 from corelab.rootsys import QuadraticForm, build_root_system, is_simply_laced
 from corelab.stats import size_point, zise_form
-from oracles import box_size_ellipsoid, fit_quasi, streamed_power_sum, streamed_size_sums
+from oracles import (
+    b_omega_action,
+    box_size_ellipsoid,
+    fit_quasi,
+    omega_group,
+    streamed_power_sum,
+    streamed_size_sums,
+)
 
 
 A2 = build_root_system("A", 2)
@@ -47,6 +53,14 @@ def series_product_counts(factors, N):
     return coeffs
 
 
+def knapsack_solutions(marks, b):
+    """Every nonnegative solution of ``sum c_i m_i <= b``, in lexicographic order."""
+    if not marks:
+        return [()]
+    return [(v,) + rest for v in range(b // marks[0] + 1)
+            for rest in knapsack_solutions(marks[1:], b - v * marks[0])]
+
+
 def test_b_zero_is_origin():
     for rs in (A2, D4):
         for fn in (coweight_points_in_bA, coroot_points_in_bA):
@@ -60,7 +74,7 @@ def test_coweight_counts_match_product_series():
         factors = [1] + list(rs.marks)
         expected = series_product_counts(factors, N)
         for b in range(N + 1):
-            assert len(list(iter_coweight_coeffs(rs, b))) == expected[b]
+            assert len(list(iter_coweight_coeffs(rs, b, "coweight"))) == expected[b]
 
 
 def test_type_a_coweight_counts_binomial():
@@ -175,7 +189,7 @@ def test_size_sum_dp_non_simply_laced_counts_only():
     rs = build_root_system("C", 3)
     s0, s1 = alcove_size_sums(rs, 4, "coweight")
     assert s1 is None
-    assert s0 == sum(1 for _ in iter_coweight_coeffs(rs, 4))
+    assert s0 == sum(1 for _ in iter_coweight_coeffs(rs, 4, "coweight"))
 
 
 def test_size_sum_dp_scales_to_large_dilations():
@@ -225,9 +239,13 @@ def test_scaled_stream_matches_fraction_oracle(case, b, lattice):
     d = lattice_scale(rs, lattice)
     stream = list(iter_scaled_points(rs, b, lattice))
     assert all(type(v) is int for y in stream for v in y)
-    oracle = [coeffs_to_point(rs, c) for c in iter_coweight_coeffs(rs, b)]
-    if lattice == "coroot":
-        oracle = [x for x in oracle if is_coroot_point(x)]
+    # the class-stepped walk lists the coweight solutions that are lattice points, in order
+    kept = [
+        c for c in knapsack_solutions(rs.marks, b)
+        if lattice == "coweight" or is_coroot_point(coeffs_to_point(rs, c))
+    ]
+    assert list(iter_coweight_coeffs(rs, b, lattice)) == kept
+    oracle = [coeffs_to_point(rs, c) for c in kept]
     # same points in the same knapsack order
     assert [tuple(Q(v, d) for v in y) for y in stream] == oracle
     if lattice == "coroot":
@@ -338,3 +356,5 @@ def test_size_sum_runs_grow_geometrically(monkeypatch):
 def test_scaled_stream_rejects_unknown_lattice():
     with pytest.raises(ValueError):
         list(iter_scaled_points(A2, 2, "weight"))
+    with pytest.raises(ValueError, match="unknown lattice"):
+        list(iter_coweight_coeffs(A2, 2, "weight"))

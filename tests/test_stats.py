@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corelab import affine, lattice_enum, stats
-from corelab.affine import AffineElement, AffineRoot, b_omega_action, omega_group, w_b_inverse
+from corelab.affine import AffineElement, AffineRoot, w_b_inverse
 from corelab.lattice_enum import coeffs_to_point, coroot_points_in_bA, coweight_points_in_bA
 from corelab.rootsys import (
     QuadraticForm,
@@ -35,7 +35,14 @@ from corelab.stats import (
     zise_form,
     zise_point,
 )
-from oracles import floor_sums_by_terms, folded_moments, q_form_point, zise_by_transport
+from oracles import (
+    b_omega_action,
+    floor_sums_by_terms,
+    folded_moments,
+    omega_group,
+    q_form_point,
+    zise_by_transport,
+)
 
 
 A2 = build_root_system("A", 2)
