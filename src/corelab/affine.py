@@ -2,10 +2,10 @@
 
 Elements act on coroot coordinates as ``x -> M x + tau`` with an integer
 linear part ``M`` (a finite Weyl group matrix) and a translation ``tau``,
-stored as ints on the affine Weyl group ``W ⋉ Q^∨``.  Elements of the
-extended group (nontrivial coweight translations, as Fractions) carry
-``extended=True``.  Words are composed letter by letter on the rows of
-``[M | t]``, and walks and inversion sets run in ``int`` arithmetic.
+stored as ints on the affine Weyl group ``W ⋉ Q^∨``; elements of the
+extended group translate by coweights, as Fractions.  Words are composed
+letter by letter on the rows of ``[M | t]``, and walks and inversion sets
+run in ``int`` arithmetic.
 
 The fundamental alcove is ``A = {x : <x, alpha_i> >= 0, <x, alpha~> <= 1}``
 and the base point used to pin down elements from alcoves is ``rho_check/h``,
@@ -14,7 +14,7 @@ the unique point of ``(1/h) * coweight lattice`` interior to ``A``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import gcd
@@ -25,8 +25,8 @@ from corelab.rootsys import (
     RootSystem,
     VerificationError,
     Vector,
+    adjugate,
     clear_denominators,
-    invert_matrix,
     mat_vec,
     pairing,
     roots_of_height,
@@ -52,11 +52,11 @@ def _identity_matrix(n: int) -> IntMatrix:
 
 @lru_cache(maxsize=None)
 def _scaled_gram_inverse(rs: RootSystem) -> Tuple[int, IntMatrix]:
-    """The least ``den`` with ``den * G^{-1}`` integral, and that integer matrix."""
-    ginv = invert_matrix(rs.gram)
-    den, flat = clear_denominators([v for row in ginv for v in row])
-    n = rs.rank
-    return den, tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
+    """The least ``den`` with ``den * G^{-1}`` integral, and that integer
+    matrix: the adjugate of ``G`` reduced by the gcd of ``det G`` and its entries."""
+    det, adj = adjugate(rs.gram)
+    g = gcd(det, *(v for row in adj for v in row))
+    return det // g, tuple(tuple(v // g for v in row) for row in adj)
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,6 @@ class AffineElement:
 
     linear: IntMatrix
     translation: Vector
-    extended: bool = field(default=False, compare=False)
 
     @classmethod
     def identity(cls, rank: int) -> "AffineElement":
@@ -86,7 +85,6 @@ class AffineElement:
             _mat_mul(self.linear, other.linear),
             tuple(sum(map(mul, row, other.translation)) + t
                   for row, t in zip(self.linear, self.translation)),
-            self.extended or other.extended,
         )
 
     def inverse(self, rs: RootSystem) -> "AffineElement":
@@ -101,7 +99,7 @@ class AffineElement:
             raise ValueError("linear part does not preserve the Gram form")
         rows = tuple(tuple(v // den for v in row) for row in scaled)
         tau = tuple(-sum(map(mul, row, self.translation)) for row in rows)
-        return AffineElement(rows, tau, self.extended)
+        return AffineElement(rows, tau)
 
     def is_identity(self) -> bool:
         n = len(self.linear)
@@ -233,9 +231,10 @@ def separating_walls(rs: RootSystem, y: Sequence[int], d: int) -> List[AffineRoo
 def inversions_of_inverse(rs: RootSystem, w: AffineElement) -> List[AffineRoot]:
     """The inversion set of ``w^{-1}``, the walls between ``A`` and ``w^{-1}(A)``.
 
-    The elements of ``Omega`` fix ``A``, so an extended ``w`` raises ``ValueError``.
+    The elements of ``Omega`` fix ``A``, so ``w`` must lie in ``W ⋉ Q^∨``: a
+    translation that is not integral raises ``ValueError``.
     """
-    if w.extended:
+    if clear_denominators(w.translation)[0] != 1:
         raise ValueError("inversion sets need an element of W ⋉ Q^∨, not of Omega")
     d, y = clear_denominators(base_point(rs))
     return separating_walls(rs, w.inverse(rs).apply_int(y, d), d)

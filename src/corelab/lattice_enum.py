@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
-from math import ceil, floor, gcd, isqrt, lcm
+from math import ceil, floor, gcd, isqrt
 from operator import add, mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -86,16 +86,11 @@ def iter_coweight_coeffs(rs: RootSystem, b: int, lattice: str) -> Iterator[Tuple
 
 @lru_cache(maxsize=None)
 def _scaled_coweight_rows(rs: RootSystem) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
-    """Common denominator and integer rows of the coweight coordinate matrix."""
-    n = rs.rank
-    den = 1
-    for w in rs.fund_coweights:
-        for v in w:
-            den = lcm(den, v.denominator)
-    rows = tuple(
-        tuple(int(rs.fund_coweights[i][k] * den) for i in range(n)) for k in range(n)
-    )
-    return den, rows
+    """Common denominator and integer rows of the coweight coordinate matrix
+    ``(A^T)^-1``: its adjugate reduced by the gcd of ``f`` and its entries."""
+    adj = rs.adj_cartan_t
+    g = gcd(rs.index_f, *(v for row in adj for v in row))
+    return rs.index_f // g, tuple(tuple(v // g for v in row) for row in adj)
 
 
 KnapsackItem = Tuple[int, Tuple[int, ...], Tuple[int, ...], int, Tuple[int, ...]]
@@ -108,19 +103,16 @@ def _knapsack_items(rs: RootSystem) -> Tuple[KnapsackItem, ...]:
     ``w = D * omega_check_i`` is the integer vector that taking the item once
     adds to ``y = D * x``, so ``<y + w, y + w> = <y, y> + <2 G w, y> + <w, w>``.
     The class shift is ``omega_check_i`` modulo the coroot lattice, as
-    ``adj(A^T)`` column ``i`` mod ``f`` with ``adj = f * inv(A^T)`` integral; a
-    point is a coroot point exactly when its shifts add up to zero mod ``f``.
+    column ``i`` of the adjugate ``f * (A^T)^-1`` mod ``f``; a point is a
+    coroot point exactly when its shifts add up to zero mod ``f``.
     """
-    n = rs.rank
     f = rs.index_f
     rows = _scaled_coweight_rows(rs)[1]
-    adj = [[rs.inv_cartan_t[r][c] * f for c in range(n)] for r in range(n)]
-    assert all(v.denominator == 1 for row in adj for v in row)
     items = []
-    for i in range(n):
+    for i in range(rs.rank):
         w = tuple(row[i] for row in rows)
         gw2 = tuple(2 * sum(map(mul, grow, w)) for grow in rs.gram)
-        cls_shift = tuple(int(adj[r][i]) % f for r in range(n))
+        cls_shift = tuple(row[i] % f for row in rs.adj_cartan_t)
         items.append((rs.marks[i], w, gw2, sum(map(mul, w, gw2)) // 2, cls_shift))
     return tuple(items)
 
@@ -257,8 +249,6 @@ def scaled_power_sum(
                 if top >= best:
                     here = 1 if run == 1 else (first == top) + (end == top)
                     best, ties = top, here + ties * (top == best)
-                if k == 0:
-                    return run
                 value = first
                 delta = stride * (slope + (2 * t + stride) * a) // e2
                 for _ in range(run):

@@ -143,45 +143,31 @@ def _expected_index(family: str, n: int) -> int:
     return 1
 
 
-def det_int(m: Sequence[Sequence[int]]) -> int:
-    """Determinant of an integer matrix by fraction-free Gaussian elimination."""
+def adjugate(m: Sequence[Sequence[int]]) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
+    """``(det m, adj m)`` of a square integer matrix, ``adj m = det m * m^-1``.
+
+    Fraction-free Gauss-Jordan elimination on ``[m | I]`` (Bareiss, Math.
+    Comp. 1968): after step ``k`` every entry is, up to sign, a minor of
+    ``[m | I]`` of order ``k + 1``, so each division by the previous pivot
+    is exact, and the left half ends as ``det m`` times the identity.  The
+    leading principal minors must be nonzero, as they are for a finite-type
+    Cartan matrix, its transpose and its Gram matrix; a zero pivot raises
+    ``ValueError``.
+    """
     n = len(m)
-    a = [list(row) for row in m]
-    sign = 1
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
     prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                assert num % prev == 0
-                a[i][j] = num // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def invert_matrix(m: Sequence[Sequence[Q]]) -> Tuple[Vector, ...]:
-    """Exact inverse of a square matrix over the rationals (Gauss-Jordan)."""
-    n = len(m)
-    a = [[Q(x) for x in row] + [Q(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
+    for k in range(n):
+        top = a[k]
+        pivot = top[k]
+        if pivot == 0:
+            raise ValueError("zero leading principal minor")
+        for i, row in enumerate(a):
+            if i != k:
+                c = row[k]
+                a[i] = [(pivot * x - c * y) // prev for x, y in zip(row, top)]
+        prev = pivot
+    return prev, tuple(tuple(row[n:]) for row in a)
 
 
 def clear_denominators(x: Sequence[Q | int]) -> Tuple[int, List[int]]:
@@ -250,6 +236,8 @@ class RootSystem:
     - ``marks`` / ``comarks``: highest-root coefficients on roots / coroots
     - ``coxeter_number`` (h), ``dual_coxeter_number`` (g), ``exponents``,
       ``weyl_order``, ``index_f`` (connection index, = det of ``cartan``)
+    - ``adj_cartan_t``: the integer adjugate ``index_f * (A^T)^-1`` of the
+      transposed Cartan matrix; ``inv_cartan_t`` is the inverse itself
     - ``fund_coweights``: coroot-basis coordinates of the fundamental coweights
     - ``rho`` / ``rho_check``: half-sums of positive roots / coroots
     """
@@ -324,22 +312,17 @@ class RootSystem:
             prod *= e + 1
         assert prod == self.weyl_order
 
-        self.index_f = det_int(self.cartan)
+        self.index_f, self.adj_cartan_t = adjugate(tuple(zip(*self.cartan)))
         assert self.index_f == _expected_index(self.family, n)
-
-        cartan_t = tuple(tuple(self.cartan[j][i] for j in range(n)) for i in range(n))
-        self.inv_cartan_t = invert_matrix([[Q(x) for x in row] for row in cartan_t])
+        f = self.index_f
+        self.inv_cartan_t = tuple(tuple(Q(v, f) for v in row) for row in self.adj_cartan_t)
         self.fund_coweights = tuple(
             tuple(self.inv_cartan_t[r][i] for r in range(n)) for i in range(n)
         )
         self.rho_check = tuple(sum(w[r] for w in self.fund_coweights) for r in range(n))
 
-        half = Q(1, 2)
-        rho = [Q(0)] * n
-        for r in roots:
-            for i in range(n):
-                rho[i] += half * r.coeffs[i] * self.simple_lengths[i]
-        self.rho = tuple(rho)
+        sums = map(sum, zip(*(r.coeffs for r in roots)))
+        self.rho = tuple(Q(s, 2) * l for s, l in zip(sums, self.simple_lengths))
 
         ones = mat_vec(self.gram, self.rho)
         assert all(x == 1 for x in ones), "rho must pair to 1 with every simple coroot"
@@ -454,13 +437,10 @@ def inner(rs: RootSystem, x: Sequence[Q], y: Sequence[Q]) -> Q:
 
 
 def pairing(rs: RootSystem, x: Sequence[Q], root_coeffs: Sequence[int]) -> Q:
-    """Evaluate ``<x, alpha>`` for ``alpha`` given by simple-root coefficients."""
-    total = Q(0)
-    for i in range(rs.rank):
-        v = sum(rs.cartan[i][j] * root_coeffs[j] for j in range(rs.rank))
-        if v:
-            total += x[i] * v
-    return total
+    """Evaluate ``<x, alpha>`` for ``alpha`` given by simple-root coefficients,
+    on ``x`` scaled to integers: one Fraction per call."""
+    d, y = clear_denominators(x)
+    return Q(sum(yi * sum(map(mul, row, root_coeffs)) for yi, row in zip(y, rs.cartan)), d)
 
 
 def roots_of_height(rs: RootSystem, height: int) -> Tuple[Root, ...]:

@@ -27,7 +27,7 @@ from corelab.affine import (
     w_b_inverse,
 )
 from corelab.cores import Partition, toggle_corners
-from corelab.lattice_enum import core_points_in_sommers, scaled_power_sum
+from corelab.lattice_enum import alcove_size_sums, core_points_in_sommers, scaled_power_sum
 from corelab.rootsys import (
     QuadraticForm,
     RootSystem,
@@ -139,14 +139,17 @@ def moments(rs: RootSystem, b: int) -> MomentReport:
     """Exact moments of zise over the coroot points of ``b * A``, computed
     once per argument list however many callers read them.
 
-    The power sums of ``24 zise``, ``k = 0..3``, and its maximum with its
-    multiplicity come from four walks of the knapsack, which build no point
-    (:func:`~corelab.lattice_enum.scaled_power_sum`); the mean and central
+    The count comes from the moment DP
+    (:func:`~corelab.lattice_enum.alcove_size_sums`); the power sums of
+    ``24 zise``, ``k = 1..3``, come from three walks of the knapsack, which
+    build no point (:func:`~corelab.lattice_enum.scaled_power_sum`), the
+    first of them with the maximum and its multiplicity; the mean and central
     moments follow exactly.  Closed forms fill in per type as available.
     """
     form = zise_form(rs, b)
-    s0, top, mult = scaled_power_sum(rs, b, 0, "coroot", form)
-    s1, s2, s3 = (scaled_power_sum(rs, b, k, "coroot", form)[0] for k in (1, 2, 3))
+    s0 = alcove_size_sums(rs, b, "coroot")[0]
+    s1, top, mult = scaled_power_sum(rs, b, 1, "coroot", form)
+    s2, s3 = (scaled_power_sum(rs, b, k, "coroot", form)[0] for k in (2, 3))
     best = Q(top, 24)
     mean = Q(s1, 24 * s0)
     square = Q(s2, 24**2 * s0)
@@ -247,8 +250,8 @@ def experiment_cn_fuss(n: int, m: int) -> Dict[str, object]:
     rs = build_root_system("C", n)
     h = rs.coxeter_number
     b = m * h + 1
-    form = zise_form(rs, b)
-    count, total = (scaled_power_sum(rs, b, k, "coroot", form)[0] for k in (0, 1))
+    count = alcove_size_sums(rs, b, "coroot")[0]
+    total = scaled_power_sum(rs, b, 1, "coroot", zise_form(rs, b))[0]
     mean = Q(total, 24 * count)
     conjecture = Q(m * n * (2 * (m + 1) * n * n + (m + 3) * n - (m + 1)), 12)
     verdict = "consistent"

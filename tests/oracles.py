@@ -3,8 +3,11 @@
 Nothing in corelab reads these.  Each one builds every point, cell or corner
 it needs and evaluates it on its own, in Fractions where the fast path works
 in integers, except the centered class fit, which interpolates one class at
-a time.  ``fit_quasi`` assembles a whole quasipolynomial for the tests, and
-``omega_group`` builds the alcove's stabilizer for the Omega-symmetry tests.
+a time.  ``det_int`` (integer elimination with row swaps) and
+``invert_matrix`` (Gauss-Jordan in Fractions) are what ``rootsys.adjugate``
+is held to.  ``fit_quasi`` assembles a whole quasipolynomial for the tests,
+and ``omega_group`` builds the alcove's stabilizer for the Omega-symmetry
+tests.
 """
 
 from fractions import Fraction as Q
@@ -37,7 +40,6 @@ from corelab.rootsys import (
     RootSystem,
     Vector,
     inner,
-    invert_matrix,
     mat_vec,
     pairing,
     roots_of_height,
@@ -47,6 +49,47 @@ from corelab.rootsys import (
 
 def vec_add(x: Sequence[Q], y: Sequence[Q]) -> Vector:
     return tuple(a + b for a, b in zip(x, y))
+
+
+def det_int(m: Sequence[Sequence[int]]) -> int:
+    """Determinant of an integer matrix by fraction-free Gaussian elimination."""
+    n = len(m)
+    a = [list(row) for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for r in range(k + 1, n):
+                if a[r][k] != 0:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
+                assert num % prev == 0
+                a[i][j] = num // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def invert_matrix(m: Sequence[Sequence[Q]]) -> Tuple[Vector, ...]:
+    """Exact inverse of a square matrix over the rationals (Gauss-Jordan)."""
+    n = len(m)
+    a = [[Q(x) for x in row] + [Q(int(i == j)) for j in range(n)]
+         for i, row in enumerate(m)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if a[r][col] != 0)
+        a[col], a[piv] = a[piv], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return tuple(tuple(row[n:]) for row in a)
 
 
 def root_vector(rs: RootSystem, coeffs: Sequence[int]) -> Vector:
@@ -227,7 +270,7 @@ def omega_group(rs: RootSystem) -> List[AffineElement]:
             continue
         mu = rs.fund_coweights[i]
         word = to_dominant(rs, vec_sub(base, mu))[2]
-        g = AffineElement(element_from_word(rs, word).linear, mu, extended=True)
+        g = AffineElement(element_from_word(rs, word).linear, mu)
         assert g.apply(base) == base
         assert {g.apply(v) for v in verts} == set(verts)
         elements.append(g)

@@ -27,7 +27,6 @@ from corelab.affine import (
 from corelab.rootsys import (
     VerificationError,
     build_root_system,
-    invert_matrix,
     mat_vec,
     pairing,
     roots_of_height,
@@ -39,6 +38,7 @@ from oracles import (
     apply_to_affine_root,
     b_omega_action,
     inversions_by_word,
+    invert_matrix,
     omega_group,
     simple_affine_root,
     vec_add,
@@ -242,7 +242,7 @@ def inverse_by_fractions(g):
     inv = invert_matrix(g.linear)
     assert all(v.denominator == 1 for row in inv for v in row)
     linear = tuple(tuple(int(v) for v in row) for row in inv)
-    return AffineElement(linear, tuple(-v for v in mat_vec(inv, g.translation)), g.extended)
+    return AffineElement(linear, tuple(-v for v in mat_vec(inv, g.translation)))
 
 
 def check_inverse(rs, g):

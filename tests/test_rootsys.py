@@ -3,18 +3,19 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corelab.lattice_enum import coeffs_to_point
 from corelab.rootsys import (
     RootSystemType,
+    adjugate,
     build_root_system,
-    det_int,
     inner,
-    invert_matrix,
     pairing,
     roots_of_height,
 )
-from oracles import root_vector, vector_to_root_coeffs
+from oracles import det_int, invert_matrix, root_vector, vector_to_root_coeffs
 
 # Every type exercised anywhere in the test suite, kept to rank <= 8.
 GRID = (
@@ -172,3 +173,58 @@ def test_exact_linear_algebra_helpers():
     assert inv == ((Q(2, 3), Q(1, 3)), (Q(1, 3), Q(2, 3)))
     assert det_int([[2, -1], [-1, 2]]) == 3
     assert det_int([[1, 2], [2, 4]]) == 0
+
+
+def check_adjugate(m):
+    det, adj = adjugate(m)
+    assert det == det_int(m)
+    inv = invert_matrix(m)
+    assert adj == tuple(tuple(det * v for v in row) for row in inv)
+    assert all(type(v) is int for row in adj for v in row)
+
+
+@st.composite
+def diagonally_dominant(draw):
+    # every leading principal submatrix is strictly diagonally dominant too,
+    # so every leading principal minor is nonzero
+    n = draw(st.integers(1, 8))
+    rows = []
+    for i in range(n):
+        row = draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
+        excess = draw(st.integers(1, 6))
+        sign = draw(st.sampled_from((1, -1)))
+        row[i] = sign * (sum(abs(v) for j, v in enumerate(row) if j != i) + excess)
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(diagonally_dominant())
+def test_adjugate_matches_fraction_oracles(m):
+    check_adjugate(m)
+
+
+def test_adjugate_of_cartan_and_gram_matrices(systems):
+    for rs in systems.values():
+        check_adjugate(rs.cartan)
+        check_adjugate(tuple(zip(*rs.cartan)))
+        check_adjugate(rs.gram)
+
+
+def test_adjugate_rejects_zero_pivot():
+    with pytest.raises(ValueError):
+        adjugate([[0, 1], [1, 0]])
+
+
+def test_root_system_matches_oracles(systems):
+    for rs in systems.values():
+        cartan_t = [list(col) for col in zip(*rs.cartan)]
+        inv = invert_matrix(cartan_t)
+        assert rs.inv_cartan_t == inv
+        assert rs.index_f == det_int(rs.cartan)
+        assert rs.adj_cartan_t == tuple(tuple(rs.index_f * v for v in row) for row in inv)
+        rho = [Q(0)] * rs.rank
+        for r in rs.positive_roots:
+            for i in range(rs.rank):
+                rho[i] += Q(1, 2) * r.coeffs[i] * rs.simple_lengths[i]
+        assert rs.rho == tuple(rho)
