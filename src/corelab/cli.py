@@ -45,6 +45,7 @@ from .rootsys import (
     RootSystem,
     VerificationError,
     build_root_system,
+    clear_denominators,
     exponent_product,
     inner,
 )
@@ -77,8 +78,12 @@ class BudgetError(RuntimeError):
     """Estimated enumeration size exceeds the --max-points cap."""
 
 
-def _rat(x) -> str:
-    q = Q(x)
+def _rat(x, den: int = 1) -> str:
+    """``x / den`` as ``"p/q"`` in lowest terms; an int ``x`` builds no Fraction."""
+    if type(x) is int:
+        g = gcd(x, den)
+        return "%d/%d" % (x // g, den // g)
+    q = Q(x, den)
     return "%d/%d" % (q.numerator, q.denominator)
 
 
@@ -220,11 +225,12 @@ def cmd_enum(args) -> Tuple[int, List[Dict]]:
             points = tuple(sorted(winv.apply(x) for x in alcove))
         with_cores = rs.family == "A" and args.lattice == "coroot"
         for x in points:
-            record: Dict = {"point": _vec(x), "size": _rat(size_point(rs, x))}
-            if with_cores:
+            if with_cores:  # the box count, certified to be F_1(x)
                 core = core_from_coroot(rs.rank + 1, x)
-                record["core"] = list(core.partition.parts)
-            results.append(record)
+                results.append({"point": _vec(x), "size": _rat(core.size),
+                                "core": list(core.partition.parts)})
+            else:
+                results.append({"point": _vec(x), "size": _rat(size_point(rs, x))})
         return EXIT_OK, results
     if not coprime and not is_simply_laced(rs):
         raise UsageError(
@@ -237,7 +243,8 @@ def cmd_enum(args) -> Tuple[int, List[Dict]]:
         points = coweight_points_in_bA(rs, b).points
     form = zise_form(rs, b) if coprime else QuadraticForm(rs, b)
     for x in points:
-        results.append({"point": _vec(x), "zise": _rat(form(x))})
+        d, y = clear_denominators(x)
+        results.append({"point": _vec(x), "zise": _rat(form.scaled_at(y, d), 24 * d * d)})
     return EXIT_OK, results
 
 

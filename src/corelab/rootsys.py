@@ -172,6 +172,8 @@ def adjugate(m: Sequence[Sequence[int]]) -> Tuple[int, Tuple[Tuple[int, ...], ..
 
 def clear_denominators(x: Sequence[Q | int]) -> Tuple[int, List[int]]:
     """The least ``d >= 1`` with ``d * x`` integral, and the integer vector ``d * x``."""
+    if all(type(v) is int for v in x):
+        return 1, list(x)
     d = lcm(*(v.denominator for v in x))
     return d, [v.numerator * (d // v.denominator) for v in x]
 

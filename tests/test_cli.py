@@ -17,11 +17,14 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from corelab import cli, ehrhart, genfun, stats
 from corelab.affine import AffineElement
 from corelab.cli import EXIT_BUDGET, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from corelab.rootsys import build_root_system
+from corelab.stats import size_point
 
 
 def run(argv):
@@ -93,6 +96,17 @@ class TestEnvelope:
         assert entry["value"] == "2/1"
         assert rat(entry["value"]) == 2
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-10**30, 10**30), st.integers(1, 10**6))
+    @example(0, 1)
+    @example(0, 24)
+    @example(-36, 24)
+    @example(Q(-7, 6), 1)
+    @example(Q(9, 4), 6)
+    def test_rat_of_an_int_over_den_matches_fraction(self, n, den):
+        q = Q(n, den)
+        assert cli._rat(n, den) == "%d/%d" % (q.numerator, q.denominator)
+
     def test_deterministic_bytes_across_runs(self):
         argv = ["enum", "--type", "D", "--rank", "4", "--b", "5", "--stat", "size"]
         _, first = run(argv)
@@ -132,6 +146,20 @@ class TestEnum:
         sizes = sorted(rat(r["size"]) for r in doc["results"])
         assert sizes == [0, 1, 2, 2, 5]
 
+    @pytest.mark.parametrize("rank", range(2, 7))
+    def test_core_size_is_f1_and_its_box_count(self, rank):
+        # a type-A record prints the certified box count; hold it to an
+        # independent F_1 at the printed point and to the printed parts
+        rs = build_root_system("A", rank)
+        for b in (b for b in range(1, 10) if gcd(b, rank + 1) == 1):
+            code, doc = run_json(["enum", "--type", "A", "--rank", str(rank), "--b", str(b),
+                                  "--stat", "size"])
+            assert code == EXIT_OK
+            for r in doc["results"]:
+                size = rat(r["size"])
+                assert size == size_point(rs, [rat(v) for v in r["point"]])
+                assert size == sum(r["core"])
+
     def test_unit_dilation_is_a_single_zero_record(self):
         for family, rank in (("A", 2), ("E", 6), ("C", 3)):
             code, doc = run_json(["enum", "--type", family, "--rank", str(rank), "--b", "1"])
@@ -160,6 +188,22 @@ class TestEnum:
              "6f687559facc027a9f8369d59ce9818ec023922138202e7c0aad9c9ca93dea53"),
             ("enum --type A --rank 3 --b 41",
              "dadf5883baca53b854d7250cacc83c40af0521cc0fb164ea2ba0d04f0128dfea"),
+            # --stat size off type A, where the size is F_1 at the point
+            ("enum --type D --rank 4 --b 5 --stat size",
+             "3af4ead96b74ab43c69bff6c6ba4e83c6a55aa3c04df119b05197839f02a2ef4"),
+            ("enum --type B --rank 3 --b 5 --stat size",
+             "5029c38da8f559d63f56805f746e6bd883ac4dea81f16cb505ec164ff2e2bb90"),
+            ("enum --type E --rank 6 --b 5 --stat size",
+             "464d74eb0fafeab46dc132a92b5d37744d1b62ea6f70432393487d54eb0e37fc"),
+            ("enum --type G --rank 2 --b 5 --stat size",
+             "6f6f5460c040fbae2253fa198f63f9b028f6c2f250eba1219752f9b249b33248"),
+            # coweight zise rows, and zise by the closed F_b at b not coprime to h
+            ("enum --type D --rank 4 --b 3 --lattice coweight",
+             "d52985a703aa030ce9e24b5d67acdabb5ac73166c9d829a3d0b22825f8bc236d"),
+            ("enum --type A --rank 2 --b 6",
+             "758e1f3ccd54fb6353dbb9423a76b4ffd687a93c3c0682f896628d841925f30c"),
+            ("enum --type A --rank 3 --b 7 --stat size --format csv",
+             "7f494ee298ded243328b12e301aafec5c53c318b89981c8ed3aae057bb365e4a"),
             ("experiment weak-order --type D --rank 4 --b 7",
              "01ed9f5a352e6a8e608531bc517085494fcdd28a2690dde9d11407edb0b17888"),
             ("experiment weak-order --type B --rank 3 --b 7",

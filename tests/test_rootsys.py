@@ -1,9 +1,11 @@
 """Construction-time tables and identities for every supported family."""
 
 from fractions import Fraction as Q
+from math import lcm
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corelab.lattice_enum import coeffs_to_point
@@ -11,6 +13,7 @@ from corelab.rootsys import (
     RootSystemType,
     adjugate,
     build_root_system,
+    clear_denominators,
     inner,
     pairing,
     roots_of_height,
@@ -228,3 +231,35 @@ def test_root_system_matches_oracles(systems):
             for i in range(rs.rank):
                 rho[i] += Q(1, 2) * r.coeffs[i] * rs.simple_lengths[i]
         assert rs.rho == tuple(rho)
+
+
+def spy_on_lcm():
+    return mock.patch("corelab.rootsys.lcm", wraps=lcm)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-10**30, 10**30), max_size=8))
+@example([])
+def test_clear_denominators_of_ints_matches_the_lcm_path(ints):
+    # an int vector skips the lcm; the same values as Fractions take it
+    with spy_on_lcm() as spy:
+        got = clear_denominators(ints)
+        assert not spy.called
+        assert got == clear_denominators([Q(v) for v in ints])
+        assert spy.call_count == (1 if ints else 0)
+    assert got == (1, ints)
+    assert all(type(v) is int for v in got[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-10**6, 10**6), max_size=7), st.fractions(max_denominator=60),
+       st.data())
+def test_clear_denominators_of_mixed_vectors_takes_the_lcm_path(ints, frac, data):
+    x = list(ints)
+    x.insert(data.draw(st.integers(0, len(ints))), frac)
+    with spy_on_lcm() as spy:
+        d, y = clear_denominators(x)
+    assert spy.call_count == 1
+    assert d == lcm(*(Q(v).denominator for v in x))
+    assert all(type(v) is int for v in y)
+    assert [Q(v, d) for v in y] == x
