@@ -130,19 +130,19 @@ def _count_estimate(rs: RootSystem, b: int, lattice: str) -> int:
     return max(est, 1)
 
 
-def _dp_cost(rs: RootSystem, top: int) -> Tuple[int, str]:
-    """States of one moment-DP run to ``top``: budgets times residue classes."""
-    return (top + 1) * rs.index_f, "DP states"
+def _dp_cost(rs: RootSystem, top: int, K: int = 0) -> Tuple[int, str]:
+    """Sums of one moment-DP run to ``top`` at power ``K``: (top + 1) f C(n + 1 + K, K)."""
+    return (top + 1) * rs.index_f * comb(rs.rank + 1 + K, K), "DP sums"
 
 
 def _fit_cost(
     rs: RootSystem, k: int, lattice: str, centered: bool, classes: Sequence[int]
 ) -> Tuple[int, str]:
-    """The states of one DP run to the largest sample when the fit reads the
+    """The sums of one DP run to the largest sample when the fit reads the
     DP, otherwise the estimated points streamed over all its samples; and its unit."""
     samples = fit_samples(rs, k, lattice, centered, classes)
-    if dp_backed(k, centered):
-        return _dp_cost(rs, max(samples))
+    if dp_backed(k):
+        return _dp_cost(rs, max(samples), k)
     return sum(_count_estimate(rs, b, lattice) for b in samples), "points"
 
 
@@ -316,7 +316,7 @@ def _verify_genfun_a(rs: RootSystem, b: None, args) -> Dict:
 
 
 def _verify_count(rs: RootSystem, b: int, args) -> Dict:
-    got = Q(alcove_size_sums(rs, b, "coroot")[0])
+    got = Q(alcove_size_sums(rs, b, "coroot", 0)[0])
     expected = haiman_count(rs, b)
     return dict(value=_rat(got), expected=_rat(expected), verdict=verdict_of(got, expected))
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import count, islice
-from math import gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .genfun import poly_add, poly_eval, poly_mul, poly_trim
@@ -126,10 +126,10 @@ def quasi_period(rs: RootSystem, lattice: str) -> int:
     return lcm(*dens)
 
 
-def dp_backed(k: int, centered: bool) -> bool:
-    """Whether :func:`weighted_lattice_sum` reads the moment DP, which
-    enumerates no point, rather than streaming every lattice point."""
-    return k == 0 or (k == 1 and not centered)
+def dp_backed(k: int) -> bool:
+    """Whether :func:`weighted_lattice_sum` reads the moment DP, which enumerates
+    no point, rather than streaming every lattice point: k <= 2, centered or not."""
+    return k <= 2
 
 
 @lru_cache(maxsize=None)
@@ -141,9 +141,9 @@ def weighted_lattice_sum(
     The statistic is the form ``F_b`` (:class:`~corelab.rootsys.QuadraticForm`),
     the closed form of zise, evaluated on every lattice point of the closed
     dilated alcove; ``centered`` subtracts the closed-form mean
-    n(b-1)(h+b+1)/24 before raising to the k-th power.  Counts and
-    uncentered first powers are read from the moment DP; every other sum
-    walks the mark knapsack once in integers
+    n(b-1)(h+b+1)/24 before raising to the k-th power.  Sums with k <= 2 are
+    read from the moment DP at ``K = k`` and centered by the binomial
+    theorem; every other sum walks the mark knapsack once in integers
     (:func:`~corelab.lattice_enum.scaled_power_sum`), at O(1) per point.
     """
     if lattice not in LATTICES:
@@ -154,12 +154,13 @@ def weighted_lattice_sum(
         raise ValueError("dilation must be nonnegative")
     if k and not is_simply_laced(rs):
         raise ValueError("weighted sums require a simply-laced root system")
-    if dp_backed(k, centered):
-        return Q(alcove_size_sums(rs, b, lattice)[k])
+    mean = rs.rank * (b - 1) * (rs.coxeter_number + b + 1) if centered else 0  # 24 mu_b
+    if dp_backed(k):
+        sums = alcove_size_sums(rs, b, lattice, k)
+        return sum(comb(k, j) * s * Q(-mean, 24) ** (k - j) for j, s in enumerate(sums))
     # the form is summed as the integer 24 d^2 F_b(y / d) on points y scaled by d
     d = lattice_scale(rs, lattice)
-    mu_scaled = d * d * rs.rank * (b - 1) * (rs.coxeter_number + b + 1) if centered else 0
-    total = scaled_power_sum(rs, b, k, lattice, QuadraticForm(rs, b), mu_scaled)[0]
+    total = scaled_power_sum(rs, b, k, lattice, QuadraticForm(rs, b), d * d * mean)[0]
     return Q(total, (24 * d * d) ** k)
 
 

@@ -11,10 +11,10 @@ coroot point sets are int tuples; only the coweight point sets build
 Fractions, through ``coeffs_to_point``.  Folds over the points never
 materialize them: powers of a quadratic form (``F_b`` or zise) are summed,
 and its maximum found, by that walk carrying the form's value
-(:func:`scaled_power_sum`), and counts and first powers of ``F_b`` come from
-an exact dynamic program over budgets and classes
-(:func:`alcove_size_sums`).  Both read one table of per-item data,
-:func:`_knapsack_items`.
+(:func:`scaled_power_sum`), and counts and the powers of ``F_b`` up to a
+chosen ``K`` come from an exact dynamic program over budgets and classes,
+whose work grows with the budgets, not the points (:func:`alcove_size_sums`).
+Both read one table of per-item data, :func:`_knapsack_items`.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
+from itertools import combinations_with_replacement, product
 from math import ceil, floor, gcd, isqrt
 from operator import add, mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -353,68 +354,101 @@ def coroot_points_in_size_ellipsoid(
     return out
 
 
-_SIZE_SUM_TABLES: Dict[Tuple[RootSystem, str], List[Tuple[int, Optional[Q]]]] = {}
+_SIZE_SUM_TABLES: Dict[Tuple[RootSystem, str, int], List[List[int]]] = {}
 
 
-def alcove_size_sums(rs: RootSystem, b: int, lattice: str) -> Tuple[int, Optional[Q]]:
-    """Count and size-sum over ``b * A`` lattice points, by exact dynamic programming.
+def alcove_size_sums(rs: RootSystem, b: int, lattice: str, K: int = 1) -> Tuple[Optional[Q], ...]:
+    """Power sums of ``F_b`` over ``b * A`` lattice points, by exact dynamic programming.
 
-    Returns ``(S0, S1)`` where ``S0`` is the number of points and ``S1`` the
-    sum of the dilation-``b`` form ``F_b`` (:class:`QuadraticForm`) over them,
-    the closed form of zise on simply-laced systems; for other systems ``S1``
-    is ``None`` and only the count is meaningful.
-    Answers are read from a table of every dilation up to the largest one
-    run so far for this system and lattice; a dilation past it reruns the
-    program to at least twice the table's length, so a sweep or a fit over
-    rising dilations costs a logarithmic number of runs.
+    Returns ``(S_0, ..., S_K)``: ``S_0`` is the number of points and ``S_k``
+    the sum over them of the k-th power of the dilation-``b`` form ``F_b``
+    (:class:`QuadraticForm`), the closed form of zise on simply-laced
+    systems; on other systems only the count is given, the rest is ``None``.
+    Each ``S_k`` is read off the row of ``b`` in a table, one per ``K``, of
+    every dilation up to the largest one run so far for this system and
+    lattice; a dilation past it reruns the program to at least twice the
+    table's length, so a sweep or a fit over rising dilations costs a
+    logarithmic number of runs.  ``K = 0``, the count alone, runs cheapest.
     """
     if b < 0:
         raise ValueError("dilation must be nonnegative")
-    key = (rs, lattice)
+    key = (rs, lattice, K)
     table = _SIZE_SUM_TABLES.get(key, [])
     if b >= len(table):
-        table = _SIZE_SUM_TABLES[key] = _size_sum_table(rs, max(b, 2 * len(table)), lattice)
-    return table[b]
+        table = _SIZE_SUM_TABLES[key] = _size_sum_table(rs, max(b, 2 * len(table)), lattice, K)
+    sums = table[b]
+    if K == 0 or not is_simply_laced(rs):
+        return (sums[0],) + (None,) * K
+    index, D, form = _moment_maps(rs, K)[0], _scaled_coweight_rows(rs)[0], QuadraticForm(rs, b)
+    value = _affine(form.scaled(0, 0, D), [form.scaled(1, 0, D, 0)]
+                    + [form.scaled(0, v, D, 0) for v in form.linear])
+    power: Poly = {(): 1}
+    out = [sums[0]]
+    for k in range(1, K + 1):
+        power = _poly_mul(power, value)
+        out.append(Q(sum(c * sums[index[m]] for m, c in power.items()), (24 * D * D) ** k))
+    return tuple(out)
 
 
-def _size_sum_table(rs: RootSystem, top: int, lattice: str) -> List[Tuple[int, Optional[Q]]]:
-    """``alcove_size_sums(rs, beta, lattice)`` for every ``beta <= top``, from one run.
+Poly = Dict[Tuple[int, ...], int]  # the sorted variable ids of a monomial -> its coefficient
+
+
+def _poly_mul(p: Poly, r: Poly) -> Poly:
+    out: Poly = {}
+    for (a, u), (e, v) in product(p.items(), r.items()):
+        key = tuple(sorted(a + e))
+        out[key] = out.get(key, 0) + u * v
+    return out
+
+
+def _affine(const: int, coeffs: Sequence[int]) -> Poly:
+    """``const + sum_j coeffs[j] v_j`` in the variables ``v = (q, y_1, ..., y_n)``, ids from 1."""
+    return {(): const, **{(j,): c for j, c in enumerate(coeffs, 1) if c}}
+
+
+@lru_cache(maxsize=None)
+def _moment_maps(rs: RootSystem, K: int) -> Tuple[Dict[Tuple[int, ...], int], Tuple]:
+    """The monomials ``q^a y^m``, ``a + |m| <= K``, by index, in rising degree;
+    then per knapsack item, for each monomial the indices and coefficients of
+    the sums that make its sum once the item is taken, as ``q -> q + <2 G w,
+    y> + <w, w>`` and ``y -> y + w``, or ``None`` if the item moves no sum."""
+    # the multisets of K of the ids 0 .. n + 1, with the placeholder 0 for degree < K dropped
+    index = {tuple(v for v in c if v): i
+             for i, c in enumerate(combinations_with_replacement(range(rs.rank + 2), K))}
+    maps = []
+    for _, w, gw2, ww, _ in _knapsack_items(rs):
+        images = {1: _affine(ww, (1,) + gw2), **{j: {(): v, (j,): 1} for j, v in enumerate(w, 2)}}
+        image_of: Dict[Tuple[int, ...], Poly] = {}
+        rows = []
+        for m in index:  # a monomial's image is that of its first factors times its last's
+            image_of[m] = _poly_mul(image_of[m[:-1]], images[m[-1]]) if m else {(): 1}
+            rows.append(tuple(zip(*((index[u], c) for u, c in image_of[m].items() if c))))
+        maps.append(None if all(row == ((i,), (1,)) for i, row in enumerate(rows)) else rows)
+    return index, tuple(maps)
+
+
+def _size_sum_table(rs: RootSystem, top: int, lattice: str, K: int) -> List[List[int]]:
+    """The rows of :func:`alcove_size_sums` for every dilation up to ``top``, from one run.
 
     The program runs over knapsack budgets and the lattice's classes of
-    prefixes (:func:`_class_steps`), carrying for the integer vectors
-    ``y = D * x`` of the points their number, their coordinate sums and the
-    sum of ``<y, y>``, and never materializes the point set.  The slack item
-    comes last and keeps the class, so ``state[beta]`` then holds every point
-    of ``beta * A``.
+    prefixes (:func:`_class_steps`), carrying the sums over the points of
+    every monomial of :func:`_moment_maps`, and never materializes the point
+    set.  The slack item comes last and keeps the class, so ``state[beta]``
+    then holds every point of ``beta * A``, and class 0 of it the lattice points.
     """
-    D = _scaled_coweight_rows(rs)[0]
+    index, maps = _moment_maps(rs, K)
     steps = _class_steps(rs, lattice)[0]
-    zero = tuple(0 for _ in range(rs.rank))
-    slack = ((1, zero, zero, 0, zero), tuple(range(len(steps[0]))))
-    # state[budget][cls] = (M0, M1, M2): count, coordinate sums, sum of <y, y>
-    state: List[Dict[int, Tuple[int, Tuple[int, ...], int]]] = [dict() for _ in range(top + 1)]
-    state[0][0] = (1, zero, 0)
-    for (weight, w, gw2, ww, _), step in list(zip(_knapsack_items(rs), steps)) + [slack]:
+    # state[budget][cls]: the sums of the monomials, in the order of their index
+    state: List[Dict[int, List[int]]] = [dict() for _ in range(top + 1)]
+    state[0][0] = [1] + [0] * (len(index) - 1)
+    slack = (1, None, tuple(range(len(steps[0]))))
+    for weight, rows, step in list(zip(rs.marks, maps, steps)) + [slack]:
         for budget in range(weight, top + 1):
             dst = state[budget]
-            for cls, (m0, m1, m2) in state[budget - weight].items():
-                new_cls = step[cls]
-                nm1 = tuple(a + wr * m0 for a, wr in zip(m1, w))
-                nm2 = m2 + sum(map(mul, m1, gw2)) + ww * m0
-                if new_cls in dst:
-                    o0, o1, o2 = dst[new_cls]
-                    dst[new_cls] = (o0 + m0, tuple(map(add, o1, nm1)), o2 + nm2)
-                else:
-                    dst[new_cls] = (m0, nm1, nm2)
-
-    simply_laced = is_simply_laced(rs)
-    table: List[Tuple[int, Optional[Q]]] = []
-    # class 0 holds the lattice points; every budget holds the origin, so it is never empty
-    for beta, final in enumerate(state):
-        s0, m1, square = final[0]
-        s1 = None
-        if simply_laced:
-            form = QuadraticForm(rs, beta)
-            s1 = Q(form.scaled(square, form.dot(m1), D, s0), 24 * D * D)
-        table.append((s0, s1))
-    return table
+            for cls, sums in state[budget - weight].items():
+                moved = sums if rows is None else [
+                    sum(map(mul, coeffs, map(sums.__getitem__, src))) for src, coeffs in rows]
+                old = dst.get(step[cls])
+                dst[step[cls]] = moved if old is None else list(map(add, old, moved))
+    # every budget holds the origin, so class 0 is never empty
+    return [final[0] for final in state]

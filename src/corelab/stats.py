@@ -147,7 +147,7 @@ def moments(rs: RootSystem, b: int) -> MomentReport:
     moments follow exactly.  Closed forms fill in per type as available.
     """
     form = zise_form(rs, b)
-    s0 = alcove_size_sums(rs, b, "coroot")[0]
+    s0 = alcove_size_sums(rs, b, "coroot", 0)[0]
     s1, top, mult = scaled_power_sum(rs, b, 1, "coroot", form)
     s2, s3 = (scaled_power_sum(rs, b, k, "coroot", form)[0] for k in (2, 3))
     best = Q(top, 24)
@@ -250,7 +250,7 @@ def experiment_cn_fuss(n: int, m: int) -> Dict[str, object]:
     rs = build_root_system("C", n)
     h = rs.coxeter_number
     b = m * h + 1
-    count = alcove_size_sums(rs, b, "coroot")[0]
+    count = alcove_size_sums(rs, b, "coroot", 0)[0]
     total = scaled_power_sum(rs, b, 1, "coroot", zise_form(rs, b))[0]
     mean = Q(total, 24 * count)
     conjecture = Q(m * n * (2 * (m + 1) * n * n + (m + 3) * n - (m + 1)), 12)

@@ -11,6 +11,7 @@ tests.
 """
 
 from fractions import Fraction as Q
+from functools import lru_cache
 from math import isqrt
 from typing import Collection, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -123,12 +124,17 @@ def streamed_size_sums(rs: RootSystem, b: int, lattice: str) -> Tuple[int, Q]:
     return s0, Q(s1, 24 * d * d)
 
 
+@lru_cache(maxsize=8)  # a form is keyed by identity, so one form's powers share a stream
+def _streamed_values(rs: RootSystem, b: int, lattice: str, form: QuadraticForm) -> Tuple[int, ...]:
+    d = lattice_scale(rs, lattice)
+    return tuple(form.scaled_at(y, d) for y in iter_scaled_points(rs, b, lattice))
+
+
 def streamed_power_sum(
     rs: RootSystem, b: int, k: int, lattice: str, form: QuadraticForm, center: int
 ) -> Tuple[int, int, int]:
     """``scaled_power_sum``: every point of the integer stream, evaluated on its own."""
-    d = lattice_scale(rs, lattice)
-    values = [form.scaled_at(y, d) for y in iter_scaled_points(rs, b, lattice)]
+    values = _streamed_values(rs, b, lattice, form)
     best = max(values)
     return sum((v - center) ** k for v in values), best, values.count(best)
 

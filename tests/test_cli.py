@@ -560,9 +560,21 @@ class TestFit:
         assert code == EXIT_USAGE
 
     def test_budget_guard_trips(self):
-        # k = 2 streams every point of every sample dilation
-        code, _ = run(["fit", "--type", "E", "--rank", "7", "--k", "2"])
+        # k = 3 streams every point of every sample dilation
+        code, _ = run(["fit", "--type", "E", "--rank", "7", "--k", "3"])
         assert code == EXIT_BUDGET
+
+    def test_e7_variance_fit_is_budgeted_by_dp_sums(self, capsys):
+        # 12 coweight classes of 14 samples each are charged one DP run to
+        # b = 167: 168 budgets times f = 2 classes times C(7 + 1 + 2, 2) = 45 sums
+        argv = ["fit", "--type", "E", "--rank", "7", "--k", "2"]
+        code, doc = run_json(argv)
+        assert code == EXIT_OK
+        assert doc["results"][0]["reciprocity"] == "pass"
+        assert [row["holdouts"] for row in doc["results"][1:]] == ["pass"] * 12
+        assert run(argv + ["--max-points", str(168 * 2 * 45 - 1)])[0] == EXIT_BUDGET
+        assert capsys.readouterr().err == (
+            "error: estimated 15120 DP sums exceeds --max-points 15119\n")
 
     def test_dp_backed_fit_is_budgeted_by_dp_states(self):
         code, doc = run_json(

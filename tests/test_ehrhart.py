@@ -23,7 +23,7 @@ from corelab.ehrhart import (
 from corelab.genfun import poly_eval, poly_trim
 from corelab.lattice_enum import coroot_points_in_bA, coweight_points_in_bA
 from corelab.rootsys import QuadraticForm, build_root_system
-from corelab.stats import closed_mean
+from corelab.stats import closed_mean, closed_variance
 from oracles import centered_class_fit, fit_quasi
 
 A2 = build_root_system("A", 2)
@@ -289,6 +289,21 @@ class TestExpectedSizePolynomial:
             verify_expected_size_polynomial(build_root_system("B", 3))
 
 
+class TestVariancePolynomial:
+    def test_variance_is_a_polynomial_identity(self):
+        # the sum of (F_b - mu_b)^2 over the coroot points of bA is the closed
+        # variance times the count; both sides have degree n + 4 in b, so they
+        # are the same polynomial once they agree at n + 5 dilations
+        for case in SIMPLY_LACED:
+            rs = build_root_system(*case)
+            classes = coprime_fit_classes(rs)
+            count = coprime_polynomial(rs, 0, False, classes)
+            centered = coprime_polynomial(rs, 2, True, classes)
+            assert len(centered) == rs.rank + 5, case
+            for b in range(rs.rank + 5):
+                assert poly_eval(centered, b) == closed_variance(rs, b) * poly_eval(count, b), case
+
+
 class TestLeadingCoefficients:
     def test_theorem_grade_first_two(self):
         for rs in (A2, A3, D4):
@@ -345,13 +360,14 @@ class TestLeadingCoefficients:
 
 # Per-class fits of A4 stream every point of 9-13 dilations per class, up to
 # b = 64, and take 11-65 s per case at k = 1..3 on a 2-core machine, so the
-# oracle comparison keeps A4 to its DP-backed sums.
+# oracle comparison keeps A4 to its DP-backed sums: k <= 2, centered or not.
+# The moment DP carries second powers, so the A4 k = 2 cases are among them.
 ORACLE_CASES = [
     (family, rank, k, centered)
     for family, rank in [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("D", 4)]
     for k in range(5)
     for centered in (False, True)
-    if rank < 4 or family == "D" or ehrhart.dp_backed(k, centered)
+    if rank < 4 or family == "D" or ehrhart.dp_backed(k)
 ]
 
 

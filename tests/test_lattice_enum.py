@@ -298,6 +298,34 @@ def test_power_sum_matches_streamed_points(case, lattice, k, centered, data):
     assert scaled_power_sum(rs, b, k, lattice, form, center) == expected
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(POWER_SUM_TYPES + [("B", 3), ("C", 3), ("F", 4), ("G", 2)]),
+    st.sampled_from(("coweight", "coroot")),
+    st.integers(0, 3),
+    st.lists(st.integers(0, 12), min_size=1, max_size=4),
+)
+def test_power_sum_table_matches_streamed_points(case, lattice, K, bs):
+    # a fresh table per example; the dilations are read in a random order, so
+    # reads below, at and past the top of the table all occur
+    lattice_enum._SIZE_SUM_TABLES.clear()
+    rs = build_root_system(*case)
+    n, h, d = rs.rank, rs.coxeter_number, lattice_scale(rs, lattice)
+    for b in bs:
+        sums = alcove_size_sums(rs, b, lattice, K)
+        assert len(sums) == K + 1
+        if not is_simply_laced(rs):  # the count alone
+            assert sums[1:] == (None,) * K
+            sums = sums[:1]
+        form = QuadraticForm(rs, b)
+        for center in (0, d * d * n * (b - 1) * (h + b + 1)):
+            for k in range(len(sums)):
+                # the sum of (24 d^2 F_b - center)^k, from the sums of F_b^j, j <= k
+                got = sum(comb(k, j) * (24 * d * d) ** j * sums[j] * (-center) ** (k - j)
+                          for j in range(k + 1))
+                assert got == streamed_power_sum(rs, b, k, lattice, form, center)[0], (b, k)
+
+
 ZISE_TYPES = [("B", 3), ("C", 3), ("F", 4), ("G", 2), ("A", 4), ("D", 4)]
 
 
@@ -335,15 +363,16 @@ def test_size_sum_runs_grow_geometrically(monkeypatch):
     runs = []
     run = lattice_enum._size_sum_table
 
-    def counted(rs, top, lattice):
-        runs.append(top)
-        return run(rs, top, lattice)
+    def counted(rs, top, lattice, K):
+        runs.append(K)
+        return run(rs, top, lattice, K)
 
     monkeypatch.setattr(lattice_enum, "_size_sum_table", counted)
     monkeypatch.setattr(lattice_enum, "_SIZE_SUM_TABLES", {})
     argv = "verify --type E --rank 8 --b-range 1..240 count".split()
     assert main(argv, out=io.StringIO()) == 0
     assert 1 <= len(runs) <= 9  # ceil(log2 240) + 1
+    assert set(runs) == {0}  # a count reads the table of the count alone
     # the fit reads dilations below 240, so it starts from an empty table
     runs.clear()
     monkeypatch.setattr(lattice_enum, "_SIZE_SUM_TABLES", {})
@@ -351,6 +380,7 @@ def test_size_sum_runs_grow_geometrically(monkeypatch):
     e8 = build_root_system("E", 8)
     fit_quasi(e8, 1, "coroot", residues=coprime_fit_classes(e8))
     assert 1 <= len(runs) <= 11
+    assert set(runs) == {1}
 
 
 def test_scaled_stream_rejects_unknown_lattice():
