@@ -131,14 +131,14 @@ def _count_estimate(rs: RootSystem, b: int, lattice: str) -> int:
 
 
 def _dp_cost(rs: RootSystem, top: int, K: int = 0) -> Tuple[int, str]:
-    """Sums of one moment-DP run to ``top`` at power ``K``: (top + 1) f C(n + 1 + K, K)."""
+    """Sums of the moment-DP rows up to ``top`` at power ``K``: (top + 1) f C(n + 1 + K, K)."""
     return (top + 1) * rs.index_f * comb(rs.rank + 1 + K, K), "DP sums"
 
 
 def _fit_cost(
     rs: RootSystem, k: int, lattice: str, centered: bool, classes: Sequence[int]
 ) -> Tuple[int, str]:
-    """The sums of one DP run to the largest sample when the fit reads the
+    """The sums of the DP rows up to the largest sample when the fit reads the
     DP, otherwise the estimated points streamed over all its samples; and its unit."""
     samples = fit_samples(rs, k, lattice, centered, classes)
     if dp_backed(k):

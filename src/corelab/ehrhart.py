@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
-from itertools import count, islice
+from itertools import accumulate, count, islice
 from math import comb, gcd, lcm, prod
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -56,19 +56,26 @@ def _pcoeff(p: Sequence[Q], k: int) -> Q:
 
 
 def _lagrange_fit(xs: Sequence[int], ys: Sequence[Q]) -> PolyQ:
+    """The polynomial of degree below ``len(xs)`` through ``(xs, ys)``, in
+    integers: the basis numerator of ``x_i`` is the master polynomial
+    prod (X - x_j) divided by X - x_i, its denominator that numerator's value
+    at ``x_i``, and the terms add up over one common denominator."""
     assert len(xs) == len(ys) and len(set(xs)) == len(xs)
-    total: PolyQ = (Q(0),)
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        if yi == 0:
-            continue
-        num: PolyQ = (Q(1),)
-        den = Q(1)
-        for j, xj in enumerate(xs):
-            if j != i:
-                num = poly_mul(num, (Q(-xj), Q(1)))
-                den *= xi - xj
-        total = poly_add(total, _pscale(yi / den, num))
-    return poly_trim(total)
+    master: Tuple[int, ...] = (1,)
+    for x in xs:
+        master = poly_mul(master, (-x, 1))
+    terms = []
+    for xi, yi in zip(xs, ys):
+        if yi:  # synthetic division by X - x_i, from the top coefficient down
+            num = list(accumulate(reversed(master[1:]), lambda q, c: c + q * xi))[::-1]
+            terms.append((num, yi.numerator, yi.denominator * poly_eval(num, xi)))
+    den = lcm(*(d for _, _, d in terms))
+    total = [0] * len(xs)
+    for num, p, d in terms:
+        scale = p * (den // d)
+        for j, c in enumerate(num):
+            total[j] += scale * c
+    return poly_trim(tuple(Q(t, den) for t in total))
 
 
 @dataclass(frozen=True)
@@ -107,6 +114,7 @@ class QuasiPolynomial:
         }
 
 
+@lru_cache(maxsize=None)
 def quasi_period(rs: RootSystem, lattice: str) -> int:
     """A priori period of lattice-point quasipolynomials of the dilated alcove.
 

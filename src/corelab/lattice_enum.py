@@ -13,7 +13,8 @@ materialize them: powers of a quadratic form (``F_b`` or zise) are summed,
 and its maximum found, by that walk carrying the form's value
 (:func:`scaled_power_sum`), and counts and the powers of ``F_b`` up to a
 chosen ``K`` come from an exact dynamic program over budgets and classes,
-whose work grows with the budgets, not the points (:func:`alcove_size_sums`).
+whose work grows with the budgets, not the points, and which is grown one
+budget at a time, so no row is computed twice (:func:`alcove_size_sums`).
 Both read one table of per-item data, :func:`_knapsack_items`.
 """
 
@@ -354,7 +355,9 @@ def coroot_points_in_size_ellipsoid(
     return out
 
 
-_SIZE_SUM_TABLES: Dict[Tuple[RootSystem, str, int], List[List[int]]] = {}
+# per (system, lattice, K): the rows computed so far, and per knapsack item,
+# slack last, its DP states at the last c_i budgets, that of budget B at B mod c_i
+_SIZE_SUM_TABLES: Dict[Tuple[RootSystem, str, int], Tuple[List[List[int]], List[List[Dict]]]] = {}
 
 
 def alcove_size_sums(rs: RootSystem, b: int, lattice: str, K: int = 1) -> Tuple[Optional[Q], ...]:
@@ -365,18 +368,18 @@ def alcove_size_sums(rs: RootSystem, b: int, lattice: str, K: int = 1) -> Tuple[
     (:class:`QuadraticForm`), the closed form of zise on simply-laced
     systems; on other systems only the count is given, the rest is ``None``.
     Each ``S_k`` is read off the row of ``b`` in a table, one per ``K``, of
-    every dilation up to the largest one run so far for this system and
-    lattice; a dilation past it reruns the program to at least twice the
-    table's length, so a sweep or a fit over rising dilations costs a
-    logarithmic number of runs.  ``K = 0``, the count alone, runs cheapest.
+    every dilation up to the largest one read so far for this system and
+    lattice; a read past it extends the program by exactly the missing
+    budgets (:func:`_grow_size_sums`), so every row is computed once, however
+    the reads are ordered.  ``K = 0``, the count alone, runs cheapest.
     """
     if b < 0:
         raise ValueError("dilation must be nonnegative")
     key = (rs, lattice, K)
-    table = _SIZE_SUM_TABLES.get(key, [])
-    if b >= len(table):
-        table = _SIZE_SUM_TABLES[key] = _size_sum_table(rs, max(b, 2 * len(table)), lattice, K)
-    sums = table[b]
+    rows, layers = _SIZE_SUM_TABLES.setdefault(key, ([], [[{}] * c for c in rs.marks + (1,)]))
+    if b >= len(rows):
+        _grow_size_sums(rs, lattice, K, rows, layers, b)
+    sums = rows[b]
     if K == 0 or not is_simply_laced(rs):
         return (sums[0],) + (None,) * K
     index, D, form = _moment_maps(rs, K)[0], _scaled_coweight_rows(rs)[0], QuadraticForm(rs, b)
@@ -427,28 +430,32 @@ def _moment_maps(rs: RootSystem, K: int) -> Tuple[Dict[Tuple[int, ...], int], Tu
     return index, tuple(maps)
 
 
-def _size_sum_table(rs: RootSystem, top: int, lattice: str, K: int) -> List[List[int]]:
-    """The rows of :func:`alcove_size_sums` for every dilation up to ``top``, from one run.
+def _grow_size_sums(rs: RootSystem, lattice: str, K: int, rows: List[List[int]],
+                    layers: List[List[Dict]], top: int) -> None:
+    """Append the rows of :func:`alcove_size_sums` up to ``top`` to ``rows``.
 
     The program runs over knapsack budgets and the lattice's classes of
     prefixes (:func:`_class_steps`), carrying the sums over the points of
     every monomial of :func:`_moment_maps`, and never materializes the point
-    set.  The slack item comes last and keeps the class, so ``state[beta]``
-    then holds every point of ``beta * A``, and class 0 of it the lattice points.
+    set.  Budget by budget, the state of item ``i`` is that of item ``i - 1``
+    plus the item taken once more on its own state ``c_i`` budgets back, which
+    ``layers[i]`` keeps.  The slack item comes last and keeps the class, so
+    its state at ``beta`` holds every point of ``beta * A``, and class 0 of it
+    the lattice points.
     """
     index, maps = _moment_maps(rs, K)
     steps = _class_steps(rs, lattice)[0]
-    # state[budget][cls]: the sums of the monomials, in the order of their index
-    state: List[Dict[int, List[int]]] = [dict() for _ in range(top + 1)]
-    state[0][0] = [1] + [0] * (len(index) - 1)
-    slack = (1, None, tuple(range(len(steps[0]))))
-    for weight, rows, step in list(zip(rs.marks, maps, steps)) + [slack]:
-        for budget in range(weight, top + 1):
-            dst = state[budget]
-            for cls, sums in state[budget - weight].items():
-                moved = sums if rows is None else [
-                    sum(map(mul, coeffs, map(sums.__getitem__, src))) for src, coeffs in rows]
-                old = dst.get(step[cls])
-                dst[step[cls]] = moved if old is None else list(map(add, old, moved))
-    # every budget holds the origin, so class 0 is never empty
-    return [final[0] for final in state]
+    items = list(zip(maps, steps)) + [(None, range(len(steps[0])))]
+    for budget in range(len(rows), top + 1):
+        # state[cls]: the sums of the monomials, in the order of their index
+        state: Dict[int, List[int]] = {0: [1] + [0] * (len(index) - 1)} if budget == 0 else {}
+        for (images, step), ring in zip(items, layers):
+            state = dict(state)
+            for cls, sums in ring[budget % len(ring)].items():
+                moved = sums if images is None else [
+                    sum(map(mul, coeffs, map(sums.__getitem__, src))) for src, coeffs in images]
+                old = state.get(step[cls])
+                state[step[cls]] = moved if old is None else list(map(add, old, moved))
+            ring[budget % len(ring)] = state
+        # every budget holds the origin, so class 0 is never empty
+        rows.append(state[0])

@@ -34,7 +34,7 @@ from corelab.ehrhart import (
     quasi_period,
     weighted_lattice_sum,
 )
-from corelab.genfun import poly_eval
+from corelab.genfun import poly_add, poly_eval, poly_mul, poly_trim
 from corelab.lattice_enum import coroot_points_in_bA, iter_scaled_points, lattice_scale
 from corelab.rootsys import (
     QuadraticForm,
@@ -311,6 +311,24 @@ def alcove_walk_by_fractions(rs: RootSystem, x: Sequence[Q]) -> Tuple[Vector, Tu
             word.append(0)
         else:
             return tuple(x), tuple(word)
+
+
+def fraction_lagrange_fit(xs: Sequence[int], ys: Sequence[Q]) -> Tuple[Q, ...]:
+    """Lagrange interpolation term by term in Fractions: the routine
+    :func:`corelab.ehrhart._lagrange_fit` is held to."""
+    assert len(xs) == len(ys) and len(set(xs)) == len(xs)
+    total: Tuple[Q, ...] = (Q(0),)
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        if yi == 0:
+            continue
+        num: Tuple[Q, ...] = (Q(1),)
+        den = Q(1)
+        for j, xj in enumerate(xs):
+            if j != i:
+                num = poly_mul(num, (Q(-xj), Q(1)))
+                den *= xi - xj
+        total = poly_add(total, tuple(yi / den * c for c in num))
+    return poly_trim(total)
 
 
 def centered_class_fit(rs: RootSystem, k: int, residue: int) -> Tuple[Q, ...]:

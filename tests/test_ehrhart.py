@@ -24,7 +24,7 @@ from corelab.genfun import poly_eval, poly_trim
 from corelab.lattice_enum import coroot_points_in_bA, coweight_points_in_bA
 from corelab.rootsys import QuadraticForm, build_root_system
 from corelab.stats import closed_mean, closed_variance
-from oracles import centered_class_fit, fit_quasi
+from oracles import centered_class_fit, fit_quasi, fraction_lagrange_fit
 
 A2 = build_root_system("A", 2)
 A3 = build_root_system("A", 3)
@@ -55,6 +55,22 @@ class TestQuasiPeriod:
     def test_unknown_lattice(self):
         with pytest.raises(ValueError):
             quasi_period(A2, "weight")
+
+
+class TestLagrangeFit:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_integer_fit_matches_the_fraction_oracle(self, data):
+        xs = data.draw(st.lists(st.integers(-40, 40), min_size=1, max_size=14, unique=True))
+        value = st.fractions(max_denominator=10**6)
+        ys = data.draw(st.one_of(
+            st.lists(value, min_size=len(xs), max_size=len(xs)),
+            st.just([Q(0)] * len(xs)),
+        ))
+        fitted = ehrhart._lagrange_fit(xs, ys)
+        assert fitted == fraction_lagrange_fit(xs, ys)
+        assert all(type(c) is Q for c in fitted)
+        assert [poly_eval(fitted, x) for x in xs] == ys
 
 
 class TestWeightedLatticeSum:

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corelab import lattice_enum
-from corelab.cli import main
-from corelab.ehrhart import coprime_fit_classes, weighted_lattice_sum
+from corelab.cli import _fit_cost, main
+from corelab.ehrhart import coprime_fit_classes, fit_samples, weighted_lattice_sum
 from corelab.lattice_enum import (
     alcove_size_sums,
     coroot_points_in_bA,
@@ -359,28 +359,32 @@ def test_power_sum_rejects_negative_dilation():
         scaled_power_sum(A2, -1, 1, "coroot", QuadraticForm(A2, 1))
 
 
-def test_size_sum_runs_grow_geometrically(monkeypatch):
-    runs = []
-    run = lattice_enum._size_sum_table
+def test_size_sum_rows_are_computed_once(monkeypatch):
+    grown = []
+    grow = lattice_enum._grow_size_sums
 
-    def counted(rs, top, lattice, K):
-        runs.append(K)
-        return run(rs, top, lattice, K)
+    def counted(rs, lattice, K, rows, layers, top):
+        grown.append((K, top + 1 - len(rows)))
+        grow(rs, lattice, K, rows, layers, top)
 
-    monkeypatch.setattr(lattice_enum, "_size_sum_table", counted)
+    monkeypatch.setattr(lattice_enum, "_grow_size_sums", counted)
     monkeypatch.setattr(lattice_enum, "_SIZE_SUM_TABLES", {})
     argv = "verify --type E --rank 8 --b-range 1..240 count".split()
     assert main(argv, out=io.StringIO()) == 0
-    assert 1 <= len(runs) <= 9  # ceil(log2 240) + 1
-    assert set(runs) == {0}  # a count reads the table of the count alone
-    # the fit reads dilations below 240, so it starts from an empty table
-    runs.clear()
+    # rows 0..239: the rows past b = 239, the last b coprime to h = 30, are never read
+    assert sum(n for _, n in grown) == 240 and {K for K, _ in grown} == {0}
+    grown.clear()
+    assert main(argv, out=io.StringIO()) == 0
+    assert grown == []
+    # a fit reads its samples in no fixed order, and computes each row up to the largest once
     monkeypatch.setattr(lattice_enum, "_SIZE_SUM_TABLES", {})
     weighted_lattice_sum.cache_clear()
     e8 = build_root_system("E", 8)
-    fit_quasi(e8, 1, "coroot", residues=coprime_fit_classes(e8))
-    assert 1 <= len(runs) <= 11
-    assert set(runs) == {1}
+    classes = coprime_fit_classes(e8)
+    fit_quasi(e8, 1, "coroot", residues=classes)
+    top = max(fit_samples(e8, 1, "coroot", False, classes))
+    assert sum(n for _, n in grown) == top + 1 and {K for K, _ in grown} == {1}
+    assert _fit_cost(e8, 1, "coroot", False, classes)[0] == (top + 1) * e8.index_f * comb(10, 1)
 
 
 def test_scaled_stream_rejects_unknown_lattice():
