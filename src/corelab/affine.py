@@ -228,6 +228,21 @@ def separating_walls(rs: RootSystem, y: Sequence[int], d: int) -> List[AffineRoo
     return out
 
 
+def escaped_walls(rs: RootSystem, y: Sequence[int], d: int, b: int) -> int:
+    """How many walls between ``rho_check/h`` and ``x = y / d`` (:func:`separating_walls`,
+    whose ``ValueError`` it keeps) are not among those up to ``b rho_check/h``, the
+    ``-alpha + k delta`` with ``k <= t = floor(b ht(alpha) / h)``: per positive root,
+    ``max(0, floor(<x, alpha>) - t)`` if ``<x, alpha> > 0``, else ``floor(-<x, alpha>) + 1``."""
+    h, out = rs.coxeter_number, 0
+    for height in range(1, h):
+        for f in _root_forms(rs, height):
+            v = sum(map(mul, f, y))
+            if v % d == 0:
+                raise ValueError("point not regular")
+            out += max(0, v // d - b * height // h) if v > 0 else -v // d + 1
+    return out
+
+
 def inversions_of_inverse(rs: RootSystem, w: AffineElement) -> List[AffineRoot]:
     """The inversion set of ``w^{-1}``, the walls between ``A`` and ``w^{-1}(A)``.
 
@@ -325,14 +340,14 @@ def w_b_inverse(rs: RootSystem, b: int) -> AffineElement:
     return winv
 
 
-def to_dominant(rs: RootSystem, x: Sequence[Q]) -> Tuple[int, Tuple[int, ...], Word]:
-    """Walk ``x`` into the closed dominant chamber; return ``d``, the point
-    reached scaled by ``d`` to integers, and the word, whose element maps it
-    back to ``x`` (as in :func:`alcove_walk`).
+def to_dominant(rs: RootSystem, x: Sequence, d: int = 1) -> Tuple[int, Tuple[int, ...], Word]:
+    """Walk ``x / d`` into the closed dominant chamber; return a denominator
+    ``e`` (``d`` for integer ``x``), the point reached scaled by ``e`` to
+    integers, and the word, whose element maps it back (as in :func:`alcove_walk`).
 
     Reflects through the lowest-index wall with a negative pairing until none
     is left, on the scaled point and its integer pairings.
     """
-    d, y = clear_denominators(x)
-    y, word = _walk(rs, d, y, False)
-    return d, tuple(y), word
+    e, y = clear_denominators(x)
+    y, word = _walk(rs, d * e, y, False)
+    return d * e, tuple(y), word

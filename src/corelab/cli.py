@@ -294,7 +294,7 @@ def _verify_macdonald(rs: RootSystem, b: None, args) -> Dict:
     _check_budget(sum(series.coeffs), "points", args)  # the coefficients count the points
     counts = [0] * (trunc + 1)
     for _, size in coroot_points_in_size_ellipsoid(rs, trunc):
-        counts[int(size)] += 1
+        counts[size] += 1
     ok = list(series.coeffs) == counts
     return dict(
         trunc=trunc,
@@ -489,13 +489,14 @@ def cmd_series(args) -> Tuple[int, List[Dict]]:
 def _weak_order(args) -> Tuple[int, List[Dict]]:
     rs = _root_system(args)
     results = []
+    skips = results if args.b_range is not None else None
     for b in _dilations(args):
-        _admit(rs, b, _points, args)
-        report = dict(experiment_weak_order_maximality(rs, b))
-        report["violations"] = [
-            {"point": _vec(lam), "escaped": extra} for lam, extra in report["violations"]
-        ]
-        results.append(report)
+        if _admit(rs, b, _points, args, skips):
+            report = dict(experiment_weak_order_maximality(rs, b))
+            report["violations"] = [
+                {"point": _vec(lam), "escaped": extra} for lam, extra in report["violations"]
+            ]
+            results.append(report)
     return EXIT_OK, results
 
 

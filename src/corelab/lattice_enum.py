@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from math import ceil, floor, gcd, isqrt
+from math import gcd, isqrt, lcm
 from operator import add, mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -34,6 +34,8 @@ from corelab.rootsys import (
     RootSystem,
     Vector,
     VerificationError,
+    adjugate,
+    clear_denominators,
     exponent_product,
     is_simply_laced,
 )
@@ -302,52 +304,56 @@ def core_points_in_sommers(rs: RootSystem, b: int) -> LatticePointSet:
     return LatticePointSet(rs, b, "coroot", moved)
 
 
-def coroot_points_in_size_ellipsoid(
-    rs: RootSystem, N: int
-) -> List[Tuple[Tuple[int, ...], Q]]:
-    """All coroot lattice points with size at most ``N``, with their sizes, in
-    coordinate order.
+def _ellipsoid_split(gram: Sequence[Sequence[int]]) -> List[Tuple[List[int], int]]:
+    """Per coordinate ``i`` of a positive definite integer ``G``, the integers
+    ``a_ij = T_{i+1} G_ij - G[i, i+1:] adj(G[i+1:, i+1:]) G[i+1:, j]``, ``j <= i``, and
+    ``T_i T_{i+1}``, ``T_i = det G[i:, i:] = a_ii`` (``T_n = 1``), which make Fincke–Pohst's
+    ``L^T D L`` fraction-free: ``z^T G z = sum_i (sum_j a_ij z_j)^2 / (T_i T_{i+1})``."""
+    split = []
+    for i, top in enumerate(gram):
+        t, adj = adjugate([row[i + 1:] for row in gram[i + 1:]])
+        left = [sum(map(mul, top[i + 1:], col)) for col in adj]  # adj and G are symmetric
+        a = [t * top[j] - sum(map(mul, left, gram[j][i + 1:])) for j in range(i + 1)]
+        split.append((a, a[i] * t))
+    return split
 
-    Size is ``g/2 ||x - c||^2 - n(h+1)/24``, ``c = rho/g``.  Fincke–Pohst: with
-    ``G = L^T D L`` (``L`` unit lower triangular) term ``i`` of ``||x - c||^2``
-    depends on ``x_0 .. x_i`` only, so a prefix whose terms exceed the radius
-    is dropped at once.  Leaves are still checked against ``24 N``.
+
+def coroot_points_in_size_ellipsoid(rs: RootSystem, N: int) -> List[Tuple[Tuple[int, ...], int]]:
+    """All coroot lattice points with size at most ``N``, with their sizes as
+    ints, in coordinate order.
+
+    Size is ``g/2 ||x - c||^2 - n(h+1)/24``, ``c = rho/g``.  Fincke–Pohst in ints:
+    ``z = s (x - c)`` is integral and ``z^T G z`` a sum of terms ``u_i^2 / (T_i T_{i+1})``,
+    ``u_i`` linear in ``x_0 .. x_i`` (:func:`_ellipsoid_split`); scaled by ``lcm T_i T_{i+1}``,
+    each bounds ``x_i`` to the room its prefix leaves.  Leaves are checked against ``24 N``.
     """
     if N < 0:
         raise ValueError("size bound must be nonnegative")
-    n = rs.rank
-    g = rs.dual_coxeter_number
-    block = [[Q(v) for v in row] for row in rs.gram]
-    lower: List[List[Q]] = [[] for _ in range(n)]
-    for i in reversed(range(n)):  # row i of L and D_i, read off the trailing block
-        lower[i] = [v / block[i][i] for v in block[i][:i]]
-        for j in range(i):
-            for k in range(i):
-                block[j][k] -= block[i][j] * lower[i][k]
-    center = [Q(v, g) for v in rs.rho]
-    shifts = [c + sum(map(mul, row, center)) for row, c in zip(lower, center)]  # L c
-    radius = Q(2, g) * (N + Q(n * (rs.coxeter_number + 1), 24))
+    n, g, gram = rs.rank, rs.dual_coxeter_number, rs.gram
+    s, e = clear_denominators([Q(v, g) for v in rs.rho])
+    split = _ellipsoid_split(gram)
+    scale = lcm(*(p for _, p in split))
+    terms = [([s * v for v in a], -sum(map(mul, a, e)), scale // p) for a, p in split]
+    radius = scale * (s * s * (24 * N + n * (rs.coxeter_number + 1)) // (12 * g))
     form = QuadraticForm(rs, 1)
-    out: List[Tuple[Tuple[int, ...], Q]] = []
+    out: List[Tuple[Tuple[int, ...], int]] = []
 
     # carry the used radius, <x, x> and l . x = -sum(x), coordinate by coordinate
-    def rec(i: int, prefix: List[int], used: Q, square: int, linear: int):
-        if used > radius:
-            return
+    def rec(i: int, prefix: List[int], used: int, square: int, linear: int):
         if i == n:
-            s = form.scaled(square, linear)
-            if s <= 24 * N:
-                if s % 24:
-                    raise VerificationError("size %d/24 of %s is not an integer" % (s, prefix))
-                out.append((tuple(prefix), Q(s // 24)))
+            size = form.scaled(square, linear)
+            if size <= 24 * N:
+                if size % 24:
+                    raise VerificationError("size %d/24 of %s is not an integer" % (size, prefix))
+                out.append((tuple(prefix), size // 24))
             return
-        weight, row = block[i][i], rs.gram[i]
-        top = shifts[i] - sum(map(mul, lower[i], prefix))  # (L (x - c))_i = x_i - top
-        reach = isqrt(floor((radius - used) / weight)) + 1  # exceeds the |x_i - top| left
+        row, (a, shift, weight) = gram[i], terms[i]
+        rest = sum(map(mul, a, prefix)) + shift  # u_i = a[i] x_i + rest
+        reach = isqrt((radius - used) // weight)  # weight = scale / (T_i T_{i+1})
         cross = sum(map(mul, row, prefix))
-        for v in range(ceil(top) - reach, floor(top) + reach + 1):
+        for v in range(-((reach + rest) // a[i]), (reach - rest) // a[i] + 1):
             prefix.append(v)
-            rec(i + 1, prefix, used + weight * (v - top) ** 2,
+            rec(i + 1, prefix, used + weight * (a[i] * v + rest) ** 2,
                 square + row[i] * v * v + 2 * v * cross, linear - v)
             prefix.pop()
 

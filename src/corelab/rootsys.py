@@ -184,10 +184,6 @@ def mat_vec(m: Sequence[Sequence[Q]], v: Sequence[Q]) -> Vector:
     return tuple(Q(sum(r * yi for r, yi in zip(row, y)), d) for row in m)
 
 
-def vec_sub(x: Sequence[Q], y: Sequence[Q]) -> Vector:
-    return tuple(a - b for a, b in zip(x, y))
-
-
 def vec_scale(c: Q, x: Sequence[Q]) -> Vector:
     return tuple(c * a for a in x)
 

@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from corelab.affine import (
     base_point,
     element_from_word,
-    separating_walls,
+    escaped_walls,
     size_of_element,
     to_dominant,
     w_b_inverse,
@@ -38,7 +38,6 @@ from corelab.rootsys import (
     exponent_product,
     is_simply_laced,
     roots_of_height,
-    vec_sub,
 )
 
 
@@ -278,26 +277,24 @@ def experiment_weak_order_maximality(rs: RootSystem, b: int) -> Dict[str, object
     representative ``w`` with ``w^{-1}(0) = lam`` is ``x -> u(x - lam)``, ``u``
     the chamber walk of ``rho_check/h - lam``.  Its inversion set, the walls
     at ``u(rho_check/h - lam)``, is compared against the inversions of
-    ``w_b``, the walls at ``b rho_check/h``.  No element is built.  Containment
-    for all points is the conjectured behavior; violations are reported, never
-    raised.
+    ``w_b``, the walls at ``b rho_check/h``, by counting the levels of the
+    first beyond the second root by root (:func:`~corelab.affine.escaped_walls`).
+    No element or wall is built.  Containment for all points is the conjectured
+    behavior; violations are reported, never raised.
     """
-    h = rs.coxeter_number
-    if gcd(b, h) != 1:
+    if gcd(b, rs.coxeter_number) != 1:
         raise ValueError("b not coprime to Coxeter number")
-    base = base_point(rs)
-    d, y = clear_denominators(base)
-    big = set(separating_walls(rs, [b * v for v in y], d))
+    d, base = clear_denominators(base_point(rs))
     contained = 0
     violations: List[Tuple[Vector, int]] = []
     points = core_points_in_sommers(rs, b).points
     for lam in points:
-        d, y, _ = to_dominant(rs, vec_sub(base, lam))
-        inv_w = set(separating_walls(rs, y, d))
-        if inv_w <= big:
-            contained += 1
+        y = to_dominant(rs, [v - d * l for v, l in zip(base, lam)], d)[1]
+        extra = escaped_walls(rs, y, d, b)
+        if extra:
+            violations.append((lam, extra))
         else:
-            violations.append((lam, len(inv_w - big)))
+            contained += 1
     return {
         "experiment": "weak_order_maximality",
         "family": rs.family,

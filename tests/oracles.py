@@ -44,7 +44,6 @@ from corelab.rootsys import (
     mat_vec,
     pairing,
     roots_of_height,
-    vec_sub,
 )
 
 
@@ -275,7 +274,7 @@ def omega_group(rs: RootSystem) -> List[AffineElement]:
         if rs.marks[i] != 1:
             continue
         mu = rs.fund_coweights[i]
-        word = to_dominant(rs, vec_sub(base, mu))[2]
+        word = to_dominant(rs, [a - m for a, m in zip(base, mu)])[2]
         g = AffineElement(element_from_word(rs, word).linear, mu)
         assert g.apply(base) == base
         assert {g.apply(v) for v in verts} == set(verts)

@@ -1,5 +1,6 @@
 """Tests for affine group elements, walks, inversion sets, and the alcove stabilizer."""
 
+import itertools
 from fractions import Fraction as Q
 from math import gcd
 
@@ -16,6 +17,7 @@ from corelab.affine import (
     base_point,
     compute_w_b,
     element_from_word,
+    escaped_walls,
     in_dilated_alcove,
     inversions_of_inverse,
     separating_walls,
@@ -27,6 +29,7 @@ from corelab.affine import (
 from corelab.rootsys import (
     VerificationError,
     build_root_system,
+    clear_denominators,
     mat_vec,
     pairing,
     roots_of_height,
@@ -237,6 +240,30 @@ def test_separating_walls_reject_wall_points():
 WITH_D5_E7 = ORACLE_SYSTEMS + [build_root_system("D", 5), build_root_system("E", 7)]
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_escaped_walls_count_the_set_difference(data):
+    # c rho_check/h - lam is regular for c coprime to h, and has negative
+    # pairings once lam is large; k scales it off its least denominator
+    rs = data.draw(st.sampled_from(WITH_D5_E7))
+    h = rs.coxeter_number
+    d0, y0 = clear_denominators(base_point(rs))
+    coprime = [c for c in range(1, 3 * h) if gcd(c, h) == 1]
+    b, c = data.draw(st.sampled_from(coprime)), data.draw(st.sampled_from(coprime))
+    lam = data.draw(st.lists(st.integers(-4, 4), min_size=rs.rank, max_size=rs.rank))
+    k = data.draw(st.integers(1, 3))
+    y, d = [k * (c * v - d0 * l) for v, l in zip(y0, lam)], k * d0
+    big = set(separating_walls(rs, [b * v for v in y0], d0))
+    assert escaped_walls(rs, y, d, b) == len(set(separating_walls(rs, y, d)) - big)
+
+
+def test_escaped_walls_reject_wall_points():
+    with pytest.raises(ValueError, match="not regular"):
+        escaped_walls(A2, (1, 1), 2, 2)  # on the affine wall <x, theta> = 1
+    assert escaped_walls(A2, (1, 1), 3, 2) == 0
+    assert escaped_walls(A2, (-2, -2), 3, 2) == 4  # alpha_i + 0 delta, theta + 0, 1 delta
+
+
 def inverse_by_fractions(g):
     """The oracle: the linear part inverted by Gauss-Jordan over the rationals."""
     inv = invert_matrix(g.linear)
@@ -349,6 +376,15 @@ def test_to_dominant():
         for i in range(2):
             simple = tuple(int(j == i) for j in range(2))
             assert pairing(A2, y, simple) >= 0
+
+
+def test_to_dominant_of_an_integer_vector_over_d():
+    # the walk of y / d from ints reaches the point and word of the Fraction walk
+    for rs in (A2, D4, build_root_system("G", 2)):
+        d0, y0 = clear_denominators(base_point(rs))
+        for lam in itertools.product(range(-1, 2), repeat=rs.rank):
+            y = [v - d0 * l for v, l in zip(y0, lam)]
+            assert to_dominant(rs, y, d0) == to_dominant(rs, [Q(v, d0) for v in y])
 
 
 def dense_reflection(rs, i):

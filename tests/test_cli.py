@@ -769,6 +769,16 @@ class TestExperiment:
         assert entry["contained"] == entry["total"] == 5
         assert entry["verdict"] == "consistent"
 
+    def test_weak_order_sweep_skips_non_coprime_b(self):
+        argv = ["experiment", "weak-order", "--type", "A", "--rank", "2"]
+        code, doc = run_json(argv + ["--b-range", "2..4"])
+        assert code == EXIT_OK
+        assert [(r["b"], r["verdict"]) for r in doc["results"]] == [
+            (2, "consistent"), (3, "skipped(b not coprime)"), (4, "consistent")
+        ]
+        assert doc["results"][1] == {"b": 3, "verdict": "skipped(b not coprime)"}
+        assert run(argv + ["--b", "3"])[0] == EXIT_USAGE
+
     def test_weak_order_respects_point_budget(self):
         argv = ["experiment", "weak-order", "--type", "A", "--rank", "2", "--b", "4"]
         assert run(argv + ["--max-points", "4"])[0] == EXIT_BUDGET

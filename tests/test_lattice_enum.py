@@ -31,6 +31,7 @@ from corelab.stats import size_point, zise_form
 from oracles import (
     b_omega_action,
     box_size_ellipsoid,
+    det_int,
     fit_quasi,
     omega_group,
     streamed_power_sum,
@@ -163,6 +164,30 @@ def test_ellipsoid_matches_box_walk(case, data):
     got = coroot_points_in_size_ellipsoid(rs, N)
     assert got == box_size_ellipsoid(rs, N)
     assert all(type(v) is int for x, _ in got for v in x)
+    assert all(type(size) is int for _, size in got)
+
+
+SPLIT_TYPES = (
+    [("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 9)]
+    + [("E", n) for n in (6, 7, 8)] + [("B", 3), ("C", 3), ("F", 4), ("G", 2)]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SPLIT_TYPES), st.data())
+def test_ellipsoid_split_reproduces_the_form(case, data):
+    # z^T G z = sum_i u_i^2 / (T_i T_{i+1}) exactly, u_i = sum_{j <= i} a_ij z_j
+    rs = build_root_system(*case)
+    n = rs.rank
+    z = data.draw(st.lists(st.integers(-60, 60), min_size=n, max_size=n))
+    split = lattice_enum._ellipsoid_split(rs.gram)
+    assert [len(a) for a, _ in split] == list(range(1, n + 1))
+    assert all(type(v) is int for a, _ in split for v in a)
+    minors = [a[i] for i, (a, _) in enumerate(split)] + [1]  # T_i = a_ii, T_n = 1
+    assert minors == [det_int([row[i:] for row in rs.gram[i:]]) for i in range(n)] + [1]
+    assert [p for _, p in split] == [minors[i] * minors[i + 1] for i in range(n)]
+    terms = sum(Q(sum(a_ij * z_j for a_ij, z_j in zip(a, z)) ** 2, p) for a, p in split)
+    assert terms == sum(z[i] * rs.gram[i][j] * z[j] for i in range(n) for j in range(n))
 
 
 def test_ellipsoid_histogram_matches_core_product():
