@@ -148,6 +148,15 @@ def element_from_word(rs: RootSystem, word: Sequence[int]) -> AffineElement:
     return AffineElement(tuple(tuple(row[:n]) for row in rows), tuple(row[n] for row in rows))
 
 
+@lru_cache(maxsize=None)
+def _walk_tables(rs: RootSystem) -> Tuple[IntMatrix, Tuple[int, ...], Tuple]:
+    """For :func:`_walk`: the Cartan columns (pairings are their products with ``y``), the
+    pairing change of the affine reflection, and per row the nonzero ``(k, A_jk)``."""
+    columns = tuple(zip(*rs.cartan))
+    edges = tuple(tuple((k, a) for k, a in enumerate(row) if a) for row in rs.cartan)
+    return columns, tuple(sum(map(mul, col, rs.comarks)) for col in columns), edges
+
+
 def _walk(rs: RootSystem, d: int, y: List[int], affine: bool) -> Tuple[List[int], Word]:
     """Reflect ``y / d`` through the lowest-index violated wall until none is
     left (the list ``y`` may change); return the scaled point and the word.
@@ -157,18 +166,13 @@ def _walk(rs: RootSystem, d: int, y: List[int], affine: bool) -> Tuple[List[int]
     ``<x, theta> > 1``, and a point on any wall raises
     ``ValueError("point not regular")``.
     """
-    n = rs.rank
-    A = rs.cartan
-    pair = [sum(A[k][i] * y[k] for k in range(n)) for i in range(n)]
-    shift = [sum(c * row[i] for c, row in zip(rs.comarks, A)) for i in range(n)]
-    # the nonzero pairings <alpha_j^vee, alpha_k>, as (k, value)
-    edges = [[(k, a) for k, a in enumerate(row) if a] for row in A]
+    columns, shift, edges = _walk_tables(rs)
+    pair = [sum(map(mul, col, y)) for col in columns]
     word: List[int] = []
     while True:
         if affine and 0 in pair:
             raise ValueError("point not regular")
-        for j in range(n):
-            v = pair[j]
+        for j, v in enumerate(pair):
             if v < 0:
                 y[j] -= v
                 for k, a in edges[j]:

@@ -15,6 +15,7 @@ import json
 import sys
 from fractions import Fraction as Q
 from functools import lru_cache, partial
+from json.encoder import encode_basestring_ascii
 from math import comb, gcd
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -81,6 +82,8 @@ class BudgetError(RuntimeError):
 def _rat(x, den: int = 1) -> str:
     """``x / den`` as ``"p/q"`` in lowest terms; an int ``x`` builds no Fraction."""
     if type(x) is int:
+        if den == 1:
+            return "%d/1" % x
         g = gcd(x, den)
         return "%d/%d" % (x // g, den // g)
     q = Q(x, den)
@@ -585,15 +588,39 @@ def _render(results: List[Dict], form: str) -> str:
     return "\n".join(aligned) + "\n"
 
 
+def _dump(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, which json writes in pure Python, for
+    dicts keyed by str, lists, tuples, str, int, bool, None; str or int lists join in C."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool or value is None:
+        return {None: "null", True: "true", False: "false"}[value]
+    inner = pad + "  "
+    if kind is dict and {str}.issuperset(map(type, value)):
+        items = [_dump(k) + ": " + _dump(v, inner) for k, v in sorted(value.items())]
+    elif kind is list or kind is tuple:
+        kinds = set(map(type, value))
+        if kinds == {str} or kinds == {int}:
+            items = map(encode_basestring_ascii if str in kinds else int.__repr__, value)
+        else:
+            items = [_dump(v, inner) for v in value]
+    else:
+        raise TypeError("not a corelab envelope value: %r" % (value,))
+    ends = "{}" if kind is dict else "[]"
+    return ends[0] + inner + ("," + inner).join(items) + pad + ends[1] if value else ends
+
+
 def _emit(args, exit_code: int, results: List[Dict], out) -> None:
     if args.format != "json":
         out.write(_render(results, args.format))
         return
-    grade = "conjecture" if args.command == "experiment" else "theorem"
     if args.command == "experiment":
-        verdict = "report"
+        grade, verdict = "conjecture", "report"
     else:
-        verdict = "pass" if exit_code == EXIT_OK else "fail"
+        grade, verdict = "theorem", "pass" if exit_code == EXIT_OK else "fail"
     envelope = {
         "schema_version": SCHEMA_VERSION,
         "config": {key: value for key, value in vars(args).items() if value is not None},
@@ -601,7 +628,7 @@ def _emit(args, exit_code: int, results: List[Dict], out) -> None:
         "grade": grade,
         "verdict": verdict,
     }
-    out.write(json.dumps(envelope, indent=2, sort_keys=True) + "\n")
+    out.write(_dump(envelope) + "\n")
 
 
 @lru_cache(maxsize=None)  # built once per process

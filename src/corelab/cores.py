@@ -16,7 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
+from itertools import chain, count, takewhile
 from math import comb, gcd
+from operator import add, ge, sub
 from typing import Collection, Iterable, List, Sequence, Set, Tuple
 
 from corelab.lattice_enum import core_points_in_sommers, is_coroot_point
@@ -31,9 +33,9 @@ class Partition:
 
     def __post_init__(self):
         object.__setattr__(self, "parts", tuple(self.parts))
-        if any(p <= 0 for p in self.parts):
+        if self.parts and min(self.parts) <= 0:
             raise ValueError("parts must be positive")
-        if any(p < q for p, q in zip(self.parts, self.parts[1:])):
+        if not all(map(ge, self.parts, self.parts[1:])):
             raise ValueError("parts must be weakly decreasing")
 
     @property
@@ -48,7 +50,7 @@ class Partition:
 def _beads(parts: Sequence[int], pad: int = 0) -> Set[int]:
     """The beads ``lambda_r - r`` of ``parts`` followed by ``pad`` zero parts;
     every position below ``-len(parts) - pad`` holds a bead too."""
-    return {p - r for r, p in enumerate(parts, 1)} | set(range(-len(parts) - pad, -len(parts)))
+    return set(map(sub, parts, count(1))).union(range(-len(parts) - pad, -len(parts)))
 
 
 def _parts(beads: Iterable[int]) -> Tuple[int, ...]:
@@ -56,12 +58,7 @@ def _parts(beads: Iterable[int]) -> Tuple[int, ...]:
     point under them, normalized so that its ``r``-th largest bead
     ``beta_r`` is ``lambda_r - r``: part ``r`` is ``beta_r + r`` while that
     is positive."""
-    out = []
-    for r, beta in enumerate(sorted(beads, reverse=True), 1):
-        if beta + r <= 0:
-            break
-        out.append(beta + r)
-    return tuple(out)
+    return tuple(takewhile((0).__lt__, map(add, sorted(beads, reverse=True), count(1))))
 
 
 def is_a_core(p: Partition, a: int) -> bool:
@@ -72,8 +69,7 @@ def is_a_core(p: Partition, a: int) -> bool:
     if a < 2:
         raise ValueError("modulus must be at least 2")
     beads = _beads(p.parts)
-    low = -len(p.parts)
-    return all(beta - a in beads or beta - a < low for beta in beads)
+    return beads.issuperset(filter((-len(p.parts)).__le__, map((-a).__add__, beads)))
 
 
 @dataclass(frozen=True)
@@ -136,11 +132,11 @@ def core_from_coroot(a: int, lam: Sequence[Q | int]) -> CorePartition:
         raise ValueError(f"expected {rs.rank} coordinates")
     if not is_coroot_point(lam):
         raise ValueError("not a coroot point")
-    coords = [0] + [int(v) for v in lam] + [0]
-    gaps = [coords[i + 1] - coords[i] for i in range(a)]
-    # every position below a * low holds a bead
-    low = min(gaps)
-    parts = _parts(i + a * k for i, top in enumerate(gaps) for k in range(low, top))
+    coords = [0, *map(int, lam), 0]
+    gaps = list(map(sub, coords[1:], coords))
+    # every position below low holds a bead
+    low = a * min(gaps)
+    parts = _parts(chain.from_iterable(range(i + low, i + a * g, a) for i, g in enumerate(gaps)))
     core = CorePartition(Partition(parts), a)
     scaled = size.scaled_at(coords[1:-1])
     if 24 * core.size != scaled:

@@ -25,7 +25,7 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import gcd, isqrt, lcm
-from operator import add, mul
+from operator import add, attrgetter, mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from corelab.affine import in_dilated_alcove, sommers_contains, w_b_inverse
@@ -182,7 +182,7 @@ def coeffs_to_point(rs: RootSystem, coeffs: Sequence[int]) -> Vector:
 
 
 def is_coroot_point(x: Sequence[Q]) -> bool:
-    return all(v.denominator == 1 for v in x)
+    return {1}.issuperset(map(attrgetter("denominator"), x))
 
 
 def iter_scaled_points(rs: RootSystem, b: int, lattice: str) -> Iterator[Tuple[int, ...]]:
@@ -298,7 +298,7 @@ def core_points_in_sommers(rs: RootSystem, b: int) -> LatticePointSet:
     if gcd(b, h) != 1:
         raise ValueError("b not coprime to Coxeter number")
     winv = w_b_inverse(rs, b)
-    moved = tuple(sorted(winv.apply_int(x) for x in coroot_points_in_bA(rs, b).points))
+    moved = tuple(sorted(map(winv.apply_int, coroot_points_in_bA(rs, b).points)))
     if not all(sommers_contains(rs, b, x) for x in moved):
         raise VerificationError("w_b^-1 moves a point of %dA off the height-%d region" % (b, b))
     return LatticePointSet(rs, b, "coroot", moved)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import factorial, lcm
-from operator import mul
+from operator import itemgetter, mul
 from typing import Dict, List, Sequence, Tuple
 
 Vector = Tuple[Q, ...]
@@ -172,7 +172,7 @@ def adjugate(m: Sequence[Sequence[int]]) -> Tuple[int, Tuple[Tuple[int, ...], ..
 
 def clear_denominators(x: Sequence[Q | int]) -> Tuple[int, List[int]]:
     """The least ``d >= 1`` with ``d * x`` integral, and the integer vector ``d * x``."""
-    if all(type(v) is int for v in x):
+    if {int}.issuperset(map(type, x)):
         return 1, list(x)
     d = lcm(*(v.denominator for v in x))
     return d, [v.numerator * (d // v.denominator) for v in x]
@@ -242,6 +242,7 @@ class RootSystem:
 
     def __init__(self, rstype: RootSystemType) -> None:
         self.rstype = rstype
+        self._hash = hash(rstype)  # every lru_cache keyed on a root system reads it
         self.family = rstype.family
         n = self.rank = rstype.rank
         self.cartan = tuple(tuple(row) for row in _cartan_matrix(self.family, n))
@@ -337,7 +338,7 @@ class RootSystem:
         return isinstance(other, RootSystem) and self.rstype == other.rstype
 
     def __hash__(self) -> int:
-        return hash(self.rstype)
+        return self._hash
 
 
 @lru_cache(maxsize=None)
@@ -371,6 +372,16 @@ class VerificationError(ArithmeticError):
     """A paper identity failed on exact data."""
 
 
+@lru_cache(maxsize=None)
+def _square_terms(rs: RootSystem) -> Tuple[itemgetter, itemgetter, Tuple[int, ...]]:
+    """Getters of ``y_i`` and ``y_j`` and coefficients ``G_ii`` or ``2 G_ij`` over the nonzero
+    Gram entries ``i <= j``, whose products sum to ``<y, y>``; rank 1 adds a zero term."""
+    g, n = rs.gram, rs.rank
+    rows, cols, coeffs = zip(*[(i, j, g[i][j] * (1 + (i < j))) for i in range(n)
+                               for j in range(i, n) if g[i][j]] + [(0, 0, 0)] * (n == 1))
+    return itemgetter(*rows), itemgetter(*cols), coeffs
+
+
 class QuadraticForm:
     """``F(x) = g/2 <x, x> + l . x + c`` in coroot coordinates, with ``l`` and
     ``24 c`` integral.  ``QuadraticForm(rs, b)`` is the size form at dilation
@@ -385,6 +396,7 @@ class QuadraticForm:
 
     def __init__(self, rs: RootSystem, b: int) -> None:
         self.gram = rs.gram
+        self.terms = _square_terms(rs)
         self.g = rs.dual_coxeter_number
         self.linear = (-b,) * rs.rank
         self.const = (b * b - 1) * rs.rank * (rs.coxeter_number + 1)  # 24 c
@@ -402,7 +414,8 @@ class QuadraticForm:
 
     def square(self, y: Sequence[int]) -> int:
         """``<y, y>`` of an integer vector."""
-        return sum(yi * sum(map(mul, row, y)) for row, yi in zip(self.gram, y) if yi)
+        left, right, coeffs = self.terms
+        return sum(map(mul, coeffs, map(mul, left(y), right(y))))
 
     def dot(self, y: Sequence[int]) -> int:
         """``l . y`` of an integer vector."""

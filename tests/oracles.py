@@ -7,7 +7,8 @@ a time.  ``det_int`` (integer elimination with row swaps) and
 ``invert_matrix`` (Gauss-Jordan in Fractions) are what ``rootsys.adjugate``
 is held to.  ``fit_quasi`` assembles a whole quasipolynomial for the tests,
 and ``omega_group`` builds the alcove's stabilizer for the Omega-symmetry
-tests.
+tests.  ``core_by_beads`` reads a core off the abacus with a Python loop per
+bead, for ``cores.core_from_coroot``.
 """
 
 from fractions import Fraction as Q
@@ -398,6 +399,24 @@ def hook_lengths(p: Partition) -> List[int]:
         for c in range(1, row_len + 1):
             out.append(row_len - c + conj[c - 1] - r + 1)
     return out
+
+
+def core_by_beads(a: int, lam: Sequence[int]) -> Tuple[int, ...]:
+    """The parts of the ``a``-core at the coroot point ``lam``, read off the
+    abacus one bead at a time: pad ``lam`` to ``(0, lam_1, ..., 0)``; runner
+    ``i < a`` holds a bead at ``i + a k`` for ``min gap <= k < lam_{i+1} - lam_i``,
+    and every position below holds one too; part ``r`` is ``beta_r + r``, ``beta_r``
+    the ``r``-th largest bead, while that is positive."""
+    coords = [0] + [int(v) for v in lam] + [0]
+    gaps = [coords[i + 1] - coords[i] for i in range(a)]
+    low = min(gaps)
+    beads = (i + a * k for i, top in enumerate(gaps) for k in range(low, top))
+    out = []
+    for r, beta in enumerate(sorted(beads, reverse=True), 1):
+        if beta + r <= 0:
+            break
+        out.append(beta + r)
+    return tuple(out)
 
 
 def corners(parts: Sequence[int]) -> Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]:

@@ -27,6 +27,11 @@ from corelab.rootsys import build_root_system
 from corelab.stats import size_point
 
 
+# text with quotes, backslashes, control and non-ASCII characters
+TEXT = st.text(st.sampled_from('a"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u20ac\U0001f600')
+               | st.characters(blacklist_categories=("Cs",)), max_size=6)
+
+
 def run(argv):
     out = io.StringIO()
     code = main(argv, out=out)
@@ -106,6 +111,29 @@ class TestEnvelope:
     def test_rat_of_an_int_over_den_matches_fraction(self, n, den):
         q = Q(n, den)
         assert cli._rat(n, den) == "%d/%d" % (q.numerator, q.denominator)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.recursive(
+        st.none() | st.booleans() | st.integers(-10**30, 10**30) | TEXT,
+        lambda inner: st.lists(inner, max_size=5) | st.dictionaries(TEXT, inner, max_size=5),
+        max_leaves=12,
+    ))
+    @example([])
+    @example({})
+    @example([1, True, 0, False])
+    @example([True, 2])
+    @example([10**30, -7, 0])
+    @example(["x", "\u00e9\n"])
+    @example({"b": [], "a": {}, "": ["\u00e9\"\\\x00\x1f", 7, None]})
+    @example(("tuple", [("nested", -1)]))
+    def test_writer_matches_indented_json_dumps(self, value):
+        assert cli._dump(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("value", [1.5, [0.0], {"x": float("nan")}, {1, 2}, [set()],
+                                       {1: "int key"}, {"a": {None: 0}}])
+    def test_writer_refuses_types_the_envelope_never_holds(self, value):
+        with pytest.raises(TypeError):
+            cli._dump(value)
 
     def test_deterministic_bytes_across_runs(self):
         argv = ["enum", "--type", "D", "--rank", "4", "--b", "5", "--stat", "size"]

@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 from math import comb, gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corelab.affine import alcove_walk, base_point, element_from_word
@@ -20,6 +20,7 @@ from corelab.cores import (
 from corelab.rootsys import build_root_system
 from corelab.stats import size_point
 from oracles import (
+    core_by_beads,
     core_counting_coefficients,
     hook_lengths,
     partitions_of,
@@ -31,12 +32,24 @@ from oracles import (
 def test_partition_validation():
     assert Partition().size == 0
     assert Partition((3, 1, 1)).size == 5
+    assert Partition([2, 2]).parts == (2, 2)
     with pytest.raises(ValueError):
         Partition((1, 2))
     with pytest.raises(ValueError):
         Partition((2, 0))
     with pytest.raises(ValueError):
         Partition((-1,))
+
+
+@pytest.mark.parametrize("parts, message", [
+    ((0,), "parts must be positive"),
+    ((-1,), "parts must be positive"),
+    ((1, 2), "parts must be weakly decreasing"),
+    ((2, 0, 1), "parts must be positive"),  # positivity is checked first
+])
+def test_partition_validation_messages(parts, message):
+    with pytest.raises(ValueError, match="^%s$" % message):
+        Partition(parts)
 
 
 def test_conjugate():
@@ -120,6 +133,17 @@ def test_bead_toggle_matches_corner_scan(data):
 def test_bead_core_test_matches_hooks(parts, a):
     p = Partition(sorted(parts, reverse=True))
     assert is_a_core(p, a) == all(h % a for h in hook_lengths(p))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(2, 9), st.lists(st.integers(-9, 9), min_size=8, max_size=8))
+@example(2, [0] * 8)
+@example(9, [0] * 8)
+@example(9, [-9, -9, -9, -9, -9, -9, -9, -9])
+@example(5, [3, -4, 0, 7, 0, 0, 0, 0])
+def test_abacus_core_matches_bead_by_bead_reading(a, coords):
+    lam = coords[:a - 1]
+    assert core_from_coroot(a, lam).partition.parts == core_by_beads(a, lam)
 
 
 def test_core_from_coroot_anchors():
