@@ -4,8 +4,9 @@ Elements act on coroot coordinates as ``x -> M x + tau`` with an integer
 linear part ``M`` (a finite Weyl group matrix) and a translation ``tau``,
 stored as ints on the affine Weyl group ``W ⋉ Q^∨``; elements of the
 extended group translate by coweights, as Fractions.  Words are composed
-letter by letter on the rows of ``[M | t]``, and walks and inversion sets
-run in ``int`` arithmetic.
+letter by letter on the rows of ``[M | t]``; an element acts on a point
+``x = y / d`` through its integer vector ``y`` (:meth:`AffineElement.apply_int`),
+and walks and inversion sets run in ``int`` arithmetic too.
 
 The fundamental alcove is ``A = {x : <x, alpha_i> >= 0, <x, alpha~> <= 1}``
 and the base point used to pin down elements from alcoves is ``rho_check/h``,
@@ -27,10 +28,7 @@ from corelab.rootsys import (
     Vector,
     adjugate,
     clear_denominators,
-    mat_vec,
-    pairing,
     roots_of_height,
-    vec_scale,
 )
 
 Word = Tuple[int, ...]
@@ -69,9 +67,6 @@ class AffineElement:
     @classmethod
     def identity(cls, rank: int) -> "AffineElement":
         return cls(_identity_matrix(rank), (0,) * rank)
-
-    def apply(self, x: Sequence[Q]) -> Vector:
-        return tuple(m + t for m, t in zip(mat_vec(self.linear, x), self.translation))
 
     def apply_int(self, y: Sequence[int], d: int = 1) -> Tuple[int, ...]:
         """``d * self(y / d)`` for an integer vector ``y``, in ``int`` arithmetic;
@@ -207,7 +202,7 @@ def alcove_walk(rs: RootSystem, x: Sequence[Q]) -> Tuple[Vector, Word]:
 
 def base_point(rs: RootSystem) -> Vector:
     """The regular point ``rho_check / h`` interior to the fundamental alcove."""
-    return vec_scale(Q(1, rs.coxeter_number), rs.rho_check)
+    return tuple(v / rs.coxeter_number for v in rs.rho_check)
 
 
 def separating_walls(rs: RootSystem, y: Sequence[int], d: int) -> List[AffineRoot]:
@@ -264,17 +259,6 @@ def size_of_element(rs: RootSystem, w: AffineElement) -> int:
     return sum(ar.level for ar in inversions_of_inverse(rs, w))
 
 
-def in_dilated_alcove(rs: RootSystem, b: int, x: Sequence[Q]) -> bool:
-    """Membership in the closed dilated alcove ``b * A`` (``b >= 0``)."""
-    if b < 0:
-        raise ValueError("dilation factor must be nonnegative")
-    for i in range(rs.rank):
-        simple = tuple(int(j == i) for j in range(rs.rank))
-        if pairing(rs, x, simple) < 0:
-            return False
-    return pairing(rs, x, rs.highest_root.coeffs) <= b
-
-
 @lru_cache(maxsize=None)
 def _root_forms(rs: RootSystem, height: int) -> Tuple[Tuple[int, ...], ...]:
     """``f = A c`` for every root ``alpha`` of this height with coefficients ``c``:
@@ -305,10 +289,8 @@ def sommers_contains(rs: RootSystem, b: int, x: Sequence[Q | int]) -> bool:
 
 def alcove_vertices(rs: RootSystem, b: int) -> List[Vector]:
     """Vertices of ``b * A``: the origin and ``(b / c_i) * omega_check_i``."""
-    verts = [tuple(Q(0) for _ in range(rs.rank))]
-    for i in range(rs.rank):
-        verts.append(vec_scale(Q(b, rs.marks[i]), rs.fund_coweights[i]))
-    return verts
+    return [tuple(Q(0) for _ in range(rs.rank))] + [
+        tuple(Q(b, m) * v for v in w) for m, w in zip(rs.marks, rs.fund_coweights)]
 
 
 def compute_w_b(rs: RootSystem, b: int) -> AffineElement:
@@ -320,13 +302,14 @@ def compute_w_b(rs: RootSystem, b: int) -> AffineElement:
     h = rs.coxeter_number
     if b <= 0 or gcd(b, h) != 1:
         raise ValueError("b not coprime to Coxeter number")
-    base = base_point(rs)
-    target = vec_scale(Q(b), base)
-    elem = element_from_word(rs, alcove_walk(rs, target)[1])
-    if elem.apply(base) != target:
+    d, y = clear_denominators(base_point(rs))
+    target = [b * v for v in y]
+    elem = element_from_word(rs, alcove_walk(rs, [Q(v, d) for v in target])[1])
+    if list(elem.apply_int(y, d)) != target:
         raise VerificationError("w_b does not map rho_check/h to %d rho_check/h" % b)
     winv = elem.inverse(rs)
-    if not all(sommers_contains(rs, b, winv.apply(v)) for v in alcove_vertices(rs, b)):
+    if not all(sommers_contains(rs, b, [Q(v, e) for v in winv.apply_int(z, e)])
+               for e, z in map(clear_denominators, alcove_vertices(rs, b))):
         raise VerificationError("w_b^-1 moves a vertex of %dA off the height-%d region" % (b, b))
     return elem
 

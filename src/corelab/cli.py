@@ -40,15 +40,14 @@ from .lattice_enum import (
     core_points_in_sommers,
     coweight_points_in_bA,
     coroot_points_in_size_ellipsoid,
+    lattice_scale,
 )
 from .rootsys import (
     QuadraticForm,
     RootSystem,
     VerificationError,
     build_root_system,
-    clear_denominators,
     exponent_product,
-    inner,
 )
 from .stats import (
     experiment_cn_fuss,
@@ -58,7 +57,6 @@ from .stats import (
     haiman_count,
     is_simply_laced,
     moments,
-    size_point,
     verdict_of,
     verify_max,
     zise_form,
@@ -90,8 +88,8 @@ def _rat(x, den: int = 1) -> str:
     return "%d/%d" % (q.numerator, q.denominator)
 
 
-def _vec(x: Sequence[Q]) -> List[str]:
-    return [_rat(v) for v in x]
+def _vec(y: Sequence[int], den: int = 1) -> List[str]:
+    return [_rat(v, den) for v in y]
 
 
 def _root_system(args) -> RootSystem:
@@ -201,7 +199,7 @@ def cmd_enum(args) -> Tuple[int, List[Dict]]:
     ``h``.  Its coroot points are the cores, and type A records carry the
     partition, read off the abacus.  ``--stat zise`` lists the dilated
     alcove itself and extends to any ``b`` through the closed quadratic on
-    simply-laced systems.
+    simply-laced systems.  Every other record prints ``y / d`` and the form there.
     """
     rs = _root_system(args)
     bs = _dilations(args)
@@ -213,6 +211,7 @@ def cmd_enum(args) -> Tuple[int, List[Dict]]:
     h = rs.coxeter_number
     coprime = b >= 1 and gcd(b, h) == 1
     _check_budget(_count_estimate(rs, b, args.lattice), "points", args)
+    d = lattice_scale(rs, args.lattice)
     results = []
     if args.stat == "size":
         if not coprime:
@@ -220,34 +219,29 @@ def cmd_enum(args) -> Tuple[int, List[Dict]]:
                 "size lives on the height-b region, so b must be coprime to"
                 " the Coxeter number %d; use --stat zise on the alcove" % h
             )
-        if args.lattice == "coroot":
-            points = core_points_in_sommers(rs, b).points
-        else:
+        form = QuadraticForm(rs, 1)
+        if args.lattice == "coweight":
             winv = w_b_inverse(rs, b)
-            alcove = coweight_points_in_bA(rs, b).points
-            points = tuple(sorted(winv.apply(x) for x in alcove))
-        with_cores = rs.family == "A" and args.lattice == "coroot"
-        for x in points:
-            if with_cores:  # the box count, certified to be F_1(x)
+            points = sorted(winv.apply_int(y, d) for y in coweight_points_in_bA(rs, b).points)
+        else:
+            points = core_points_in_sommers(rs, b).points
+        if rs.family == "A" and args.lattice == "coroot":
+            for x in points:  # the box count, certified to be F_1(x)
                 core = core_from_coroot(rs.rank + 1, x)
                 results.append({"point": _vec(x), "size": _rat(core.size),
                                 "core": list(core.partition.parts)})
-            else:
-                results.append({"point": _vec(x), "size": _rat(size_point(rs, x))})
-        return EXIT_OK, results
-    if not coprime and not is_simply_laced(rs):
-        raise UsageError(
-            "zise at b not coprime to the Coxeter number %d needs the"
-            " simply-laced closed form" % h
-        )
-    if args.lattice == "coroot":
-        points = coroot_points_in_bA(rs, b).points
+            return EXIT_OK, results
     else:
-        points = coweight_points_in_bA(rs, b).points
-    form = zise_form(rs, b) if coprime else QuadraticForm(rs, b)
-    for x in points:
-        d, y = clear_denominators(x)
-        results.append({"point": _vec(x), "zise": _rat(form.scaled_at(y, d), 24 * d * d)})
+        if not coprime and not is_simply_laced(rs):
+            raise UsageError(
+                "zise at b not coprime to the Coxeter number %d needs the"
+                " simply-laced closed form" % h
+            )
+        points_in = coroot_points_in_bA if args.lattice == "coroot" else coweight_points_in_bA
+        points = points_in(rs, b).points
+        form = zise_form(rs, b) if coprime else QuadraticForm(rs, b)
+    for y in points:
+        results.append({"point": _vec(y, d), args.stat: _rat(form.scaled_at(y, d), 24 * d * d)})
     return EXIT_OK, results
 
 
@@ -284,9 +278,9 @@ def cmd_stat(args) -> Tuple[int, List[Dict]]:
 
 
 def _verify_strange(rs: RootSystem, b: None, args) -> Dict:
-    lhs = 24 * inner(rs, rs.rho, rs.rho)
+    lhs = rs.rho_norm24  # 24 <rho, rho>, checked by the root system's constructor
     rhs = 2 * rs.dual_coxeter_number * rs.rank * (rs.coxeter_number + 1)
-    return dict(value=_rat(lhs), expected=_rat(Q(rhs)), verdict=verdict_of(lhs, Q(rhs)))
+    return dict(value=_rat(lhs), expected=_rat(rhs), verdict=verdict_of(lhs, rhs))
 
 
 def _verify_macdonald(rs: RootSystem, b: None, args) -> Dict:

@@ -6,9 +6,10 @@ coordinates as ``sum_i x_i omega_check_i``.  Coroot points are the subset
 with integer coroot coordinates.  Every walk of the knapsack carries the
 coroot class of each prefix and steps the last coefficient along the
 progression the lattice keeps (:func:`_class_steps`), so it visits no point
-off the lattice, in lexicographic order of the coweight coefficients.  The
-coroot point sets are int tuples; only the coweight point sets build
-Fractions, through ``coeffs_to_point``.  Folds over the points never
+off the lattice, in lexicographic order of the coweight coefficients.  Every
+point set holds the integer vectors ``d * x``, ``d = lattice_scale(rs,
+lattice)``: the coroot points themselves, and the coweight points scaled by
+the coweight denominator.  Folds over the points never
 materialize them: powers of a quadratic form (``F_b`` or zise) are summed,
 and its maximum found, by that walk carrying the form's value
 (:func:`scaled_power_sum`), and counts and the powers of ``F_b`` up to a
@@ -28,7 +29,7 @@ from math import gcd, isqrt, lcm
 from operator import add, attrgetter, mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from corelab.affine import in_dilated_alcove, sommers_contains, w_b_inverse
+from corelab.affine import sommers_contains, w_b_inverse
 from corelab.rootsys import (
     QuadraticForm,
     RootSystem,
@@ -43,13 +44,13 @@ from corelab.rootsys import (
 
 @dataclass(frozen=True)
 class LatticePointSet:
-    """An immutable set of lattice points, sorted by coroot coordinates
-    (int tuples for the coroot points of ``b * A``, Fractions otherwise)."""
+    """An immutable set of lattice points ``x``, as the integer vectors ``d * x``,
+    ``d = lattice_scale(rs, lattice)``, sorted by coroot coordinates."""
 
     rs: RootSystem
     b: int
     lattice: str
-    points: Tuple[Vector, ...]
+    points: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self):
         assert self.lattice in ("coweight", "coroot")
@@ -273,10 +274,12 @@ def scaled_power_sum(
 
 
 def coweight_points_in_bA(rs: RootSystem, b: int) -> LatticePointSet:
-    """All coweight lattice points of the closed dilated alcove ``b * A``."""
-    points = tuple(sorted(coeffs_to_point(rs, c) for c in iter_coweight_coeffs(rs, b, "coweight")))
-    for x in points[: min(len(points), 64)]:
-        assert in_dilated_alcove(rs, b, x)
+    """All coweight lattice points of the closed dilated alcove ``b * A``, scaled to ints."""
+    points = tuple(sorted(iter_scaled_points(rs, b, "coweight")))
+    bound, columns = b * lattice_scale(rs, "coweight"), tuple(zip(*rs.cartan))
+    for y in points[:64]:  # <x, alpha_i> >= 0 and <x, theta> <= b
+        pairs = [sum(map(mul, col, y)) for col in columns]
+        assert min(pairs) >= 0 and sum(map(mul, rs.marks, pairs)) <= bound
     return LatticePointSet(rs, b, "coweight", points)
 
 

@@ -15,7 +15,7 @@ from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, lcm, prod
 from operator import itemgetter, mul
 from typing import Dict, List, Sequence, Tuple
 
@@ -178,14 +178,19 @@ def clear_denominators(x: Sequence[Q | int]) -> Tuple[int, List[int]]:
     return d, [v.numerator * (d // v.denominator) for v in x]
 
 
-def mat_vec(m: Sequence[Sequence[Q]], v: Sequence[Q]) -> Vector:
-    # scale v to integers: one Fraction per entry instead of one per product
-    d, y = clear_denominators(v)
-    return tuple(Q(sum(r * yi for r, yi in zip(row, y)), d) for row in m)
+class VerificationError(ArithmeticError):
+    """A paper identity failed on exact data."""
 
 
-def vec_scale(c: Q, x: Sequence[Q]) -> Vector:
-    return tuple(c * a for a in x)
+def _require(ok: bool, message: str, *args) -> None:
+    """Raise :class:`VerificationError` with ``message % args`` unless ``ok``, even under -O."""
+    if not ok:
+        raise VerificationError(message % args)
+
+
+def _norm(gram: Sequence[Sequence[int]], y: Sequence[int]) -> int:
+    """``<y, y>`` of an integer vector under an integer Gram matrix."""
+    return sum(a * sum(map(mul, row, y)) for a, row in zip(y, gram))
 
 
 def _close_roots(cartan: Sequence[Sequence[int]]) -> List[Root]:
@@ -238,6 +243,9 @@ class RootSystem:
       transposed Cartan matrix; ``inv_cartan_t`` is the inverse itself
     - ``fund_coweights``: coroot-basis coordinates of the fundamental coweights
     - ``rho`` / ``rho_check``: half-sums of positive roots / coroots
+    - ``rho_norm24``: the integer ``24 <rho, rho>``, by the strange formula ``2 g n (h + 1)``
+
+    A failed identity among these, checked in ints, raises :class:`VerificationError`.
     """
 
     def __init__(self, rstype: RootSystemType) -> None:
@@ -256,12 +264,12 @@ class RootSystem:
 
         top_height = max(self.roots_by_height)
         top = self.roots_by_height[top_height]
-        assert len(top) == 1, "highest root must be unique"
+        _require(len(top) == 1, "%s has %d highest roots", rstype, len(top))
         self.highest_root = top[0]
-        self.marks = self.highest_root.coeffs
-        self.coxeter_number = top_height + 1
-        h = self.coxeter_number
-        assert 2 * len(roots) == n * h
+        self.marks = c = self.highest_root.coeffs
+        self.coxeter_number = h = top_height + 1
+        _require(2 * len(roots) == n * h, "%s has %d positive roots, not n h / 2",
+                 rstype, len(roots))
 
         # Simple root squared lengths / 2, from the symmetry l_i A_ij = l_j A_ji,
         # normalized so the highest root has squared length 2.
@@ -276,8 +284,7 @@ class RootSystem:
                     lengths[j] = lengths[i] * self.cartan[i][j] / self.cartan[j][i]
                     seen.add(j)
                     todo.append(j)
-        assert len(seen) == n, "Dynkin diagram must be connected"
-        c = self.marks
+        _require(len(seen) == n, "the Dynkin diagram of %s is not connected", rstype)
         top_norm = sum(
             c[i] * c[j] * lengths[i] * self.cartan[i][j]
             for i in range(n) for j in range(n)
@@ -285,51 +292,46 @@ class RootSystem:
         scale = 2 / top_norm
         self.simple_lengths = tuple(l * scale for l in lengths)
 
-        gram = tuple(
-            tuple(Q(self.cartan[i][j]) / self.simple_lengths[j] for j in range(n))
-            for i in range(n)
-        )
-        for i in range(n):
-            for j in range(n):
-                assert gram[i][j] == gram[j][i]
-                assert gram[i][j].denominator == 1, "simple coroots pair integrally"
-        self.gram = tuple(tuple(int(v) for v in row) for row in gram)
+        gram = [[Q(a) / l for a, l in zip(row, self.simple_lengths)] for row in self.cartan]
+        comarks = [m * l for m, l in zip(c, self.simple_lengths)]
+        _require(all(v.denominator == 1 for v in comarks + sum(gram, [])),
+                 "the comarks or the simple coroot pairings of %s are not integers", rstype)
+        _require(gram == [list(col) for col in zip(*gram)],
+                 "the Gram matrix of %s is not symmetric", rstype)
+        self.gram = tuple(tuple(map(int, row)) for row in gram)
+        self.comarks = tuple(map(int, comarks))
+        self.dual_coxeter_number = g = 1 + sum(self.comarks)
+        _require(g == _expected_dual_coxeter(self.family, n), "%s has g = %d", rstype, g)
 
-        comarks = tuple(c[i] * self.simple_lengths[i] for i in range(n))
-        assert all(d.denominator == 1 for d in comarks)
-        self.comarks = tuple(int(d) for d in comarks)
-        self.dual_coxeter_number = 1 + sum(self.comarks)
-        assert self.dual_coxeter_number == _expected_dual_coxeter(self.family, n)
-
-        self.exponents = _exponents(self.family, n)
-        assert len(self.exponents) == n
-        assert sum(self.exponents) == len(roots)
-        assert all(self.exponents[i] + self.exponents[n - 1 - i] == h for i in range(n))
+        self.exponents = e = _exponents(self.family, n)
+        _require(len(e) == n and sum(e) == len(roots),
+                 "the exponents of %s sum to %d, not |Phi+| = %d", rstype, sum(e), len(roots))
+        _require(all(e[i] + e[n - 1 - i] == h for i in range(n)),
+                 "the exponents of %s do not pair to h = %d", rstype, h)
         self.weyl_order = _weyl_order(self.family, n)
-        prod = 1
-        for e in self.exponents:
-            prod *= e + 1
-        assert prod == self.weyl_order
+        _require(prod(v + 1 for v in e) == self.weyl_order, "prod(e_i + 1) on %s is not |W| = %d",
+                 rstype, self.weyl_order)
 
-        self.index_f, self.adj_cartan_t = adjugate(tuple(zip(*self.cartan)))
-        assert self.index_f == _expected_index(self.family, n)
-        f = self.index_f
-        self.inv_cartan_t = tuple(tuple(Q(v, f) for v in row) for row in self.adj_cartan_t)
-        self.fund_coweights = tuple(
-            tuple(self.inv_cartan_t[r][i] for r in range(n)) for i in range(n)
-        )
-        self.rho_check = tuple(sum(w[r] for w in self.fund_coweights) for r in range(n))
+        self.index_f, self.adj_cartan_t = f, adj = adjugate(tuple(zip(*self.cartan)))
+        _require(f == _expected_index(self.family, n), "%s has det A = %d", rstype, f)
+        self.inv_cartan_t = tuple(tuple(Q(v, f) for v in row) for row in adj)
+        self.fund_coweights = tuple(zip(*self.inv_cartan_t))
+        self.rho_check = tuple(map(sum, self.inv_cartan_t))
 
         sums = map(sum, zip(*(r.coeffs for r in roots)))
         self.rho = tuple(Q(s, 2) * l for s, l in zip(sums, self.simple_lengths))
 
-        ones = mat_vec(self.gram, self.rho)
-        assert all(x == 1 for x in ones), "rho must pair to 1 with every simple coroot"
-        for r in roots:
-            assert pairing(self, self.rho_check, r.coeffs) == r.height
-        g = self.dual_coxeter_number
-        if inner(self, self.rho, self.rho) * 24 != 2 * g * n * (h + 1):
-            raise VerificationError("strange formula fails on %s%d" % (self.family, n))
+        # the pairings and the strange formula, on the integer vectors d rho and e rho_check
+        d, y = clear_denominators(self.rho)
+        _require(all(sum(map(mul, row, y)) == d for row in self.gram),
+                 "rho does not pair to 1 with every simple coroot of %s", rstype)
+        e, z = clear_denominators(self.rho_check)
+        heights = [sum(map(mul, col, z)) for col in zip(*self.cartan)]  # e <rho_check, alpha_j>
+        _require(all(sum(map(mul, heights, r.coeffs)) == e * r.height for r in roots),
+                 "<rho_check, alpha> is not the height of alpha on %s", rstype)
+        self.rho_norm24, rest = divmod(24 * _norm(self.gram, y), d * d)
+        _require(not rest and self.rho_norm24 == 2 * g * n * (h + 1),
+                 "strange formula fails on %s", rstype)
 
     def __repr__(self) -> str:
         return f"RootSystem({self.rstype})"
@@ -366,10 +368,6 @@ def exponent_product(rs: RootSystem, b: int) -> int:
 def is_simply_laced(rs: RootSystem) -> bool:
     """Whether all simple roots have the same length."""
     return all(l == 1 for l in rs.simple_lengths)
-
-
-class VerificationError(ArithmeticError):
-    """A paper identity failed on exact data."""
 
 
 @lru_cache(maxsize=None)
@@ -435,23 +433,6 @@ class QuadraticForm:
         """The exact value ``F(x)`` at a rational point."""
         d, y = clear_denominators(x)
         return Q(self.scaled_at(y, d), 24 * d * d)
-
-
-def inner(rs: RootSystem, x: Sequence[Q], y: Sequence[Q]) -> Q:
-    """Invariant inner product of two vectors in coroot coordinates."""
-    total = Q(0)
-    for i, xi in enumerate(x):
-        if xi:
-            row = rs.gram[i]
-            total += xi * sum(row[j] * yj for j, yj in enumerate(y) if yj)
-    return total
-
-
-def pairing(rs: RootSystem, x: Sequence[Q], root_coeffs: Sequence[int]) -> Q:
-    """Evaluate ``<x, alpha>`` for ``alpha`` given by simple-root coefficients,
-    on ``x`` scaled to integers: one Fraction per call."""
-    d, y = clear_denominators(x)
-    return Q(sum(yi * sum(map(mul, row, root_coeffs)) for yi, row in zip(y, rs.cartan)), d)
 
 
 def roots_of_height(rs: RootSystem, height: int) -> Tuple[Root, ...]:

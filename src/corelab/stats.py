@@ -32,18 +32,12 @@ from corelab.rootsys import (
     QuadraticForm,
     RootSystem,
     VerificationError,
-    Vector,
     build_root_system,
     clear_denominators,
     exponent_product,
     is_simply_laced,
     roots_of_height,
 )
-
-
-def size_point(rs: RootSystem, x: Sequence[Q]) -> Q:
-    """The size form ``F_1(x) = g/2 ||x||^2 - <x, rho>``; integer on coroot points."""
-    return QuadraticForm(rs, 1)(x)
 
 
 @lru_cache(maxsize=None)
@@ -143,7 +137,8 @@ def moments(rs: RootSystem, b: int) -> MomentReport:
     ``24 zise``, ``k = 1..3``, come from three walks of the knapsack, which
     build no point (:func:`~corelab.lattice_enum.scaled_power_sum`), the
     first of them with the maximum and its multiplicity; the mean and central
-    moments follow exactly.  Closed forms fill in per type as available.
+    moments follow exactly.  Closed forms fill in per type as available; the
+    maximum matches its closed form only if it is attained once.
     """
     form = zise_form(rs, b)
     s0 = alcove_size_sums(rs, b, "coroot", 0)[0]
@@ -160,9 +155,12 @@ def moments(rs: RootSystem, b: int) -> MomentReport:
     closed["mean"] = closed_mean(rs, b) if simply else None
     closed["m2"] = closed_variance(rs, b) if simply else None
     closed["m3"] = closed_m3_type_a(rs, b) if rs.family == "A" else None
+    top_verdict = verdict_of(best, closed["max"])
+    if top_verdict == "match" and mult != 1:
+        top_verdict = "mismatch(multiplicity %d)" % mult
     verdicts = {
         "count": verdict_of(Q(s0), closed["count"]),
-        "max": verdict_of(best, closed["max"]),
+        "max": top_verdict,
         "mean": verdict_of(mean, closed["mean"]),
         "m2": verdict_of(m2, closed["m2"]),
         "m3": verdict_of(m3, closed["m3"]),
@@ -184,18 +182,15 @@ def moments(rs: RootSystem, b: int) -> MomentReport:
 
 def verify_max(rs: RootSystem, b: int) -> Tuple[Q, int, Tuple[int, ...], str]:
     """Maximum of size over the height-``b`` core points on a simply-laced
-    system, with its multiplicity, its argmax and a verdict, ``match`` or
-    ``mismatch(...)``: read from :func:`moments`, the maximum must be the
+    system, with its multiplicity, its argmax and its verdict, ``match`` or
+    ``mismatch(...)``, all read from :func:`moments`: the maximum must be the
     closed value ``F_b(0) = n (b^2-1)(h+1)/24``, attained once.  Zise at the
     origin is ``F_b(0)`` (checked by :func:`zise_form`), so the origin is then
     the unique maximiser, and the argmax is its image ``w_b^{-1}(0)``.
     """
     report = moments(rs, b)
-    best, mult = report.max_value, report.max_multiplicity
-    verdict = verdict_of(best, closed_max(rs, b))
-    if verdict == "match" and mult != 1:
-        verdict = "mismatch(multiplicity %d)" % mult
-    return best, mult, tuple(w_b_inverse(rs, b).translation), verdict
+    return (report.max_value, report.max_multiplicity, tuple(w_b_inverse(rs, b).translation),
+            report.verdict_map()["max"])
 
 
 def _floor_sum(b: int, h: int, weight: Callable[[int], int]) -> int:
@@ -286,7 +281,7 @@ def experiment_weak_order_maximality(rs: RootSystem, b: int) -> Dict[str, object
         raise ValueError("b not coprime to Coxeter number")
     d, base = clear_denominators(base_point(rs))
     contained = 0
-    violations: List[Tuple[Vector, int]] = []
+    violations: List[Tuple[Tuple[int, ...], int]] = []
     points = core_points_in_sommers(rs, b).points
     for lam in points:
         y = to_dominant(rs, [v - d * l for v, l in zip(base, lam)], d)[1]

@@ -8,12 +8,16 @@ a time.  ``det_int`` (integer elimination with row swaps) and
 is held to.  ``fit_quasi`` assembles a whole quasipolynomial for the tests,
 and ``omega_group`` builds the alcove's stabilizer for the Omega-symmetry
 tests.  ``core_by_beads`` reads a core off the abacus with a Python loop per
-bead, for ``cores.core_from_coroot``.
+bead, for ``cores.core_from_coroot``.  The Fraction vector helpers
+(``mat_vec``, ``inner``, ``pairing``, ``apply``, ``in_dilated_alcove``,
+``size_point``) are the rational arithmetic that corelab's integer vectors
+``y = d x`` are held to.
 """
 
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import isqrt
+from operator import mul
 from typing import Collection, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from corelab.affine import (
@@ -36,20 +40,65 @@ from corelab.ehrhart import (
     weighted_lattice_sum,
 )
 from corelab.genfun import poly_add, poly_eval, poly_mul, poly_trim
-from corelab.lattice_enum import coroot_points_in_bA, iter_scaled_points, lattice_scale
-from corelab.rootsys import (
-    QuadraticForm,
-    RootSystem,
-    Vector,
-    inner,
-    mat_vec,
-    pairing,
-    roots_of_height,
+from corelab.lattice_enum import (
+    LatticePointSet,
+    coroot_points_in_bA,
+    iter_scaled_points,
+    lattice_scale,
 )
+from corelab.rootsys import QuadraticForm, RootSystem, Vector, clear_denominators, roots_of_height
 
 
 def vec_add(x: Sequence[Q], y: Sequence[Q]) -> Vector:
     return tuple(a + b for a, b in zip(x, y))
+
+
+def vec_scale(c: Q, x: Sequence[Q]) -> Vector:
+    return tuple(c * a for a in x)
+
+
+# each scales its vector argument to integers: one Fraction per result, not per product
+
+
+def mat_vec(m: Sequence[Sequence[Q]], v: Sequence[Q]) -> Vector:
+    d, y = clear_denominators(v)
+    return tuple(Q(sum(map(mul, row, y)), d) for row in m)
+
+
+def inner(rs: RootSystem, x: Sequence[Q], y: Sequence[Q]) -> Q:
+    """Invariant inner product of two vectors in coroot coordinates."""
+    d, a = clear_denominators(x)
+    e, b = clear_denominators(y)
+    return Q(sum(ai * sum(map(mul, row, b)) for ai, row in zip(a, rs.gram)), d * e)
+
+
+def pairing(rs: RootSystem, x: Sequence[Q], root_coeffs: Sequence[int]) -> Q:
+    """``<x, alpha>`` for ``alpha`` given by simple-root coefficients."""
+    d, y = clear_denominators(x)
+    return Q(sum(yi * sum(map(mul, row, root_coeffs)) for yi, row in zip(y, rs.cartan)), d)
+
+
+def apply(g: AffineElement, x: Sequence[Q]) -> Vector:
+    """``g(x) = M x + tau`` at a rational point."""
+    return tuple(m + t for m, t in zip(mat_vec(g.linear, x), g.translation))
+
+
+def in_dilated_alcove(rs: RootSystem, b: int, x: Sequence[Q]) -> bool:
+    """Membership in the closed dilated alcove ``b * A`` (``b >= 0``)."""
+    simples = (tuple(int(j == i) for j in range(rs.rank)) for i in range(rs.rank))
+    return (all(pairing(rs, x, simple) >= 0 for simple in simples)
+            and pairing(rs, x, rs.highest_root.coeffs) <= b)
+
+
+def fraction_points(points: LatticePointSet) -> List[Vector]:
+    """The points ``x`` of a point set, which holds the integer vectors ``d * x``."""
+    d = lattice_scale(points.rs, points.lattice)
+    return [tuple(Q(v, d) for v in y) for y in points.points]
+
+
+def size_point(rs: RootSystem, x: Sequence[Q]) -> Q:
+    """Size by its definition ``g/2 <x, x> - <x, rho>``, in Fractions."""
+    return Q(rs.dual_coxeter_number, 2) * inner(rs, x, x) - inner(rs, x, rs.rho)
 
 
 def det_int(m: Sequence[Sequence[int]]) -> int:
@@ -141,7 +190,7 @@ def streamed_power_sum(
 
 def zise_by_transport(rs: RootSystem, b: int, x: Sequence[Q]) -> Q:
     """Zise at one point: move it by ``w_b^{-1}`` in Fractions, then take its size."""
-    return QuadraticForm(rs, 1)(w_b_inverse(rs, b).apply(x))
+    return QuadraticForm(rs, 1)(apply(w_b_inverse(rs, b), x))
 
 
 def folded_moments(rs: RootSystem, b: int) -> Dict[str, object]:
@@ -236,7 +285,7 @@ def inversions_by_word(rs: RootSystem, w: AffineElement) -> List[AffineRoot]:
     for ``w^{-1}``, whose inversions are the simple affine roots moved by the
     prefix before each letter."""
     base = base_point(rs)
-    final, word = alcove_walk(rs, w.apply(base))
+    final, word = alcove_walk(rs, apply(w, base))
     assert final == base
     g = AffineElement.identity(rs.rank)
     out = []
@@ -277,8 +326,8 @@ def omega_group(rs: RootSystem) -> List[AffineElement]:
         mu = rs.fund_coweights[i]
         word = to_dominant(rs, [a - m for a, m in zip(base, mu)])[2]
         g = AffineElement(element_from_word(rs, word).linear, mu)
-        assert g.apply(base) == base
-        assert {g.apply(v) for v in verts} == set(verts)
+        assert apply(g, base) == base
+        assert {apply(g, v) for v in verts} == set(verts)
         elements.append(g)
     assert len(elements) == rs.index_f
     return [elements[0]] + sorted(elements[1:], key=lambda g: g.translation)
@@ -307,7 +356,7 @@ def alcove_walk_by_fractions(rs: RootSystem, x: Sequence[Q]) -> Tuple[Vector, Tu
             x[i] -= pairs[i]
             word.append(i + 1)
         elif top > 1:
-            x = list(s0.apply(x))
+            x = list(apply(s0, x))
             word.append(0)
         else:
             return tuple(x), tuple(word)

@@ -37,7 +37,7 @@ from corelab.lattice_enum import (
     coroot_points_in_size_ellipsoid,
     coweight_points_in_bA,
 )
-from corelab.rootsys import build_root_system, inner
+from corelab.rootsys import build_root_system
 from corelab.stats import (
     closed_mean,
     closed_variance,
@@ -46,10 +46,18 @@ from corelab.stats import (
     floor_identity_check,
     haiman_count,
     moments,
-    size_point,
     verify_max,
 )
-from oracles import b_omega_action, core_counting_coefficients, fit_quasi, omega_group
+from oracles import (
+    apply,
+    b_omega_action,
+    core_counting_coefficients,
+    fit_quasi,
+    fraction_points,
+    inner,
+    omega_group,
+    size_point,
+)
 
 BUDGETS = {1: 10, 2: 5, 3: 60, 4: 300, 5: 30, 6: 600, 7: 60, 8: 300, 9: 120, 10: 600}
 
@@ -264,7 +272,7 @@ def test_criterion_08_generating_functions():
 
 def test_criterion_09_structural_invariants():
     t0 = time.monotonic()
-    # strange formula, rechecked on top of the constructor assertion
+    # strange formula, rechecked on top of the constructor's check
     systems = [("A", n) for n in range(1, 9)]
     systems += [("B", n) for n in range(2, 9)]
     systems += [("C", n) for n in range(2, 9)]
@@ -274,7 +282,7 @@ def test_criterion_09_structural_invariants():
         rs = build_root_system(family, rank)
         g = rs.dual_coxeter_number
         h = rs.coxeter_number
-        assert inner(rs, rs.rho, rs.rho) * 24 == 2 * g * rs.rank * (h + 1)
+        assert inner(rs, rs.rho, rs.rho) * 24 == 2 * g * rs.rank * (h + 1) == rs.rho_norm24
 
     # index-of-connection orbit partition of the coweight points
     for family, rank, b in [
@@ -289,7 +297,7 @@ def test_criterion_09_structural_invariants():
         assert gcd(b, f) == 1
         omega = omega_group(rs)
         assert len(omega) == f
-        coweights = coweight_points_in_bA(rs, b).points
+        coweights = fraction_points(coweight_points_in_bA(rs, b))
         coroots = set(coroot_points_in_bA(rs, b).points)
         assert f * len(coroots) == len(coweights)
         seen = set()
@@ -310,11 +318,11 @@ def test_criterion_09_structural_invariants():
         wb = compute_w_b(rs, b)
         winv = wb.inverse(rs)
         center = tuple(Q(v, h) for v in rs.rho_check)
-        assert wb.apply(center) == tuple(Q(b * v, h) for v in rs.rho_check)
+        assert apply(wb, center) == tuple(Q(b * v, h) for v in rs.rho_check)
         for vertex in alcove_vertices(rs, b):
-            assert sommers_contains(rs, b, winv.apply(vertex))
+            assert sommers_contains(rs, b, apply(winv, vertex))
         transported = sorted(
-            winv.apply(x) for x in coroot_points_in_bA(rs, b).points
+            apply(winv, x) for x in coroot_points_in_bA(rs, b).points
         )
         assert tuple(transported) == core_points_in_sommers(rs, b).points
 
@@ -336,7 +344,7 @@ def test_criterion_09_structural_invariants():
                     expected.add(AffineRoot(neg, k))
                     k += 1
             assert got == expected, (family, rank, b)
-            assert len(got) == len(alcove_walk(rs, wb.apply(base_point(rs)))[1])
+            assert len(got) == len(alcove_walk(rs, apply(wb, base_point(rs)))[1])
 
     # floor identities in both simply-laced families
     for family, lo in (("A", 1), ("D", 3)):
@@ -352,7 +360,7 @@ def test_criterion_09_structural_invariants():
         rs = build_root_system("A", a - 1)
         winv = compute_w_b(rs, b).inverse(rs)
         for x in coroot_points_in_bA(rs, b).points:
-            lam = winv.apply(x)
+            lam = apply(winv, x)
             core = core_from_coroot(a, lam)
             assert core.size == size_point(rs, lam)
     _finish(

@@ -7,12 +7,16 @@ suite instead.  The traced requests reach every after-call hook of the
 tracer but the one on ``stats.zise_point``, so a result shape a hook reads
 (``.points``, ``.size``, ``.coeffs``, ``r[1]``, ``a[1]``) is held too.  It
 runs in a subprocess because ``Tracer.install()`` rewrites module globals.
+Public names that ``src/`` keeps only for the tracer must still be named in it.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+from test_exports import NO_CALLER_NEEDED, TRACER
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -51,3 +55,11 @@ def test_tracer_installs_and_reads_every_metric():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_names_kept_for_the_tracer_are_named_in_it():
+    # one that the tracer stops naming leaves the allowlist, and then src/
+    text = (ROOT / "bench" / "tracer.py").read_text()
+    kept = [name for name, reason in NO_CALLER_NEEDED.items() if reason == TRACER]
+    assert kept
+    assert [name for name in kept if not re.search(r"\b%s\b" % name, text)] == []

@@ -24,7 +24,7 @@ from corelab import cli, ehrhart, genfun, stats
 from corelab.affine import AffineElement
 from corelab.cli import EXIT_BUDGET, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from corelab.rootsys import build_root_system
-from corelab.stats import size_point
+from oracles import size_point
 
 
 # text with quotes, backslashes, control and non-ASCII characters
@@ -232,6 +232,29 @@ class TestEnum:
              "758e1f3ccd54fb6353dbb9423a76b4ffd687a93c3c0682f896628d841925f30c"),
             ("enum --type A --rank 3 --b 7 --stat size --format csv",
              "7f494ee298ded243328b12e301aafec5c53c318b89981c8ed3aae057bb365e4a"),
+            # --stat size on the coweight lattice: w_b^-1 moves the integer vectors d x
+            ("enum --type D --rank 5 --b 7 --stat size --lattice coweight",
+             "4a6353d4a739fb8242335dd93b3ac71eeec5934a91c7fda59e47e28620a7656c"),
+            ("enum --type E --rank 6 --b 5 --stat size --lattice coweight",
+             "6004900ce6eee3cd37328783e135557e58b1f9d42fc88e8ef236fc2aacc43d8a"),
+            ("enum --type B --rank 3 --b 5 --stat size --lattice coweight",
+             "af13166816903277c203c535417e16c12748dd9abcb0231503c8805b5597d5e6"),
+            ("enum --type C --rank 3 --b 5 --stat size --lattice coweight",
+             "e8bcae18e8a77d3cdfdaebc684c96cd16e60050dfff52c8f3e9d979bd68a2679"),
+            ("enum --type F --rank 4 --b 5 --stat size --lattice coweight",
+             "bd0290009311e4ee9224d7b06df33b168ff4cc08d5698234fb48aeb36dc55334"),
+            ("enum --type G --rank 2 --b 5 --stat size --lattice coweight",
+             "40f9decfb7455e2b4514203f048da0d9a4fb4424577dff8f1180e0f714ca4a8e"),
+            # coweight zise at b coprime to h, and at b = 6 by the closed F_b
+            ("enum --type E --rank 6 --b 5 --lattice coweight",
+             "9c2afb497879a1b4d6af410bf7e53e375d1f069afcb018cde8a1c0eb1ae86a35"),
+            ("enum --type A --rank 3 --b 6 --lattice coweight",
+             "a6728c5b347851aad172d6e1fafe84f639629e5e8db1265c73956c286df2fdf1"),
+            # the constructor's integer 24 <rho, rho>
+            ("verify --type E --rank 8 strange",
+             "730f2c458cdca44a05217c2dbba27e8d2be3eb13b12e286dc6962d9b53758ab8"),
+            ("verify --type G --rank 2 strange",
+             "c01f61798b97ad05809fbc9806aae872262631c264c27db2cd5da145519a67b7"),
             ("experiment weak-order --type D --rank 4 --b 7",
              "01ed9f5a352e6a8e608531bc517085494fcdd28a2690dde9d11407edb0b17888"),
             ("experiment weak-order --type B --rank 3 --b 7",
@@ -500,8 +523,13 @@ class TestVerify:
              "    list(exact(rs, b, lattice))[1:])\n",
              "enum --type A --rank 2 --b 4",
              "4 coroot points in 4A, not prod(b + e_i)/|W| = 5"),
+            # a root-system table off: the constructor raises, not asserts
+            ("from corelab import rootsys\n"
+             "rootsys._exponents = lambda family, n: (1, 3)\n",
+             "verify --type A --rank 2 strange",
+             "the exponents of A2 sum to 4, not |Phi+| = 3"),
         ],
-        ids=["size-form", "b-core", "anderson-count", "haiman-count"],
+        ids=["size-form", "b-core", "anderson-count", "haiman-count", "exponents"],
     )
     def test_failed_count_and_core_identities_survive_optimize(self, patch, argv, verdict):
         script = (
@@ -543,8 +571,8 @@ class TestVerify:
             "import sys\n"
             "from corelab import rootsys\n"
             "from corelab.cli import main\n"
-            "exact = rootsys.inner\n"
-            "rootsys.inner = lambda rs, x, y: exact(rs, x, y) + 1\n"
+            "exact = rootsys._norm\n"
+            "rootsys._norm = lambda gram, y: exact(gram, y) + 1\n"
             "sys.exit(main(['verify', '--type', 'A', '--rank', '2', 'strange']))\n"
         )
         proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
@@ -784,6 +812,24 @@ class TestStat:
         assert by_b[3]["verdict"] == "skipped(b not coprime)"
         assert by_b[4]["mean"] == "2/1" and by_b[4]["variance"] == "14/5"
         assert by_b[4]["grade"] == "match"
+
+
+    def test_twice_attained_maximum_is_a_mismatch(self):
+        script = (
+            "import sys\n"
+            "from corelab import stats\n"
+            "from corelab.cli import main\n"
+            "exact = stats.scaled_power_sum\n"
+            "stats.scaled_power_sum = lambda *args: exact(*args)[:2] + (2,)\n"
+            "sys.exit(main(['stat', '--type', 'A', '--rank', '2', '--b', '4']))\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == EXIT_MISMATCH, proc.stderr
+        (row,) = json.loads(proc.stdout)["results"]
+        assert (row["max"], row["max_multiplicity"]) == ("5/1", 2)
+        assert row["verdicts"]["max"] == "mismatch(multiplicity 2)"
+        assert row["grade"] == "mismatch"
 
 
 class TestExperiment:

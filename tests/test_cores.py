@@ -18,12 +18,13 @@ from corelab.cores import (
     toggle_corners,
 )
 from corelab.rootsys import build_root_system
-from corelab.stats import size_point
 from oracles import (
+    apply,
     core_by_beads,
     core_counting_coefficients,
     hook_lengths,
     partitions_of,
+    size_point,
     toggle_corners_by_scan,
     vec_add,
 )
@@ -184,7 +185,7 @@ def test_core_from_coroot_equivariance():
         for lam in points:
             core = core_from_coroot(a, lam)
             for i in range(a):
-                moved = refl[i].apply(lam)
+                moved = apply(refl[i], lam)
                 assert core_from_coroot(a, moved) == letter(a, i, core)
 
 

@@ -24,7 +24,7 @@ from corelab.genfun import poly_eval, poly_trim
 from corelab.lattice_enum import coroot_points_in_bA, coweight_points_in_bA
 from corelab.rootsys import QuadraticForm, build_root_system
 from corelab.stats import closed_mean, closed_variance
-from oracles import centered_class_fit, fit_quasi, fraction_lagrange_fit
+from oracles import centered_class_fit, fit_quasi, fraction_lagrange_fit, fraction_points
 
 A2 = build_root_system("A", 2)
 A3 = build_root_system("A", 3)
@@ -121,7 +121,7 @@ class TestWeightedLatticeSum:
         points = (coweight_points_in_bA if lattice == "coweight" else coroot_points_in_bA)(rs, b)
         form = QuadraticForm(rs, b)
         mu = closed_mean(rs, b) if centered else 0
-        expected = sum(((form(x) - mu) ** k for x in points.points), Q(0))
+        expected = sum(((form(x) - mu) ** k for x in fraction_points(points)), Q(0))
         assert weighted_lattice_sum(rs, b, k, lattice, centered) == expected
 
     def test_rejects_bad_arguments(self):

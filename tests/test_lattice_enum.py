@@ -27,13 +27,16 @@ from corelab.lattice_enum import (
 )
 from corelab.affine import sommers_contains
 from corelab.rootsys import QuadraticForm, build_root_system, is_simply_laced
-from corelab.stats import size_point, zise_form
+from corelab.stats import zise_form
 from oracles import (
     b_omega_action,
     box_size_ellipsoid,
     det_int,
     fit_quasi,
+    fraction_points,
+    in_dilated_alcove,
     omega_group,
+    size_point,
     streamed_power_sum,
     streamed_size_sums,
 )
@@ -230,7 +233,7 @@ def test_omega_orbits_partition_coweight_points():
         f = rs.index_f
         assert gcd(b, f) == 1
         omega = omega_group(rs)
-        points = set(coweight_points_in_bA(rs, b).points)
+        points = set(fraction_points(coweight_points_in_bA(rs, b)))
         coroot = set(coroot_points_in_bA(rs, b).points)
         seen = set()
         orbits = 0
@@ -273,12 +276,10 @@ def test_scaled_stream_matches_fraction_oracle(case, b, lattice):
     oracle = [coeffs_to_point(rs, c) for c in kept]
     # same points in the same knapsack order
     assert [tuple(Q(v, d) for v in y) for y in stream] == oracle
-    if lattice == "coroot":
-        points = coroot_points_in_bA(rs, b).points
-        assert all(type(v) is int for x in points for v in x)
-        assert list(points) == sorted(oracle)
-    else:
-        assert list(coweight_points_in_bA(rs, b).points) == sorted(oracle)
+    points = (coroot_points_in_bA if lattice == "coroot" else coweight_points_in_bA)(rs, b)
+    assert all(type(v) is int for y in points.points for v in y)
+    assert fraction_points(points) == sorted(oracle)
+    assert all(in_dilated_alcove(rs, b, x) for x in oracle)
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,5 +1,6 @@
 """Construction-time tables and identities for every supported family."""
 
+import re
 from fractions import Fraction as Q
 from math import lcm
 from unittest import mock
@@ -9,16 +10,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corelab.lattice_enum import coeffs_to_point
+from corelab import rootsys
 from corelab.rootsys import (
+    Root,
+    RootSystem,
     RootSystemType,
+    VerificationError,
     adjugate,
     build_root_system,
     clear_denominators,
-    inner,
-    pairing,
     roots_of_height,
 )
-from oracles import det_int, invert_matrix, root_vector, vector_to_root_coeffs
+from oracles import det_int, inner, invert_matrix, pairing, root_vector, vector_to_root_coeffs
 
 # Every type exercised anywhere in the test suite, kept to rank <= 8.
 GRID = (
@@ -134,6 +137,7 @@ def test_rho_properties(systems):
         n, h, g = rs.rank, rs.coxeter_number, rs.dual_coxeter_number
         # Strange formula, re-checked here independently of the constructor.
         assert inner(rs, rs.rho, rs.rho) == Q(2 * g * n * (h + 1), 24)
+        assert 24 * inner(rs, rs.rho, rs.rho) == rs.rho_norm24
         # rho_check pairs with every positive root to its height.
         for r in rs.positive_roots:
             assert pairing(rs, rs.rho_check, r.coeffs) == r.height
@@ -231,6 +235,30 @@ def test_root_system_matches_oracles(systems):
             for i in range(rs.rank):
                 rho[i] += Q(1, 2) * r.coeffs[i] * rs.simple_lengths[i]
         assert rs.rho == tuple(rho)
+
+
+_exact_close_roots, _exact_norm = rootsys._close_roots, rootsys._norm
+
+
+@pytest.mark.parametrize(
+    "table, corrupt, rank, message",
+    [
+        ("_exponents", lambda family, n: (1, 3), 2,
+         "the exponents of A2 sum to 4, not |Phi+| = 3"),
+        ("_exponents", lambda family, n: (1, 1, 4), 3, "the exponents of A3 do not pair to h = 4"),
+        ("_weyl_order", lambda family, n: 7, 2, "prod(e_i + 1) on A2 is not |W| = 7"),
+        ("_expected_dual_coxeter", lambda family, n: 5, 2, "A2 has g = 3"),
+        ("_expected_index", lambda family, n: 4, 2, "A2 has det A = 3"),
+        ("_close_roots", lambda cartan: _exact_close_roots(cartan) + [Root((0, 2), 2)], 2,
+         "A2 has 2 highest roots"),
+        ("_norm", lambda gram, y: _exact_norm(gram, y) + 1, 2, "strange formula fails on A2"),
+    ],
+)
+def test_corrupted_tables_raise_verification_errors(table, corrupt, rank, message):
+    # raised, not asserted, so python -O keeps every identity check
+    with mock.patch.object(rootsys, table, corrupt):
+        with pytest.raises(VerificationError, match="^%s$" % re.escape(message)):
+            RootSystem(RootSystemType("A", rank))
 
 
 def spy_on_lcm():

@@ -11,13 +11,8 @@ from hypothesis import strategies as st
 from corelab import affine, lattice_enum, stats
 from corelab.affine import AffineElement, w_b_inverse
 from corelab.lattice_enum import coeffs_to_point, coroot_points_in_bA, coweight_points_in_bA
-from corelab.rootsys import (
-    QuadraticForm,
-    build_root_system,
-    inner,
-)
+from corelab.rootsys import QuadraticForm, build_root_system
 from corelab.stats import (
-    MomentReport,
     closed_m3_type_a,
     closed_max,
     closed_mean,
@@ -30,17 +25,20 @@ from corelab.stats import (
     moments,
     sc_core_from_word,
     sc_weighted_size,
-    size_point,
     verify_max,
     zise_form,
     zise_point,
 )
 from oracles import (
+    apply,
     b_omega_action,
     floor_sums_by_terms,
     folded_moments,
+    fraction_points,
+    inner,
     omega_group,
     q_form_point,
+    size_point,
     zise_by_transport,
 )
 
@@ -54,10 +52,9 @@ ZERO2 = (Q(0), Q(0))
 
 
 def test_size_point_anchors():
-    assert size_point(A2, ZERO2) == 0
-    assert size_point(A2, (Q(-1), Q(-1))) == 5
-    assert size_point(A2, (Q(1), Q(1))) == 1
-    assert size_point(A2, (Q(1), Q(0))) == 2
+    size = QuadraticForm(A2, 1)
+    for x, value in ((ZERO2, 0), ((Q(-1), Q(-1)), 5), ((Q(1), Q(1)), 1), ((Q(1), Q(0)), 2)):
+        assert size(x) == size_point(A2, x) == value
 
 
 def test_q_form_minimum():
@@ -121,7 +118,7 @@ def test_form_is_size_pulled_back_through_w_b(case):
     rs, coeffs, b = case
     assume(gcd(b, rs.coxeter_number) == 1)
     x = coeffs_to_point(rs, coeffs)
-    assert QuadraticForm(rs, b)(x) == size_point(rs, w_b_inverse(rs, b).apply(x))
+    assert QuadraticForm(rs, b)(x) == size_point(rs, apply(w_b_inverse(rs, b), x))
 
 
 ORACLE_TYPES = [("A", n) for n in range(1, 7)] + [
@@ -155,10 +152,10 @@ def test_zise_form_matches_the_transported_size(case, lattice):
     rs, b = case
     form = zise_form(rs, b)
     if lattice == "coroot":
-        points = coroot_points_in_bA(rs, b).points
+        points = coroot_points_in_bA(rs, b)
     else:
-        points = coweight_points_in_bA(rs, b).points
-    assert all(form(x) == zise_by_transport(rs, b, x) for x in points)
+        points = coweight_points_in_bA(rs, b)
+    assert all(form(x) == zise_by_transport(rs, b, x) for x in fraction_points(points))
 
 
 def test_moments_build_no_point(monkeypatch):
@@ -247,10 +244,16 @@ def test_verify_max_a2_b4():
 
 
 def test_verify_max_with_two_maximisers_is_a_mismatch(monkeypatch):
-    report = moments(A2, 4)
-    twice = MomentReport(**{**vars(report), "max_multiplicity": 2})
-    monkeypatch.setattr(stats, "moments", lambda rs, b: twice)
-    assert verify_max(A2, 4) == (5, 2, (-1, -1), "mismatch(multiplicity 2)")
+    exact = stats.scaled_power_sum
+    monkeypatch.setattr(stats, "scaled_power_sum", lambda *args: exact(*args)[:2] + (2,))
+    moments.cache_clear()
+    try:
+        report = moments(A2, 4)
+        assert report.verdict_map()["max"] == "mismatch(multiplicity 2)"
+        assert report.grade == "mismatch"
+        assert verify_max(A2, 4) == (5, 2, (-1, -1), "mismatch(multiplicity 2)")
+    finally:
+        moments.cache_clear()
 
 
 def test_verify_max_on_simply_laced_grid():
@@ -289,7 +292,7 @@ def test_floor_sums_match_term_by_term(system, b):
 def test_zise_constant_on_stabilizer_orbits():
     for rs, b in ((A2, 4), (A3, 5), (D4, 5)):
         omega = omega_group(rs)
-        for x in coweight_points_in_bA(rs, b).points:
+        for x in fraction_points(coweight_points_in_bA(rs, b)):
             vals = {zise_point(rs, b, b_omega_action(rs, b, g, x)) for g in omega}
             assert len(vals) == 1
 
@@ -297,7 +300,7 @@ def test_zise_constant_on_stabilizer_orbits():
 def test_coweight_power_sums_are_f_times_coroot_power_sums():
     for rs, b in ((A2, 4), (A3, 5), (D4, 5)):
         assert gcd(b, rs.index_f) == 1
-        cw = [zise_point(rs, b, x) for x in coweight_points_in_bA(rs, b).points]
+        cw = [zise_point(rs, b, x) for x in fraction_points(coweight_points_in_bA(rs, b))]
         cr = [zise_point(rs, b, x) for x in coroot_points_in_bA(rs, b).points]
         for k in range(4):
             assert sum(v**k for v in cw) == rs.index_f * sum(v**k for v in cr)
