@@ -1,12 +1,14 @@
 """Affine Weyl group elements, alcove walks, and inversion sets.
 
 Elements act on coroot coordinates as ``x -> M x + tau`` with an integer
-linear part ``M`` (a finite Weyl group matrix) and a translation ``tau``,
-stored as ints on the affine Weyl group ``W ⋉ Q^∨``; elements of the
-extended group translate by coweights, as Fractions.  Words are composed
-letter by letter on the rows of ``[M | t]``; an element acts on a point
-``x = y / d`` through its integer vector ``y`` (:meth:`AffineElement.apply_int`),
-and walks and inversion sets run in ``int`` arithmetic too.
+linear part ``M`` (a finite Weyl group matrix) and an integer translation
+``tau``: elements of ``W ⋉ Q^∨``.  Every element is composed from a word,
+letter by letter on the rows of ``[M | t]`` (:func:`element_from_word`), and
+the inverse of ``s_{i_1} ... s_{i_k}`` is the reversed word, so no matrix is
+multiplied or inverted.  Points enter as an integer vector ``y`` over a
+denominator ``d`` (``x = y / d``): an element acts through
+:meth:`AffineElement.apply_int`, and walks, region checks and inversion sets
+run in ``int`` arithmetic too.
 
 The fundamental alcove is ``A = {x : <x, alpha_i> >= 0, <x, alpha~> <= 1}``
 and the base point used to pin down elements from alcoves is ``rho_check/h``,
@@ -26,7 +28,6 @@ from corelab.rootsys import (
     RootSystem,
     VerificationError,
     Vector,
-    adjugate,
     clear_denominators,
     roots_of_height,
 )
@@ -36,69 +37,22 @@ Word = Tuple[int, ...]
 IntMatrix = Tuple[Tuple[int, ...], ...]
 
 
-def _mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
-def _identity_matrix(n: int) -> IntMatrix:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
-@lru_cache(maxsize=None)
-def _scaled_gram_inverse(rs: RootSystem) -> Tuple[int, IntMatrix]:
-    """The least ``den`` with ``den * G^{-1}`` integral, and that integer
-    matrix: the adjugate of ``G`` reduced by the gcd of ``det G`` and its entries."""
-    det, adj = adjugate(rs.gram)
-    g = gcd(det, *(v for row in adj for v in row))
-    return det // g, tuple(tuple(v // g for v in row) for row in adj)
-
-
 @dataclass(frozen=True)
 class AffineElement:
-    """An element ``x -> linear @ x + translation`` of the (extended) affine group."""
+    """An element ``x -> linear @ x + translation`` of the affine Weyl group."""
 
     linear: IntMatrix
     translation: Vector
 
-    @classmethod
-    def identity(cls, rank: int) -> "AffineElement":
-        return cls(_identity_matrix(rank), (0,) * rank)
-
     def apply_int(self, y: Sequence[int], d: int = 1) -> Tuple[int, ...]:
-        """``d * self(y / d)`` for an integer vector ``y``, in ``int`` arithmetic;
-        the translation must be ints, as on every element of ``W ⋉ Q^∨``."""
+        """``d * self(y / d)`` for an integer vector ``y``, in ``int`` arithmetic."""
         return tuple(
             sum(map(mul, row, y)) + d * t for row, t in zip(self.linear, self.translation)
         )
 
-    def __mul__(self, other: "AffineElement") -> "AffineElement":
-        return AffineElement(
-            _mat_mul(self.linear, other.linear),
-            tuple(sum(map(mul, row, other.translation)) + t
-                  for row, t in zip(self.linear, self.translation)),
-        )
-
-    def inverse(self, rs: RootSystem) -> "AffineElement":
-        """The inverse element, in ``int`` arithmetic on the linear part.
-
-        A Weyl group matrix ``M`` preserves the Gram form ``G``, so its
-        inverse is ``G^{-1} M^T G``, an integer matrix (checked).
-        """
-        den, ginv = _scaled_gram_inverse(rs)
-        scaled = _mat_mul(ginv, _mat_mul(tuple(zip(*self.linear)), rs.gram))
-        if any(v % den for row in scaled for v in row):
-            raise ValueError("linear part does not preserve the Gram form")
-        rows = tuple(tuple(v // den for v in row) for row in scaled)
-        tau = tuple(-sum(map(mul, row, self.translation)) for row in rows)
-        return AffineElement(rows, tau)
-
     def is_identity(self) -> bool:
-        n = len(self.linear)
-        return self.linear == _identity_matrix(n) and all(t == 0 for t in self.translation)
+        return not any(self.translation) and all(
+            v == (i == j) for i, row in enumerate(self.linear) for j, v in enumerate(row))
 
 
 @dataclass(frozen=True)
@@ -242,21 +196,16 @@ def escaped_walls(rs: RootSystem, y: Sequence[int], d: int, b: int) -> int:
     return out
 
 
-def inversions_of_inverse(rs: RootSystem, w: AffineElement) -> List[AffineRoot]:
-    """The inversion set of ``w^{-1}``, the walls between ``A`` and ``w^{-1}(A)``.
-
-    The elements of ``Omega`` fix ``A``, so ``w`` must lie in ``W ⋉ Q^∨``: a
-    translation that is not integral raises ``ValueError``.
-    """
-    if clear_denominators(w.translation)[0] != 1:
-        raise ValueError("inversion sets need an element of W ⋉ Q^∨, not of Omega")
+def inversions_of_inverse(rs: RootSystem, word: Sequence[int]) -> List[AffineRoot]:
+    """The inversion set of ``w^{-1}``, ``w`` spelled by ``word``: the walls
+    between ``A`` and ``w^{-1}(A)``, at the base point moved by the reversed word."""
     d, y = clear_denominators(base_point(rs))
-    return separating_walls(rs, w.inverse(rs).apply_int(y, d), d)
+    return separating_walls(rs, element_from_word(rs, tuple(word)[::-1]).apply_int(y, d), d)
 
 
-def size_of_element(rs: RootSystem, w: AffineElement) -> int:
-    """Sum of the delta levels over the inversion set of ``w^{-1}``."""
-    return sum(ar.level for ar in inversions_of_inverse(rs, w))
+def size_of_element(rs: RootSystem, word: Sequence[int]) -> int:
+    """Sum of the delta levels over the inversion set of ``w^{-1}``, ``w`` spelled by ``word``."""
+    return sum(ar.level for ar in inversions_of_inverse(rs, word))
 
 
 @lru_cache(maxsize=None)
@@ -269,19 +218,19 @@ def _root_forms(rs: RootSystem, height: int) -> Tuple[Tuple[int, ...], ...]:
     )
 
 
-def sommers_contains(rs: RootSystem, b: int, x: Sequence[Q | int]) -> bool:
-    """Membership in the closed region cut out by the affine roots of height ``b``.
+def sommers_contains(rs: RootSystem, b: int, y: Sequence[int], d: int = 1) -> bool:
+    """Membership of ``x = y / d`` in the closed region cut out by the affine
+    roots of height ``b``.
 
     Writing ``b = t h + r`` with ``0 < r < h``, the region is bounded below by
     ``<x, alpha> >= -t`` over roots of height ``r`` and above by
-    ``<x, alpha> <= t + 1`` over roots of height ``h - r``.  A rational point
-    is scaled to the integer vector ``d x`` and the bounds by ``d``.
+    ``<x, alpha> <= t + 1`` over roots of height ``h - r``; the pairings are
+    taken with the integer vector ``y`` and the bounds scaled by ``d``.
     """
     h = rs.coxeter_number
     if b <= 0 or gcd(b, h) != 1:
         raise ValueError("b not coprime to Coxeter number")
     t, r = divmod(b, h)
-    d, y = clear_denominators(x)
     return all(sum(map(mul, f, y)) >= -t * d for f in _root_forms(rs, r)) and all(
         sum(map(mul, f, y)) <= (t + 1) * d for f in _root_forms(rs, h - r)
     )
@@ -294,47 +243,41 @@ def alcove_vertices(rs: RootSystem, b: int) -> List[Vector]:
 
 
 def compute_w_b(rs: RootSystem, b: int) -> AffineElement:
-    """The unique element mapping ``rho_check/h`` to ``b rho_check/h``.
+    """``w_b^{-1}``, for the unique ``w_b`` mapping ``rho_check/h`` to ``b rho_check/h``.
 
-    Its inverse carries ``b * A`` onto the height-``b`` bounded region, which
-    is checked here on the vertex set (a ``VerificationError`` if it fails).
+    The walk of ``b rho_check/h`` into ``A`` spells ``w_b``, so its reversed
+    word composes ``w_b^{-1}``.  That element must carry ``b rho_check/h`` back
+    to ``rho_check/h`` and every vertex of ``b * A`` into the height-``b``
+    region (a ``VerificationError`` if either fails).
     """
     h = rs.coxeter_number
     if b <= 0 or gcd(b, h) != 1:
         raise ValueError("b not coprime to Coxeter number")
     d, y = clear_denominators(base_point(rs))
     target = [b * v for v in y]
-    elem = element_from_word(rs, alcove_walk(rs, [Q(v, d) for v in target])[1])
-    if list(elem.apply_int(y, d)) != target:
+    winv = element_from_word(rs, alcove_walk(rs, [Q(v, d) for v in target])[1][::-1])
+    if list(winv.apply_int(target, d)) != y:
         raise VerificationError("w_b does not map rho_check/h to %d rho_check/h" % b)
-    winv = elem.inverse(rs)
-    if not all(sommers_contains(rs, b, [Q(v, e) for v in winv.apply_int(z, e)])
+    if not all(sommers_contains(rs, b, winv.apply_int(z, e), e)
                for e, z in map(clear_denominators, alcove_vertices(rs, b))):
         raise VerificationError("w_b^-1 moves a vertex of %dA off the height-%d region" % (b, b))
-    return elem
+    return winv
 
 
 @lru_cache(maxsize=None)
 def w_b_inverse(rs: RootSystem, b: int) -> AffineElement:
-    """The inverse of ``w_b``, which carries ``b * A`` onto the height-``b`` region.
-
-    ``w_b`` lies in ``W ⋉ Q^∨``, so the translation is integral (checked), as
-    :meth:`AffineElement.apply_int` needs.
-    """
-    winv = compute_w_b(rs, b).inverse(rs)
-    if not all(isinstance(t, int) for t in winv.translation):
-        raise VerificationError("w_b^-1 translates by a non-integral vector at b=%d" % b)
-    return winv
+    """``w_b^{-1}``, which carries ``b * A`` onto the height-``b`` region:
+    :func:`compute_w_b`, once per ``(rs, b)``."""
+    return compute_w_b(rs, b)
 
 
-def to_dominant(rs: RootSystem, x: Sequence, d: int = 1) -> Tuple[int, Tuple[int, ...], Word]:
-    """Walk ``x / d`` into the closed dominant chamber; return a denominator
-    ``e`` (``d`` for integer ``x``), the point reached scaled by ``e`` to
-    integers, and the word, whose element maps it back (as in :func:`alcove_walk`).
+def to_dominant(rs: RootSystem, y: Sequence[int], d: int) -> Tuple[Tuple[int, ...], Word]:
+    """Walk ``x = y / d`` into the closed dominant chamber; return the point
+    reached, scaled by ``d``, and the word, whose element maps it back (as in
+    :func:`alcove_walk`).
 
     Reflects through the lowest-index wall with a negative pairing until none
-    is left, on the scaled point and its integer pairings.
+    is left, on the integer vector and its pairings.
     """
-    e, y = clear_denominators(x)
-    y, word = _walk(rs, d * e, y, False)
-    return d * e, tuple(y), word
+    y, word = _walk(rs, d, list(y), False)
+    return tuple(y), word

@@ -19,7 +19,6 @@ from json.encoder import encode_basestring_ascii
 from math import comb, gcd
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .affine import w_b_inverse
 from .cores import core_from_coroot, enumerate_simultaneous_cores
 from .ehrhart import (
     coprime_fit_classes,
@@ -220,11 +219,7 @@ def cmd_enum(args) -> Tuple[int, List[Dict]]:
                 " the Coxeter number %d; use --stat zise on the alcove" % h
             )
         form = QuadraticForm(rs, 1)
-        if args.lattice == "coweight":
-            winv = w_b_inverse(rs, b)
-            points = sorted(winv.apply_int(y, d) for y in coweight_points_in_bA(rs, b).points)
-        else:
-            points = core_points_in_sommers(rs, b).points
+        points = core_points_in_sommers(rs, b, args.lattice).points
         if rs.family == "A" and args.lattice == "coroot":
             for x in points:  # the box count, certified to be F_1(x)
                 core = core_from_coroot(rs.rank + 1, x)
@@ -695,6 +690,9 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         # coweight Ehrhart theory, everything else follows the cores
         args.lattice = "coweight" if args.command == "fit" else "coroot"
     try:
+        if args.lattice == "coweight" and args.command not in ("enum", "fit"):
+            raise UsageError("--lattice coweight applies to enum and fit only;"
+                             " %s reads the coroot lattice" % args.command)
         exit_code, results = _DISPATCH[args.command](args)
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)

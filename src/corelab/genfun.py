@@ -13,7 +13,7 @@ from functools import lru_cache
 from operator import mul
 from typing import List, Sequence, Tuple
 
-from .affine import AffineElement, element_from_word
+from .affine import element_from_word
 from .rootsys import RootSystem, VerificationError, is_simply_laced
 
 __all__ = [
@@ -118,20 +118,15 @@ def coxeter_char_poly(rs: RootSystem) -> Tuple[int, ...]:
     :class:`VerificationError`.
     """
     n, h = rs.rank, rs.coxeter_number
-    coxeter = element_from_word(rs, tuple(range(1, n + 1)))
-    f = _char_poly_coeffs(coxeter.linear)
+    word = tuple(range(1, n + 1))
+    f = _char_poly_coeffs(element_from_word(rs, word).linear)
     at_one = poly_eval(f, 1)
     if at_one != rs.index_f:
         raise VerificationError(
             "Coxeter polynomial at 1 is %d, not the index %d" % (at_one, rs.index_f))
     if f != f[::-1]:
         raise VerificationError("Coxeter polynomial is not a palindrome")
-    power, result = coxeter, AffineElement.identity(n)  # c^h by repeated squaring
-    for bit in bin(h)[:1:-1]:
-        if bit == "1":
-            result = result * power
-        power = power * power
-    if not result.is_identity():
+    if not element_from_word(rs, word * h).is_identity():
         raise VerificationError("Coxeter element does not have order h=%d" % h)
     return f
 

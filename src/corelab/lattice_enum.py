@@ -152,7 +152,8 @@ def _class_steps(
             if new not in ids:
                 ids[new] = len(classes)
                 classes.append(new)
-    assert len(classes) == f
+    if len(classes) != f:
+        raise VerificationError("|P^vee/Q^vee| = %d, not f = %d" % (len(classes), f))
     steps = tuple(
         tuple(ids[tuple((c + s) % f for c, s in zip(cls, item[4]))] for cls in classes)
         for item in items
@@ -294,17 +295,20 @@ def coroot_points_in_bA(rs: RootSystem, b: int) -> LatticePointSet:
     return LatticePointSet(rs, b, "coroot", points)
 
 
-def core_points_in_sommers(rs: RootSystem, b: int) -> LatticePointSet:
-    """Coroot points of the height-``b`` region as int tuples, carried from
-    ``b * A`` by ``w_b^{-1}`` in integer arithmetic."""
+def core_points_in_sommers(rs: RootSystem, b: int, lattice: str = "coroot") -> LatticePointSet:
+    """Lattice points of the height-``b`` region as the integer vectors ``d * x``
+    (``d = lattice_scale``), carried from ``b * A`` by ``w_b^{-1}`` in integer
+    arithmetic; each is checked to land in the region.  The coroot points are
+    the cores."""
     h = rs.coxeter_number
     if gcd(b, h) != 1:
         raise ValueError("b not coprime to Coxeter number")
-    winv = w_b_inverse(rs, b)
-    moved = tuple(sorted(map(winv.apply_int, coroot_points_in_bA(rs, b).points)))
-    if not all(sommers_contains(rs, b, x) for x in moved):
+    winv, d = w_b_inverse(rs, b), lattice_scale(rs, lattice)
+    points_in = coroot_points_in_bA if lattice == "coroot" else coweight_points_in_bA
+    moved = tuple(sorted(winv.apply_int(y, d) for y in points_in(rs, b).points))
+    if not all(sommers_contains(rs, b, y, d) for y in moved):
         raise VerificationError("w_b^-1 moves a point of %dA off the height-%d region" % (b, b))
-    return LatticePointSet(rs, b, "coroot", moved)
+    return LatticePointSet(rs, b, lattice, moved)
 
 
 def _ellipsoid_split(gram: Sequence[Sequence[int]]) -> List[Tuple[List[int], int]]:

@@ -20,7 +20,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from corelab.affine import (
     base_point,
-    element_from_word,
     escaped_walls,
     size_of_element,
     to_dominant,
@@ -284,7 +283,7 @@ def experiment_weak_order_maximality(rs: RootSystem, b: int) -> Dict[str, object
     violations: List[Tuple[Tuple[int, ...], int]] = []
     points = core_points_in_sommers(rs, b).points
     for lam in points:
-        y = to_dominant(rs, [v - d * l for v, l in zip(base, lam)], d)[1]
+        y = to_dominant(rs, [v - d * l for v, l in zip(base, lam)], d)[0]
         extra = escaped_walls(rs, y, d, b)
         if extra:
             violations.append((lam, extra))
@@ -304,7 +303,8 @@ def experiment_weak_order_maximality(rs: RootSystem, b: int) -> Dict[str, object
 
 
 def sc_core_from_word(n: int, word: Sequence[int]) -> Tuple[int, ...]:
-    """Apply a word (rightmost letter first) to the empty self-conjugate core."""
+    """Apply a word (rightmost letter first) to the empty self-conjugate core;
+    a result that is not self-conjugate raises :class:`~corelab.rootsys.VerificationError`."""
     m = 2 * n
     parts: Tuple[int, ...] = ()
     for i in reversed(tuple(word)):
@@ -312,8 +312,8 @@ def sc_core_from_word(n: int, word: Sequence[int]) -> Tuple[int, ...]:
             raise ValueError(f"letter {i} out of range")
         # letter i toggles the corners of content i or -i mod 2n
         parts = toggle_corners(parts, m, {i % m, -i % m})
-        assert all(parts[k] >= parts[k + 1] for k in range(len(parts) - 1))
-    assert Partition(parts).conjugate().parts == parts
+    if Partition(parts).conjugate().parts != parts:
+        raise VerificationError("the core of the word %s is not self-conjugate" % (tuple(word),))
     return parts
 
 
@@ -350,8 +350,7 @@ def experiment_cn_selfconjugate_weighting(
     for _ in range(trials):
         length = rng.randint(0, 10)
         word = tuple(rng.randint(0, n) for _ in range(length))
-        elem = element_from_word(rs, word)
-        elem_size = size_of_element(rs, elem)
+        elem_size = size_of_element(rs, word)
         core = sc_core_from_word(n, word)
         weighted = sc_weighted_size(core, n)
         if weighted == elem_size:

@@ -7,7 +7,9 @@ a time.  ``det_int`` (integer elimination with row swaps) and
 ``invert_matrix`` (Gauss-Jordan in Fractions) are what ``rootsys.adjugate``
 is held to.  ``fit_quasi`` assembles a whole quasipolynomial for the tests,
 and ``omega_group`` builds the alcove's stabilizer for the Omega-symmetry
-tests.  ``core_by_beads`` reads a core off the abacus with a Python loop per
+tests, with ``compose``, the product of two elements by matrix products,
+which corelab never forms: it composes every element from a word.
+``core_by_beads`` reads a core off the abacus with a Python loop per
 bead, for ``cores.core_from_coroot``.  The Fraction vector helpers
 (``mat_vec``, ``inner``, ``pairing``, ``apply``, ``in_dilated_alcove``,
 ``size_point``) are the rational arithmetic that corelab's integer vectors
@@ -81,6 +83,17 @@ def pairing(rs: RootSystem, x: Sequence[Q], root_coeffs: Sequence[int]) -> Q:
 def apply(g: AffineElement, x: Sequence[Q]) -> Vector:
     """``g(x) = M x + tau`` at a rational point."""
     return tuple(m + t for m, t in zip(mat_vec(g.linear, x), g.translation))
+
+
+def compose(g: AffineElement, h: AffineElement) -> AffineElement:
+    """``g o h``, ``x -> g(h(x))``: the product of the linear parts, and
+    ``h``'s translation moved by ``g`` (Fractions allowed, for ``Omega``)."""
+    n = len(g.linear)
+    return AffineElement(
+        tuple(tuple(sum(g.linear[i][k] * h.linear[k][j] for k in range(n)) for j in range(n))
+              for i in range(n)),
+        tuple(sum(map(mul, row, h.translation)) + t for row, t in zip(g.linear, g.translation)),
+    )
 
 
 def in_dilated_alcove(rs: RootSystem, b: int, x: Sequence[Q]) -> bool:
@@ -287,11 +300,11 @@ def inversions_by_word(rs: RootSystem, w: AffineElement) -> List[AffineRoot]:
     base = base_point(rs)
     final, word = alcove_walk(rs, apply(w, base))
     assert final == base
-    g = AffineElement.identity(rs.rank)
+    g = element_from_word(rs, ())
     out = []
     for i in reversed(word):
         out.append(apply_to_affine_root(rs, g, simple_affine_root(rs, i)))
-        g = g * element_from_word(rs, (i,))
+        g = compose(g, element_from_word(rs, (i,)))
     return out
 
 
@@ -319,12 +332,13 @@ def omega_group(rs: RootSystem) -> List[AffineElement]:
     n = rs.rank
     base = base_point(rs)
     verts = alcove_vertices(rs, 1)
-    elements = [AffineElement.identity(n)]
+    elements = [element_from_word(rs, ())]
     for i in range(n):
         if rs.marks[i] != 1:
             continue
         mu = rs.fund_coweights[i]
-        word = to_dominant(rs, [a - m for a, m in zip(base, mu)])[2]
+        d, y = clear_denominators([a - m for a, m in zip(base, mu)])
+        word = to_dominant(rs, y, d)[1]
         g = AffineElement(element_from_word(rs, word).linear, mu)
         assert apply(g, base) == base
         assert {apply(g, v) for v in verts} == set(verts)

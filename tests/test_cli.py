@@ -308,7 +308,8 @@ class TestEnum:
             "import sys\n"
             "from corelab import affine, lattice_enum\n"
             "from corelab.cli import main\n"
-            "affine.sommers_contains = lattice_enum.sommers_contains = lambda rs, b, x: False\n"
+            "affine.sommers_contains = lattice_enum.sommers_contains = (\n"
+            "    lambda rs, b, y, d=1: False)\n"
             "sys.exit(main(['enum', '--type', 'A', '--rank', '2', '--b', '4',"
             " '--stat', 'size']))\n"
         )
@@ -319,6 +320,25 @@ class TestEnum:
         assert doc["verdict"] == "fail"
         assert doc["results"] == [
             {"verdict": "mismatch(w_b^-1 moves a vertex of 4A off the height-4 region)"}
+        ]
+
+    def test_failed_coweight_transport_survives_optimize(self):
+        # only the point check fails: w_b^-1 passes its own vertex check
+        script = (
+            "import sys\n"
+            "from corelab import lattice_enum\n"
+            "from corelab.cli import main\n"
+            "lattice_enum.sommers_contains = lambda rs, b, y, d=1: False\n"
+            "sys.exit(main(['enum', '--type', 'D', '--rank', '4', '--b', '5',"
+            " '--lattice', 'coweight', '--stat', 'size']))\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == EXIT_MISMATCH, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["verdict"] == "fail"
+        assert doc["results"] == [
+            {"verdict": "mismatch(w_b^-1 moves a point of 5A off the height-5 region)"}
         ]
 
 
@@ -528,8 +548,15 @@ class TestVerify:
              "rootsys._exponents = lambda family, n: (1, 3)\n",
              "verify --type A --rank 2 strange",
              "the exponents of A2 sum to 4, not |Phi+| = 3"),
+            # class shifts that tell no coweight from a coroot point
+            ("exact = lattice_enum._knapsack_items\n"
+             "lattice_enum._knapsack_items = lambda rs: tuple(\n"
+             "    item[:4] + ((0,) * rs.rank,) for item in exact(rs))\n",
+             "enum --type A --rank 2 --b 4",
+             "|P^vee/Q^vee| = 1, not f = 3"),
         ],
-        ids=["size-form", "b-core", "anderson-count", "haiman-count", "exponents"],
+        ids=["size-form", "b-core", "anderson-count", "haiman-count", "exponents",
+             "class-count"],
     )
     def test_failed_count_and_core_identities_survive_optimize(self, patch, argv, verdict):
         script = (
@@ -935,6 +962,21 @@ class TestExperiment:
         assert code == EXIT_OK
         assert doc["results"][0]["trials"] == 51
 
+    def test_non_self_conjugate_core_survives_optimize(self):
+        script = (
+            "import sys\n"
+            "from corelab import stats\n"
+            "from corelab.cli import main\n"
+            "stats.toggle_corners = lambda parts, m, residues: (2,)\n"
+            "sys.exit(main(['experiment', 'cn-weighting', '--rank', '2', '--trials', '3']))\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == EXIT_MISMATCH, proc.stderr
+        assert json.loads(proc.stdout)["results"] == [
+            {"verdict": "mismatch(the core of the word (1, 0, 1, 2, 1, 1) is not self-conjugate)"}
+        ]
+
     def test_weighting_trials_respect_seed(self):
         argv = ["experiment", "cn-weighting", "--rank", "2", "--trials", "20",
                 "--seed", "7"]
@@ -982,6 +1024,21 @@ class TestPlumbing:
             return
         assert (code, text) == (EXIT_BUDGET, "")
         assert capsys.readouterr().err.startswith("error: estimated ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        ["stat --type A --rank 2 --b 4", "verify --type A --rank 2 --b 4 count",
+         "series --type A --rank 2 --trunc 4", "experiment weak-order --type A --rank 2 --b 4",
+         "experiment cn-fuss --rank 2"],
+    )
+    def test_coweight_lattice_is_usage_outside_enum_and_fit(self, argv, capsys):
+        # these commands read the coroot lattice only; the default stays in the config
+        code, text = run(argv.split() + ["--lattice", "coweight"])
+        assert (code, text) == (EXIT_USAGE, "")
+        assert "--lattice coweight applies to enum and fit only" in capsys.readouterr().err
+        code, doc = run_json(argv.split())
+        assert code == EXIT_OK
+        assert doc["config"]["lattice"] == "coroot"
 
     def test_cli_imports_only_public_corelab_names(self):
         tree = ast.parse(open(cli.__file__).read())

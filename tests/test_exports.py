@@ -51,3 +51,41 @@ def test_every_public_name_has_a_caller():
                 if name and name != owner:
                     used.add(name)
     assert sorted(defined - used - set(NO_CALLER_NEEDED)) == []
+
+
+# The assert statements src/ keeps, by module, enclosing definition and test:
+# invariants of corelab's own data structures and arithmetic.  An identity of
+# the mathematics raises VerificationError instead, which `python -O` keeps.
+INTERNAL_ASSERTS = {
+    ("ehrhart", "_lagrange_fit", "len(xs) == len(ys) and len(set(xs)) == len(xs)"),
+    ("ehrhart", "QuasiPolynomial.__post_init__", "self.period >= 1"),
+    ("ehrhart", "QuasiPolynomial.__post_init__", "len(self.components) == self.period"),
+    ("ehrhart", "QuasiPolynomial.__post_init__",
+     "comp is None or len(comp) <= self.degree + 1"),
+    ("lattice_enum", "LatticePointSet.__post_init__", "self.lattice in ('coweight', 'coroot')"),
+    ("lattice_enum", "LatticePointSet.__post_init__", "list(self.points) == sorted(self.points)"),
+    ("lattice_enum", "scaled_power_sum", "rest == 0"),
+    ("lattice_enum", "coweight_points_in_bA",
+     "min(pairs) >= 0 and sum(map(mul, rs.marks, pairs)) <= bound"),
+    ("rootsys", "Root.__post_init__",
+     "all((c >= 0 for c in self.coeffs)) and sum(self.coeffs) == self.height"),
+}
+
+
+def _asserts(node, owner):
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Assert):
+            yield owner, ast.unparse(child.test)
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _asserts(child, child.name if owner is None else owner + "." + child.name)
+        else:
+            yield from _asserts(child, owner)
+
+
+def test_asserts_are_internal_invariants():
+    found = set()
+    for path in sorted(pathlib.Path(corelab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found |= {(path.stem, owner, test) for owner, test in _asserts(tree, None)}
+    assert sorted(found - INTERNAL_ASSERTS) == []
+    assert sorted(INTERNAL_ASSERTS - found) == []  # an entry whose assert is gone leaves too
