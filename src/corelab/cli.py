@@ -606,10 +606,8 @@ def _emit(args, exit_code: int, results: List[Dict], out) -> None:
     if args.format != "json":
         out.write(_render(results, args.format))
         return
-    if args.command == "experiment":
-        grade, verdict = "conjecture", "report"
-    else:
-        grade, verdict = "theorem", "pass" if exit_code == EXIT_OK else "fail"
+    grade = "conjecture" if args.command == "experiment" else "theorem"
+    verdict = "fail" if exit_code != EXIT_OK else "report" if grade == "conjecture" else "pass"
     envelope = {
         "schema_version": SCHEMA_VERSION,
         "config": {key: value for key, value in vars(args).items() if value is not None},

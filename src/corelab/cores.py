@@ -122,8 +122,8 @@ def core_from_coroot(a: int, lam: Sequence[Q | int]) -> CorePartition:
     Pad ``lam`` to ``(0, lam_1, ..., lam_{a-1}, 0)``.  Runner ``i < a`` holds
     a bead at ``i + a k`` for every integer ``k < lam_{i+1} - lam_i``.  This
     is the core that a reduced word of the translation by ``lam`` builds
-    from the empty partition.  Its box count must equal the size form at
-    ``lam``; a failure raises :class:`~corelab.rootsys.VerificationError`.
+    from the empty partition.  It must be an a-core whose box count is the
+    size form at ``lam``; a failure raises :class:`~corelab.rootsys.VerificationError`.
     """
     if a < 2:
         raise ValueError("modulus must be at least 2")
@@ -137,7 +137,11 @@ def core_from_coroot(a: int, lam: Sequence[Q | int]) -> CorePartition:
     # every position below low holds a bead
     low = a * min(gaps)
     parts = _parts(chain.from_iterable(range(i + low, i + a * g, a) for i, g in enumerate(gaps)))
-    core = CorePartition(Partition(parts), a)
+    try:
+        core = CorePartition(Partition(parts), a)
+    except ValueError:  # a bead set flush on every runner is an a-core
+        raise VerificationError("the abacus of %s reads %s, not a %d-core"
+                                % (coords[1:-1], list(parts), a)) from None
     scaled = size.scaled_at(coords[1:-1])
     if 24 * core.size != scaled:
         raise VerificationError("the %d-core of %s has %d boxes, not F_1 = %s"

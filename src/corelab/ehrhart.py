@@ -20,7 +20,7 @@ from math import comb, gcd, lcm, prod
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .genfun import poly_add, poly_eval, poly_mul, poly_trim
-from .lattice_enum import alcove_size_sums, lattice_scale, scaled_power_sum
+from .lattice_enum import alcove_size_sums, lattice_scale, scaled_value_counts
 from .rootsys import QuadraticForm, RootSystem, is_simply_laced
 from .stats import verdict_of
 
@@ -151,8 +151,9 @@ def weighted_lattice_sum(
     dilated alcove; ``centered`` subtracts the closed-form mean
     n(b-1)(h+b+1)/24 before raising to the k-th power.  Sums with k <= 2 are
     read from the moment DP at ``K = k`` and centered by the binomial
-    theorem; every other sum walks the mark knapsack once in integers
-    (:func:`~corelab.lattice_enum.scaled_power_sum`), at O(1) per point.
+    theorem; every other sum is taken over the distinct values of the form, as
+    counted by one integer walk of the mark knapsack at O(1) per point
+    (:func:`~corelab.lattice_enum.scaled_value_counts`).
     """
     if lattice not in LATTICES:
         raise ValueError("unknown lattice %r" % lattice)
@@ -166,10 +167,11 @@ def weighted_lattice_sum(
     if dp_backed(k):
         sums = alcove_size_sums(rs, b, lattice, k)
         return sum(comb(k, j) * s * Q(-mean, 24) ** (k - j) for j, s in enumerate(sums))
-    # the form is summed as the integer 24 d^2 F_b(y / d) on points y scaled by d
+    # the form is counted as the integer 24 d^2 F_b(y / d) on points y scaled by d
     d = lattice_scale(rs, lattice)
-    total = scaled_power_sum(rs, b, k, lattice, QuadraticForm(rs, b), d * d * mean)[0]
-    return Q(total, (24 * d * d) ** k)
+    counts = scaled_value_counts(rs, b, lattice, QuadraticForm(rs, b))
+    center = d * d * mean
+    return Q(sum(c * (v - center) ** k for v, c in counts.items()), (24 * d * d) ** k)
 
 
 class HoldoutError(ValueError):

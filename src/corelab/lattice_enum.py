@@ -9,13 +9,13 @@ progression the lattice keeps (:func:`_class_steps`), so it visits no point
 off the lattice, in lexicographic order of the coweight coefficients.  Every
 point set holds the integer vectors ``d * x``, ``d = lattice_scale(rs,
 lattice)``: the coroot points themselves, and the coweight points scaled by
-the coweight denominator.  Folds over the points never
-materialize them: powers of a quadratic form (``F_b`` or zise) are summed,
-and its maximum found, by that walk carrying the form's value
-(:func:`scaled_power_sum`), and counts and the powers of ``F_b`` up to a
-chosen ``K`` come from an exact dynamic program over budgets and classes,
-whose work grows with the budgets, not the points, and which is grown one
-budget at a time, so no row is computed twice (:func:`alcove_size_sums`).
+the coweight denominator.  Folds over the points never materialize them:
+that walk carries a quadratic form's value (``F_b`` or zise) and counts the
+points at each value (:func:`scaled_value_counts`), and counts and the powers
+of ``F_b`` up to a chosen ``K`` come from an exact dynamic program over
+budgets and classes, whose work grows with the budgets, not the points, and
+which is grown one budget at a time, so no row is computed twice
+(:func:`alcove_size_sums`).
 Both read one table of per-item data, :func:`_knapsack_items`.
 """
 
@@ -196,13 +196,12 @@ def iter_scaled_points(rs: RootSystem, b: int, lattice: str) -> Iterator[Tuple[i
         yield tuple(sum(map(mul, coeffs, row)) // step for row in rows)
 
 
-def scaled_power_sum(
-    rs: RootSystem, b: int, k: int, lattice: str, form: QuadraticForm, center: int = 0
-) -> Tuple[int, int, int]:
-    """The sum of ``(24 d^2 F(x) - center)^k`` over the lattice points ``x`` of
-    ``b * A``, ``d = lattice_scale(rs, lattice)``, then the maximum of
-    ``24 d^2 F(x)`` and the number of points at it, for any form ``F`` of
-    ``rs`` (``F_b`` for the fits, zise for the moments); no point is built.
+def scaled_value_counts(rs: RootSystem, b: int, lattice: str,
+                        form: QuadraticForm) -> Dict[int, int]:
+    """How many lattice points ``x`` of ``b * A`` take each value ``24 d^2 F(x)``,
+    ``d = lattice_scale(rs, lattice)``, for any form ``F`` of ``rs`` (``F_b``
+    for the fits, zise for the moments); no point is built.  Every power sum,
+    the maximum and its multiplicity are read from this one count.
 
     The knapsack is walked coefficient by coefficient, carrying for the prefix
     ``y = D * x`` its lattice class and its value ``V = 24 D^2 F(y / D)``,
@@ -212,13 +211,12 @@ def scaled_power_sum(
     with ``M`` the integer Gram matrix of the scaled coweights ``w_i``.  So
     ``V`` is a quadratic in each coefficient; along the last one it is stepped
     by finite differences over the arithmetic progression that the lattice
-    keeps, and a point costs O(1).  It is convex there, so the maximum of a
-    run is at one of its ends.
+    keeps, and a point costs O(1).
     """
     if b < 0:
         raise ValueError("dilation must be nonnegative")
     D = _scaled_coweight_rows(rs)[0]
-    # V is (D / d)^2 times the summed value 24 d^2 F(x), exactly on the lattice
+    # V is (D / d)^2 times the counted value 24 d^2 F(x), exactly on the lattice
     e2 = (D // lattice_scale(rs, lattice)) ** 2
     items = _knapsack_items(rs)
     steps, start, stride = _class_steps(rs, lattice)
@@ -238,40 +236,30 @@ def scaled_power_sum(
     mark, lin, a = marks[last], linear[last], quad[last]
     dd, rest = divmod(2 * stride * stride * a, e2)
     assert rest == 0
-    best, ties = -float("inf"), 0  # the largest centered value, and its points
+    counts: Dict[int, int] = {}
+    get = counts.get
 
-    def rec(i: int, budget: int, value: int, cls: int, tail: int) -> int:
-        nonlocal best, ties
-        acc = 0
+    def rec(i: int, budget: int, value: int, cls: int, tail: int) -> None:
         if i == last:
             t = start[cls]
             if t is not None and t * mark <= budget:
                 slope = tail + lin
-                run = (budget // mark - t) // stride + 1
-                u = t + (run - 1) * stride
-                first = (value + t * (slope + t * a)) // e2 - center
-                end = (value + u * (slope + u * a)) // e2 - center
-                top = first if first >= end else end
-                if top >= best:
-                    here = 1 if run == 1 else (first == top) + (end == top)
-                    best, ties = top, here + ties * (top == best)
-                value = first
                 delta = stride * (slope + (2 * t + stride) * a) // e2
-                for _ in range(run):
-                    acc += value**k
+                value = (value + t * (slope + t * a)) // e2
+                for _ in range((budget // mark - t) // stride + 1):
+                    counts[value] = get(value, 0) + 1
                     value += delta
                     delta += dd
-            return acc
+            return
         weight, q, step, c = marks[i], quad[i], steps[i], cross[last][i]
         slope = sum(map(mul, cross[i], x)) + linear[i]
         for v in range(budget // weight + 1):
             x[i] = v
-            acc += rec(i + 1, budget - v * weight, value + v * (slope + v * q), cls, tail + v * c)
+            rec(i + 1, budget - v * weight, value + v * (slope + v * q), cls, tail + v * c)
             cls = step[cls]
-        return acc
 
-    total = rec(0, b, form.scaled(0, 0, D), 0, 0)
-    return total, best + center, ties
+    rec(0, b, form.scaled(0, 0, D), 0, 0)
+    return counts
 
 
 def coweight_points_in_bA(rs: RootSystem, b: int) -> LatticePointSet:

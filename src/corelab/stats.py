@@ -3,10 +3,10 @@
 ``size`` is the form ``F_1`` of :class:`~corelab.rootsys.QuadraticForm` on
 coroot coordinates; ``zise`` at dilation ``b`` is its pullback through ``w_b``,
 one form per system and dilation (:func:`zise_form`).  Moments over the coroot
-points of ``b * A`` are its power sums, walked without building a point, and
-are compared against closed formulas where those exist (count for every type;
-maximum, mean, and variance for simply-laced systems; the third central
-moment for type A only).
+points of ``b * A`` are read from one walk that counts the points at each of
+its values, and are compared against closed formulas where those exist (count
+for every type; maximum, mean, and variance for simply-laced systems; the
+third central moment for type A only).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from corelab.affine import (
     w_b_inverse,
 )
 from corelab.cores import Partition, toggle_corners
-from corelab.lattice_enum import alcove_size_sums, core_points_in_sommers, scaled_power_sum
+from corelab.lattice_enum import core_points_in_sommers, scaled_value_counts
 from corelab.rootsys import (
     QuadraticForm,
     RootSystem,
@@ -131,19 +131,17 @@ def moments(rs: RootSystem, b: int) -> MomentReport:
     """Exact moments of zise over the coroot points of ``b * A``, computed
     once per argument list however many callers read them.
 
-    The count comes from the moment DP
-    (:func:`~corelab.lattice_enum.alcove_size_sums`); the power sums of
-    ``24 zise``, ``k = 1..3``, come from three walks of the knapsack, which
-    build no point (:func:`~corelab.lattice_enum.scaled_power_sum`), the
-    first of them with the maximum and its multiplicity; the mean and central
-    moments follow exactly.  Closed forms fill in per type as available; the
-    maximum matches its closed form only if it is attained once.
+    One walk of the knapsack, which builds no point, counts the points at
+    each value of ``24 zise`` (:func:`~corelab.lattice_enum.scaled_value_counts`);
+    the count, the power sums ``k = 1..3``, the maximum (the largest value)
+    and its multiplicity are read from it, and the mean and central moments
+    follow exactly.  Closed forms fill in per type as available; the maximum
+    matches its closed form only if it is attained once.
     """
-    form = zise_form(rs, b)
-    s0 = alcove_size_sums(rs, b, "coroot", 0)[0]
-    s1, top, mult = scaled_power_sum(rs, b, 1, "coroot", form)
-    s2, s3 = (scaled_power_sum(rs, b, k, "coroot", form)[0] for k in (2, 3))
-    best = Q(top, 24)
+    counts = scaled_value_counts(rs, b, "coroot", zise_form(rs, b))
+    s0, s1, s2, s3 = (sum(m * v**k for v, m in counts.items()) for k in range(4))
+    top = max(counts)
+    best, mult = Q(top, 24), counts[top]
     mean = Q(s1, 24 * s0)
     square = Q(s2, 24**2 * s0)
     m2 = square - mean * mean
@@ -243,9 +241,9 @@ def experiment_cn_fuss(n: int, m: int) -> Dict[str, object]:
     rs = build_root_system("C", n)
     h = rs.coxeter_number
     b = m * h + 1
-    count = alcove_size_sums(rs, b, "coroot", 0)[0]
-    total = scaled_power_sum(rs, b, 1, "coroot", zise_form(rs, b))[0]
-    mean = Q(total, 24 * count)
+    counts = scaled_value_counts(rs, b, "coroot", zise_form(rs, b))
+    count = sum(counts.values())
+    mean = Q(sum(c * v for v, c in counts.items()), 24 * count)
     conjecture = Q(m * n * (2 * (m + 1) * n * n + (m + 3) * n - (m + 1)), 12)
     verdict = "consistent"
     if mean != conjecture:

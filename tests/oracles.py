@@ -16,6 +16,7 @@ bead, for ``cores.core_from_coroot``.  The Fraction vector helpers
 ``y = d x`` are held to.
 """
 
+from collections import Counter
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import isqrt
@@ -192,13 +193,18 @@ def _streamed_values(rs: RootSystem, b: int, lattice: str, form: QuadraticForm) 
     return tuple(form.scaled_at(y, d) for y in iter_scaled_points(rs, b, lattice))
 
 
+def streamed_value_counts(
+    rs: RootSystem, b: int, lattice: str, form: QuadraticForm
+) -> Counter:
+    """``scaled_value_counts``: every point of the integer stream, evaluated on its own."""
+    return Counter(_streamed_values(rs, b, lattice, form))
+
+
 def streamed_power_sum(
     rs: RootSystem, b: int, k: int, lattice: str, form: QuadraticForm, center: int
-) -> Tuple[int, int, int]:
-    """``scaled_power_sum``: every point of the integer stream, evaluated on its own."""
-    values = _streamed_values(rs, b, lattice, form)
-    best = max(values)
-    return sum((v - center) ** k for v in values), best, values.count(best)
+) -> int:
+    """The sum of ``(24 d^2 F(x) - center)^k`` over the stream, point by point."""
+    return sum((v - center) ** k for v in _streamed_values(rs, b, lattice, form))
 
 
 def zise_by_transport(rs: RootSystem, b: int, x: Sequence[Q]) -> Q:

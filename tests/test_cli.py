@@ -380,20 +380,20 @@ class TestVerify:
         assert set(verdicts.values()) == {"match"}
 
     def test_moment_selectors_enumerate_each_dilation_once(self, monkeypatch):
-        # every moment selector reads one report per dilation: three knapsack walks
+        # every moment selector reads one report per dilation: one knapsack walk
         calls = []
-        walk = stats.scaled_power_sum
+        walk = stats.scaled_value_counts
 
-        def counted(rs, b, k, lattice, form, center=0):
-            calls.append((b, k))
-            return walk(rs, b, k, lattice, form, center)
+        def counted(rs, b, lattice, form):
+            calls.append(b)
+            return walk(rs, b, lattice, form)
 
-        monkeypatch.setattr(stats, "scaled_power_sum", counted)
+        monkeypatch.setattr(stats, "scaled_value_counts", counted)
         stats.moments.cache_clear()
         code, _ = run(["verify", "count", "max", "mean", "variance", "m3", "--type", "A",
                        "--rank", "3", "--b-range", "1..9"])
         assert code == EXIT_OK
-        assert calls == [(b, k) for b in (1, 3, 5, 7, 9) for k in range(1, 4)]
+        assert calls == [1, 3, 5, 7, 9]
 
     def test_count_sweep_is_budgeted_by_dp_states(self):
         code, doc = run_json(["verify", "--type", "E", "--rank", "7", "--b-range", "1..100",
@@ -527,6 +527,10 @@ class TestVerify:
              "cores.QuadraticForm = Off\n",
              "enum --type A --rank 2 --b 4 --stat size",
              "the 3-core of [-1, -1] has 5 boxes, not F_1 = 6"),
+            # an abacus that reads no a-core
+            ("cores.is_a_core = lambda p, a: a != 3\n",
+             "enum --type A --rank 2 --b 4 --stat size",
+             "the abacus of [-1, -1] reads [3, 1, 1], not a 3-core"),
             # an (a,b)-core that is not a b-core
             ("cores.is_a_core = lambda p, a: a != 4\n",
              "verify --type A --rank 2 --b 4 anderson",
@@ -555,7 +559,7 @@ class TestVerify:
              "enum --type A --rank 2 --b 4",
              "|P^vee/Q^vee| = 1, not f = 3"),
         ],
-        ids=["size-form", "b-core", "anderson-count", "haiman-count", "exponents",
+        ids=["size-form", "a-core", "b-core", "anderson-count", "haiman-count", "exponents",
              "class-count"],
     )
     def test_failed_count_and_core_identities_survive_optimize(self, patch, argv, verdict):
@@ -846,8 +850,11 @@ class TestStat:
             "import sys\n"
             "from corelab import stats\n"
             "from corelab.cli import main\n"
-            "exact = stats.scaled_power_sum\n"
-            "stats.scaled_power_sum = lambda *args: exact(*args)[:2] + (2,)\n"
+            "exact = stats.scaled_value_counts\n"
+            "def second_maximiser(*args):\n"
+            "    counts = exact(*args)\n"
+            "    return {**counts, max(counts): counts[max(counts)] + 1}\n"
+            "stats.scaled_value_counts = second_maximiser\n"
             "sys.exit(main(['stat', '--type', 'A', '--rank', '2', '--b', '4']))\n"
         )
         proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
@@ -856,6 +863,31 @@ class TestStat:
         (row,) = json.loads(proc.stdout)["results"]
         assert (row["max"], row["max_multiplicity"]) == ("5/1", 2)
         assert row["verdicts"]["max"] == "mismatch(multiplicity 2)"
+        assert row["grade"] == "mismatch"
+
+    def test_walk_short_of_a_point_is_a_count_mismatch(self):
+        # the count is read from the one walk of the moments, not from the DP
+        script = (
+            "import sys\n"
+            "from corelab import stats\n"
+            "from corelab.cli import main\n"
+            "exact = stats.scaled_value_counts\n"
+            "def short(*args):\n"  # one point of the smallest value is dropped
+            "    counts = exact(*args)\n"
+            "    low = min(counts)\n"
+            "    counts[low] -= 1\n"
+            "    return {v: m for v, m in counts.items() if m}\n"
+            "stats.scaled_value_counts = short\n"
+            "sys.exit(main(['stat', '--type', 'A', '--rank', '2', '--b', '4']))\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == EXIT_MISMATCH, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["verdict"] == "fail"
+        (row,) = doc["results"]
+        assert row["count"] == 4
+        assert row["verdicts"]["count"] == "mismatch(4!=5)"
         assert row["grade"] == "mismatch"
 
 
@@ -973,7 +1005,9 @@ class TestExperiment:
         proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
                               text=True, timeout=120)
         assert proc.returncode == EXIT_MISMATCH, proc.stderr
-        assert json.loads(proc.stdout)["results"] == [
+        doc = json.loads(proc.stdout)
+        assert (doc["grade"], doc["verdict"]) == ("conjecture", "fail")
+        assert doc["results"] == [
             {"verdict": "mismatch(the core of the word (1, 0, 1, 2, 1, 1) is not self-conjugate)"}
         ]
 

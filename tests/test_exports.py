@@ -1,5 +1,6 @@
-"""Every name a corelab module lists in ``__all__`` must exist in it, and
-every public module-level function and class must have a caller in ``src/``."""
+"""Every name a corelab module lists in ``__all__`` must exist in it, every
+name it imports must be read, and every public module-level function and
+class must have a caller in ``src/``."""
 
 import ast
 import importlib
@@ -64,7 +65,7 @@ INTERNAL_ASSERTS = {
      "comp is None or len(comp) <= self.degree + 1"),
     ("lattice_enum", "LatticePointSet.__post_init__", "self.lattice in ('coweight', 'coroot')"),
     ("lattice_enum", "LatticePointSet.__post_init__", "list(self.points) == sorted(self.points)"),
-    ("lattice_enum", "scaled_power_sum", "rest == 0"),
+    ("lattice_enum", "scaled_value_counts", "rest == 0"),
     ("lattice_enum", "coweight_points_in_bA",
      "min(pairs) >= 0 and sum(map(mul, rs.marks, pairs)) <= bound"),
     ("rootsys", "Root.__post_init__",
@@ -89,3 +90,31 @@ def test_asserts_are_internal_invariants():
         found |= {(path.stem, owner, test) for owner, test in _asserts(tree, None)}
     assert sorted(found - INTERNAL_ASSERTS) == []
     assert sorted(INTERNAL_ASSERTS - found) == []  # an entry whose assert is gone leaves too
+
+
+def _unread_imports(tree):
+    """The names a module imports but never reads: neither loaded in its
+    code nor re-exported through ``__all__``."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).partition(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    for node in tree.body:  # __all__ = [...] names its re-exports as strings
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def test_every_import_is_read():
+    unread = {}
+    for path in sorted(pathlib.Path(corelab.__file__).parent.glob("*.py")):
+        found = _unread_imports(ast.parse(path.read_text()))
+        if found:
+            unread[path.name] = found
+    assert unread == {}

@@ -23,7 +23,7 @@ from corelab.lattice_enum import (
     iter_coweight_coeffs,
     iter_scaled_points,
     lattice_scale,
-    scaled_power_sum,
+    scaled_value_counts,
 )
 from corelab.affine import sommers_contains
 from corelab.rootsys import QuadraticForm, build_root_system, is_simply_laced
@@ -39,6 +39,7 @@ from oracles import (
     size_point,
     streamed_power_sum,
     streamed_size_sums,
+    streamed_value_counts,
 )
 
 
@@ -320,8 +321,10 @@ def test_power_sum_matches_streamed_points(case, lattice, k, centered, data):
     d = lattice_scale(rs, lattice)
     center = d * d * n * (b - 1) * (h + b + 1) if centered else 0
     form = QuadraticForm(rs, b)
-    expected = streamed_power_sum(rs, b, k, lattice, form, center)
-    assert scaled_power_sum(rs, b, k, lattice, form, center) == expected
+    counts = scaled_value_counts(rs, b, lattice, form)
+    assert counts == streamed_value_counts(rs, b, lattice, form)
+    got = sum(m * (v - center) ** k for v, m in counts.items())
+    assert got == streamed_power_sum(rs, b, k, lattice, form, center)
 
 
 @settings(max_examples=60, deadline=None)
@@ -349,7 +352,7 @@ def test_power_sum_table_matches_streamed_points(case, lattice, K, bs):
                 # the sum of (24 d^2 F_b - center)^k, from the sums of F_b^j, j <= k
                 got = sum(comb(k, j) * (24 * d * d) ** j * sums[j] * (-center) ** (k - j)
                           for j in range(k + 1))
-                assert got == streamed_power_sum(rs, b, k, lattice, form, center)[0], (b, k)
+                assert got == streamed_power_sum(rs, b, k, lattice, form, center), (b, k)
 
 
 ZISE_TYPES = [("B", 3), ("C", 3), ("F", 4), ("G", 2), ("A", 4), ("D", 4)]
@@ -363,26 +366,28 @@ def test_power_sum_of_zise_matches_streamed_points(case, k, center, data):
     h = rs.coxeter_number
     b = data.draw(st.integers(1, 2 * h).filter(lambda b: gcd(b, h) == 1))
     form = zise_form(rs, b)
-    expected = streamed_power_sum(rs, b, k, "coroot", form, center)
-    assert scaled_power_sum(rs, b, k, "coroot", form, center) == expected
+    counts = scaled_value_counts(rs, b, "coroot", form)
+    assert counts == streamed_value_counts(rs, b, "coroot", form)
+    got = sum(m * (v - center) ** k for v, m in counts.items())
+    assert got == streamed_power_sum(rs, b, k, "coroot", form, center)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(POWER_SUM_TYPES + ZISE_TYPES), st.sampled_from(("coweight", "coroot")),
        st.data())
 def test_power_sum_maximum_of_any_form(case, lattice, data):
-    # F_c with c < 0 grows along the last coefficient, so its maximum is at the far end of a run
+    # F_c with c < 0 grows along the last coefficient; equal counts give an equal
+    # largest value and multiplicity
     rs = build_root_system(*case)
     h = rs.coxeter_number
     b, c = data.draw(st.integers(0, 2 * h)), data.draw(st.integers(-2 * h, 2 * h))
     form = QuadraticForm(rs, c)
-    expected = streamed_power_sum(rs, b, 1, lattice, form, 0)
-    assert scaled_power_sum(rs, b, 1, lattice, form) == expected
+    assert scaled_value_counts(rs, b, lattice, form) == streamed_value_counts(rs, b, lattice, form)
 
 
 def test_power_sum_rejects_negative_dilation():
     with pytest.raises(ValueError):
-        scaled_power_sum(A2, -1, 1, "coroot", QuadraticForm(A2, 1))
+        scaled_value_counts(A2, -1, "coroot", QuadraticForm(A2, 1))
 
 
 def test_size_sum_rows_are_computed_once(monkeypatch):

@@ -244,8 +244,13 @@ def test_verify_max_a2_b4():
 
 
 def test_verify_max_with_two_maximisers_is_a_mismatch(monkeypatch):
-    exact = stats.scaled_power_sum
-    monkeypatch.setattr(stats, "scaled_power_sum", lambda *args: exact(*args)[:2] + (2,))
+    exact = stats.scaled_value_counts
+
+    def second_maximiser(*args):
+        counts = exact(*args)
+        return {**counts, max(counts): counts[max(counts)] + 1}
+
+    monkeypatch.setattr(stats, "scaled_value_counts", second_maximiser)
     moments.cache_clear()
     try:
         report = moments(A2, 4)
@@ -319,6 +324,29 @@ def test_fuss_experiment_small_cases():
         experiment_cn_fuss(1, 1)
 
 
+def test_moments_and_fuss_walk_once_and_read_no_dp(monkeypatch):
+    # an empty table: any DP read, even of a row read before, would grow it
+    monkeypatch.setattr(lattice_enum, "_SIZE_SUM_TABLES", {})
+    walks = []
+    walk = stats.scaled_value_counts
+
+    def counted(rs, b, lattice, form):
+        walks.append((rs.family, rs.rank, b, lattice))
+        return walk(rs, b, lattice, form)
+
+    monkeypatch.setattr(stats, "scaled_value_counts", counted)
+    moments.cache_clear()
+    try:
+        for rs, b in ((A2, 4), (D4, 5), (build_root_system("G", 2), 5)):
+            moments(rs, b)
+        assert experiment_cn_fuss(2, 1)["verdict"] == "consistent"
+    finally:
+        moments.cache_clear()
+    assert walks == [("A", 2, 4, "coroot"), ("D", 4, 5, "coroot"), ("G", 2, 5, "coroot"),
+                     ("C", 2, 5, "coroot")]
+    assert lattice_enum._SIZE_SUM_TABLES == {}
+
+
 def test_weak_order_experiment_a2_b4():
     report = experiment_weak_order_maximality(A2, 4)
     assert report["total"] == 5
@@ -377,13 +405,17 @@ def test_experiment_counterexample_verdicts(monkeypatch):
     report = experiment_weak_order_maximality(A2, 4)
     assert report["verdict"] == "counterexample(5 of 5 escape)"
 
-    exact_sum = stats.scaled_power_sum
+    exact_counts = stats.scaled_value_counts
 
-    def shifted(rs, b, k, lattice, form, center=0):
-        value = exact_sum(rs, b, k, lattice, form, center)
-        return (value[0] + 24 * k,) + value[1:]
+    def shifted(rs, b, lattice, form):
+        # the smallest value's points lose one, which comes back 24 higher: the sum gains 24
+        counts = exact_counts(rs, b, lattice, form)
+        low = min(counts)
+        counts[low] -= 1
+        counts[low + 24] = counts.get(low + 24, 0) + 1
+        return counts
 
-    monkeypatch.setattr(stats, "scaled_power_sum", shifted)
+    monkeypatch.setattr(stats, "scaled_value_counts", shifted)
     report = experiment_cn_fuss(2, 1)
     assert report["mean"] == Q(11, 3) + Q(1, 6)
     assert report["verdict"] == "counterexample(mean 23/6 != 11/3)"
