@@ -218,22 +218,22 @@ def _root_forms(rs: RootSystem, height: int) -> Tuple[Tuple[int, ...], ...]:
     )
 
 
-def sommers_contains(rs: RootSystem, b: int, y: Sequence[int], d: int = 1) -> bool:
-    """Membership of ``x = y / d`` in the closed region cut out by the affine
-    roots of height ``b``.
-
-    Writing ``b = t h + r`` with ``0 < r < h``, the region is bounded below by
-    ``<x, alpha> >= -t`` over roots of height ``r`` and above by
-    ``<x, alpha> <= t + 1`` over roots of height ``h - r``; the pairings are
-    taken with the integer vector ``y`` and the bounds scaled by ``d``.
-    """
+@lru_cache(maxsize=None)
+def sommers_walls(rs: RootSystem, b: int) -> IntMatrix:
+    """The forms ``f`` with ``f . (y, d) <= 0`` at every point ``x = y / d`` of the closed
+    region cut out by the affine roots of height ``b = t h + r``, ``0 < r < h``:
+    ``<x, alpha> >= -t`` over roots of height ``r``, ``<x, alpha> <= t + 1`` over ``h - r``."""
     h = rs.coxeter_number
     if b <= 0 or gcd(b, h) != 1:
         raise ValueError("b not coprime to Coxeter number")
     t, r = divmod(b, h)
-    return all(sum(map(mul, f, y)) >= -t * d for f in _root_forms(rs, r)) and all(
-        sum(map(mul, f, y)) <= (t + 1) * d for f in _root_forms(rs, h - r)
-    )
+    return tuple(tuple(-v for v in f) + (-t,) for f in _root_forms(rs, r)) + tuple(
+        f + (-t - 1,) for f in _root_forms(rs, h - r))
+
+
+def sommers_contains(rs: RootSystem, b: int, y: Sequence[int], d: int = 1) -> bool:
+    """Membership of ``x = y / d`` in the height-``b`` region (:func:`sommers_walls`)."""
+    return all(sum(map(mul, f, (*y, d))) <= 0 for f in sommers_walls(rs, b))
 
 
 def alcove_vertices(rs: RootSystem, b: int) -> List[Vector]:

@@ -15,9 +15,10 @@ import json
 import sys
 from fractions import Fraction as Q
 from functools import lru_cache, partial
+from itertools import chain, repeat, tee
 from json.encoder import encode_basestring_ascii
 from math import comb, gcd
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .cores import core_from_coroot, enumerate_simultaneous_cores
 from .ehrhart import (
@@ -577,9 +578,27 @@ def _render(results: List[Dict], form: str) -> str:
     return "\n".join(aligned) + "\n"
 
 
+def _column(rows: Sequence[Dict], key: str, pad: str) -> Iterator[str]:
+    """``rows``' values at ``key`` as :func:`_dump` writes them at ``pad``, lazily: a
+    column of strs, of ints or of flat str or int lists in C-level maps, any other by _dump."""
+    values = partial(map, dict.get, rows, repeat(key))
+    kinds = set(map(type, values()))
+    if kinds == {str} or kinds == {int}:
+        return map(encode_basestring_ascii if str in kinds else int.__repr__, values())
+    leaves = set(map(type, chain.from_iterable(values()))) if kinds <= {list, tuple} else {None}
+    if leaves == {str} or leaves <= {int}:
+        inner = pad + "  "
+        encode = partial(map, encode_basestring_ascii if str in leaves else int.__repr__)
+        full, same = tee(map(("[" + inner + "%s" + pad + "]").__mod__,
+                             map(("," + inner).join, map(encode, values()))))
+        return map({"[" + inner + pad + "]": "[]"}.get, full, same)
+    return map(_dump, values(), repeat(pad))
+
+
 def _dump(value, pad: str = "\n") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, which json writes in pure Python, for
-    dicts keyed by str, lists, tuples, str, int, bool, None; str or int lists join in C."""
+    dicts keyed by str, lists, tuples, str, int, bool, None; str or int lists join in C, and
+    rows, dicts that share one set of str keys, fill one template column by column."""
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
@@ -594,6 +613,13 @@ def _dump(value, pad: str = "\n") -> str:
         kinds = set(map(type, value))
         if kinds == {str} or kinds == {int}:
             items = map(encode_basestring_ascii if str in kinds else int.__repr__, value)
+        elif (kinds == {dict} and len(value) > 4 and value[0]  # fewer rows cost more by columns
+              and {str}.issuperset(map(type, value[0]))
+              and all(map(value[0].keys().__eq__, map(dict.keys, value)))):
+            keys, cell = sorted(value[0]), inner + "  "
+            row = ("," + cell).join(_dump(k).replace("%", "%%") + ": %s" for k in keys)
+            columns = map(_column, repeat(value), keys, repeat(cell))  # filled row by row
+            items = map(("{" + cell + row + inner + "}").__mod__, zip(*columns))
         else:
             items = [_dump(v, inner) for v in value]
     else:

@@ -1,35 +1,28 @@
 """Lattice point enumeration for dilated alcoves and related regions.
 
-Coweight points of ``b * A`` are the solutions of the mark knapsack
-``sum_i c_i x_i <= b`` in nonnegative integers, written in coroot
-coordinates as ``sum_i x_i omega_check_i``.  Coroot points are the subset
-with integer coroot coordinates.  Every walk of the knapsack carries the
-coroot class of each prefix and steps the last coefficient along the
-progression the lattice keeps (:func:`_class_steps`), so it visits no point
-off the lattice, in lexicographic order of the coweight coefficients.  Every
-point set holds the integer vectors ``d * x``, ``d = lattice_scale(rs,
-lattice)``: the coroot points themselves, and the coweight points scaled by
-the coweight denominator.  Folds over the points never materialize them:
-that walk carries a quadratic form's value (``F_b`` or zise) and counts the
-points at each value (:func:`scaled_value_counts`), and counts and the powers
-of ``F_b`` up to a chosen ``K`` come from an exact dynamic program over
-budgets and classes, whose work grows with the budgets, not the points, and
-which is grown one budget at a time, so no row is computed twice
-(:func:`alcove_size_sums`).
-Both read one table of per-item data, :func:`_knapsack_items`.
-"""
+Coweight points of ``b * A`` are the solutions of the mark knapsack ``sum_i c_i x_i <= b``
+in nonnegative integers, written in coroot coordinates as ``sum_i x_i omega_check_i``;
+coroot points are those with integer coordinates.  Every walk of the knapsack steps the
+class of each prefix (:func:`_class_steps`), so it visits the lattice's points alone, in
+lexicographic order.  Every point list comes from one walk (:func:`_knapsack_walk`) of an
+integer vector linear in ``x``: ``x`` itself, ``d * x`` (``d = lattice_scale(rs,
+lattice)``), or its image under ``w_b^{-1}`` with the region's wall forms.  Folds build no
+point: a walk counts the points at each value of a quadratic form
+(:func:`scaled_value_counts`), and a dynamic program over budgets and classes, grown one
+budget at a time, gives counts and powers of ``F_b`` (:func:`alcove_size_sums`).  Both read
+one table of per-item data, :func:`_knapsack_items`."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, islice, product
 from math import gcd, isqrt, lcm
 from operator import add, attrgetter, mul
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from corelab.affine import sommers_contains, w_b_inverse
+from corelab.affine import sommers_walls, w_b_inverse
 from corelab.rootsys import (
     QuadraticForm,
     RootSystem,
@@ -61,32 +54,50 @@ class LatticePointSet:
         return len(self.points)
 
 
-def iter_coweight_coeffs(rs: RootSystem, b: int, lattice: str) -> Iterator[Tuple[int, ...]]:
-    """The knapsack solutions ``sum c_i x_i <= b`` on the lattice, in
-    lexicographic order: each prefix carries its class (:func:`_class_steps`)
-    and the last coefficient runs over the progression completing a point."""
+def _knapsack_walk(rs: RootSystem, b: int, lattice: str, columns: Sequence[Sequence[int]],
+                   origin: Sequence[int], den: int) -> Tuple[list, bool]:
+    """The first ``n = rs.rank`` entries of ``(origin + sum_i x_i columns[i]) / den`` over
+    the lattice's knapsack solutions ``x`` in lexicographic order, and whether the other entries
+    stay at most 0.  A prefix carries its class and vector; along the last coefficient's
+    progression a point adds one vector, so the other entries are bounded by its two ends."""
     if b < 0:
         raise ValueError("dilation must be nonnegative")
     steps, start, stride = _class_steps(rs, lattice)
-    marks = rs.marks
-    last = rs.rank - 1
-    coeffs = [0] * rs.rank
+    n, marks, last, columns = rs.rank, rs.marks, rs.rank - 1, list(columns)
+    firsts = [None if t is None else tuple(t * v for v in columns[last]) for t in start]
+    hop = tuple(stride * v // den for v in columns[last])
+    kept, rest = hop[:n], hop[n:]
+    cut, out, inside = den.__rfloordiv__, [], True
 
-    def rec(i: int, budget: int, cls: int) -> Iterator[Tuple[int, ...]]:
-        if i == last:
-            t = start[cls]
-            if t is not None:
-                for v in range(t, budget // marks[i] + 1, stride):
-                    coeffs[i] = v
-                    yield tuple(coeffs)
-            return
-        step = steps[i]
-        for v in range(budget // marks[i] + 1):
-            coeffs[i] = v
-            yield from rec(i + 1, budget - v * marks[i], cls)
-            cls = step[cls]
+    def rec(i: int, budget: int, cls: int, vec: List[int]) -> None:
+        nonlocal inside
+        if i < last:
+            step, column = steps[i], columns[i]
+            for _ in range(budget // marks[i] + 1):
+                rec(i + 1, budget, cls, vec)
+                budget -= marks[i]
+                vec = list(map(add, vec, column))  # a list: spent tuples stay on a free list
+                cls = step[cls]
+        elif firsts[cls] is not None and start[cls] * marks[i] <= budget:
+            count = (budget // marks[i] - start[cls]) // stride
+            full = map(cut, map(add, vec, firsts[cls]))
+            y, s = tuple(islice(full, n)), list(full)
+            if s and (max(s) > 0 or count and max(map(add, s, map(count.__mul__, rest))) > 0):
+                inside = False
+            out.append(y)
+            for _ in range(count):
+                y = tuple(map(add, y, kept))
+                out.append(y)
 
-    yield from rec(0, b, 0)
+    rec(0, b, 0, list(origin))
+    del rec  # it refers to itself: free its working set now, not at a collection
+    return out, inside
+
+
+def iter_coweight_coeffs(rs: RootSystem, b: int, lattice: str) -> List[Tuple[int, ...]]:
+    """The knapsack solutions ``sum c_i x_i <= b`` on the lattice, in lexicographic order."""
+    unit = [tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)]
+    return _knapsack_walk(rs, b, lattice, unit, (0,) * rs.rank, 1)[0]
 
 
 @lru_cache(maxsize=None)
@@ -187,13 +198,12 @@ def is_coroot_point(x: Sequence[Q]) -> bool:
     return {1}.issuperset(map(attrgetter("denominator"), x))
 
 
-def iter_scaled_points(rs: RootSystem, b: int, lattice: str) -> Iterator[Tuple[int, ...]]:
+def iter_scaled_points(rs: RootSystem, b: int, lattice: str) -> List[Tuple[int, ...]]:
     """Every lattice point ``x`` of ``b * A`` as the integer vector ``d * x``,
     ``d = lattice_scale(rs, lattice)``, in knapsack order."""
     den, rows = _scaled_coweight_rows(rs)
     step = den // lattice_scale(rs, lattice)
-    for coeffs in iter_coweight_coeffs(rs, b, lattice):
-        yield tuple(sum(map(mul, coeffs, row)) // step for row in rows)
+    return _knapsack_walk(rs, b, lattice, list(zip(*rows)), (0,) * rs.rank, step)[0]
 
 
 def scaled_value_counts(rs: RootSystem, b: int, lattice: str,
@@ -259,44 +269,51 @@ def scaled_value_counts(rs: RootSystem, b: int, lattice: str,
             cls = step[cls]
 
     rec(0, b, form.scaled(0, 0, D), 0, 0)
+    del rec  # as in _knapsack_walk
     return counts
 
 
 def coweight_points_in_bA(rs: RootSystem, b: int) -> LatticePointSet:
     """All coweight lattice points of the closed dilated alcove ``b * A``, scaled to ints."""
-    points = tuple(sorted(iter_scaled_points(rs, b, "coweight")))
+    points = _point_set(rs, b, "coweight", iter_scaled_points(rs, b, "coweight"))
     bound, columns = b * lattice_scale(rs, "coweight"), tuple(zip(*rs.cartan))
-    for y in points[:64]:  # <x, alpha_i> >= 0 and <x, theta> <= b
+    for y in points.points[:64]:  # <x, alpha_i> >= 0 and <x, theta> <= b
         pairs = [sum(map(mul, col, y)) for col in columns]
         assert min(pairs) >= 0 and sum(map(mul, rs.marks, pairs)) <= bound
-    return LatticePointSet(rs, b, "coweight", points)
+    return points
+
+
+def _point_set(rs: RootSystem, b: int, lattice: str, points: list) -> LatticePointSet:
+    """``points`` sorted.  On the coroot lattice, for ``b`` coprime to ``h``, they
+    must be as many as Haiman's ``prod (b + e_i) / |W|`` coroot points of ``b * A``."""
+    if (lattice == "coroot" and gcd(b, rs.coxeter_number) == 1
+            and len(points) * rs.weyl_order != exponent_product(rs, b)):
+        raise VerificationError("%d coroot points in %dA, not prod(b + e_i)/|W| = %s"
+                                % (len(points), b, Q(exponent_product(rs, b), rs.weyl_order)))
+    points.sort()
+    return LatticePointSet(rs, b, lattice, tuple(points))
 
 
 def coroot_points_in_bA(rs: RootSystem, b: int) -> LatticePointSet:
-    """Coroot lattice points of ``b * A`` as integer tuples.  For ``b``
-    coprime to ``h`` their count must be Haiman's ``prod (b + e_i) / |W|``;
-    a failure raises :class:`~corelab.rootsys.VerificationError`."""
-    points = tuple(sorted(iter_scaled_points(rs, b, "coroot")))
-    if gcd(b, rs.coxeter_number) == 1 and len(points) * rs.weyl_order != exponent_product(rs, b):
-        raise VerificationError("%d coroot points in %dA, not prod(b + e_i)/|W| = %s"
-                                % (len(points), b, Q(exponent_product(rs, b), rs.weyl_order)))
-    return LatticePointSet(rs, b, "coroot", points)
+    """Coroot lattice points of ``b * A`` as integer tuples, counted by :func:`_point_set`."""
+    return _point_set(rs, b, "coroot", iter_scaled_points(rs, b, "coroot"))
 
 
 def core_points_in_sommers(rs: RootSystem, b: int, lattice: str = "coroot") -> LatticePointSet:
-    """Lattice points of the height-``b`` region as the integer vectors ``d * x``
-    (``d = lattice_scale``), carried from ``b * A`` by ``w_b^{-1}`` in integer
-    arithmetic; each is checked to land in the region.  The coroot points are
-    the cores."""
-    h = rs.coxeter_number
-    if gcd(b, h) != 1:
-        raise ValueError("b not coprime to Coxeter number")
-    winv, d = w_b_inverse(rs, b), lattice_scale(rs, lattice)
-    points_in = coroot_points_in_bA if lattice == "coroot" else coweight_points_in_bA
-    moved = tuple(sorted(winv.apply_int(y, d) for y in points_in(rs, b).points))
-    if not all(sommers_contains(rs, b, y, d) for y in moved):
+    """Lattice points ``d * x`` (``d = lattice_scale``) of the height-``b`` region, ``b``
+    coprime to ``h``, carried from ``b * A`` by ``w_b^{-1} = M x + tau``: the coroot points
+    are the cores.  One walk gives each ``(D tau + sum_i x_i M w_i) / (D / d)``, ``w_i = D
+    omega_check_i``, with its wall forms (:func:`~corelab.affine.sommers_walls`), none > 0;
+    :func:`_point_set` counts them."""
+    n, winv, d = rs.rank, w_b_inverse(rs, b), lattice_scale(rs, lattice)
+    D, rows = _scaled_coweight_rows(rs)
+    # the columns M w_i and the origin D tau, each with the last coordinate the walls read
+    moved = [winv.apply_int(w, 0) + (0,) for w in zip(*rows)] + [winv.apply_int((0,) * n, D) + (D,)]
+    moved = [z[:n] + tuple(sum(map(mul, f, z)) for f in sommers_walls(rs, b)) for z in moved]
+    points, inside = _knapsack_walk(rs, b, lattice, moved[:n], moved[n], D // d)
+    if not inside:
         raise VerificationError("w_b^-1 moves a point of %dA off the height-%d region" % (b, b))
-    return LatticePointSet(rs, b, lattice, moved)
+    return _point_set(rs, b, lattice, points)
 
 
 def _ellipsoid_split(gram: Sequence[Sequence[int]]) -> List[Tuple[List[int], int]]:
@@ -353,6 +370,7 @@ def coroot_points_in_size_ellipsoid(rs: RootSystem, N: int) -> List[Tuple[Tuple[
             prefix.pop()
 
     rec(0, [], 0, 0, 0)
+    del rec  # as in _knapsack_walk
     return out
 
 

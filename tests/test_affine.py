@@ -1,5 +1,6 @@
 """Tests for affine group elements, walks, inversion sets, and the alcove stabilizer."""
 
+import dataclasses
 import itertools
 from fractions import Fraction as Q
 from math import gcd
@@ -132,9 +133,15 @@ def test_failed_w_b_transport_raises(monkeypatch):
         patch.setattr(affine, "sommers_contains", lambda rs, b, y, d=1: False)
         with pytest.raises(VerificationError, match="vertex of 4A"):
             compute_w_b(A2, 4)
+    # w_b^-1 translated by one more coroot carries some points of 4A off the region
+    def moved(rs, b):
+        winv = w_b_inverse(rs, b)
+        shift = (winv.translation[0] + 1,) + winv.translation[1:]
+        return dataclasses.replace(winv, translation=shift)
+
     for lattice in ("coroot", "coweight"):
         with monkeypatch.context() as patch:
-            patch.setattr(lattice_enum, "sommers_contains", lambda rs, b, y, d=1: False)
+            patch.setattr(lattice_enum, "w_b_inverse", moved)
             with pytest.raises(VerificationError, match="point of 4A"):
                 lattice_enum.core_points_in_sommers(A2, 4, lattice)
 

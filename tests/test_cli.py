@@ -31,6 +31,21 @@ from oracles import size_point
 TEXT = st.text(st.sampled_from('a"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u20ac\U0001f600')
                | st.characters(blacklist_categories=("Cs",)), max_size=6)
 
+# lists of dicts that share one key set, each key's values drawn from one kind
+ROW_CELLS = [
+    TEXT | st.text(st.sampled_from("%sd("), max_size=4),
+    st.integers(-10**30, 10**30),
+    st.lists(TEXT, max_size=3),
+    st.lists(st.integers(-9, 9), max_size=3).map(tuple),
+    st.just([]),
+    st.lists(st.integers(-9, 9) | st.booleans(), max_size=3),
+    st.none() | st.booleans() | st.integers(-9, 9),
+]
+ROW_LISTS = st.lists(TEXT | st.just("%s"), min_size=1, max_size=4, unique=True).flatmap(
+    lambda keys: st.tuples(*(st.sampled_from(ROW_CELLS) for _ in keys)).flatmap(
+        lambda cells: st.lists(st.fixed_dictionaries(dict(zip(keys, cells))),
+                               min_size=1, max_size=8)))
+
 
 def run(argv):
     out = io.StringIO()
@@ -112,12 +127,13 @@ class TestEnvelope:
         q = Q(n, den)
         assert cli._rat(n, den) == "%d/%d" % (q.numerator, q.denominator)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(st.recursive(
         st.none() | st.booleans() | st.integers(-10**30, 10**30) | TEXT,
-        lambda inner: st.lists(inner, max_size=5) | st.dictionaries(TEXT, inner, max_size=5),
+        lambda inner: st.lists(inner, max_size=5) | st.dictionaries(TEXT, inner, max_size=5)
+        | ROW_LISTS,
         max_leaves=12,
-    ))
+    ) | ROW_LISTS)
     @example([])
     @example({})
     @example([1, True, 0, False])
@@ -126,11 +142,14 @@ class TestEnvelope:
     @example(["x", "\u00e9\n"])
     @example({"b": [], "a": {}, "": ["\u00e9\"\\\x00\x1f", 7, None]})
     @example(("tuple", [("nested", -1)]))
+    @example([{"point": ["0/1", "%d"], "size": "0/1", "core": []}]
+             + [{"point": ["1/1", "-1/1"], "size": "%s", "core": [k, 1]} for k in range(5)])
     def test_writer_matches_indented_json_dumps(self, value):
         assert cli._dump(value) == json.dumps(value, indent=2, sort_keys=True)
 
     @pytest.mark.parametrize("value", [1.5, [0.0], {"x": float("nan")}, {1, 2}, [set()],
-                                       {1: "int key"}, {"a": {None: 0}}])
+                                       {1: "int key"}, {"a": {None: 0}},
+                                       [{"point": ["0/1"], "size": v} for v in (0, 1, 2, 3, 0.5)]])
     def test_writer_refuses_types_the_envelope_never_holds(self, value):
         with pytest.raises(TypeError):
             cli._dump(value)
@@ -216,6 +235,11 @@ class TestEnum:
              "6f687559facc027a9f8369d59ce9818ec023922138202e7c0aad9c9ca93dea53"),
             ("enum --type A --rank 3 --b 41",
              "dadf5883baca53b854d7250cacc83c40af0521cc0fb164ea2ba0d04f0128dfea"),
+            # the two largest core listings of the benchmark, 1430 (8,9)- and (9,8)-cores
+            ("enum --type A --rank 7 --b 9 --stat size",
+             "b5b9cd426939f04a65671a6023a3c6d83e162901ba162f0c36a7298b7a12824d"),
+            ("enum --type A --rank 8 --b 8 --stat size",
+             "2e9f0ea00db6c719188bdbf44f1bdbdd52138bedb79c0b6631bd7c8984ab2396"),
             # --stat size off type A, where the size is F_1 at the point
             ("enum --type D --rank 4 --b 5 --stat size",
              "3af4ead96b74ab43c69bff6c6ba4e83c6a55aa3c04df119b05197839f02a2ef4"),
@@ -306,10 +330,9 @@ class TestEnum:
     def test_failed_w_b_transport_survives_optimize(self):
         script = (
             "import sys\n"
-            "from corelab import affine, lattice_enum\n"
+            "from corelab import affine\n"
             "from corelab.cli import main\n"
-            "affine.sommers_contains = lattice_enum.sommers_contains = (\n"
-            "    lambda rs, b, y, d=1: False)\n"
+            "affine.sommers_contains = lambda rs, b, y, d=1: False\n"
             "sys.exit(main(['enum', '--type', 'A', '--rank', '2', '--b', '4',"
             " '--stat', 'size']))\n"
         )
@@ -323,12 +346,16 @@ class TestEnum:
         ]
 
     def test_failed_coweight_transport_survives_optimize(self):
-        # only the point check fails: w_b^-1 passes its own vertex check
+        # only the point check fails: w_b^-1 passed its own vertex check before it moved
         script = (
-            "import sys\n"
-            "from corelab import lattice_enum\n"
+            "import dataclasses, sys\n"
+            "from corelab import affine, lattice_enum\n"
             "from corelab.cli import main\n"
-            "lattice_enum.sommers_contains = lambda rs, b, y, d=1: False\n"
+            "def moved(rs, b):\n"
+            "    winv = affine.w_b_inverse(rs, b)\n"
+            "    shift = (winv.translation[0] + 1,) + winv.translation[1:]\n"
+            "    return dataclasses.replace(winv, translation=shift)\n"
+            "lattice_enum.w_b_inverse = moved\n"
             "sys.exit(main(['enum', '--type', 'D', '--rank', '4', '--b', '5',"
             " '--lattice', 'coweight', '--stat', 'size']))\n"
         )

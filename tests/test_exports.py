@@ -33,6 +33,7 @@ TRACER = "read by name by bench/tracer.py"
 # public names that need no caller in src/, each with its reason
 NO_CALLER_NEEDED = {
     "coeffs_to_point": TRACER,
+    "iter_coweight_coeffs": TRACER,
     "zise_point": TRACER,
     "verify_expected_size_polynomial": "acceptance criterion 6 reads it",
     "main": "the CLI entry point",

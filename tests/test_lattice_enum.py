@@ -1,5 +1,6 @@
 """Tests for alcove lattice point enumeration and the exact size-sum fold."""
 
+import gc
 import io
 import itertools
 from fractions import Fraction as Q
@@ -25,7 +26,7 @@ from corelab.lattice_enum import (
     lattice_scale,
     scaled_value_counts,
 )
-from corelab.affine import sommers_contains
+from corelab.affine import sommers_contains, w_b_inverse
 from corelab.rootsys import QuadraticForm, build_root_system, is_simply_laced
 from corelab.stats import zise_form
 from oracles import (
@@ -283,6 +284,19 @@ def test_scaled_stream_matches_fraction_oracle(case, b, lattice):
     assert all(in_dilated_alcove(rs, b, x) for x in oracle)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(STREAM_TYPES), st.sampled_from(("coweight", "coroot")), st.data())
+def test_sommers_walk_matches_transported_points(case, lattice, data):
+    # the slow path: every point of bA moved by w_b^-1 on its own, then sorted and checked
+    rs = build_root_system(*case)
+    b = data.draw(st.sampled_from([b for b in range(1, 14) if gcd(b, rs.coxeter_number) == 1]))
+    winv, d = w_b_inverse(rs, b), lattice_scale(rs, lattice)
+    points_in = coroot_points_in_bA if lattice == "coroot" else coweight_points_in_bA
+    moved = sorted(winv.apply_int(y, d) for y in points_in(rs, b).points)
+    assert all(sommers_contains(rs, b, z, d) for z in moved)
+    assert list(core_points_in_sommers(rs, b, lattice).points) == moved
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.sampled_from(STREAM_TYPES),
@@ -423,3 +437,34 @@ def test_scaled_stream_rejects_unknown_lattice():
         list(iter_scaled_points(A2, 2, "weight"))
     with pytest.raises(ValueError, match="unknown lattice"):
         list(iter_coweight_coeffs(A2, 2, "weight"))
+
+
+def test_walk_checks_both_ends_of_each_progression():
+    # an extra entry x_2 - u is checked at every point: u = 1 passes the first point
+    # of a progression (x_2 = 0) and fails its last
+    for u, inside in ((4, True), (1, False)):
+        points, ok = lattice_enum._knapsack_walk(A2, 4, "coweight", [(1, 0, 0), (0, 1, 1)],
+                                                 (0, 0, -u), 1)
+        assert points == knapsack_solutions(A2.marks, 4) and ok is inside
+
+
+def test_walks_leave_no_reference_cycle():
+    # each walk's recursive closure would otherwise keep its working set until a collection
+    e6 = build_root_system("E", 6)
+    walks = [
+        lambda: iter_coweight_coeffs(e6, 5, "coroot"),
+        lambda: iter_scaled_points(e6, 5, "coweight"),
+        lambda: core_points_in_sommers(e6, 5, "coweight"),
+        lambda: scaled_value_counts(e6, 7, "coroot", zise_form(e6, 7)),
+        lambda: coroot_points_in_size_ellipsoid(e6, 4),
+    ]
+    for walk in walks:
+        walk()  # fill the caches first
+    gc.collect()
+    gc.disable()
+    try:
+        for walk in walks:
+            walk()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
