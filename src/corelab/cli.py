@@ -537,16 +537,40 @@ def _top_coeff(args) -> Tuple[int, List[Dict]]:
     return (EXIT_MISMATCH if failed else EXIT_OK), [report]
 
 
-_EXPERIMENT: Dict[str, Callable] = {
-    "weak-order": _weak_order,
-    "cn-fuss": _cn_fuss,
-    "cn-weighting": _cn_weighting,
-    "top-coeff": _top_coeff,
+# Every command and experiment: its handler, its help and the options it reads
+# besides --format and --max-points.  The parser and the dispatch are built from it.
+_COMMANDS: Dict[str, Tuple[Callable, str, str]] = {
+    "enum": (cmd_enum, "list lattice points or cores with sizes",
+             "--type --rank --b --b-range --lattice --stat"),
+    "stat": (cmd_stat, "exact moments next to closed forms",
+             "--type --rank --b --b-range --lattice"),
+    "verify": (cmd_verify, "theorem checks, exact",
+               "--type --rank --b --b-range --trunc --lattice selectors"),
+    "fit": (cmd_fit, "fit weighted Ehrhart quasipolynomials",
+            "--type --rank --k --lattice --residue"),
+    "series": (cmd_series, "character polynomial and q-series",
+               "--type --rank --trunc --lattice"),
+    "experiment weak-order": (_weak_order, "inversion sets inside w_b's",
+                              "--type --rank --b --b-range --lattice"),
+    "experiment cn-fuss": (_cn_fuss, "mean C_n core size at b = m h + 1",
+                           "--rank --m --lattice"),
+    "experiment cn-weighting": (_cn_weighting, "C_n element size against weighted boxes",
+                                "--rank --trials --seed --lattice"),
+    "experiment top-coeff": (_top_coeff, "leading-coefficient ratios of centered fits",
+                             "--type --rank --k --lattice"),
 }
 
-
-def cmd_experiment(args) -> Tuple[int, List[Dict]]:
-    return _EXPERIMENT[args.experiment](args)
+# The argparse keywords of each option in the table, of --format and of --max-points.
+_OPTIONS: Dict[str, Dict] = {
+    **{flag: dict(type=int) for flag in "--rank --b --k --trunc --residue --m --trials --seed".split()},
+    "--type": dict(choices=list("ABCDEFG")),
+    "--b-range": {},
+    "--lattice": dict(choices=("coweight", "coroot")),
+    "--stat": dict(choices=("size", "zise"), default="zise"),
+    "selectors": dict(nargs="+", metavar="selector"),
+    "--format": dict(choices=("json", "csv", "table"), default="json"),
+    "--max-points": dict(type=int, default=50_000_000),
+}
 
 
 # ---------------------------------------------------------------- plumbing
@@ -649,56 +673,21 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="corelab",
         description="Lattice-point statistics of dilated alcoves and core partitions",
+        allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--type", choices=list("ABCDEFG"))
-        p.add_argument("--rank", type=int)
-        p.add_argument("--b", type=int)
-        p.add_argument("--b-range", dest="b_range")
-        p.add_argument("--k", type=int)
-        p.add_argument("--trunc", type=int)
-        p.add_argument("--lattice", choices=("coweight", "coroot"), default=None)
-        p.add_argument("--format", choices=("json", "csv", "table"), default="json")
-        p.add_argument("--max-points", dest="max_points", type=int, default=50_000_000)
-        p.add_argument("--seed", type=int, default=0)
-
-    p_enum = sub.add_parser("enum", help="list lattice points or cores with sizes")
-    common(p_enum)
-    p_enum.add_argument("--stat", choices=("size", "zise"), default="zise")
-
-    p_stat = sub.add_parser("stat", help="exact moments next to closed forms")
-    common(p_stat)
-
-    p_verify = sub.add_parser("verify", help="theorem checks, exact")
-    p_verify.add_argument("selectors", nargs="+", metavar="selector")
-    common(p_verify)
-
-    p_fit = sub.add_parser("fit", help="fit weighted Ehrhart quasipolynomials")
-    common(p_fit)
-    p_fit.add_argument("--residue", type=int, default=None)
-
-    p_series = sub.add_parser("series", help="character polynomial and q-series")
-    common(p_series)
-
-    p_exp = sub.add_parser("experiment", help="conjecture experiments, non-gating")
-    p_exp.add_argument("experiment", choices=_EXPERIMENT)
-    common(p_exp)
-    p_exp.add_argument("--m", type=int, default=1)
-    p_exp.add_argument("--trials", type=int, default=50)
-
+    subparsers = {"": parser.add_subparsers(dest="command", required=True)}
+    for name, (_, help_text, options) in _COMMANDS.items():
+        group, _, leaf = name.rpartition(" ")
+        if group not in subparsers:  # "experiment", before its first experiment
+            p_group = subparsers[""].add_parser(
+                group, help="conjecture experiments, non-gating", allow_abbrev=False)
+            subparsers[group] = p_group.add_subparsers(dest=group, required=True)
+        p = subparsers[group].add_parser(leaf, help=help_text, allow_abbrev=False)
+        for flag in options.split() + ["--format", "--max-points"]:
+            p.add_argument(flag, **_OPTIONS[flag])
+        # the config has always echoed these, read or not
+        p.set_defaults(seed=0, **(dict(m=1, trials=50) if group else {}))
     return parser
-
-
-_DISPATCH: Dict[str, Callable] = {
-    "enum": cmd_enum,
-    "stat": cmd_stat,
-    "verify": cmd_verify,
-    "fit": cmd_fit,
-    "series": cmd_series,
-    "experiment": cmd_experiment,
-}
 
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
@@ -717,7 +706,8 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         if args.lattice == "coweight" and args.command not in ("enum", "fit"):
             raise UsageError("--lattice coweight applies to enum and fit only;"
                              " %s reads the coroot lattice" % args.command)
-        exit_code, results = _DISPATCH[args.command](args)
+        name = args.command if args.command != "experiment" else "experiment " + args.experiment
+        exit_code, results = _COMMANDS[name][0](args)
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .genfun import poly_add, poly_eval, poly_mul, poly_trim
 from .lattice_enum import alcove_size_sums, lattice_scale, scaled_value_counts
 from .rootsys import QuadraticForm, RootSystem, is_simply_laced
-from .stats import verdict_of
+from .stats import closed_mean, haiman_count, verdict_of
 
 __all__ = [
     "QuasiPolynomial",
@@ -45,14 +45,6 @@ __all__ = [
 PolyQ = Tuple[Q, ...]
 
 LATTICES = ("coweight", "coroot")
-
-
-def _pscale(factor: Q, p: Sequence[Q]) -> PolyQ:
-    return tuple(factor * c for c in p)
-
-
-def _pcoeff(p: Sequence[Q], k: int) -> Q:
-    return p[k] if k < len(p) else Q(0)
 
 
 def _lagrange_fit(xs: Sequence[int], ys: Sequence[Q]) -> PolyQ:
@@ -222,22 +214,6 @@ def reciprocity_check(
     return True
 
 
-def _closed_count_poly(rs: RootSystem) -> PolyQ:
-    """(1/|W|) prod (b + e_i) as a polynomial in b."""
-    poly: PolyQ = (Q(1, rs.weyl_order),)
-    for e in rs.exponents:
-        poly = poly_mul(poly, (Q(e), Q(1)))
-    return poly
-
-
-def _expected_size_poly(rs: RootSystem) -> PolyQ:
-    """(n/24)(b-1)(b+h+1) times the count polynomial."""
-    n = rs.rank
-    h = rs.coxeter_number
-    mean = _pscale(Q(n, 24), poly_mul((Q(-1), Q(1)), (Q(h + 1), Q(1))))
-    return poly_mul(mean, _closed_count_poly(rs))
-
-
 def coprime_fit_classes(rs: RootSystem) -> Tuple[int, ...]:
     """Coroot residue classes containing infinitely many b coprime to h.
 
@@ -384,7 +360,9 @@ def verify_expected_size_polynomial(rs: RootSystem) -> Dict:
     if not is_simply_laced(rs):
         raise ValueError("expected-size identity requires a simply-laced root system")
     n = rs.rank
-    expected = poly_trim(_expected_size_poly(rs))
+    # closed mean times Haiman's count, a polynomial of degree n + 2 in b
+    expected = _lagrange_fit(range(n + 3), [closed_mean(rs, b) * haiman_count(rs, b)
+                                            for b in range(n + 3)])
     classes = coprime_fit_classes(rs)
     fitted = coprime_polynomial(rs, 1, False, classes)
     report: Dict = {
@@ -512,7 +490,7 @@ def leading_coefficient_checks(rs: RootSystem, k: int) -> Dict:
         return dict(report, verdict="mismatch(count degree %d != %d)" % (len(count_poly) - 1, n))
     if grade == "theorem" and len(weight_poly) != top + 1:
         return dict(report, verdict="mismatch(degree %d != %d)" % (len(weight_poly) - 1, top))
-    ratio = _pcoeff(weight_poly, top) / count_poly[n]
+    ratio = (weight_poly[top] if top < len(weight_poly) else 0) / count_poly[n]
     verdict = verdict_of(ratio, report["expected"])
     if verdict == "match":
         verdict = "consistent"

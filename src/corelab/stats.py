@@ -241,9 +241,8 @@ def experiment_cn_fuss(n: int, m: int) -> Dict[str, object]:
     rs = build_root_system("C", n)
     h = rs.coxeter_number
     b = m * h + 1
-    counts = scaled_value_counts(rs, b, "coroot", zise_form(rs, b))
-    count = sum(counts.values())
-    mean = Q(sum(c * v for v, c in counts.items()), 24 * count)
+    report = moments(rs, b)
+    mean = report.mean
     conjecture = Q(m * n * (2 * (m + 1) * n * n + (m + 3) * n - (m + 1)), 12)
     verdict = "consistent"
     if mean != conjecture:
@@ -255,7 +254,7 @@ def experiment_cn_fuss(n: int, m: int) -> Dict[str, object]:
         "rank": n,
         "m": m,
         "b": b,
-        "count": count,
+        "count": report.count,
         "mean": mean,
         "conjecture": conjecture,
         "verdict": verdict,

@@ -9,6 +9,7 @@ import ast
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction as Q
@@ -80,6 +81,23 @@ README_EXAMPLES = [
     for line in (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
     if line.startswith("corelab ")
 ]
+
+# a value each option of the command table accepts
+VALUES = {"--type": "A", "--rank": "2", "--b": "4", "--b-range": "4..4", "--k": "2",
+          "--trunc": "4", "--lattice": "coroot", "--stat": "zise", "--residue": "0",
+          "--m": "1", "--trials": "2", "--seed": "0"}
+
+
+def request(*words):
+    """``words``, a command or experiment of the table and what follows it, then
+    its row's --type, --rank, --b, --k and --trials at VALUES, unless ``words``
+    gives them; every other option of the row keeps its default."""
+    name = words[0] if words[0] in cli._COMMANDS else " ".join(words[:2])
+    row = cli._COMMANDS[name][2].split()
+    given = [flag for flag in row if flag in ("--type", "--rank", "--b", "--k", "--trials")
+             and flag not in words]
+    return list(words) + [token for flag in given for token in (flag, VALUES[flag])]
+
 
 # what the budgeted commands, verify selectors and experiments compute once admitted
 BUDGETED_WORK = (
@@ -315,6 +333,29 @@ class TestEnum:
              "5c462d8a00d4ef7b939a02ee1dff4cae81a7956386fa13cee9d3565b67ef8d4f"),
             ("experiment top-coeff --type A --rank 3 --k 3",
              "245fadc5ec43003eee4490e5c1bf58bb5d61b8f1cf2a984a221d6191df53faae"),
+            # the README examples
+            ("enum --type A --rank 2 --b 4 --stat size",
+             "ba2072309ad4598f578dbbf32f2f6dc985e4ebd5b4eb247da599b2d9104815a4"),
+            ("enum --type D --rank 4 --b 3 --lattice coweight",
+             "d52985a703aa030ce9e24b5d67acdabb5ac73166c9d829a3d0b22825f8bc236d"),
+            ("stat --type D --rank 4 --b-range 2..7",
+             "39db76fe7f453e5558b8aa28864330326f6899ef3947ad8baffbf6ba375b4e99"),
+            ("verify --type E --rank 8 --b 7 count mean",
+             "1412e710ed8d6996c2fefd6a2b9ad62e15f8a6061c307c29bcd66c086b4d0ade"),
+            ("verify --type A --rank 3 --b-range 1..9 count max mean variance m3",
+             "b964ec834fb26496a32b33328c7527d32b228e39182a846f6cb58da957df8edc"),
+            ("verify --type A --rank 3 strange macdonald genfun-A",
+             "4bebcb23d12ab8a1151ad00b7b398b0235986825e87f19113f0ad51b5e3e25bd"),
+            ("fit --type A --rank 2 --k 0",
+             "fde6785d41c96149e249186c543877931b8ba67e45cbd4a16421af6a7a987111"),
+            ("fit --type E --rank 6 --k 1 --lattice coroot --residue 1",
+             "bcb5c389a98aeb4f79367b436cd22467940d1744c3a37c4f586498690a37c4c1"),
+            ("series --type A --rank 2 --trunc 10",
+             "825c40915f4dac4dfa32ed294a26d27213444a4e5a3eccde4ae1d1c890f394c6"),
+            ("experiment weak-order --type A --rank 2 --b 4",
+             "963d00581d7d13bfbbe285849f5defe06578e50e096c3b8bdcd05037d80f9094"),
+            ("experiment cn-fuss --rank 2 --m 1",
+             "9a306e404d659c5fa3ecf6c58c954f77e8ac3cfc85f55c93ca503c4e9986ac43"),
         ],
     )
     def test_stdout_bytes_are_pinned(self, argv, digest):
@@ -1067,7 +1108,7 @@ class TestPlumbing:
     @pytest.mark.parametrize(
         "command",
         [["verify", name] for name in cli._VERIFY]
-        + [["experiment", name] for name in cli._EXPERIMENT]
+        + [name.split() for name in cli._COMMANDS if name.startswith("experiment ")]
         + [["enum", "--stat", "size"], ["enum", "--stat", "zise"], ["stat"], ["fit"],
            ["series"]],
         ids=" ".join,
@@ -1078,13 +1119,64 @@ class TestPlumbing:
 
         for name in BUDGETED_WORK:
             monkeypatch.setattr(cli, name, refuse)
-        code, text = run(command + ["--type", "A", "--rank", "2", "--b", "4", "--k", "2",
-                                    "--max-points", "0"])
+        # only the options of the command's row
+        code, text = run(request(*command) + ["--max-points", "0"])
         if command == ["verify", "strange"]:  # one closed formula, nothing to count
             assert code == EXIT_OK
             return
         assert (code, text) == (EXIT_BUDGET, "")
         assert capsys.readouterr().err.startswith("error: estimated ")
+
+    @pytest.mark.parametrize(
+        "name, flag",
+        [(name, flag) for name, (_, _, row) in cli._COMMANDS.items()
+         for flag in VALUES if flag not in row.split()],
+    )
+    def test_every_option_outside_the_row_is_usage(self, name, flag, capsys):
+        argv = request(*name.split(), *(["count"] if name == "verify" else []))
+        assert run(argv)[0] == EXIT_OK
+        code, text = run(argv + [flag, VALUES[flag]])
+        assert (code, text) == (EXIT_USAGE, "")
+        assert "unrecognized arguments: %s " % flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        ["stat --type A --rank 2 --b 4 --m 2",
+         "verify --type A --rank 2 --b 4 count --max 3",
+         "enum --type A --rank 2 --b 4 --st size",
+         "experiment cn-fuss --rank 2 --form csv"],
+    )
+    def test_abbreviated_flags_are_usage(self, argv, capsys):
+        code, text = run(argv.split())
+        assert (code, text) == (EXIT_USAGE, "")
+        assert "unrecognized arguments: --" in capsys.readouterr().err
+
+    def test_readme_table_is_the_parser(self):
+        # README's command table lists, per command and experiment, the options
+        # its parser accepts besides --format and --max-points
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        documented = {}
+        for line in readme.splitlines():
+            row = re.fullmatch(r"\| `([a-z -]+)` \| (.*) \|", line)
+            if row:
+                options = set(re.findall(r"--[a-z-]+", row[2]))
+                documented[row[1]] = options | ({"selectors"} if "selectors" in row[2] else set())
+        accepted = {}
+
+        def walk(parser, name):
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for leaf, sub in action.choices.items():
+                        walk(sub, (name + " " + leaf).strip())
+                    return
+            accepted[name] = {option for action in parser._actions
+                              for option in action.option_strings or [action.dest]}
+
+        walk(cli._build_parser(), "")
+        common = {"-h", "--help", "--format", "--max-points"}
+        assert all(common <= options for options in accepted.values())
+        assert documented == {name: options - common for name, options in accepted.items()}
+        assert set().union(*documented.values()) == set(VALUES) | {"selectors"}
 
     @pytest.mark.parametrize(
         "argv",
