@@ -17,7 +17,6 @@ the unique point of ``(1/h) * coweight lattice`` interior to ``A``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import gcd
@@ -25,6 +24,7 @@ from operator import mul
 from typing import List, Sequence, Tuple
 
 from corelab.rootsys import (
+    Record,
     RootSystem,
     VerificationError,
     Vector,
@@ -37,12 +37,13 @@ Word = Tuple[int, ...]
 IntMatrix = Tuple[Tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class AffineElement:
+class AffineElement(Record):
     """An element ``x -> linear @ x + translation`` of the affine Weyl group."""
 
-    linear: IntMatrix
-    translation: Vector
+    __slots__ = ("linear", "translation")
+
+    def __init__(self, linear: IntMatrix, translation: Vector) -> None:
+        self.linear, self.translation = linear, translation
 
     def apply_int(self, y: Sequence[int], d: int = 1) -> Tuple[int, ...]:
         """``d * self(y / d)`` for an integer vector ``y``, in ``int`` arithmetic."""
@@ -55,16 +56,17 @@ class AffineElement:
             v == (i == j) for i, row in enumerate(self.linear) for j, v in enumerate(row))
 
 
-@dataclass(frozen=True)
-class AffineRoot:
+class AffineRoot(Record):
     """A real affine root ``alpha + level * delta``.
 
     ``coeffs`` are the simple-root coefficients of the finite part (all of one
     sign); ``level`` is the delta coefficient.
     """
 
-    coeffs: Tuple[int, ...]
-    level: int
+    __slots__ = ("coeffs", "level")
+
+    def __init__(self, coeffs: Tuple[int, ...], level: int) -> None:
+        self.coeffs, self.level = coeffs, level
 
 
 def element_from_word(rs: RootSystem, word: Sequence[int]) -> AffineElement:

@@ -9,7 +9,6 @@ rendered as "p/q" strings.  Exit codes: 0 pass, 1 theorem-grade mismatch,
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -594,6 +593,7 @@ def _render(results: List[Dict], form: str) -> str:
     fields = sorted({key for row in results for key in row})
     lines = [fields] + [[_flatten_cell(row.get(f)) for f in fields] for row in results]
     if form == "csv":
+        import csv  # here, so that no json or table request imports it
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(lines)
         return buf.getvalue()
@@ -668,33 +668,46 @@ def _emit(args, exit_code: int, results: List[Dict], out) -> None:
     out.write(_dump(envelope) + "\n")
 
 
-@lru_cache(maxsize=None)  # built once per process
-def _build_parser() -> argparse.ArgumentParser:
+@lru_cache(maxsize=None)  # each built once per process
+def _build_parser(name: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of the row ``name`` of ``_COMMANDS``; without ``name``, the parser
+    of every row, which lists them all in its help and reports usage errors."""
+    if name is not None:
+        p = argparse.ArgumentParser(prog="corelab " + name, allow_abbrev=False)
+        for flag in _COMMANDS[name][2].split() + ["--format", "--max-points"]:
+            p.add_argument(flag, **_OPTIONS[flag])
+        group, _, leaf = name.rpartition(" ")
+        # the config echoes the command words, and seed, m and trials read or not
+        p.set_defaults(command=group or leaf, seed=0,
+                       **(dict(experiment=leaf, m=1, trials=50) if group else {}))
+        return p
     parser = argparse.ArgumentParser(
         prog="corelab",
         description="Lattice-point statistics of dilated alcoves and core partitions",
         allow_abbrev=False,
     )
     subparsers = {"": parser.add_subparsers(dest="command", required=True)}
-    for name, (_, help_text, options) in _COMMANDS.items():
+    for name, (_, help_text, _) in _COMMANDS.items():
         group, _, leaf = name.rpartition(" ")
         if group not in subparsers:  # "experiment", before its first experiment
             p_group = subparsers[""].add_parser(
                 group, help="conjecture experiments, non-gating", allow_abbrev=False)
             subparsers[group] = p_group.add_subparsers(dest=group, required=True)
-        p = subparsers[group].add_parser(leaf, help=help_text, allow_abbrev=False)
-        for flag in options.split() + ["--format", "--max-points"]:
-            p.add_argument(flag, **_OPTIONS[flag])
-        # the config has always echoed these, read or not
-        p.set_defaults(seed=0, **(dict(m=1, trials=50) if group else {}))
+        subparsers[group].add_parser(leaf, help=help_text, parents=[_build_parser(name)],
+                                     add_help=False, allow_abbrev=False)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = sys.stdout if out is None else out
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    words = 2 if argv[:1] == ["experiment"] else 1  # the command words of a row
+    name = " ".join(argv[:words])
+    try:  # a request builds only its own row's parser; help and unknown commands build all
+        if name in _COMMANDS:
+            args = _build_parser(name).parse_args(argv[words:])
+        else:
+            args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return int(code) if isinstance(code, int) else EXIT_USAGE

@@ -13,7 +13,6 @@ actions; the (a,b)-cores are the cores of the height-``b`` region's points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import chain, count, takewhile
@@ -22,17 +21,16 @@ from operator import add, ge, sub
 from typing import Collection, Iterable, List, Sequence, Set, Tuple
 
 from corelab.lattice_enum import core_points_in_sommers, is_coroot_point
-from corelab.rootsys import QuadraticForm, RootSystem, VerificationError, build_root_system
+from corelab.rootsys import QuadraticForm, Record, RootSystem, VerificationError, build_root_system
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """A partition stored as its weakly decreasing tuple of positive parts."""
 
-    parts: Tuple[int, ...] = ()
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
+    def __init__(self, parts: Sequence[int] = ()) -> None:
+        self.parts = tuple(parts)
         if self.parts and min(self.parts) <= 0:
             raise ValueError("parts must be positive")
         if not all(map(ge, self.parts, self.parts[1:])):
@@ -72,14 +70,13 @@ def is_a_core(p: Partition, a: int) -> bool:
     return beads.issuperset(filter((-len(p.parts)).__le__, map((-a).__add__, beads)))
 
 
-@dataclass(frozen=True)
-class CorePartition:
+class CorePartition(Record):
     """A partition certified to be an ``a``-core."""
 
-    partition: Partition
-    modulus: int
+    __slots__ = ("partition", "modulus")
 
-    def __post_init__(self):
+    def __init__(self, partition: Partition, modulus: int) -> None:
+        self.partition, self.modulus = partition, modulus
         if not is_a_core(self.partition, self.modulus):
             raise ValueError(
                 f"{self.partition.parts} has a hook divisible by {self.modulus}"

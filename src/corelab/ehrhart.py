@@ -12,7 +12,6 @@ closed-form expected-size polynomials and the leading-coefficient tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import accumulate, count, islice
@@ -21,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .genfun import poly_add, poly_eval, poly_mul, poly_trim
 from .lattice_enum import alcove_size_sums, lattice_scale, scaled_value_counts
-from .rootsys import QuadraticForm, RootSystem, is_simply_laced
+from .rootsys import QuadraticForm, Record, RootSystem, is_simply_laced
 from .stats import closed_mean, haiman_count, verdict_of
 
 __all__ = [
@@ -70,15 +69,13 @@ def _lagrange_fit(xs: Sequence[int], ys: Sequence[Q]) -> PolyQ:
     return poly_trim(tuple(Q(t, den) for t in total))
 
 
-@dataclass(frozen=True)
-class QuasiPolynomial:
+class QuasiPolynomial(Record):
     """Periodic polynomial; component choice dispatches on ``b mod period``."""
 
-    period: int
-    components: Tuple[Optional[PolyQ], ...]
-    degree: int
+    __slots__ = ("period", "components", "degree")
 
-    def __post_init__(self) -> None:
+    def __init__(self, period: int, components: Tuple[Optional[PolyQ], ...], degree: int) -> None:
+        self.period, self.components, self.degree = period, components, degree
         assert self.period >= 1
         assert len(self.components) == self.period
         for comp in self.components:

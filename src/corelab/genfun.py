@@ -8,13 +8,12 @@ coefficient tuples handled by the ``poly_*`` helpers that corelab shares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 from typing import List, Sequence, Tuple
 
 from .affine import element_from_word
-from .rootsys import RootSystem, VerificationError, is_simply_laced
+from .rootsys import Record, RootSystem, VerificationError, is_simply_laced
 
 __all__ = [
     "IntSeries", "core_product_series", "coxeter_char_poly", "macdonald_series",
@@ -22,12 +21,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IntSeries:
+class IntSeries(Record):
     """Integer power series modulo q^(truncation+1), low degree first."""
 
-    truncation: int
-    coeffs: Tuple[int, ...]
+    __slots__ = ("truncation", "coeffs")
+
+    def __init__(self, truncation: int, coeffs: Tuple[int, ...]) -> None:
+        self.truncation, self.coeffs = truncation, coeffs
 
 
 def poly_add(p: Sequence, s: Sequence) -> Tuple:

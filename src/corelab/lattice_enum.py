@@ -14,7 +14,6 @@ one table of per-item data, :func:`_knapsack_items`."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import combinations_with_replacement, islice, product
@@ -25,6 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from corelab.affine import sommers_walls, w_b_inverse
 from corelab.rootsys import (
     QuadraticForm,
+    Record,
     RootSystem,
     Vector,
     VerificationError,
@@ -35,17 +35,15 @@ from corelab.rootsys import (
 )
 
 
-@dataclass(frozen=True)
-class LatticePointSet:
-    """An immutable set of lattice points ``x``, as the integer vectors ``d * x``,
+class LatticePointSet(Record):
+    """A set of lattice points ``x``, as the integer vectors ``d * x``,
     ``d = lattice_scale(rs, lattice)``, sorted by coroot coordinates."""
 
-    rs: RootSystem
-    b: int
-    lattice: str
-    points: Tuple[Tuple[int, ...], ...]
+    __slots__ = ("rs", "b", "lattice", "points")
 
-    def __post_init__(self):
+    def __init__(self, rs: RootSystem, b: int, lattice: str,
+                 points: Tuple[Tuple[int, ...], ...]) -> None:
+        self.rs, self.b, self.lattice, self.points = rs, b, lattice, points
         assert self.lattice in ("coweight", "coroot")
         assert list(self.points) == sorted(self.points)
 

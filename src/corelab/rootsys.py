@@ -12,7 +12,6 @@ carries internally consistent tables.
 from __future__ import annotations
 
 from copy import copy
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import factorial, lcm, prod
@@ -32,14 +31,32 @@ _RANK_RANGE = {
 }
 
 
-@dataclass(frozen=True)
-class RootSystemType:
+class Record:
+    """A record of the values named in its ``__slots__``, equal to and hashed
+    as another of its class with the same values."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return "%s%r" % (type(self).__name__, self._values())
+
+
+class RootSystemType(Record):
     """A family letter together with a rank, e.g. ``RootSystemType("D", 4)``."""
 
-    family: str
-    rank: int
+    __slots__ = ("family", "rank")
 
-    def __post_init__(self) -> None:
+    def __init__(self, family: str, rank: int) -> None:
+        self.family, self.rank = family, rank
         if self.family not in _RANK_RANGE:
             raise ValueError(f"unknown family {self.family!r}")
         lo, hi = _RANK_RANGE[self.family]
@@ -50,14 +67,13 @@ class RootSystemType:
         return f"{self.family}{self.rank}"
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(Record):
     """A positive root, stored as its simple-root coefficients."""
 
-    coeffs: Tuple[int, ...]
-    height: int
+    __slots__ = ("coeffs", "height")
 
-    def __post_init__(self) -> None:
+    def __init__(self, coeffs: Tuple[int, ...], height: int) -> None:
+        self.coeffs, self.height = coeffs, height
         assert all(c >= 0 for c in self.coeffs) and sum(self.coeffs) == self.height
 
 
@@ -346,23 +362,18 @@ class RootSystem:
 @lru_cache(maxsize=None)
 def build_root_system(family: str | RootSystemType, rank: int | None = None) -> RootSystem:
     """Construct and validate the root system, e.g. ``build_root_system("E", 6)``;
-    built once per argument list and shared by every caller."""
+    built once per family and rank and shared by every caller."""
     if isinstance(family, RootSystemType):
-        rstype = family
-    else:
-        if rank is None:
-            raise ValueError("rank required")
-        rstype = RootSystemType(family, rank)
-    return RootSystem(rstype)
+        return build_root_system(family.family, family.rank)
+    if rank is None:
+        raise ValueError("rank required")
+    return RootSystem(RootSystemType(family, rank))
 
 
 def exponent_product(rs: RootSystem, b: int) -> int:
     """``prod_i (b + e_i)`` over the exponents; ``|W|`` times the coroot point
     count of ``b * A`` when ``b`` is coprime to ``h``."""
-    num = 1
-    for e in rs.exponents:
-        num *= b + e
-    return num
+    return prod(b + e for e in rs.exponents)
 
 
 def is_simply_laced(rs: RootSystem) -> bool:

@@ -11,8 +11,6 @@ third central moment for type A only).
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import gcd
@@ -29,6 +27,7 @@ from corelab.cores import Partition, toggle_corners
 from corelab.lattice_enum import core_points_in_sommers, scaled_value_counts
 from corelab.rootsys import (
     QuadraticForm,
+    Record,
     RootSystem,
     VerificationError,
     build_root_system,
@@ -79,35 +78,24 @@ def closed_variance(rs: RootSystem, b: int) -> Q:
 
 def closed_m3_type_a(rs: RootSystem, b: int) -> Q:
     a = rs.rank + 1
-    poly = (
-        2 * a * a * b
-        - 3 * a * a
-        + 2 * a * b * b
-        - 3 * a * b
-        - 3 * b * b
-        - 3
-    )
-    return Q(
-        a * b * (a - 1) * (b - 1) * (a + b) * (a + b + 1) * poly,
-        60480,
-    )
+    poly = 2 * a * a * b - 3 * a * a + 2 * a * b * b - 3 * a * b - 3 * b * b - 3
+    return Q(a * b * (a - 1) * (b - 1) * (a + b) * (a + b + 1) * poly, 60480)
 
 
-@dataclass(frozen=True)
-class MomentReport:
+class MomentReport(Record):
     """Exact statistics of zise next to their closed forms and verdicts."""
 
-    family: str
-    rank: int
-    b: int
-    count: int
-    max_value: Q
-    max_multiplicity: int
-    mean: Q
-    m2: Q
-    m3: Q
-    closed_forms: Tuple[Tuple[str, Optional[Q]], ...]
-    verdicts: Tuple[Tuple[str, str], ...]
+    __slots__ = ("family", "rank", "b", "count", "max_value", "max_multiplicity",
+                 "mean", "m2", "m3", "closed_forms", "verdicts")
+
+    def __init__(self, family: str, rank: int, b: int, count: int, max_value: Q,
+                 max_multiplicity: int, mean: Q, m2: Q, m3: Q,
+                 closed_forms: Tuple[Tuple[str, Optional[Q]], ...],
+                 verdicts: Tuple[Tuple[str, str], ...]) -> None:
+        self.family, self.rank, self.b, self.count = family, rank, b, count
+        self.max_value, self.max_multiplicity = max_value, max_multiplicity
+        self.mean, self.m2, self.m3 = mean, m2, m3
+        self.closed_forms, self.verdicts = closed_forms, verdicts
 
     def verdict_map(self) -> Dict[str, str]:
         return dict(self.verdicts)
@@ -317,16 +305,8 @@ def sc_core_from_word(n: int, word: Sequence[int]) -> Tuple[int, ...]:
 def sc_weighted_size(parts: Sequence[int], n: int) -> int:
     """Box weights 2 / 1 / 0: strictly-above-diagonal boxes with content divisible
     by ``n`` count twice, other boxes on or above the diagonal once, the rest zero."""
-    total = 0
-    for r, p in enumerate(parts, start=1):
-        for c in range(1, p + 1):
-            if c < r:
-                continue
-            if c > r and (c - r) % n == 0:
-                total += 2
-            else:
-                total += 1
-    return total
+    return sum(2 if c > r and (c - r) % n == 0 else 1
+               for r, p in enumerate(parts, start=1) for c in range(r, p + 1))
 
 
 def experiment_cn_selfconjugate_weighting(
@@ -341,6 +321,7 @@ def experiment_cn_selfconjugate_weighting(
     if n < 2:
         raise ValueError("need n >= 2")
     rs = build_root_system("C", n)
+    import random  # here, so that no other request imports it
     rng = random.Random(seed)
     agree = 0
     mismatches: List[Dict[str, object]] = []

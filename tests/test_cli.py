@@ -389,13 +389,13 @@ class TestEnum:
     def test_failed_coweight_transport_survives_optimize(self):
         # only the point check fails: w_b^-1 passed its own vertex check before it moved
         script = (
-            "import dataclasses, sys\n"
+            "import sys\n"
             "from corelab import affine, lattice_enum\n"
             "from corelab.cli import main\n"
             "def moved(rs, b):\n"
             "    winv = affine.w_b_inverse(rs, b)\n"
             "    shift = (winv.translation[0] + 1,) + winv.translation[1:]\n"
-            "    return dataclasses.replace(winv, translation=shift)\n"
+            "    return affine.AffineElement(winv.linear, shift)\n"
             "lattice_enum.w_b_inverse = moved\n"
             "sys.exit(main(['enum', '--type', 'D', '--rank', '4', '--b', '5',"
             " '--lattice', 'coweight', '--stat', 'size']))\n"
@@ -605,8 +605,8 @@ class TestVerify:
              "the 3-core [3, 1, 1] is not a 4-core"),
             # one (a,b)-core short of Anderson's count
             ("exact = cores.core_points_in_sommers\n"
-             "cores.core_points_in_sommers = lambda rs, b: dataclasses.replace(\n"
-             "    exact(rs, b), points=exact(rs, b).points[1:])\n",
+             "cores.core_points_in_sommers = lambda rs, b: lattice_enum.LatticePointSet(\n"
+             "    rs, b, 'coroot', exact(rs, b).points[1:])\n",
              "verify --type A --rank 2 --b 4 anderson",
              "4 (3,4)-cores, not C(7,4)/7"),
             # one coroot point of bA short of Haiman's count
@@ -632,7 +632,7 @@ class TestVerify:
     )
     def test_failed_count_and_core_identities_survive_optimize(self, patch, argv, verdict):
         script = (
-            "import dataclasses, sys\n"
+            "import sys\n"
             "from corelab import cores, lattice_enum\n"
             "from corelab.cli import main\n"
             + patch
@@ -1161,22 +1161,35 @@ class TestPlumbing:
             if row:
                 options = set(re.findall(r"--[a-z-]+", row[2]))
                 documented[row[1]] = options | ({"selectors"} if "selectors" in row[2] else set())
-        accepted = {}
-
-        def walk(parser, name):
-            for action in parser._actions:
-                if isinstance(action, argparse._SubParsersAction):
-                    for leaf, sub in action.choices.items():
-                        walk(sub, (name + " " + leaf).strip())
-                    return
-            accepted[name] = {option for action in parser._actions
-                              for option in action.option_strings or [action.dest]}
-
-        walk(cli._build_parser(), "")
+        accepted = {name: {option for action in cli._build_parser(name)._actions
+                           for option in action.option_strings or [action.dest]}
+                    for name in cli._COMMANDS}
         common = {"-h", "--help", "--format", "--max-points"}
         assert all(common <= options for options in accepted.values())
         assert documented == {name: options - common for name, options in accepted.items()}
         assert set().union(*documented.values()) == set(VALUES) | {"selectors"}
+
+    def test_unknown_option_shows_its_own_commands_usage(self, capsys):
+        code, text = run("experiment cn-fuss --type A --rank 2".split())
+        assert (code, text) == (EXIT_USAGE, "")
+        err = capsys.readouterr().err
+        assert err.startswith("usage: corelab experiment cn-fuss [-h] [--rank RANK]")
+        assert "corelab experiment cn-fuss: error: unrecognized arguments: --type A" in err
+
+    def test_help_lists_every_command(self, capsys):
+        # -h lists the commands, experiment -h the experiments, each with its help
+        for argv in (["-h"], ["experiment", "-h"]):
+            assert run(argv) == (EXIT_OK, "")
+        text = " ".join(capsys.readouterr().out.split())
+        for name, (_, help_text, _) in cli._COMMANDS.items():
+            assert " %s %s " % (name.split()[-1], help_text) in text
+
+    def test_importing_the_cli_skips_unused_stdlib_modules(self):
+        # records are plain classes, and only --format csv imports csv
+        script = "import sys, corelab.cli; print('\\n'.join(sys.modules))"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=60, check=True)
+        assert {"dataclasses", "inspect", "csv"}.isdisjoint(proc.stdout.splitlines())
 
     @pytest.mark.parametrize(
         "argv",

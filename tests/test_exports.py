@@ -60,16 +60,16 @@ def test_every_public_name_has_a_caller():
 # the mathematics raises VerificationError instead, which `python -O` keeps.
 INTERNAL_ASSERTS = {
     ("ehrhart", "_lagrange_fit", "len(xs) == len(ys) and len(set(xs)) == len(xs)"),
-    ("ehrhart", "QuasiPolynomial.__post_init__", "self.period >= 1"),
-    ("ehrhart", "QuasiPolynomial.__post_init__", "len(self.components) == self.period"),
-    ("ehrhart", "QuasiPolynomial.__post_init__",
+    ("ehrhart", "QuasiPolynomial.__init__", "self.period >= 1"),
+    ("ehrhart", "QuasiPolynomial.__init__", "len(self.components) == self.period"),
+    ("ehrhart", "QuasiPolynomial.__init__",
      "comp is None or len(comp) <= self.degree + 1"),
-    ("lattice_enum", "LatticePointSet.__post_init__", "self.lattice in ('coweight', 'coroot')"),
-    ("lattice_enum", "LatticePointSet.__post_init__", "list(self.points) == sorted(self.points)"),
+    ("lattice_enum", "LatticePointSet.__init__", "self.lattice in ('coweight', 'coroot')"),
+    ("lattice_enum", "LatticePointSet.__init__", "list(self.points) == sorted(self.points)"),
     ("lattice_enum", "scaled_value_counts", "rest == 0"),
     ("lattice_enum", "coweight_points_in_bA",
      "min(pairs) >= 0 and sum(map(mul, rs.marks, pairs)) <= bound"),
-    ("rootsys", "Root.__post_init__",
+    ("rootsys", "Root.__init__",
      "all((c >= 0 for c in self.coeffs)) and sum(self.coeffs) == self.height"),
 }
 

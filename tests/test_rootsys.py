@@ -9,6 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from corelab.affine import AffineRoot
+from corelab.cores import CorePartition, Partition
 from corelab.lattice_enum import coeffs_to_point
 from corelab import rootsys
 from corelab.rootsys import (
@@ -45,6 +47,22 @@ def test_bad_types_rejected():
         RootSystemType("E", 9)
     with pytest.raises(ValueError):
         RootSystemType("D", 2)
+
+
+def test_records_compare_by_value_and_check_their_values():
+    root, again = AffineRoot((-1, 0), 1), AffineRoot((-1, 0), 1)
+    assert root == again and hash(root) == hash(again) and len({root, again}) == 1
+    assert root != AffineRoot((-1, 0), 2) and root != ((-1, 0), 1)
+    assert Partition([2, 1]) == Partition((2, 1))
+    assert hash(Partition([2, 1])) == hash(Partition((2, 1)))
+    assert repr(root) == "AffineRoot((-1, 0), 1)"
+    assert build_root_system(RootSystemType("E", 6)) is build_root_system("E", 6)
+    with pytest.raises(ValueError, match="parts must be weakly decreasing"):
+        Partition((1, 2))
+    with pytest.raises(ValueError, match="unknown family 'Z'"):
+        RootSystemType("Z", 1)
+    with pytest.raises(ValueError, match=re.escape("(2,) has a hook divisible by 2")):
+        CorePartition(Partition((2,)), 2)
 
 
 def test_cartan_samples(systems):
