@@ -32,7 +32,8 @@ from .ehrhart import (
     reciprocity_check,
     leading_coefficient_checks,
 )
-from .genfun import core_product_series, coxeter_char_poly, macdonald_series, poly_eval
+from .genfun import (core_product_factors, core_product_series, coxeter_char_poly, eta_updates,
+                     macdonald_factors, macdonald_series, poly_eval)
 from .lattice_enum import (
     alcove_size_sums,
     coroot_points_in_bA,
@@ -44,6 +45,7 @@ from .lattice_enum import (
 from .rootsys import (
     QuadraticForm,
     RootSystem,
+    RootSystemType,
     VerificationError,
     build_root_system,
     exponent_product,
@@ -91,11 +93,23 @@ def _vec(y: Sequence[int], den: int = 1) -> List[str]:
     return [_rat(v, den) for v in y]
 
 
+def _admit_build(family: str, rank: int, args) -> RootSystemType:
+    """The type ``family`` ``rank`` once its build, some rank^4 root-string steps, is
+    within the larger of ``--max-points`` and its default: a smaller cap budgets the
+    request's own work and never refuses a build that the default admits."""
+    rstype = RootSystemType(family, rank)
+    cap = max(args.max_points, _OPTIONS["--max-points"]["default"])
+    if rank ** 4 > cap:
+        raise BudgetError("estimated %d root-system steps exceeds %d, the larger of"
+                          " --max-points and its default" % (rank ** 4, cap))
+    return rstype
+
+
 def _root_system(args) -> RootSystem:
     if args.type is None or args.rank is None:
         raise UsageError("--type and --rank are required")
     try:
-        return build_root_system(args.type, args.rank)
+        return build_root_system(_admit_build(args.type, args.rank, args))
     except ValueError as exc:
         raise UsageError("invalid root system: %s" % exc)
 
@@ -153,13 +167,13 @@ def _check_budget(estimate: int, unit: str, args) -> None:
         )
 
 
-def _trunc(args) -> int:
-    """The ``--trunc`` order, 20 by default, with its (trunc+1)^2 coefficient
-    updates checked against ``--max-points``."""
+def _trunc(args, *expanded: Sequence[Tuple[int, int]]) -> int:
+    """The ``--trunc`` order, 20 by default, with the coefficient updates of
+    expanding the factors of each series in ``expanded`` checked against ``--max-points``."""
     trunc = args.trunc if args.trunc is not None else 20
     if trunc < 0:
         raise UsageError("--trunc must be nonnegative")
-    _check_budget((trunc + 1) ** 2, "coefficient updates", args)
+    _check_budget(sum(eta_updates(f, trunc) for f in expanded), "coefficient updates", args)
     return trunc
 
 
@@ -281,7 +295,7 @@ def _verify_strange(rs: RootSystem, b: None, args) -> Dict:
 def _verify_macdonald(rs: RootSystem, b: None, args) -> Dict:
     if not is_simply_laced(rs):
         raise UsageError("macdonald requires a simply-laced root system")
-    trunc = _trunc(args)
+    trunc = _trunc(args, macdonald_factors(rs))
     series = macdonald_series(rs, trunc)
     _check_budget(sum(series.coeffs), "points", args)  # the coefficients count the points
     counts = [0] * (trunc + 1)
@@ -298,8 +312,8 @@ def _verify_macdonald(rs: RootSystem, b: None, args) -> Dict:
 def _verify_genfun_a(rs: RootSystem, b: None, args) -> Dict:
     if rs.family != "A":
         raise UsageError("genfun-A requires type A")
-    trunc = _trunc(args)
     a = rs.rank + 1
+    trunc = _trunc(args, core_product_factors(a), macdonald_factors(rs))
     same = core_product_series(a, trunc).coeffs == macdonald_series(rs, trunc).coeffs
     return dict(
         trunc=trunc,
@@ -456,7 +470,10 @@ def cmd_fit(args) -> Tuple[int, List[Dict]]:
 
 def cmd_series(args) -> Tuple[int, List[Dict]]:
     rs = _root_system(args)
-    trunc = _trunc(args)
+    expanded = [macdonald_factors(rs)] if is_simply_laced(rs) else []
+    if rs.family == "A":
+        expanded.append(core_product_factors(rs.rank + 1))
+    trunc = _trunc(args, *expanded)
     poly = coxeter_char_poly(rs)
     result: Dict = {
         "family": rs.family,
@@ -466,15 +483,10 @@ def cmd_series(args) -> Tuple[int, List[Dict]]:
         "index": rs.index_f,
         "trunc": trunc,
     }
-    if is_simply_laced(rs):
-        result["coefficients"] = list(macdonald_series(rs, trunc).coeffs)
-        if rs.family == "A":
-            result["core_product_matches"] = (
-                core_product_series(rs.rank + 1, trunc).coeffs
-                == tuple(result["coefficients"])
-            )
-    else:
-        result["coefficients"] = None
+    series = macdonald_series(rs, trunc).coeffs if expanded else None
+    result["coefficients"] = None if series is None else list(series)
+    if rs.family == "A":
+        result["core_product_matches"] = core_product_series(rs.rank + 1, trunc).coeffs == series
     return EXIT_OK, [result]
 
 
@@ -498,7 +510,7 @@ def _cn_fuss(args) -> Tuple[int, List[Dict]]:
     if args.m < 1:
         raise UsageError("--m must be positive")
     try:
-        rs = build_root_system("C", args.rank)
+        rs = build_root_system(_admit_build("C", args.rank, args))
     except ValueError as exc:
         raise UsageError(str(exc))
     _check_budget(*_points(rs, args.m * rs.coxeter_number + 1), args)
@@ -515,6 +527,7 @@ def _cn_weighting(args) -> Tuple[int, List[Dict]]:
         raise UsageError("--trials must be positive")
     _check_budget(args.trials, "trials", args)
     try:
+        _admit_build("C", args.rank, args)
         report = experiment_cn_selfconjugate_weighting(args.rank, args.trials, args.seed)
     except ValueError as exc:
         raise UsageError(str(exc))

@@ -1,43 +1,43 @@
-"""Size generating functions of cores and coroot lattices as q-series.
-
-A series truncated at order N is a list of N + 1 integer coefficients, low
-degree first, multiplied in place by 1 / (1 - q^s) and by f(q^s) with
-f(0) = 1.  Other polynomials, the Coxeter polynomial f among them, are
-coefficient tuples handled by the ``poly_*`` helpers that corelab shares.
+"""Size generating functions of cores and coroot lattices as q-series: lists of
+N + 1 integer coefficients to q^N, low degree first, products of powers P(q^d)^e,
+listed as pairs (d, e), of the eta product P(q) = prod_{i >= 1} (1 - q^i).  Other
+polynomials are coefficient tuples handled by the ``poly_*`` helpers corelab shares.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from math import gcd, isqrt
 from operator import mul
 from typing import List, Sequence, Tuple
 
 from .affine import element_from_word
 from .rootsys import Record, RootSystem, VerificationError, is_simply_laced
 
-__all__ = [
-    "IntSeries", "core_product_series", "coxeter_char_poly", "macdonald_series",
-    "poly_add", "poly_eval", "poly_mul", "poly_trim",
-]
+__all__ = ["IntSeries", "core_product_factors", "core_product_series", "coxeter_char_poly",
+           "eta_updates", "macdonald_factors", "macdonald_series", "poly_add", "poly_eval",
+           "poly_mul", "poly_trim"]
 
 
 class IntSeries(Record):
-    """Integer power series modulo q^(truncation+1), low degree first."""
+    """The product of the P(q^d)^e of ``factors`` to q^truncation, low degree first."""
 
-    __slots__ = ("truncation", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, truncation: int, coeffs: Tuple[int, ...]) -> None:
-        self.truncation, self.coeffs = truncation, coeffs
+    def __init__(self, factors: Sequence[Tuple[int, int]], truncation: int) -> None:
+        if truncation < 0:
+            raise ValueError("truncation must be nonnegative")
+        c = [1] + [0] * truncation
+        for d, e in factors:
+            _eta_power(c, d, e)
+        self.coeffs = tuple(c)
 
 
 def poly_add(p: Sequence, s: Sequence) -> Tuple:
     """Sum of two coefficient tuples, low degree first; pads with int ``0``,
     so integer polynomials stay integer and rational ones stay rational."""
     size = max(len(p), len(s))
-    return tuple(
-        (p[i] if i < len(p) else 0) + (s[i] if i < len(s) else 0)
-        for i in range(size)
-    )
+    return tuple((p[i] if i < len(p) else 0) + (s[i] if i < len(s) else 0) for i in range(size))
 
 
 def poly_mul(p: Sequence, s: Sequence) -> Tuple:
@@ -67,24 +67,29 @@ def poly_trim(p: Sequence) -> Tuple:
     return tuple(out)
 
 
-def _one(truncation: int) -> List[int]:
-    if truncation < 0:
-        raise ValueError("truncation must be nonnegative")
-    return [1] + [0] * truncation
+def _eta_power(c: List[int], d: int, e: int) -> None:
+    """Multiply the series ``c`` by P(q^d)^e in place, for any integer e.  P(q^d) - 1 has
+    the terms (-1)^k q^(d g), g = k (3k -+ 1) / 2 and k >= 1, by Euler's pentagonal theorem:
+    descending k multiplies by it, ascending k divides, each reading c[k - d g] as needed."""
+    k1 = (isqrt(1 + 24 * ((len(c) - 1) // d)) + 1) // 6  # the k with d k (3k - 1) / 2 < len(c)
+    terms = [(d * g, (-1) ** (k + (e < 0))) for k in range(1, k1 + 1)  # negated to divide
+             for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2) if d * g < len(c)]
+    ks = range(len(c) - 1, d - 1, -1) if e > 0 else range(d, len(c))
+    for _ in range(abs(e)):
+        for k in ks:
+            c[k] += sum(s * c[k - g] for g, s in terms if g <= k)
 
 
-def _divide_by_binomial(c: List[int], s: int) -> None:
-    """Divide the series ``c`` by 1 - q^s in place: ascending k reads the
-    coefficients already divided."""
-    for k in range(s, len(c)):
-        c[k] += c[k - s]
-
-
-def _multiply_at_power(c: List[int], f: Sequence[int], s: int) -> None:
-    """Multiply the series ``c`` by f(q^s) in place, for f(0) = 1: descending
-    k reads only lower coefficients, which the sweep has not changed yet."""
-    for k in range(len(c) - 1, s - 1, -1):
-        c[k] += sum(f[j] * c[k - j * s] for j in range(1, min(len(f), k // s + 1)))
+def eta_updates(factors: Sequence[Tuple[int, int]], top: int) -> int:
+    """The terms :func:`_eta_power` reads expanding ``factors`` to q^top: top + 1 - g per
+    term g per sweep, over the k1 terms d k (3k - 1) / 2 and the k2 terms d k (3k + 1) / 2."""
+    total = 0
+    for d, e in factors:
+        root = isqrt(1 + 24 * (top // d))
+        k1, k2 = (root + 1) // 6, (root - 1) // 6
+        total += abs(e) * ((k1 + k2) * (top + 1)
+                           - d * (k1 * k1 * (k1 + 1) + k2 * (k2 + 1) ** 2) // 2)
+    return total
 
 
 def _char_poly_coeffs(matrix: Sequence[Sequence[int]]) -> Tuple[int, ...]:
@@ -100,23 +105,15 @@ def _char_poly_coeffs(matrix: Sequence[Sequence[int]]) -> Tuple[int, ...]:
         if rem:
             raise ArithmeticError("trace not divisible by %d" % k)
         coeffs[n - k] = coeff
-        for i in range(n):
-            prod[i][i] += coeff
-        acc = prod
+        acc = [[v + coeff * (i == j) for j, v in enumerate(row)] for i, row in enumerate(prod)]
     return tuple(coeffs)
 
 
 @lru_cache(maxsize=None)
 def coxeter_char_poly(rs: RootSystem) -> Tuple[int, ...]:
-    """Characteristic polynomial of a Coxeter element, low degree first.
-
-    The element is the product of all simple reflections in index order,
-    acting on coroot coordinates.  The result is independent of the order
-    because any two Coxeter elements are conjugate.  Its value at 1 is the
-    index of the coroot lattice, it is a palindrome because the exponents
-    pair as e and h - e, and the element has order h; a failure raises
-    :class:`VerificationError`.
-    """
+    """Characteristic polynomial of a Coxeter element, the simple reflections in index
+    order on coroot coordinates, low degree first.  Its value at 1 must be the lattice
+    index, it a palindrome and the element of order h, or VerificationError is raised."""
     n, h = rs.rank, rs.coxeter_number
     word = tuple(range(1, n + 1))
     f = _char_poly_coeffs(element_from_word(rs, word).linear)
@@ -131,37 +128,40 @@ def coxeter_char_poly(rs: RootSystem) -> Tuple[int, ...]:
     return f
 
 
-def core_product_series(a: int, truncation: int) -> IntSeries:
-    """Size generating function for the set of a-cores.
-
-    Expands prod_{i >= 1} (1 - q^(a i))^a / (1 - q^i) up to the
-    truncation order.
-    """
+def core_product_factors(a: int) -> Tuple[Tuple[int, int], ...]:
+    """P(q^a)^a / P(q), the a-core series (Garvan, Kim and Stanton, 1990)."""
     if a < 2:
         raise ValueError("modulus must be at least 2")
-    c = _one(truncation)
-    for i in range(1, truncation + 1):
-        _divide_by_binomial(c, i)
-    for i in range(1, truncation // a + 1):
-        for _ in range(a):
-            _multiply_at_power(c, (1, -1), a * i)
-    return IntSeries(truncation, tuple(c))
+    return ((1, -1), (a, a))
+
+
+def core_product_series(a: int, truncation: int) -> IntSeries:
+    """Size generating function for the set of a-cores, to q^truncation."""
+    return IntSeries(core_product_factors(a), truncation)
+
+
+def macdonald_factors(rs: RootSystem) -> Tuple[Tuple[int, int], ...]:
+    """The (d, a_d) with f = prod_{d | h} (1 - q^d)^(a_d), then (h, n).  A primitive m-th
+    root of unity is a root of f #{exponents e of order m mod h} / phi(m) times, as the
+    Coxeter eigenvalues are exp(2 pi i e / h), and that is the sum of a_d over m | d | h."""
+    h = rs.coxeter_number
+    orders = [h // gcd(k, h) for k in range(h)]  # phi(m) of the k mod h have order m
+    a = {}
+    for m in sorted(set(orders), reverse=True):  # the divisors of h, from the top down
+        a[m] = (sum(orders[e % h] == m for e in rs.exponents) // orders.count(m)
+                - sum(a[d] for d in a if d % m == 0))
+    return tuple((d, e) for d, e in a.items() if e) + ((h, rs.rank),)
 
 
 def macdonald_series(rs: RootSystem, truncation: int) -> IntSeries:
-    """Size generating function for the coroot lattice of a simply-laced type.
-
-    Expands prod_{i >= 1} f(q^i) (1 - q^(h i))^n where f is the Coxeter
-    characteristic polynomial and h the Coxeter number.
-    """
+    """Size generating function prod_{i >= 1} f(q^i) (1 - q^(h i))^n of the coroot lattice
+    of a simply-laced type, once the a_d of :func:`macdonald_factors` expand to f."""
     if not is_simply_laced(rs):
         raise ValueError("product formula requires a simply-laced root system")
-    c = _one(truncation)
-    f = coxeter_char_poly(rs)
-    h = rs.coxeter_number
-    for i in range(1, truncation + 1):
-        _multiply_at_power(c, f, i)
-    for i in range(1, truncation // h + 1):
-        for _ in range(rs.rank):
-            _multiply_at_power(c, (1, -1), h * i)
-    return IntSeries(truncation, tuple(c))
+    factors = macdonald_factors(rs)
+    sides = [(1,), coxeter_char_poly(rs)]
+    for d, e in factors[:-1]:
+        sides[e < 0] = reduce(poly_mul, [(1,) + (0,) * (d - 1) + (-1,)] * abs(e), sides[e < 0])
+    if sides[0] != sides[1]:
+        raise VerificationError("the eta factors of the exponents do not expand to f")
+    return IntSeries(factors, truncation)

@@ -13,7 +13,10 @@ which corelab never forms: it composes every element from a word.
 bead, for ``cores.core_from_coroot``.  The Fraction vector helpers
 (``mat_vec``, ``inner``, ``pairing``, ``apply``, ``in_dilated_alcove``,
 ``size_point``) are the rational arithmetic that corelab's integer vectors
-``y = d x`` are held to.
+``y = d x`` are held to.  ``swept_core_product`` and ``swept_macdonald``
+expand the q-series with one quadratic in-place sweep per factor
+(``divide_by_binomial``, ``multiply_at_power``), for the sparse eta products
+of ``genfun``.
 """
 
 from collections import Counter
@@ -42,7 +45,7 @@ from corelab.ehrhart import (
     quasi_period,
     weighted_lattice_sum,
 )
-from corelab.genfun import poly_add, poly_eval, poly_mul, poly_trim
+from corelab.genfun import coxeter_char_poly, poly_add, poly_eval, poly_mul, poly_trim
 from corelab.lattice_enum import (
     LatticePointSet,
     coroot_points_in_bA,
@@ -242,6 +245,45 @@ def truncated_product(c, f, s, truncation):
     return [
         sum(c[i] * spread[k - i] for i in range(k + 1)) for k in range(truncation + 1)
     ]
+
+
+def divide_by_binomial(c: List[int], s: int) -> None:
+    """Divide the series ``c`` by 1 - q^s in place: ascending k reads the
+    coefficients already divided."""
+    for k in range(s, len(c)):
+        c[k] += c[k - s]
+
+
+def multiply_at_power(c: List[int], f: Sequence[int], s: int) -> None:
+    """Multiply the series ``c`` by f(q^s) in place, for f(0) = 1: descending
+    k reads only lower coefficients, which the sweep has not changed yet."""
+    for k in range(len(c) - 1, s - 1, -1):
+        c[k] += sum(f[j] * c[k - j * s] for j in range(1, min(len(f), k // s + 1)))
+
+
+def swept_core_product(a: int, truncation: int) -> Tuple[int, ...]:
+    """prod_{i >= 1} (1 - q^(a i))^a / (1 - q^i) to q^truncation, one
+    quadratic sweep per factor."""
+    c = [1] + [0] * truncation
+    for i in range(1, truncation + 1):
+        divide_by_binomial(c, i)
+    for i in range(1, truncation // a + 1):
+        for _ in range(a):
+            multiply_at_power(c, (1, -1), a * i)
+    return tuple(c)
+
+
+def swept_macdonald(rs: RootSystem, truncation: int) -> Tuple[int, ...]:
+    """prod_{i >= 1} f(q^i) (1 - q^(h i))^n to q^truncation for the Coxeter
+    polynomial f, one quadratic sweep per factor."""
+    c = [1] + [0] * truncation
+    f, h = coxeter_char_poly(rs), rs.coxeter_number
+    for i in range(1, truncation + 1):
+        multiply_at_power(c, f, i)
+    for i in range(1, truncation // h + 1):
+        for _ in range(rs.rank):
+            multiply_at_power(c, (1, -1), h * i)
+    return tuple(c)
 
 
 def box_size_ellipsoid(rs: RootSystem, N: int) -> List[Tuple[Tuple[int, ...], Q]]:

@@ -12,6 +12,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction as Q
 from math import gcd
 from pathlib import Path
@@ -537,7 +538,7 @@ class TestVerify:
         assert entry["verdict"] == "match" and sum(entry["value"]) == 70
 
     def test_macdonald_budget_admits_exactly_the_points(self, capsys):
-        # A8 to q^30: 961 coefficient updates, then 4335 points
+        # A8 to q^30: 473 coefficient updates, then 4335 points
         argv = ["verify", "--type", "A", "--rank", "8", "macdonald", "--trunc", "30"]
         assert run(argv + ["--max-points", "4334"])[0] == EXIT_BUDGET
         assert capsys.readouterr().err == (
@@ -873,17 +874,60 @@ class TestSeries:
         assert run(argv + ["--trunc", "10", "--max-points", "120"])[0] == EXIT_BUDGET
 
     def test_budget_error_names_coefficient_updates(self, capsys):
+        # the Macdonald and the 3-core series of A2, each 93656379 terms read
         code, text = run(["series", "--type", "A", "--rank", "2", "--trunc", "100000"])
         assert (code, text) == (EXIT_BUDGET, "")
         assert capsys.readouterr().err == (
-            "error: estimated 10000200001 coefficient updates exceeds --max-points 50000000\n")
+            "error: estimated 187312758 coefficient updates exceeds --max-points 50000000\n")
 
     def test_budget_admits_exactly_the_coefficient_updates(self):
+        # A2 to q^10: 68 terms read by each of the two series
         for command in (["series"], ["verify", "genfun-A"]):
             argv = command + ["--type", "A", "--rank", "2", "--trunc", "10"]
-            code, doc = run_json(argv + ["--max-points", "121"])
+            assert run(argv + ["--max-points", "135"])[0] == EXIT_BUDGET
+            code, doc = run_json(argv + ["--max-points", "136"])
             assert code == EXIT_OK
             assert doc["results"] == run_json(argv)[1]["results"]
+
+    def test_only_the_expanded_series_are_charged(self):
+        # verify macdonald expands one series; B3 has no product formula and expands none
+        argv = ["verify", "macdonald", "--type", "A", "--rank", "2", "--trunc", "10"]
+        assert run(argv + ["--max-points", "67"])[0] == EXIT_BUDGET
+        assert run(argv + ["--max-points", "68"])[0] == EXIT_OK
+        code, doc = run_json(["series", "--type", "B", "--rank", "3", "--trunc", "1000000000",
+                                "--max-points", "0"])
+        assert code == EXIT_OK and doc["results"][0]["coefficients"] is None
+
+    def test_large_truncation_runs_in_the_default_budget(self):
+        # (trunc + 1)^2 = 50027329 once refused this request; it reads 3357243 terms
+        code, doc = run_json(["series", "--type", "E", "--rank", "8", "--trunc", "7072"])
+        assert code == EXIT_OK
+        assert len(doc["results"][0]["coefficients"]) == 7073
+
+    @pytest.mark.parametrize(
+        "corruption",
+        # Phi_6 Phi_3 in place of Phi_6 Phi_2^2; one more factor 1 + q
+        ["rootsys.build_root_system('D', 4).exponents = (1, 2, 4, 5)",
+         "genfun.macdonald_factors = lambda rs: ((1, -1), (2, 1)) + factors(rs)"],
+        ids=["exponents", "factors"],
+    )
+    @pytest.mark.parametrize("command", ["series", "verify macdonald"])
+    def test_failed_eta_factors_survive_optimize(self, corruption, command):
+        script = (
+            "import sys\n"
+            "from corelab import genfun, rootsys\n"
+            "from corelab.cli import main\n"
+            "factors = genfun.macdonald_factors\n"
+            + corruption + "\n"
+            "sys.exit(main(%r.split() + ['--type', 'D', '--rank', '4']))\n" % command
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == EXIT_MISMATCH, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["verdict"] == "fail"
+        assert doc["results"] == [
+            {"verdict": "mismatch(the eta factors of the exponents do not expand to f)"}]
 
     def test_failed_coxeter_identity_survives_optimize(self):
         script = (
@@ -1098,6 +1142,36 @@ class TestPlumbing:
         code, _ = run(["verify", "mean", "--type", "A", "--rank", "2",
                        "--b-range", "4-7"])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv",
+        ["verify --type A --rank 400 strange", "series --type D --rank 400",
+         "experiment cn-fuss --rank 400 --m 1", "experiment cn-weighting --rank 400 --trials 1"],
+    )
+    def test_huge_rank_is_refused_before_the_build(self, argv, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("root system built past the budget")
+
+        monkeypatch.setattr(cli, "build_root_system", refuse)
+        monkeypatch.setattr(cli, "experiment_cn_selfconjugate_weighting", refuse)
+        start = time.perf_counter()
+        code, text = run(argv.split())
+        assert time.perf_counter() - start < 1
+        assert (code, text) == (EXIT_BUDGET, "")
+        assert capsys.readouterr().err == (
+            "error: estimated 25600000000 root-system steps exceeds 50000000, the larger"
+            " of --max-points and its default\n")
+
+    def test_build_budget_is_rank_to_the_fourth_above_the_default(self):
+        default, raised, tiny = (SimpleNamespace(max_points=cap)
+                                 for cap in (50_000_000, 52_200_625, 0))
+        assert cli._admit_build("A", 84, default) == cli._admit_build("A", 84, tiny)
+        assert cli._admit_build("C", 85, raised).rank == 85
+        with pytest.raises(cli.BudgetError, match="estimated 52200625 root-system steps"):
+            cli._admit_build("C", 85, default)
+        # the rank is checked as usage before it is charged
+        assert run(["verify", "--type", "A", "--rank", "-400", "strange"])[0] == EXIT_USAGE
+        assert run(["experiment", "cn-fuss", "--rank", "-400", "--m", "1"])[0] == EXIT_USAGE
 
     def test_budget_exit_on_tiny_cap(self):
         for command in (["enum"], ["verify", "count"]):
