@@ -114,7 +114,7 @@ def _root_system(args) -> RootSystem:
         raise UsageError("invalid root system: %s" % exc)
 
 
-def _dilations(args, required: bool = True) -> List[int]:
+def _dilations(args, required: bool = True) -> Sequence[int]:
     if args.b is not None and args.b_range is not None:
         raise UsageError("give either --b or --b-range, not both")
     if args.b is not None:
@@ -130,7 +130,7 @@ def _dilations(args, required: bool = True) -> List[int]:
             raise UsageError("--b-range must look like LO..HI")
         if lo > hi:
             raise UsageError("--b-range must be nondecreasing")
-        return list(range(lo, hi + 1))
+        return range(lo, hi + 1)
     if required:
         raise UsageError("--b or --b-range is required")
     return []
@@ -183,22 +183,34 @@ def _points(rs: RootSystem, b: int) -> Tuple[int, str]:
 
 
 def _admit(
-    rs: RootSystem, b: int, cost: Callable, args, skips: Optional[List[Dict]] = None, **row
-) -> bool:
-    """Whether dilation ``b`` is coprime to h and its ``cost(rs, b)``, an
-    estimate and its unit, is within the budget.  A ``b`` that is not coprime
-    is a usage error, or, in a ``--b-range`` sweep, a ``skipped`` row (``row``
-    and ``b``) appended to ``skips``."""
-    if b < 1 or gcd(b, rs.coxeter_number) != 1:
-        if skips is None:
-            raise UsageError(
-                "b must be positive and coprime to the Coxeter number %d"
-                % rs.coxeter_number
-            )
-        skips.append(dict(row, b=b, verdict="skipped(b not coprime)"))
-        return False
-    _check_budget(*cost(rs, b), args)
-    return True
+    rs: RootSystem, bs: Sequence[int], cost: Callable, args, skips: Optional[List[Dict]] = None,
+    **row
+) -> Iterator[int]:
+    """Yield the dilations of ``bs`` coprime to h, in order, once their total
+    estimate is within the budget.  ``cost(rs, b)`` is one dilation's estimate
+    and unit; the total adds them from the largest down, stopping over budget,
+    except the moment DP's, whose rows up to the largest serve every dilation.
+    A ``b`` that is not coprime is a usage error, or, in a ``--b-range`` sweep, a
+    ``skipped`` row (``row`` and ``b``) appended to ``skips`` in its place."""
+    def coprime(b: int) -> bool:
+        return b >= 1 and gcd(b, rs.coxeter_number) == 1
+
+    if skips is None and not all(map(coprime, bs)):
+        raise UsageError(
+            "b must be positive and coprime to the Coxeter number %d" % rs.coxeter_number
+        )
+    total = 0
+    for b in filter(coprime, reversed(bs)):  # the largest first; stop once over budget
+        estimate, unit = cost(rs, b)
+        total += estimate
+        _check_budget(total, unit, args)
+        if cost is _dp_cost:
+            break
+    for b in bs:
+        if coprime(b):
+            yield b
+        else:
+            skips.append(dict(row, b=b, verdict="skipped(b not coprime)"))
 
 
 # ---------------------------------------------------------------- commands
@@ -279,9 +291,8 @@ def cmd_stat(args) -> Tuple[int, List[Dict]]:
     rs = _root_system(args)
     results: List[Dict] = []
     skips = results if args.b_range is not None else None
-    for b in _dilations(args):
-        if _admit(rs, b, _points, args, skips):
-            results.append(_moment_result(rs, b))
+    for b in _admit(rs, _dilations(args), _points, args, skips):
+        results.append(_moment_result(rs, b))
     failed = any(result.get("grade") == "mismatch" for result in results)
     return (EXIT_MISMATCH if failed else EXIT_OK), results
 
@@ -404,9 +415,8 @@ def cmd_verify(args) -> Tuple[int, List[Dict]]:
             continue
         if not bs:
             raise UsageError("selector %r needs --b or --b-range" % selector)
-        for b in bs:
-            if _admit(rs, b, cost, args, skips, selector=selector):
-                results.append(dict(row, b=b, **run(rs, b, args)))
+        for b in _admit(rs, bs, cost, args, skips, selector=selector):
+            results.append(dict(row, b=b, **run(rs, b, args)))
     failed = any(result["verdict"].startswith("mismatch") for result in results)
     return (EXIT_MISMATCH if failed else EXIT_OK), results
 
@@ -487,20 +497,19 @@ def cmd_series(args) -> Tuple[int, List[Dict]]:
     result["coefficients"] = None if series is None else list(series)
     if rs.family == "A":
         result["core_product_matches"] = core_product_series(rs.rank + 1, trunc).coeffs == series
-    return EXIT_OK, [result]
+    return (EXIT_MISMATCH if result.get("core_product_matches") is False else EXIT_OK), [result]
 
 
 def _weak_order(args) -> Tuple[int, List[Dict]]:
     rs = _root_system(args)
     results = []
     skips = results if args.b_range is not None else None
-    for b in _dilations(args):
-        if _admit(rs, b, _points, args, skips):
-            report = dict(experiment_weak_order_maximality(rs, b))
-            report["violations"] = [
-                {"point": _vec(lam), "escaped": extra} for lam, extra in report["violations"]
-            ]
-            results.append(report)
+    for b in _admit(rs, _dilations(args), _points, args, skips):
+        report = dict(experiment_weak_order_maximality(rs, b))
+        report["violations"] = [
+            {"point": _vec(lam), "escaped": extra} for lam, extra in report["violations"]
+        ]
+        results.append(report)
     return EXIT_OK, results
 
 

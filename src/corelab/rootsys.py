@@ -210,38 +210,22 @@ def _norm(gram: Sequence[Sequence[int]], y: Sequence[int]) -> int:
 
 
 def _close_roots(cartan: Sequence[Sequence[int]]) -> List[Root]:
-    """Generate all positive roots from the simples by root strings.
-
-    Builds height by height: ``a + alpha_i`` is a root exactly when the
-    downward string length through ``a`` in direction ``i`` exceeds the
-    pairing ``<a, coroot_i>``.
-    """
+    """All positive roots, by height and then coefficients: the closure of the
+    simple roots under the simple reflections that raise them, ``s_i a = a - p
+    alpha_i`` when ``p = <a, coroot_i> < 0`` (Humphreys, *Lie Algebras*, 10.2)."""
     n = len(cartan)
-    known = {tuple(int(i == j) for j in range(n)) for i in range(n)}
-    layer = sorted(known)
-    height = 1
-    roots: List[Root] = [Root(c, 1) for c in layer]
-    while layer:
-        nxt = set()
-        for a in layer:
-            for i in range(n):
-                pairing = sum(cartan[i][j] * a[j] for j in range(n))
-                down = 0
-                probe = list(a)
-                while True:
-                    probe[i] -= 1
-                    if probe[i] < 0 or tuple(probe) not in known:
-                        break
-                    down += 1
-                if down - pairing > 0:
-                    up = list(a)
-                    up[i] += 1
-                    nxt.add(tuple(up))
-        height += 1
-        layer = sorted(nxt)
-        known.update(nxt)
-        roots.extend(Root(c, height) for c in layer)
-    return roots
+    rows = [[(j, c) for j, c in enumerate(row) if c] for row in cartan]  # at most 4 entries
+    found = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    known = set(found)
+    for a in found:  # grows as it is read
+        for i, row in enumerate(rows):
+            p = sum(c * a[j] for j, c in row)
+            if p < 0:
+                up = a[:i] + (a[i] - p,) + a[i + 1:]
+                if up not in known:
+                    known.add(up)
+                    found.append(up)
+    return [Root(c, h) for h, c in sorted((sum(c), c) for c in found)]
 
 
 class RootSystem:

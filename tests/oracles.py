@@ -5,8 +5,9 @@ it needs and evaluates it on its own, in Fractions where the fast path works
 in integers, except the centered class fit, which interpolates one class at
 a time.  ``det_int`` (integer elimination with row swaps) and
 ``invert_matrix`` (Gauss-Jordan in Fractions) are what ``rootsys.adjugate``
-is held to.  ``fit_quasi`` assembles a whole quasipolynomial for the tests,
-and ``omega_group`` builds the alcove's stabilizer for the Omega-symmetry
+is held to, and ``root_string_closure`` (each root string probed one tuple
+at a time) what ``rootsys._close_roots`` is held to.  ``fit_quasi``
+assembles a whole quasipolynomial for the tests, and ``omega_group`` builds the alcove's stabilizer for the Omega-symmetry
 tests, with ``compose``, the product of two elements by matrix products,
 which corelab never forms: it composes every element from a word.
 ``core_by_beads`` reads a core off the abacus with a Python loop per
@@ -52,7 +53,14 @@ from corelab.lattice_enum import (
     iter_scaled_points,
     lattice_scale,
 )
-from corelab.rootsys import QuadraticForm, RootSystem, Vector, clear_denominators, roots_of_height
+from corelab.rootsys import (
+    QuadraticForm,
+    Root,
+    RootSystem,
+    Vector,
+    clear_denominators,
+    roots_of_height,
+)
 
 
 def vec_add(x: Sequence[Q], y: Sequence[Q]) -> Vector:
@@ -157,6 +165,41 @@ def invert_matrix(m: Sequence[Sequence[Q]]) -> Tuple[Vector, ...]:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return tuple(tuple(row[n:]) for row in a)
+
+
+def root_string_closure(cartan: Sequence[Sequence[int]]) -> List[Root]:
+    """Generate all positive roots from the simples by root strings.
+
+    Builds height by height: ``a + alpha_i`` is a root exactly when the
+    downward string length through ``a`` in direction ``i`` exceeds the
+    pairing ``<a, coroot_i>``.
+    """
+    n = len(cartan)
+    known = {tuple(int(i == j) for j in range(n)) for i in range(n)}
+    layer = sorted(known)
+    height = 1
+    roots: List[Root] = [Root(c, 1) for c in layer]
+    while layer:
+        nxt = set()
+        for a in layer:
+            for i in range(n):
+                pairing = sum(cartan[i][j] * a[j] for j in range(n))
+                down = 0
+                probe = list(a)
+                while True:
+                    probe[i] -= 1
+                    if probe[i] < 0 or tuple(probe) not in known:
+                        break
+                    down += 1
+                if down - pairing > 0:
+                    up = list(a)
+                    up[i] += 1
+                    nxt.add(tuple(up))
+        height += 1
+        layer = sorted(nxt)
+        known.update(nxt)
+        roots.extend(Root(c, height) for c in layer)
+    return roots
 
 
 def root_vector(rs: RootSystem, coeffs: Sequence[int]) -> Vector:

@@ -929,6 +929,21 @@ class TestSeries:
         assert doc["results"] == [
             {"verdict": "mismatch(the eta factors of the exponents do not expand to f)"}]
 
+    def test_failed_core_product_survives_optimize(self):
+        script = (
+            "import sys\n"
+            "from types import SimpleNamespace\n"
+            "from corelab import cli\n"
+            "cli.core_product_series = lambda a, trunc: SimpleNamespace(coeffs=(1,) * trunc)\n"
+            "sys.exit(cli.main(['series', '--type', 'A', '--rank', '2', '--trunc', '10']))\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == EXIT_MISMATCH, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["verdict"] == "fail"
+        assert doc["results"][0]["core_product_matches"] is False
+
     def test_failed_coxeter_identity_survives_optimize(self):
         script = (
             "import sys\n"
@@ -1172,6 +1187,44 @@ class TestPlumbing:
         # the rank is checked as usage before it is charged
         assert run(["verify", "--type", "A", "--rank", "-400", "strange"])[0] == EXIT_USAGE
         assert run(["experiment", "cn-fuss", "--rank", "-400", "--m", "1"])[0] == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", ["stat", "verify mean", "experiment weak-order"])
+    def test_sweep_is_charged_its_total(self, argv, monkeypatch, capsys):
+        # the odd b <= 1999 cost (b + 1) / 2 <= 1000 points each, 500500 together
+        def refuse(*args):
+            raise AssertionError("work done past the budget")
+
+        for name in BUDGETED_WORK:
+            monkeypatch.setattr(cli, name, refuse)
+        argv = argv.split() + "--type A --rank 1 --b-range 1..2000 --max-points 100000".split()
+        assert run(argv) == (EXIT_BUDGET, "")
+        assert capsys.readouterr().err.startswith("error: estimated ")
+
+    def test_sweep_admits_exactly_its_total(self):
+        # the odd b <= 19 cost 1, ..., 10 points: 55 together
+        argv = "stat --type A --rank 1 --b-range 1..20 --max-points".split()
+        assert run(argv + ["54"])[0] == EXIT_BUDGET
+        code, doc = run_json(argv + ["55"])
+        assert code == EXIT_OK
+        assert [r["b"] for r in doc["results"]] == list(range(1, 21))
+        # one DP run to b = 10 serves the sweep: (10 + 1) f = 33 sums
+        argv = "verify count --type A --rank 2 --b-range 1..10 --max-points".split()
+        assert run(argv + ["32"])[0] == EXIT_BUDGET
+        code, doc = run_json(argv + ["33"])
+        assert code == EXIT_OK
+        assert [r["verdict"] for r in doc["results"]].count("match") == 7
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [("verify --type A --rank 1 --b-range 1..1000000000000000 strange", EXIT_OK),
+         ("verify --type A --rank 1 --b-range 1..1000000000000000 count", EXIT_BUDGET),
+         ("stat --type A --rank 1 --b-range 1..1000000000000000", EXIT_BUDGET),
+         ("enum --type A --rank 1 --b-range 1..1000000000000000", EXIT_USAGE)],
+    )
+    def test_huge_sweep_builds_no_dilation_list(self, argv, code):
+        start = time.perf_counter()
+        assert run(argv.split())[0] == code
+        assert time.perf_counter() - start < 1
 
     def test_budget_exit_on_tiny_cap(self):
         for command in (["enum"], ["verify", "count"]):

@@ -1,6 +1,7 @@
 """Construction-time tables and identities for every supported family."""
 
 import re
+import time
 from fractions import Fraction as Q
 from math import lcm
 from unittest import mock
@@ -23,7 +24,15 @@ from corelab.rootsys import (
     clear_denominators,
     roots_of_height,
 )
-from oracles import det_int, inner, invert_matrix, pairing, root_vector, vector_to_root_coeffs
+from oracles import (
+    det_int,
+    inner,
+    invert_matrix,
+    pairing,
+    root_string_closure,
+    root_vector,
+    vector_to_root_coeffs,
+)
 
 # Every type exercised anywhere in the test suite, kept to rank <= 8.
 GRID = (
@@ -253,6 +262,24 @@ def test_root_system_matches_oracles(systems):
             for i in range(rs.rank):
                 rho[i] += Q(1, 2) * r.coeffs[i] * rs.simple_lengths[i]
         assert rs.rho == tuple(rho)
+
+
+@pytest.mark.parametrize(
+    "family, rank",
+    [(f, n) for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)) for n in range(lo, 21)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)],
+)
+def test_reflection_closure_matches_root_strings(family, rank):
+    # the same roots, heights and order as the root-string probe
+    rs = build_root_system(family, rank)
+    assert list(rs.positive_roots) == root_string_closure(rs.cartan)
+
+
+def test_a84_builds_in_under_a_second():
+    start = time.perf_counter()
+    rs = RootSystem(RootSystemType("A", 84))
+    assert time.perf_counter() - start < 1
+    assert len(rs.positive_roots) == 84 * 85 // 2
 
 
 _exact_close_roots, _exact_norm = rootsys._close_roots, rootsys._norm
