@@ -24,6 +24,7 @@ from .ehrhart import (
     coprime_fit_classes,
     dp_backed,
     fit_residues,
+    fit_sample_count,
     fit_samples,
     HoldoutError,
     leading_fit,
@@ -160,6 +161,16 @@ def _fit_cost(
     return sum(_count_estimate(rs, b, lattice) for b in samples), "points"
 
 
+def _fit_budget(rs: RootSystem, k: int, lattice: str, centered: bool, classes, args) -> None:
+    """Check :func:`_fit_cost`, a streamed fit first in closed form, before its samples
+    are listed: they are distinct dilations from 0 up, so the largest is at least
+    their number less one, and every other one holds the origin at least."""
+    if not dp_backed(k):
+        many = fit_sample_count(rs, k, lattice, centered, classes)
+        _check_budget(many - 1 + _count_estimate(rs, many - 1, lattice), "points", args)
+    _check_budget(*_fit_cost(rs, k, lattice, centered, classes), args)
+
+
 def _check_budget(estimate: int, unit: str, args) -> None:
     if estimate > args.max_points:
         raise BudgetError(
@@ -190,15 +201,22 @@ def _admit(
     estimate is within the budget.  ``cost(rs, b)`` is one dilation's estimate
     and unit; the total adds them from the largest down, stopping over budget,
     except the moment DP's, whose rows up to the largest serve every dilation.
+    Estimates never fall as b grows, so the coprime dilations, counted in closed
+    form over the period h, times the smallest one's estimate is checked first.
     A ``b`` that is not coprime is a usage error, or, in a ``--b-range`` sweep, a
     ``skipped`` row (``row`` and ``b``) appended to ``skips`` in its place."""
+    h = rs.coxeter_number
+
     def coprime(b: int) -> bool:
-        return b >= 1 and gcd(b, rs.coxeter_number) == 1
+        return b >= 1 and gcd(b, h) == 1
 
     if skips is None and not all(map(coprime, bs)):
-        raise UsageError(
-            "b must be positive and coprime to the Coxeter number %d" % rs.coxeter_number
-        )
+        raise UsageError("b must be positive and coprime to the Coxeter number %d" % h)
+    lo, hi = max(bs[0], 1) - 1, max(bs[-1], 0)  # bs is one b or a range
+    many = sum((hi - r) // h - (lo - r) // h for r in range(1, h + 1) if gcd(r, h) == 1)
+    if many and cost is not _dp_cost:
+        estimate, unit = cost(rs, next(filter(coprime, range(lo + 1, hi + 1))))
+        _check_budget(many * estimate, unit, args)
     total = 0
     for b in filter(coprime, reversed(bs)):  # the largest first; stop once over budget
         estimate, unit = cost(rs, b)
@@ -266,33 +284,12 @@ def cmd_enum(args) -> Tuple[int, List[Dict]]:
     return EXIT_OK, results
 
 
-def _moment_result(rs: RootSystem, b: int) -> Dict:
-    report = moments(rs, b)
-    return {
-        "family": report.family,
-        "rank": report.rank,
-        "b": report.b,
-        "count": report.count,
-        "max": _rat(report.max_value),
-        "max_multiplicity": report.max_multiplicity,
-        "mean": _rat(report.mean),
-        "variance": _rat(report.m2),
-        "m3": _rat(report.m3),
-        "closed_forms": {
-            name: None if value is None else _rat(value)
-            for name, value in report.closed_forms
-        },
-        "verdicts": report.verdict_map(),
-        "grade": report.grade,
-    }
-
-
 def cmd_stat(args) -> Tuple[int, List[Dict]]:
     rs = _root_system(args)
     results: List[Dict] = []
     skips = results if args.b_range is not None else None
     for b in _admit(rs, _dilations(args), _points, args, skips):
-        results.append(_moment_result(rs, b))
+        results.append(moments(rs, b))
     failed = any(result.get("grade") == "mismatch" for result in results)
     return (EXIT_MISMATCH if failed else EXIT_OK), results
 
@@ -300,7 +297,7 @@ def cmd_stat(args) -> Tuple[int, List[Dict]]:
 def _verify_strange(rs: RootSystem, b: None, args) -> Dict:
     lhs = rs.rho_norm24  # 24 <rho, rho>, checked by the root system's constructor
     rhs = 2 * rs.dual_coxeter_number * rs.rank * (rs.coxeter_number + 1)
-    return dict(value=_rat(lhs), expected=_rat(rhs), verdict=verdict_of(lhs, rhs))
+    return dict(value=Q(lhs), expected=Q(rhs), verdict=verdict_of(lhs, rhs))
 
 
 def _verify_macdonald(rs: RootSystem, b: None, args) -> Dict:
@@ -335,7 +332,7 @@ def _verify_genfun_a(rs: RootSystem, b: None, args) -> Dict:
 def _verify_count(rs: RootSystem, b: int, args) -> Dict:
     got = Q(alcove_size_sums(rs, b, "coroot", 0)[0])
     expected = haiman_count(rs, b)
-    return dict(value=_rat(got), expected=_rat(expected), verdict=verdict_of(got, expected))
+    return dict(value=got, expected=expected, verdict=verdict_of(got, expected))
 
 
 def _floor_cost(rs: RootSystem, b: int) -> Tuple[int, str]:
@@ -361,7 +358,7 @@ def _verify_anderson(rs: RootSystem, b: int, args) -> Dict:
     a = rs.rank + 1
     got = Q(len(enumerate_simultaneous_cores(a, b)))
     expected = Q(comb(a + b, a), a + b)
-    return dict(value=_rat(got), expected=_rat(expected), verdict=verdict_of(got, expected))
+    return dict(value=got, expected=expected, verdict=verdict_of(got, expected))
 
 
 def _max_cost(rs: RootSystem, b: int) -> Tuple[int, str]:
@@ -372,26 +369,25 @@ def _max_cost(rs: RootSystem, b: int) -> Tuple[int, str]:
 
 def _verify_max(rs: RootSystem, b: int, args) -> Dict:
     value, multiplicity, argmax, verdict = verify_max(rs, b)
-    return dict(value=_rat(value), multiplicity=multiplicity, argmax=_vec(argmax),
-                verdict=verdict)
+    return dict(value=value, multiplicity=multiplicity, argmax=_vec(argmax), verdict=verdict)
 
 
-def _verify_moment(key: str, rs: RootSystem, b: int, args) -> Dict:
-    report = moments(rs, b)
-    return dict(value=_rat(getattr(report, key)), verdict=report.verdict_map()[key])
+def _verify_moment(field: str, key: str, rs: RootSystem, b: int, args) -> Dict:
+    row = moments(rs, b)
+    return dict(value=row[field], verdict=row["verdicts"][key])
 
 
 # Every verify selector: its cost on one dilation, or None when it takes no
 # dilation, and its handler.  A dilation must be coprime to h.  The cost is an
 # estimate and its unit, checked against --max-points before the handler runs;
 # on a root system the selector does not apply to it is a usage error instead.
-# The moment selectors pass the MomentReport field they read.
+# The moment selectors pass the field of the moments row they read and its verdict key.
 _VERIFY: Dict[str, Tuple[Optional[Callable], Callable]] = {
     "count": (_dp_cost, _verify_count),
     "max": (_max_cost, _verify_max),
-    "mean": (_points, partial(_verify_moment, "mean")),
-    "variance": (_points, partial(_verify_moment, "m2")),
-    "m3": (_points, partial(_verify_moment, "m3")),
+    "mean": (_points, partial(_verify_moment, "mean", "mean")),
+    "variance": (_points, partial(_verify_moment, "variance", "m2")),
+    "m3": (_points, partial(_verify_moment, "m3", "m3")),
     "floor": (_floor_cost, _verify_floor),
     "strange": (None, _verify_strange),
     "macdonald": (None, _verify_macdonald),
@@ -442,7 +438,7 @@ def cmd_fit(args) -> Tuple[int, List[Dict]]:
         classes = coprime_fit_classes(rs)
     else:
         classes = tuple(range(m))
-    _check_budget(*_fit_cost(rs, k, lattice, False, classes), args)
+    _fit_budget(rs, k, lattice, False, classes, args)
     components: List[Optional[Tuple[Q, ...]]] = [None] * m
     worst = EXIT_OK
     results: List[Dict] = []
@@ -454,9 +450,7 @@ def cmd_fit(args) -> Tuple[int, List[Dict]]:
             worst = EXIT_MISMATCH
             continue
         components[j] = poly
-        results.append(
-            {"residue": j, "holdouts": "pass", "coefficients": [_rat(c) for c in poly]}
-        )
+        results.append({"residue": j, "holdouts": "pass", "coefficients": list(poly)})
     fitted = QuasiPolynomial(m, tuple(components), rs.rank + 2 * k)
     summary: Dict = {
         "lattice": lattice,
@@ -523,10 +517,7 @@ def _cn_fuss(args) -> Tuple[int, List[Dict]]:
     except ValueError as exc:
         raise UsageError(str(exc))
     _check_budget(*_points(rs, args.m * rs.coxeter_number + 1), args)
-    report = dict(experiment_cn_fuss(args.rank, args.m))
-    report["mean"] = _rat(report["mean"])
-    report["conjecture"] = _rat(report["conjecture"])
-    return EXIT_OK, [report]
+    return EXIT_OK, [experiment_cn_fuss(args.rank, args.m)]
 
 
 def _cn_weighting(args) -> Tuple[int, List[Dict]]:
@@ -550,10 +541,8 @@ def _top_coeff(args) -> Tuple[int, List[Dict]]:
     if not is_simply_laced(rs):
         raise UsageError("top-coeff requires a simply-laced root system")
     residue, centered = leading_fit(rs, args.k)
-    _check_budget(*_fit_cost(rs, args.k, "coroot", centered, (residue,)), args)
+    _fit_budget(rs, args.k, "coroot", centered, (residue,), args)
     report = leading_coefficient_checks(rs, args.k)
-    for key in ("ratio", "expected"):
-        report[key] = None if report[key] is None else _rat(report[key])
     failed = report["verdict"].startswith("mismatch")
     return (EXIT_MISMATCH if failed else EXIT_OK), [report]
 
@@ -604,9 +593,11 @@ def _flatten_cell(value) -> str:
         return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
+    if isinstance(value, Q):
+        return _rat(value)
     if value is None:
         return ""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), default=_rat)
 
 
 def _render(results: List[Dict], form: str) -> str:
@@ -642,14 +633,17 @@ def _column(rows: Sequence[Dict], key: str, pad: str) -> Iterator[str]:
 
 
 def _dump(value, pad: str = "\n") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)``, which json writes in pure Python, for
-    dicts keyed by str, lists, tuples, str, int, bool, None; str or int lists join in C, and
-    rows, dicts that share one set of str keys, fill one template column by column."""
+    """``json.dumps(value, indent=2, sort_keys=True, default=_rat)``, which json writes in pure
+    Python, for dicts keyed by str, lists, tuples, str, int, Fraction, bool, None; str or int
+    lists join in C, and rows, dicts that share one set of str keys, fill one template column
+    by column.  The writer is the only code that turns a Fraction into ``"p/q"``."""
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
     if kind is int:
         return int.__repr__(value)
+    if kind is Q:
+        return encode_basestring_ascii(_rat(value))
     if kind is bool or value is None:
         return {None: "null", True: "true", False: "false"}[value]
     inner = pad + "  "

@@ -33,6 +33,7 @@ __all__ = [
     "coprime_fit_classes",
     "coprime_samples",
     "coprime_polynomial",
+    "fit_sample_count",
     "fit_samples",
     "fit_residues",
     "reciprocity_check",
@@ -320,6 +321,14 @@ def fit_samples(
         b for j in classes if j not in coprime for b in _class_samples(rs, k, lattice, j)
     )
     return (coprime_samples(rs, k, centered, coprime) if coprime else ()) + own
+
+
+def fit_sample_count(rs: RootSystem, k: int, lattice: str, centered: bool, classes) -> int:
+    """How many dilations :func:`fit_samples` lists, in closed form, less the at most
+    one per coprime class that :func:`coprime_samples` adds when its first ones miss it."""
+    coprime = _polynomial_classes(rs, lattice, classes)
+    own = (len(classes) - len(coprime)) * (rs.rank + 2 * k + 3)
+    return own + (_unknowns(rs, k, centered) + 2 if coprime else 0)
 
 
 def fit_residues(

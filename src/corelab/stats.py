@@ -27,7 +27,6 @@ from corelab.cores import Partition, toggle_corners
 from corelab.lattice_enum import core_points_in_sommers, scaled_value_counts
 from corelab.rootsys import (
     QuadraticForm,
-    Record,
     RootSystem,
     VerificationError,
     build_root_system,
@@ -82,30 +81,6 @@ def closed_m3_type_a(rs: RootSystem, b: int) -> Q:
     return Q(a * b * (a - 1) * (b - 1) * (a + b) * (a + b + 1) * poly, 60480)
 
 
-class MomentReport(Record):
-    """Exact statistics of zise next to their closed forms and verdicts."""
-
-    __slots__ = ("family", "rank", "b", "count", "max_value", "max_multiplicity",
-                 "mean", "m2", "m3", "closed_forms", "verdicts")
-
-    def __init__(self, family: str, rank: int, b: int, count: int, max_value: Q,
-                 max_multiplicity: int, mean: Q, m2: Q, m3: Q,
-                 closed_forms: Tuple[Tuple[str, Optional[Q]], ...],
-                 verdicts: Tuple[Tuple[str, str], ...]) -> None:
-        self.family, self.rank, self.b, self.count = family, rank, b, count
-        self.max_value, self.max_multiplicity = max_value, max_multiplicity
-        self.mean, self.m2, self.m3 = mean, m2, m3
-        self.closed_forms, self.verdicts = closed_forms, verdicts
-
-    def verdict_map(self) -> Dict[str, str]:
-        return dict(self.verdicts)
-
-    @property
-    def grade(self) -> str:
-        vs = self.verdict_map().values()
-        return "mismatch" if any(v.startswith("mismatch") for v in vs) else "match"
-
-
 def verdict_of(enumerated: Optional[Q], closed: Optional[Q]) -> str:
     if closed is None:
         return "no closed form"
@@ -115,9 +90,10 @@ def verdict_of(enumerated: Optional[Q], closed: Optional[Q]) -> str:
 
 
 @lru_cache(maxsize=None)
-def moments(rs: RootSystem, b: int) -> MomentReport:
-    """Exact moments of zise over the coroot points of ``b * A``, computed
-    once per argument list however many callers read them.
+def moments(rs: RootSystem, b: int) -> Dict[str, object]:
+    """Exact moments of zise over the coroot points of ``b * A`` next to their
+    closed forms and verdicts, as the row ``stat`` prints, computed once per
+    argument list however many callers read it.
 
     One walk of the knapsack, which builds no point, counts the points at
     each value of ``24 zise`` (:func:`~corelab.lattice_enum.scaled_value_counts`);
@@ -135,34 +111,19 @@ def moments(rs: RootSystem, b: int) -> MomentReport:
     m2 = square - mean * mean
     m3 = Q(s3, 24**3 * s0) - 3 * mean * square + 2 * mean**3
     simply = is_simply_laced(rs)
-    closed: Dict[str, Optional[Q]] = {"count": haiman_count(rs, b)}
-    closed["max"] = closed_max(rs, b) if simply else None
-    closed["mean"] = closed_mean(rs, b) if simply else None
-    closed["m2"] = closed_variance(rs, b) if simply else None
-    closed["m3"] = closed_m3_type_a(rs, b) if rs.family == "A" else None
-    top_verdict = verdict_of(best, closed["max"])
-    if top_verdict == "match" and mult != 1:
-        top_verdict = "mismatch(multiplicity %d)" % mult
-    verdicts = {
-        "count": verdict_of(Q(s0), closed["count"]),
-        "max": top_verdict,
-        "mean": verdict_of(mean, closed["mean"]),
-        "m2": verdict_of(m2, closed["m2"]),
-        "m3": verdict_of(m3, closed["m3"]),
-    }
-    return MomentReport(
-        family=rs.family,
-        rank=rs.rank,
-        b=b,
-        count=s0,
-        max_value=best,
-        max_multiplicity=mult,
-        mean=mean,
-        m2=m2,
-        m3=m3,
-        closed_forms=tuple(sorted(closed.items())),
-        verdicts=tuple(sorted(verdicts.items())),
-    )
+    closed = {"count": haiman_count(rs, b),
+              "m3": closed_m3_type_a(rs, b) if rs.family == "A" else None}
+    for key, form in (("max", closed_max), ("mean", closed_mean), ("m2", closed_variance)):
+        closed[key] = form(rs, b) if simply else None
+    values = {"count": Q(s0), "max": best, "mean": mean, "m2": m2, "m3": m3}
+    verdicts = {key: verdict_of(value, closed[key]) for key, value in values.items()}
+    if verdicts["max"] == "match" and mult != 1:
+        verdicts["max"] = "mismatch(multiplicity %d)" % mult
+    failed = any(v.startswith("mismatch") for v in verdicts.values())
+    return {"family": rs.family, "rank": rs.rank, "b": b, "count": s0, "max": best,
+            "max_multiplicity": mult, "mean": mean, "variance": m2, "m3": m3,
+            "closed_forms": closed, "verdicts": verdicts,
+            "grade": "mismatch" if failed else "match"}
 
 
 def verify_max(rs: RootSystem, b: int) -> Tuple[Q, int, Tuple[int, ...], str]:
@@ -173,9 +134,9 @@ def verify_max(rs: RootSystem, b: int) -> Tuple[Q, int, Tuple[int, ...], str]:
     origin is ``F_b(0)`` (checked by :func:`zise_form`), so the origin is then
     the unique maximiser, and the argmax is its image ``w_b^{-1}(0)``.
     """
-    report = moments(rs, b)
-    return (report.max_value, report.max_multiplicity, tuple(w_b_inverse(rs, b).translation),
-            report.verdict_map()["max"])
+    row = moments(rs, b)
+    argmax = tuple(w_b_inverse(rs, b).translation)
+    return row["max"], row["max_multiplicity"], argmax, row["verdicts"]["max"]
 
 
 def _floor_sum(b: int, h: int, weight: Callable[[int], int]) -> int:
@@ -229,24 +190,15 @@ def experiment_cn_fuss(n: int, m: int) -> Dict[str, object]:
     rs = build_root_system("C", n)
     h = rs.coxeter_number
     b = m * h + 1
-    report = moments(rs, b)
-    mean = report.mean
+    row = moments(rs, b)
+    mean = row["mean"]
     conjecture = Q(m * n * (2 * (m + 1) * n * n + (m + 3) * n - (m + 1)), 12)
     verdict = "consistent"
     if mean != conjecture:
         verdict = "counterexample(mean %d/%d != %d/%d)" % (
             mean.numerator, mean.denominator, conjecture.numerator, conjecture.denominator)
-    return {
-        "experiment": "fuss_mean",
-        "family": "C",
-        "rank": n,
-        "m": m,
-        "b": b,
-        "count": report.count,
-        "mean": mean,
-        "conjecture": conjecture,
-        "verdict": verdict,
-    }
+    return {"experiment": "fuss_mean", "family": "C", "rank": n, "m": m, "b": b,
+            "count": row["count"], "mean": mean, "conjecture": conjecture, "verdict": verdict}
 
 
 def experiment_weak_order_maximality(rs: RootSystem, b: int) -> Dict[str, object]:

@@ -42,6 +42,7 @@ ROW_CELLS = [
     st.just([]),
     st.lists(st.integers(-9, 9) | st.booleans(), max_size=3),
     st.none() | st.booleans() | st.integers(-9, 9),
+    st.fractions(),
 ]
 ROW_LISTS = st.lists(TEXT | st.just("%s"), min_size=1, max_size=4, unique=True).flatmap(
     lambda keys: st.tuples(*(st.sampled_from(ROW_CELLS) for _ in keys)).flatmap(
@@ -148,7 +149,7 @@ class TestEnvelope:
 
     @settings(max_examples=200, deadline=None)
     @given(st.recursive(
-        st.none() | st.booleans() | st.integers(-10**30, 10**30) | TEXT,
+        st.none() | st.booleans() | st.integers(-10**30, 10**30) | TEXT | st.fractions(),
         lambda inner: st.lists(inner, max_size=5) | st.dictionaries(TEXT, inner, max_size=5)
         | ROW_LISTS,
         max_leaves=12,
@@ -161,10 +162,16 @@ class TestEnvelope:
     @example(["x", "\u00e9\n"])
     @example({"b": [], "a": {}, "": ["\u00e9\"\\\x00\x1f", 7, None]})
     @example(("tuple", [("nested", -1)]))
+    @example([Q(1, 2), {"q": Q(-7, 3)}, Q(4), (Q(0),)])
     @example([{"point": ["0/1", "%d"], "size": "0/1", "core": []}]
              + [{"point": ["1/1", "-1/1"], "size": "%s", "core": [k, 1]} for k in range(5)])
     def test_writer_matches_indented_json_dumps(self, value):
-        assert cli._dump(value) == json.dumps(value, indent=2, sort_keys=True)
+        assert cli._dump(value) == json.dumps(value, indent=2, sort_keys=True, default=cli._rat)
+
+    def test_csv_cells_render_fractions_through_rat(self):
+        rows = [{"q": Q(-3, 6), "nested": {"x": [Q(5, 1), 2, None]}, "v": (Q(1, 3),)}]
+        assert cli._render(rows, "csv") == (
+            'nested,q,v\n"{""x"":[""5/1"",2,null]}",-1/2,"[""1/3""]"\n')
 
     @pytest.mark.parametrize("value", [1.5, [0.0], {"x": float("nan")}, {1, 2}, [set()],
                                        {1: "int key"}, {"a": {None: 0}},
@@ -1225,6 +1232,50 @@ class TestPlumbing:
         start = time.perf_counter()
         assert run(argv.split())[0] == code
         assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize(
+        "argv, estimate, unit",
+        [("verify --type A --rank 1 --b-range 1..100000000000000 floor", 50000000000000, "terms"),
+         ("fit --type A --rank 2 --k 3000000", 18000039000019, "points"),
+         ("experiment top-coeff --type A --rank 3 --k 1000000", 41667041668750002, "points")],
+    )
+    def test_unbounded_sweeps_and_fits_are_refused_in_closed_form(
+            self, argv, estimate, unit, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("dilations listed past the budget")
+
+        monkeypatch.setattr(cli, "fit_samples", refuse)
+        monkeypatch.setattr(cli, "floor_identity_check", refuse)
+        start = time.perf_counter()
+        assert run(argv.split()) == (EXIT_BUDGET, "")
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == (
+            "error: estimated %d %s exceeds --max-points 50000000\n" % (estimate, unit))
+
+    @pytest.mark.parametrize("family, rank", [("A", 1), ("A", 3), ("A", 4), ("D", 4), ("E", 6),
+                                              ("B", 3), ("G", 2)])
+    def test_sweep_counts_its_coprime_dilations_in_closed_form(self, family, rank):
+        rs = build_root_system(family, rank)
+        h = rs.coxeter_number
+        charged = []
+
+        def cost(rs, b):
+            charged.append(b)
+            return 1, "terms"
+
+        for lo in range(-3, 2 * h + 2):
+            for hi in range(lo, lo + 3 * h):
+                coprime = [b for b in range(max(lo, 1), hi + 1) if gcd(b, h) == 1]
+                if not coprime:
+                    continue
+                charged.clear()  # over budget: only the smallest dilation is charged
+                with pytest.raises(cli.BudgetError, match="estimated %d terms" % len(coprime)):
+                    list(cli._admit(rs, range(lo, hi + 1), cost,
+                                    SimpleNamespace(max_points=len(coprime) - 1), []))
+                assert charged == [coprime[0]]
+                admitted = cli._admit(rs, range(lo, hi + 1), cost,
+                                      SimpleNamespace(max_points=len(coprime)), [])
+                assert list(admitted) == coprime
 
     def test_budget_exit_on_tiny_cap(self):
         for command in (["enum"], ["verify", "count"]):

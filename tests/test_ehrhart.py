@@ -14,6 +14,8 @@ from corelab.ehrhart import (
     coprime_polynomial,
     coprime_samples,
     fit_component,
+    fit_sample_count,
+    fit_samples,
     leading_coefficient_checks,
     quasi_period,
     reciprocity_check,
@@ -426,6 +428,24 @@ class TestCoprimePolynomial:
         for j in classes:
             own = [b for b in range(1, max(samples) + 1) if b % m == j and gcd(b, h) == 1]
             assert own[0] in samples
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(SIMPLY_LACED), st.integers(0, 6), st.booleans(),
+           st.sampled_from(("coweight", "coroot")), st.data())
+    def test_sample_count_is_fit_samples_in_closed_form(self, case, k, centered, lattice, data):
+        # the cli budget charges the count before any sample is listed: the
+        # samples are distinct dilations from 0 up, at most one more per coprime
+        # class than the closed form counts
+        rs = build_root_system(*case)
+        m = quasi_period(rs, lattice)
+        classes = data.draw(st.lists(st.integers(0, m - 1), min_size=1, unique=True))
+        coprime = set(classes) & set(coprime_fit_classes(rs)) if lattice == "coroot" else set()
+        samples = fit_samples(rs, k, lattice, centered, classes)
+        assert len(set(samples)) == len(samples) and min(samples) >= 0
+        count = fit_sample_count(rs, k, lattice, centered, classes)
+        assert len(samples) - len(coprime) <= count <= len(samples)
+        if not coprime:
+            assert count == len(samples)
 
     def test_samples_are_the_smallest_coprime_dilations(self):
         # one polynomial for every class, pinned by the smallest coprime b
