@@ -131,6 +131,8 @@ def _dilations(args, required: bool = True) -> Sequence[int]:
             raise UsageError("--b-range must look like LO..HI")
         if lo > hi:
             raise UsageError("--b-range must be nondecreasing")
+        if lo < 1:
+            raise UsageError("--b-range must start at 1 or above")
         return range(lo, hi + 1)
     if required:
         raise UsageError("--b or --b-range is required")
@@ -516,7 +518,7 @@ def _cn_fuss(args) -> Tuple[int, List[Dict]]:
         rs = build_root_system(_admit_build("C", args.rank, args))
     except ValueError as exc:
         raise UsageError(str(exc))
-    _check_budget(*_points(rs, args.m * rs.coxeter_number + 1), args)
+    _check_budget(*_dp_cost(rs, args.m * rs.coxeter_number + 1, 1), args)
     return EXIT_OK, [experiment_cn_fuss(args.rank, args.m)]
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import accumulate, count, islice
-from math import comb, gcd, lcm, prod
+from math import gcd, lcm, prod
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .genfun import poly_add, poly_eval, poly_mul, poly_trim
@@ -139,10 +139,10 @@ def weighted_lattice_sum(
     The statistic is the form ``F_b`` (:class:`~corelab.rootsys.QuadraticForm`),
     the closed form of zise, evaluated on every lattice point of the closed
     dilated alcove; ``centered`` subtracts the closed-form mean
-    n(b-1)(h+b+1)/24 before raising to the k-th power.  Sums with k <= 2 are
-    read from the moment DP at ``K = k`` and centered by the binomial
-    theorem; every other sum is taken over the distinct values of the form, as
-    counted by one integer walk of the mark knapsack at O(1) per point
+    n(b-1)(h+b+1)/24, which leaves the form with ``24 c = n h b (b - 1)``.
+    Sums with k <= 2 are read from the moment DP at ``K = k``; every other sum
+    is taken over the distinct values of the form, as counted by one integer
+    walk of the mark knapsack at O(1) per point
     (:func:`~corelab.lattice_enum.scaled_value_counts`).
     """
     if lattice not in LATTICES:
@@ -153,15 +153,15 @@ def weighted_lattice_sum(
         raise ValueError("dilation must be nonnegative")
     if k and not is_simply_laced(rs):
         raise ValueError("weighted sums require a simply-laced root system")
-    mean = rs.rank * (b - 1) * (rs.coxeter_number + b + 1) if centered else 0  # 24 mu_b
+    form = QuadraticForm(rs, b)
+    if centered:  # F_b - mu_b
+        form.const = rs.rank * rs.coxeter_number * b * (b - 1)
     if dp_backed(k):
-        sums = alcove_size_sums(rs, b, lattice, k)
-        return sum(comb(k, j) * s * Q(-mean, 24) ** (k - j) for j, s in enumerate(sums))
-    # the form is counted as the integer 24 d^2 F_b(y / d) on points y scaled by d
+        return Q(alcove_size_sums(rs, b, lattice, k, form)[k])
+    # the form is counted as the integer 24 d^2 F(y / d) on points y scaled by d
     d = lattice_scale(rs, lattice)
-    counts = scaled_value_counts(rs, b, lattice, QuadraticForm(rs, b))
-    center = d * d * mean
-    return Q(sum(c * (v - center) ** k for v, c in counts.items()), (24 * d * d) ** k)
+    counts = scaled_value_counts(rs, b, lattice, form)
+    return Q(sum(c * v**k for v, c in counts.items()), (24 * d * d) ** k)
 
 
 class HoldoutError(ValueError):
@@ -398,9 +398,9 @@ def _expected_leading_ratio(rs: RootSystem, k: int) -> Optional[Q]:
         return Q(n * h, 1440)
     if k == 3:
         return Q(n * h * (2 * h - 3), 60480)
+    if k == 4 and rs.family in ("A", "D"):
+        return Q(n * h * (7 * n * h + 12 * h * h - 44 * h + 36), 4838400)
     if rs.family == "A":
-        if k == 4:
-            return Q(n * h * (19 * n**2 - 13 * n + 4), 4838400)
         if k == 5:
             return Q(n * h * (23 * n**2 - 25 * n + 12) * (2 * n - 1), 95800320)
         if k == 6:
@@ -431,8 +431,6 @@ def _expected_leading_ratio(rs: RootSystem, k: int) -> Optional[Q]:
                 1195587993600,
             )
     if rs.family == "D":
-        if k == 4:
-            return Q(n * h * (31 * n**2 - 99 * n + 86), 2419200)
         if k == 5:
             return Q(n * h * (70 * n**3 - 365 * n**2 + 667 * n - 426), 23950080)
         if k == 6:

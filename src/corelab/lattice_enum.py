@@ -9,7 +9,7 @@ integer vector linear in ``x``: ``x`` itself, ``d * x`` (``d = lattice_scale(rs,
 lattice)``), or its image under ``w_b^{-1}`` with the region's wall forms.  Folds build no
 point: a walk counts the points at each value of a quadratic form
 (:func:`scaled_value_counts`), and a dynamic program over budgets and classes, grown one
-budget at a time, gives counts and powers of ``F_b`` (:func:`alcove_size_sums`).  Both read
+budget at a time, gives counts and powers of any form (:func:`alcove_size_sums`).  Both read
 one table of per-item data, :func:`_knapsack_items`."""
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from corelab.rootsys import (
     adjugate,
     clear_denominators,
     exponent_product,
-    is_simply_laced,
 )
 
 
@@ -377,18 +376,19 @@ def coroot_points_in_size_ellipsoid(rs: RootSystem, N: int) -> List[Tuple[Tuple[
 _SIZE_SUM_TABLES: Dict[Tuple[RootSystem, str, int], Tuple[List[List[int]], List[List[Dict]]]] = {}
 
 
-def alcove_size_sums(rs: RootSystem, b: int, lattice: str, K: int = 1) -> Tuple[Optional[Q], ...]:
-    """Power sums of ``F_b`` over ``b * A`` lattice points, by exact dynamic programming.
+def alcove_size_sums(rs: RootSystem, b: int, lattice: str, K: int = 1,
+                     form: Optional[QuadraticForm] = None) -> Tuple[Q, ...]:
+    """Power sums of a form over ``b * A`` lattice points, by exact dynamic programming.
 
     Returns ``(S_0, ..., S_K)``: ``S_0`` is the number of points and ``S_k``
-    the sum over them of the k-th power of the dilation-``b`` form ``F_b``
-    (:class:`QuadraticForm`), the closed form of zise on simply-laced
-    systems; on other systems only the count is given, the rest is ``None``.
-    Each ``S_k`` is read off the row of ``b`` in a table, one per ``K``, of
-    every dilation up to the largest one read so far for this system and
-    lattice; a read past it extends the program by exactly the missing
-    budgets (:func:`_grow_size_sums`), so every row is computed once, however
-    the reads are ordered.  ``K = 0``, the count alone, runs cheapest.
+    the sum over them of the k-th power of ``form``, any form of ``rs``
+    (:class:`QuadraticForm`), ``F_b`` by default, read through it from the
+    sums of the monomials in ``<y, y>`` and ``y``.  Those are the row of ``b``
+    in a table, one per ``K``, of every dilation up to the largest one read so
+    far for this system and lattice; a read past it extends the program by
+    exactly the missing budgets (:func:`_grow_size_sums`), so every row is
+    computed once, whatever the forms and the order of the reads.  ``K = 0``,
+    the count alone, runs cheapest.
     """
     if b < 0:
         raise ValueError("dilation must be nonnegative")
@@ -397,9 +397,8 @@ def alcove_size_sums(rs: RootSystem, b: int, lattice: str, K: int = 1) -> Tuple[
     if b >= len(rows):
         _grow_size_sums(rs, lattice, K, rows, layers, b)
     sums = rows[b]
-    if K == 0 or not is_simply_laced(rs):
-        return (sums[0],) + (None,) * K
-    index, D, form = _moment_maps(rs, K)[0], _scaled_coweight_rows(rs)[0], QuadraticForm(rs, b)
+    index, D = _moment_maps(rs, K)[0], _scaled_coweight_rows(rs)[0]
+    form = form or QuadraticForm(rs, b)
     value = _affine(form.scaled(0, 0, D), [form.scaled(1, 0, D, 0)]
                     + [form.scaled(0, v, D, 0) for v in form.linear])
     power: Poly = {(): 1}

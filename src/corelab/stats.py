@@ -24,7 +24,7 @@ from corelab.affine import (
     w_b_inverse,
 )
 from corelab.cores import Partition, toggle_corners
-from corelab.lattice_enum import core_points_in_sommers, scaled_value_counts
+from corelab.lattice_enum import alcove_size_sums, core_points_in_sommers, scaled_value_counts
 from corelab.rootsys import (
     QuadraticForm,
     RootSystem,
@@ -184,21 +184,22 @@ def floor_identity_check(rs: RootSystem, b: int) -> bool:
 
 
 def experiment_cn_fuss(n: int, m: int) -> Dict[str, object]:
-    """Mean size over the height-``(2mn+1)`` core set of C_n vs the conjectured value."""
+    """Mean size over the height-``(2mn+1)`` core set of C_n vs the conjectured value,
+    the count and the sum of zise over ``b * A`` read from the moment DP, which
+    enumerates no point (:func:`~corelab.lattice_enum.alcove_size_sums`)."""
     if n < 2 or m < 1:
         raise ValueError("need n >= 2 and m >= 1")
     rs = build_root_system("C", n)
-    h = rs.coxeter_number
-    b = m * h + 1
-    row = moments(rs, b)
-    mean = row["mean"]
+    b = m * rs.coxeter_number + 1
+    count, total = alcove_size_sums(rs, b, "coroot", 1, zise_form(rs, b))
+    mean = total / count
     conjecture = Q(m * n * (2 * (m + 1) * n * n + (m + 3) * n - (m + 1)), 12)
     verdict = "consistent"
     if mean != conjecture:
         verdict = "counterexample(mean %d/%d != %d/%d)" % (
             mean.numerator, mean.denominator, conjecture.numerator, conjecture.denominator)
     return {"experiment": "fuss_mean", "family": "C", "rank": n, "m": m, "b": b,
-            "count": row["count"], "mean": mean, "conjecture": conjecture, "verdict": verdict}
+            "count": count, "mean": mean, "conjecture": conjecture, "verdict": verdict}
 
 
 def experiment_weak_order_maximality(rs: RootSystem, b: int) -> Dict[str, object]:

@@ -341,6 +341,42 @@ class TestEnum:
              "5c462d8a00d4ef7b939a02ee1dff4cae81a7956386fa13cee9d3565b67ef8d4f"),
             ("experiment top-coeff --type A --rank 3 --k 3",
              "245fadc5ec43003eee4490e5c1bf58bb5d61b8f1cf2a984a221d6191df53faae"),
+            # the other requests of the benchmark workloads
+            ("verify --type A --rank 4 --b-range 1..13 count max mean variance m3",
+             "09672a7126f8fbbbd16839b37afd2d596faadfa45c1fa950244a0f1113ca7ed0"),
+            ("experiment top-coeff --type A --rank 3 --k 2",
+             "927de408323191c3be37264f61547de5a7716addd3b3ec63c454e92ad1021fad"),
+            ("experiment top-coeff --type D --rank 4 --k 2",
+             "bfd30852dacff929fa5492429b2e8902551dcf9263148ee2f9477fdc4b79a910"),
+            ("fit --type A --rank 3 --k 4 --lattice coroot",
+             "3ff20aa7d1b582173c51120d6a6329f69aba37988110c224e3963e5429277714"),
+            ("fit --type E --rank 6 --k 1 --lattice coroot",
+             "155fca89cce8f7c595306caeb70ab03b3ff9662949c5aae8f73348f3eefceffa"),
+            ("fit --type A --rank 4 --k 0 --lattice coroot",
+             "d712f1c3e2ba1f986f0a619088ba21ae28c3379e59f4544cb934c1f506e8171f"),
+            ("verify --type E --rank 8 --b-range 1..240 count"
+             " --max-points 1000000000000000000000000",
+             "2684eaed0d75a6b593a56701dcf513424df88d873630c8d241ea32ab381b12b3"),
+            ("verify --type E --rank 7 --b-range 1..150 count"
+             " --max-points 1000000000000000000000000",
+             "785f18f7dbdd11435c2f613176d01b73dcbdb6090b816da74c29f7f5b9c4f83c"),
+            ("verify --type A --rank 6 --b-range 1..64 count"
+             " --max-points 1000000000000000000000000",
+             "eb07508b4cf2b1139d47840a9efce68ecaa1e256b52c52656c124605c0958c3a"),
+            ("verify --type E --rank 6 --b 13 count max mean variance",
+             "682aeaca7fb23756aac8d6132556f8bc43210abde42f8a03ae3e28afa54729a8"),
+            ("verify --type E --rank 7 --b 11 count max mean variance",
+             "dd50625315f2fa00e15b3aabc455878b42e66c8141724e8913b2e667f2ec8609"),
+            ("verify --type D --rank 5 macdonald",
+             "a28c4006a3e0c4328af71ea208c1cfcd376dbd4ce68ef6ba5f3e04d5900b318e"),
+            ("verify --type E --rank 6 macdonald",
+             "c55fd25f824c4d3d8445a69d9d2556ddbc00baca5a534f55bc35f9413597f473"),
+            ("series --type E --rank 8 --trunc 60",
+             "b2e41dfe4aff61d522cfdc459a3bd3f6dde61411d4cdfcec25e13ba231363542"),
+            ("experiment weak-order --type E --rank 6 --b 7",
+             "5b4be8943538e68b6a8f3ec020ccb49045f2d92345e86765915ab9af2ec99f32"),
+            ("verify --type E --rank 7 --b-range 1..100 count",
+             "61e38e16b3e1fafb86d50f6361a974587b945e8fe82d3c8ac8fd471eea482ec0"),
             # the README examples
             ("enum --type A --rank 2 --b 4 --stat size",
              "ba2072309ad4598f578dbbf32f2f6dc985e4ebd5b4eb247da599b2d9104815a4"),
@@ -1232,6 +1268,20 @@ class TestPlumbing:
         start = time.perf_counter()
         assert run(argv.split())[0] == code
         assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        ["stat --type A --rank 1 --b-range=-100000000000000..1",
+         "verify --type A --rank 2 --b-range 0..4 count strange",
+         "enum --type A --rank 2 --b-range 0..0",
+         "experiment weak-order --type A --rank 2 --b-range 0..4"],
+    )
+    def test_sweep_starting_below_one_is_usage(self, argv, capsys):
+        # skipped rows are not charged, so a sweep from far below 1 would have no bound
+        start = time.perf_counter()
+        assert run(argv.split()) == (EXIT_USAGE, "")
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == "error: --b-range must start at 1 or above\n"
 
     @pytest.mark.parametrize(
         "argv, estimate, unit",

@@ -27,7 +27,7 @@ from corelab.lattice_enum import (
     scaled_value_counts,
 )
 from corelab.affine import sommers_contains, w_b_inverse
-from corelab.rootsys import QuadraticForm, build_root_system, is_simply_laced
+from corelab.rootsys import QuadraticForm, build_root_system
 from corelab.stats import zise_form
 from oracles import (
     b_omega_action,
@@ -215,11 +215,16 @@ def test_ellipsoid_histogram_matches_core_product():
     assert hist == expected
 
 
-def test_size_sum_dp_non_simply_laced_counts_only():
+def test_size_sum_dp_non_simply_laced_reads_every_sum():
+    # off the simply-laced types F_b is not zise, and the DP reads either form
     rs = build_root_system("C", 3)
     s0, s1 = alcove_size_sums(rs, 4, "coweight")
-    assert s1 is None
+    assert (s0, s1) == streamed_size_sums(rs, 4, "coweight")
     assert s0 == sum(1 for _ in iter_coweight_coeffs(rs, 4, "coweight"))
+    form = zise_form(rs, 5)
+    assert vars(form) != vars(QuadraticForm(rs, 5))
+    s0, s1 = alcove_size_sums(rs, 5, "coroot", 1, form)
+    assert s1 == Q(sum(map(form.scaled_at, iter_scaled_points(rs, 5, "coroot"))), 24)
 
 
 def test_size_sum_dp_scales_to_large_dilations():
@@ -309,12 +314,7 @@ def test_size_sum_table_matches_streaming(case, bs, lattice):
     lattice_enum._SIZE_SUM_TABLES.clear()
     rs = build_root_system(*case)
     for b in bs:
-        got = alcove_size_sums(rs, b, lattice)
-        expected = streamed_size_sums(rs, b, lattice)
-        if is_simply_laced(rs):
-            assert got == expected, b
-        else:
-            assert got == (expected[0], None), b
+        assert alcove_size_sums(rs, b, lattice) == streamed_size_sums(rs, b, lattice), b
 
 
 POWER_SUM_TYPES = [("A", n) for n in range(1, 7)] + [("D", 4), ("D", 5), ("E", 6)]
@@ -357,16 +357,35 @@ def test_power_sum_table_matches_streamed_points(case, lattice, K, bs):
     for b in bs:
         sums = alcove_size_sums(rs, b, lattice, K)
         assert len(sums) == K + 1
-        if not is_simply_laced(rs):  # the count alone
-            assert sums[1:] == (None,) * K
-            sums = sums[:1]
         form = QuadraticForm(rs, b)
         for center in (0, d * d * n * (b - 1) * (h + b + 1)):
-            for k in range(len(sums)):
+            # F_b less center / (24 d^2), the centered form when center is not 0
+            shifted = QuadraticForm(rs, b)
+            shifted.const -= center // (d * d)
+            read = alcove_size_sums(rs, b, lattice, K, shifted)
+            for k in range(K + 1):
                 # the sum of (24 d^2 F_b - center)^k, from the sums of F_b^j, j <= k
                 got = sum(comb(k, j) * (24 * d * d) ** j * sums[j] * (-center) ** (k - j)
                           for j in range(k + 1))
                 assert got == streamed_power_sum(rs, b, k, lattice, form, center), (b, k)
+                assert (24 * d * d) ** k * read[k] == got, (b, k)
+
+
+ZISE_DP_TYPES = [("B", 2), ("B", 3), ("B", 4), ("C", 2), ("C", 3), ("C", 4), ("F", 4), ("G", 2)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ZISE_DP_TYPES), st.sampled_from(("coweight", "coroot")),
+       st.integers(0, 3), st.data())
+def test_zise_power_sums_from_the_dp_match_the_walk(case, lattice, K, data):
+    # off the simply-laced types zise is not F_b: the DP reads it through its own form
+    rs = build_root_system(*case)
+    b = data.draw(st.sampled_from([b for b in range(1, 14) if gcd(b, rs.coxeter_number) == 1]))
+    form, d = zise_form(rs, b), lattice_scale(rs, lattice)
+    counts = scaled_value_counts(rs, b, lattice, form)
+    walked = tuple(Q(sum(m * v**k for v, m in counts.items()), (24 * d * d) ** k)
+                   for k in range(K + 1))
+    assert alcove_size_sums(rs, b, lattice, K, form) == walked
 
 
 ZISE_TYPES = [("B", 3), ("C", 3), ("F", 4), ("G", 2), ("A", 4), ("D", 4)]

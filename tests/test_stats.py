@@ -324,7 +324,7 @@ def test_fuss_experiment_small_cases():
         experiment_cn_fuss(1, 1)
 
 
-def test_moments_and_fuss_walk_once_and_read_no_dp(monkeypatch):
+def test_moments_walk_once_and_read_no_dp(monkeypatch):
     # an empty table: any DP read, even of a row read before, would grow it
     monkeypatch.setattr(lattice_enum, "_SIZE_SUM_TABLES", {})
     walks = []
@@ -339,12 +339,24 @@ def test_moments_and_fuss_walk_once_and_read_no_dp(monkeypatch):
     try:
         for rs, b in ((A2, 4), (D4, 5), (build_root_system("G", 2), 5)):
             moments(rs, b)
-        assert experiment_cn_fuss(2, 1)["verdict"] == "consistent"
     finally:
         moments.cache_clear()
-    assert walks == [("A", 2, 4, "coroot"), ("D", 4, 5, "coroot"), ("G", 2, 5, "coroot"),
-                     ("C", 2, 5, "coroot")]
+    assert walks == [("A", 2, 4, "coroot"), ("D", 4, 5, "coroot"), ("G", 2, 5, "coroot")]
     assert lattice_enum._SIZE_SUM_TABLES == {}
+
+
+def test_fuss_reads_the_dp_and_walks_nothing(monkeypatch):
+    monkeypatch.setattr(lattice_enum, "_SIZE_SUM_TABLES", {})
+
+    def refuse(*args):
+        raise AssertionError("a walk ran")
+
+    monkeypatch.setattr(stats, "scaled_value_counts", refuse)
+    monkeypatch.setattr(stats, "moments", refuse)
+    assert experiment_cn_fuss(2, 1)["verdict"] == "consistent"
+    rs = build_root_system("C", 2)
+    assert list(lattice_enum._SIZE_SUM_TABLES) == [(rs, "coroot", 1)]
+    assert len(lattice_enum._SIZE_SUM_TABLES[rs, "coroot", 1][0]) == 5 + 1  # b = 5, rows 0..5
 
 
 def test_weak_order_experiment_a2_b4():
@@ -405,17 +417,14 @@ def test_experiment_counterexample_verdicts(monkeypatch):
     report = experiment_weak_order_maximality(A2, 4)
     assert report["verdict"] == "counterexample(5 of 5 escape)"
 
-    exact_counts = stats.scaled_value_counts
+    exact_sums = stats.alcove_size_sums
 
-    def shifted(rs, b, lattice, form):
-        # the smallest value's points lose one, which comes back 24 higher: the sum gains 24
-        counts = exact_counts(rs, b, lattice, form)
-        low = min(counts)
-        counts[low] -= 1
-        counts[low + 24] = counts.get(low + 24, 0) + 1
-        return counts
+    def shifted(rs, b, lattice, K, form):
+        # one point's zise is one higher: the sum gains 1
+        count, total = exact_sums(rs, b, lattice, K, form)
+        return count, total + 1
 
-    monkeypatch.setattr(stats, "scaled_value_counts", shifted)
+    monkeypatch.setattr(stats, "alcove_size_sums", shifted)
     report = experiment_cn_fuss(2, 1)
     assert report["mean"] == Q(11, 3) + Q(1, 6)
     assert report["verdict"] == "counterexample(mean 23/6 != 11/3)"
