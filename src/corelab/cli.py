@@ -23,9 +23,8 @@ from .cores import core_from_coroot, enumerate_simultaneous_cores
 from .ehrhart import (
     coprime_fit_classes,
     dp_backed,
+    fit_plan,
     fit_residues,
-    fit_sample_count,
-    fit_samples,
     HoldoutError,
     leading_fit,
     quasi_period,
@@ -157,7 +156,7 @@ def _fit_cost(
 ) -> Tuple[int, str]:
     """The sums of the DP rows up to the largest sample when the fit reads the
     DP, otherwise the estimated points streamed over all its samples; and its unit."""
-    samples = fit_samples(rs, k, lattice, centered, classes)
+    samples = [b for fit in fit_plan(rs, k, lattice, centered, classes) for b in fit.dilations]
     if dp_backed(k):
         return _dp_cost(rs, max(samples), k)
     return sum(_count_estimate(rs, b, lattice) for b in samples), "points"
@@ -168,7 +167,7 @@ def _fit_budget(rs: RootSystem, k: int, lattice: str, centered: bool, classes, a
     are listed: they are distinct dilations from 0 up, so the largest is at least
     their number less one, and every other one holds the origin at least."""
     if not dp_backed(k):
-        many = fit_sample_count(rs, k, lattice, centered, classes)
+        many = sum(fit.nodes + 2 for fit in fit_plan(rs, k, lattice, centered, classes))
         _check_budget(many - 1 + _count_estimate(rs, many - 1, lattice), "points", args)
     _check_budget(*_fit_cost(rs, k, lattice, centered, classes), args)
 

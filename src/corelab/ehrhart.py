@@ -16,7 +16,7 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import accumulate, count, islice
 from math import gcd, lcm, prod
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .genfun import poly_add, poly_eval, poly_mul, poly_trim
 from .lattice_enum import alcove_size_sums, lattice_scale, scaled_value_counts
@@ -31,10 +31,8 @@ __all__ = [
     "weighted_lattice_sum",
     "fit_component",
     "coprime_fit_classes",
-    "coprime_samples",
     "coprime_polynomial",
-    "fit_sample_count",
-    "fit_samples",
+    "fit_plan",
     "fit_residues",
     "reciprocity_check",
     "verify_expected_size_polynomial",
@@ -169,26 +167,90 @@ class HoldoutError(ValueError):
     degree, or the assumed zeros and symmetry, do not hold."""
 
 
-def _class_samples(rs: RootSystem, k: int, lattice: str, residue: int) -> Tuple[int, ...]:
-    """The n + 2k + 1 smallest dilations of the class, then two holdouts."""
-    m = quasi_period(rs, lattice)
-    return tuple(residue + m * t for t in range(rs.rank + 2 * k + 3))
+class Fit(Record):
+    """One interpolation of a fit: the classes it answers, its number of nodes,
+    the known zeros of its polynomial, its mirror parity (``None`` for a class
+    fitted alone) and its dilations, the nodes first and then the holdouts."""
+
+    __slots__ = ("classes", "nodes", "zeros", "mirror", "dilations")
+
+    def __init__(self, classes: Tuple[int, ...], nodes: int, zeros: Tuple[int, ...],
+                 mirror: Optional[int], dilations: Iterable[int]) -> None:
+        self.classes, self.nodes, self.zeros = classes, nodes, zeros
+        self.mirror, self.dilations = mirror, dilations
+
+    @classmethod
+    def alone(cls, rs: RootSystem, k: int, lattice: str, residue: int) -> "Fit":
+        """Class ``residue`` at its n + 2k + 1 smallest dilations, then two holdouts."""
+        if k < 0:
+            raise ValueError("weight exponent must be nonnegative")
+        m = quasi_period(rs, lattice)
+        if not 0 <= residue < m:
+            raise ValueError("residue out of range for period %d" % m)
+        nodes = rs.rank + 2 * k + 1
+        return cls((residue,), nodes, (), None, range(residue, residue + m * (nodes + 2), m))
+
+
+def fit_plan(
+    rs: RootSystem, k: int, lattice: str, centered: bool, classes: Sequence[int]
+) -> List[Fit]:
+    """The interpolations that fit ``classes``, in the order they are read:
+    first one :func:`coprime_polynomial` for the coprime coroot classes, with
+    known zeros -j for 0 < j < h coprime to h (and 0 and -h when centered with
+    k >= 2), nodes at the floor(deg R / 2) + 1 smallest b coprime to h and
+    holdouts at the next two and at the smallest coprime b of each requested
+    class those miss; then each other class alone.  Summed over the plan,
+    nodes + 2 counts the dilations, less at most one per coprime class."""
+    shared = coprime_fit_classes(rs) if lattice == "coroot" else ()
+    coprime = tuple(j for j in classes if j in shared)
+    plan = [Fit.alone(rs, k, lattice, j) for j in classes if j not in coprime]
+    if not coprime:
+        return plan
+    h, m = rs.coxeter_number, quasi_period(rs, "coroot")
+    zeros = tuple(-j for j in range(1, h) if gcd(j, h) == 1) + (
+        (0, -h) if centered and k >= 2 else ())
+    nodes = (rs.rank + 2 * k - len(zeros)) // 2 + 1
+
+    def dilations() -> Iterator[int]:
+        for last in islice((b for b in count(1) if gcd(b, h) == 1), nodes + 2):
+            yield last
+        for j in coprime:
+            first = next(b for b in count(j or m, m) if gcd(b, h) == 1)
+            if first > last:
+                yield first
+
+    return [Fit(coprime, nodes, zeros, (rs.rank + len(zeros)) % 2, dilations())] + plan
+
+
+def _interpolate(rs: RootSystem, k: int, lattice: str, centered: bool, fit: Fit) -> PolyQ:
+    """The polynomial through the sums of :func:`weighted_lattice_sum` at the
+    nodes of ``fit``, checked at each later dilation.  A class alone is
+    interpolated in b, with no zeros.  A coprime polynomial P obeys
+    P(-h-b) = (-1)^n P(b), and b -> -h-b maps its known zeros onto themselves,
+    so P over the product Z of b - z is c(t^2), or t c(t^2) at mirror parity 1,
+    in t = 2b + h: only c is interpolated."""
+    h = rs.coxeter_number
+    dilations = iter(fit.dilations)
+    nodes = list(islice(dilations, fit.nodes))
+    x = (0, 1) if fit.mirror is None else (h * h, 4 * h, 4)
+    factors = ((h, 2),) * (fit.mirror or 0) + tuple((-z, 1) for z in fit.zeros)
+    reduced = [weighted_lattice_sum(rs, b, k, lattice, centered)
+               / prod(poly_eval(f, b) for f in factors) for b in nodes]
+    poly: PolyQ = (Q(0),)
+    for coeff in reversed(_lagrange_fit([poly_eval(x, b) for b in nodes], reduced)):
+        poly = poly_add(poly_mul(poly, x), (coeff,))
+    for f in factors:
+        poly = poly_mul(poly, f)
+    if any(poly_eval(poly, b) != weighted_lattice_sum(rs, b, k, lattice, centered)
+           for b in dilations):
+        raise HoldoutError("period/degree assumption violated")
+    return poly_trim(poly)
 
 
 def fit_component(rs: RootSystem, k: int, lattice: str, residue: int) -> PolyQ:
     """Interpolate one residue class of the weighted quasipolynomial at its
     n + 2k + 1 smallest dilations and verify it on the next two."""
-    if k < 0:
-        raise ValueError("weight exponent must be nonnegative")
-    m = quasi_period(rs, lattice)
-    if not 0 <= residue < m:
-        raise ValueError("residue out of range for period %d" % m)
-    samples = _class_samples(rs, k, lattice, residue)
-    values = [weighted_lattice_sum(rs, b, k, lattice) for b in samples]
-    poly = _lagrange_fit(samples[:-2], values[:-2])
-    if any(poly_eval(poly, b) != y for b, y in zip(samples[-2:], values[-2:])):
-        raise HoldoutError("period/degree assumption violated")
-    return poly
+    return _interpolate(rs, k, lattice, False, Fit.alone(rs, k, lattice, residue))
 
 
 def reciprocity_check(
@@ -224,135 +286,32 @@ def coprime_fit_classes(rs: RootSystem) -> Tuple[int, ...]:
     return tuple(j for j in range(m) if gcd(j, shared) == 1)
 
 
-def _known_zeros(rs: RootSystem, k: int, centered: bool) -> Tuple[int, ...]:
-    """Roots of the coprime polynomial known a priori: -j for 0 < j < h
-    coprime to h, and 0 and -h when centered with k >= 2."""
-    h = rs.coxeter_number
-    zeros = tuple(-j for j in range(1, h) if gcd(j, h) == 1)
-    return zeros + (0, -h) if centered and k >= 2 else zeros
-
-
-def _unknowns(rs: RootSystem, k: int, centered: bool) -> int:
-    """Coefficients of c in R = c(t^2) or t c(t^2): floor(deg R / 2) + 1."""
-    return (rs.rank + 2 * k - len(_known_zeros(rs, k, centered))) // 2 + 1
-
-
-def coprime_samples(
-    rs: RootSystem, k: int, centered: bool, classes: Sequence[int]
-) -> Tuple[int, ...]:
-    """Every dilation :func:`coprime_polynomial` reads, in reading order.
-
-    First the floor(deg R / 2) + 1 smallest b coprime to h, which determine
-    the reduced polynomial R, then the next two as holdouts, then for every
-    requested coroot residue class still without a sample the smallest
-    coprime b of that class.
-    """
-    if k and not is_simply_laced(rs):
-        raise ValueError("weighted sums require a simply-laced root system")
-    h = rs.coxeter_number
-    m = quasi_period(rs, "coroot")
-    if not set(classes) <= set(coprime_fit_classes(rs)):
-        raise ValueError("residue classes must contain dilations coprime to h")
-    coprime = (b for b in count(1) if gcd(b, h) == 1)
-    samples = list(islice(coprime, _unknowns(rs, k, centered) + 2))
-    for j in classes:
-        if all(b % m != j for b in samples):
-            samples.append(next(b for b in count(j or m, m) if gcd(b, h) == 1))
-    return tuple(samples)
-
-
-def coprime_polynomial(
-    rs: RootSystem, k: int, centered: bool, classes: Sequence[int]
-) -> PolyQ:
+def coprime_polynomial(rs: RootSystem, k: int, centered: bool, classes: Sequence[int]) -> PolyQ:
     """The polynomial P(b) = sum over coroot points x of bA of
     (F_b(x) - mu_b)^k, valid at every b coprime to h (P. Johnson's
-    polynomial method); at k = 0 it is the count, on every type.
-
-    P = Z R with Z the product of b - z over :func:`_known_zeros`.  P obeys
-    the reciprocity P(-h-b) = (-1)^n P(b), and the reflection b -> -h-b maps
-    the zeros of Z onto themselves, so R(-h-b) = (-1)^(n + deg Z) R(b).  In
-    t = 2b + h, R is therefore c(t^2) or t c(t^2), so only c is
-    interpolated, at the first samples of :func:`coprime_samples`; the rest
-    are holdouts, which also check one dilation of every class in
-    ``classes``.
-    """
-    h = rs.coxeter_number
-    zeros = _known_zeros(rs, k, centered)
-    odd = (rs.rank + len(zeros)) % 2
-    samples = coprime_samples(rs, k, centered, classes)
-    cut = _unknowns(rs, k, centered)
-
-    def value(b: int) -> Q:
-        return weighted_lattice_sum(rs, b, k, "coroot", centered)
-
-    nodes = samples[:cut]
-    reduced = [
-        value(b) / ((2 * b + h) ** odd * prod(b - z for z in zeros)) for b in nodes
-    ]
-    c = _lagrange_fit([(2 * b + h) ** 2 for b in nodes], reduced)
-    poly: PolyQ = (Q(0),)
-    for coeff in reversed(c):
-        poly = poly_add(poly_mul(poly, (h * h, 4 * h, 4)), (coeff,))
-    for factor in ((h, 2),) * odd + tuple((-z, 1) for z in zeros):
-        poly = poly_mul(poly, factor)
-    poly = poly_trim(poly)
-    for b in samples[cut:]:
-        if poly_eval(poly, b) != value(b):
-            raise HoldoutError("period/degree assumption violated")
-    return poly
-
-
-def _polynomial_classes(
-    rs: RootSystem, lattice: str, classes: Sequence[int]
-) -> Tuple[int, ...]:
-    """The classes :func:`coprime_polynomial` answers: the coroot classes
-    with b coprime to h.  Every other class has its own
-    :func:`fit_component`."""
-    coprime = coprime_fit_classes(rs) if lattice == "coroot" else ()
-    return tuple(j for j in classes if j in coprime)
-
-
-def fit_samples(
-    rs: RootSystem, k: int, lattice: str, centered: bool, classes: Sequence[int]
-) -> Tuple[int, ...]:
-    """Every dilation :func:`fit_residues` reads for these residue classes."""
-    coprime = _polynomial_classes(rs, lattice, classes)
-    own = tuple(
-        b for j in classes if j not in coprime for b in _class_samples(rs, k, lattice, j)
-    )
-    return (coprime_samples(rs, k, centered, coprime) if coprime else ()) + own
-
-
-def fit_sample_count(rs: RootSystem, k: int, lattice: str, centered: bool, classes) -> int:
-    """How many dilations :func:`fit_samples` lists, in closed form, less the at most
-    one per coprime class that :func:`coprime_samples` adds when its first ones miss it."""
-    coprime = _polynomial_classes(rs, lattice, classes)
-    own = (len(classes) - len(coprime)) * (rs.rank + 2 * k + 3)
-    return own + (_unknowns(rs, k, centered) + 2 if coprime else 0)
+    polynomial method); at k = 0 it is the count, on every type.  Its
+    holdouts check one dilation of every class in ``classes``."""
+    plan = fit_plan(rs, k, "coroot", centered, classes)
+    if len(plan) != 1 or plan[0].mirror is None:
+        raise ValueError("residue classes must contain dilations coprime to h")
+    return _interpolate(rs, k, "coroot", centered, plan[0])
 
 
 def fit_residues(
     rs: RootSystem, k: int, lattice: str, classes: Sequence[int]
 ) -> List[Tuple[int, Union[PolyQ, HoldoutError]]]:
-    """``(residue, component)`` for every class of ``classes``, in order.
-
-    The coprime coroot classes among ``classes`` share one coprime
-    polynomial, fitted once; every other class has its own
-    :func:`fit_component`.  A fit that misses a holdout gives its
-    HoldoutError in place of the component.
-    """
-    coprime = _polynomial_classes(rs, lattice, classes)
-
-    def fit(j: Optional[int]) -> Union[PolyQ, HoldoutError]:
+    """``(residue, component)`` for every class of ``classes``, in order, fitted
+    entry by entry of :func:`fit_plan`.  A fit that misses a holdout gives its
+    HoldoutError in place of the component."""
+    fitted: Dict[int, Union[PolyQ, HoldoutError]] = {}
+    for fit in fit_plan(rs, k, lattice, False, classes):
         try:
-            if j is None:
-                return coprime_polynomial(rs, k, False, coprime)
-            return fit_component(rs, k, lattice, j)
+            poly = (fit_component(rs, k, lattice, *fit.classes) if fit.mirror is None
+                    else coprime_polynomial(rs, k, False, fit.classes))
         except HoldoutError as exc:
-            return exc
-
-    shared = fit(None) if coprime else None
-    return [(j, shared if j in coprime else fit(j)) for j in classes]
+            poly = exc
+        fitted.update(dict.fromkeys(fit.classes, poly))
+    return [(j, fitted[j]) for j in classes]
 
 
 def verify_expected_size_polynomial(rs: RootSystem) -> Dict:
@@ -398,7 +357,7 @@ def _expected_leading_ratio(rs: RootSystem, k: int) -> Optional[Q]:
         return Q(n * h, 1440)
     if k == 3:
         return Q(n * h * (2 * h - 3), 60480)
-    if k == 4 and rs.family in ("A", "D"):
+    if k == 4:
         return Q(n * h * (7 * n * h + 12 * h * h - 44 * h + 36), 4838400)
     if rs.family == "A":
         if k == 5:

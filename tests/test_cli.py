@@ -400,6 +400,117 @@ class TestEnum:
              "963d00581d7d13bfbbe285849f5defe06578e50e096c3b8bdcd05037d80f9094"),
             ("experiment cn-fuss --rank 2 --m 1",
              "9a306e404d659c5fa3ecf6c58c954f77e8ac3cfc85f55c93ca503c4e9986ac43"),
+            # the fit grid on A2, A3, A4, D4 and E6: coroot fits at k = 0..4,
+            # top-coeff at k = 1..4 and coweight fits at k = 0..2
+            ("fit --type A --rank 2 --k 0 --lattice coroot",
+             "22092a796e154c7ee84660f0fe84ca5e3dc5f69d30229ae114e364fb2d127ef6"),
+            ("fit --type A --rank 2 --k 1 --lattice coroot",
+             "5e0eb1c6f62a45ab50d1cdf219a1bf2b7661cc173159b20068582b0b8d32d816"),
+            ("fit --type A --rank 2 --k 2 --lattice coroot",
+             "254c420a925b63045a83e1c07e62f78be98bff1d725aa6ad7bff1f4100a7e9f9"),
+            ("fit --type A --rank 2 --k 3 --lattice coroot",
+             "0cb31cc79ed12d0702980e04e0cdfdb1f3dd46b811a5c18cd44dd01a119950d8"),
+            ("fit --type A --rank 2 --k 4 --lattice coroot",
+             "a4775f3e9bfc231243138f7da873df6a3d19aaac5d8e30427c12bb1cbcddddb9"),
+            ("fit --type A --rank 3 --k 0 --lattice coroot",
+             "55196690df44d42fb77ca40fcc3a87ad030bb6292b18a1b6bcd99e39938fd960"),
+            ("fit --type A --rank 3 --k 1 --lattice coroot",
+             "a5fcc0b420a3ba0609c0d9e007f4e944ead24eeaa087ed9d4fbfdcd79898aab4"),
+            ("fit --type A --rank 3 --k 2 --lattice coroot",
+             "d1e3f913b4cfe95fd6373689c2096fcfa15d0e6acbef82f24fe5fc58750e1cd6"),
+            ("fit --type A --rank 3 --k 3 --lattice coroot",
+             "34592d5e7d26b77adcac5a88ccf5679596cbc2534d63b99a550fec78eb1328b4"),
+            ("fit --type A --rank 4 --k 1 --lattice coroot",
+             "55ba27091f0289c9a38dd51ab9fce8516477bc71ecf002f76c8723e7d4fa6231"),
+            ("fit --type A --rank 4 --k 2 --lattice coroot",
+             "4994abb4b3dea1a1eee72561cc56b82f19534cb34f0b2f9a5032a84081cb64a9"),
+            ("fit --type A --rank 4 --k 3 --lattice coroot",
+             "09e2c1aaf845fd2ab19389269df0be16b20c66756c4d20d20e6be6e96ec1fd45"),
+            ("fit --type A --rank 4 --k 4 --lattice coroot",
+             "e63cdfe42ff3a502be58979da17f87a804a3bf114908379da0acac00beaab3a9"),
+            ("fit --type D --rank 4 --k 0 --lattice coroot",
+             "f9acd65e726ddef01bdfa6b77685d1a0f3f084d07e283635b981cc3e71e6d412"),
+            ("fit --type D --rank 4 --k 1 --lattice coroot",
+             "f410cd24222e5f7400b040f0daeadd914fb52ea9ad48636e6bf5e37cb8dc736b"),
+            ("fit --type D --rank 4 --k 2 --lattice coroot",
+             "ec671d57967049802c80958638ee446b9c70bae55f254c22552506cd0454e826"),
+            ("fit --type D --rank 4 --k 4 --lattice coroot",
+             "0d0fe0637bf8ecb05a7ed56df2b978fcee86cc94e08baf787e4352b79e1748cd"),
+            ("fit --type E --rank 6 --k 0 --lattice coroot",
+             "55b6029c7dda77b40319fb6efa5c64a1e38a5490cb7cb6525d70e97129ff0351"),
+            ("fit --type E --rank 6 --k 2 --lattice coroot",
+             "58b5fccfce51b4df37641497eb62c5ab8e9ba8a84c7e86c217c5d52c346c2604"),
+            ("fit --type E --rank 6 --k 3 --lattice coroot",
+             "04c334a64e597f82dad0ea797c36f8031c26c60c2642af4e642d78fd9ef2547d"),
+            ("fit --type E --rank 6 --k 4 --lattice coroot",
+             "0326fc92d055b627b99c2447716102be77c42f55cb0d1aab346c23f340419ff0"),
+            ("experiment top-coeff --type A --rank 2 --k 1",
+             "5ec77dc08c17c6dc6136317c4f835bc7115668976df98cbe84f9c484906baf5c"),
+            ("experiment top-coeff --type A --rank 2 --k 2",
+             "80e7d3c0642fa8526f09cbb222703fb40a01a911a18ab75d345a248167ecd882"),
+            ("experiment top-coeff --type A --rank 2 --k 3",
+             "dbf81081446a97a26caf0a0557edb7142a435d259df62339cda1d91e82111e11"),
+            ("experiment top-coeff --type A --rank 2 --k 4",
+             "35531a6fc97cf285edbd5575d3ab2b22cf5bcd522067fe9261d3c8a75f2a75ab"),
+            ("experiment top-coeff --type A --rank 3 --k 1",
+             "25f67c29bc795176b9b3438d8597c9559c860ff14e482c07dd5b47fd9aa87452"),
+            ("experiment top-coeff --type A --rank 3 --k 4",
+             "069e2c8b2a51806197d4c0f98cd22029ae65ac1ead7e44c9b2aedc99ba9714a1"),
+            ("experiment top-coeff --type A --rank 4 --k 1",
+             "45fb6593283a910ef6b07927ca184c7aca5ca061982fbfd67a8696f120fd5a83"),
+            ("experiment top-coeff --type A --rank 4 --k 2",
+             "8976294d5b87d556b164f0d50fd7b86d642d448857fed02145466feab4809b6d"),
+            ("experiment top-coeff --type A --rank 4 --k 3",
+             "6d47d7755d51100ad4ec6245e9e1f97e831bd2ffd9b8bb01f7ba5ca99b1fa02b"),
+            ("experiment top-coeff --type A --rank 4 --k 4",
+             "6a93e555957ea4b2f782cdda2ec010626efcfc58c90348396cb2ca013dca38eb"),
+            ("experiment top-coeff --type D --rank 4 --k 1",
+             "17ad6efce80cacea615d19d1d7ab123528b30c88d1581e2d00ba0440bb7e8861"),
+            ("experiment top-coeff --type D --rank 4 --k 3",
+             "a88118b3eeb546743d0929bbaf6053666a720a2430b2528fd041f522dca39778"),
+            ("experiment top-coeff --type D --rank 4 --k 4",
+             "b608130429ac9dd6ff7dac744f611d0e81c9a528391a3298e559cf8301285681"),
+            ("experiment top-coeff --type E --rank 6 --k 1",
+             "033b6293b33221ac170b76b3f23c0b0b1acc8cbc4fa4fe2799ee98ca21072c71"),
+            ("experiment top-coeff --type E --rank 6 --k 2",
+             "3d176ab3d7a4ff406d6c689b7a02cb17ac4145addd25540db9f60b3c7ab89a04"),
+            ("experiment top-coeff --type E --rank 6 --k 3",
+             "f614ee348a5efdb5ff4781fd65de5577888ef5c4d45e9251eb5eb7be8947e719"),
+            # the uniform k = 4 leading ratio on E6, E7 and E8
+            ("experiment top-coeff --type E --rank 6 --k 4",
+             "d479418035f2fa7423a45fd2a0d678327b26315dc1f20ce4676b89d46b4fa75e"),
+            ("experiment top-coeff --type E --rank 7 --k 4",
+             "680cf2bef892032be2388ac59611c824bec55588b079849b026ac668d26379fd"),
+            ("experiment top-coeff --type E --rank 8 --k 4",
+             "f881d27f5f4f5d48d9c311a9675ebcc38c278f29dc4d314fc262c3f2c43b20cd"),
+            ("fit --type A --rank 2 --k 1",
+             "ee9ce8cd223582184bfb64a7e8b3713921fcebc6c403e24a3ea868f402ef8484"),
+            ("fit --type A --rank 2 --k 2",
+             "2c34b2b5ddd503c2e88e9df00474e1a0d749af59e613b5babd47df0d207415b6"),
+            ("fit --type A --rank 3 --k 0",
+             "b3333f20396e4488d67d4343d28bfc8e2ae59d4f0e6e5b28d38bb8cd28b26458"),
+            ("fit --type A --rank 3 --k 1",
+             "e2d0b5c2c7a9c4e32ee4dd26c01f3d0246a85bd04b3a9d7a16409045bafa336a"),
+            ("fit --type A --rank 3 --k 2",
+             "9832ffefb2d2351f5c46abfe7927dc3302bbad88837cf11a00b71fdedd8674b3"),
+            ("fit --type A --rank 4 --k 0",
+             "12e3ab29838fb1aae3954788c0018eaf0429315e955de20043a6a13032e6212c"),
+            ("fit --type A --rank 4 --k 1",
+             "0180fb47b19a51009f829a11aaaa0bf06f75fa247fc82efe3febb6bae54c6d3e"),
+            ("fit --type A --rank 4 --k 2",
+             "a54bf69da4fb5a8800298d5a9441d875e396577cff9fdb55bf907175dfea378f"),
+            ("fit --type D --rank 4 --k 0",
+             "0ca7e7d32ea5b72e456e4b9ea3767af9c9177cfcf1ea78be0a254e4907f27ecf"),
+            ("fit --type D --rank 4 --k 1",
+             "6e5e6d9535bfe0c8e68e0d90b15dbfff0e53b25f3742856b57bd753ab1b2eb98"),
+            ("fit --type D --rank 4 --k 2",
+             "eebc4a6559484e10324e98769473d56e8b187d5f41d87c4e481b98e17a582c98"),
+            ("fit --type E --rank 6 --k 0",
+             "bf04a9c4f542d8306bd9498a454b1d805e08360ed43b8c3abe61c3279ddd83ea"),
+            ("fit --type E --rank 6 --k 1",
+             "ba4252d14f9a13fa78efbd6f4fd8457349298678ba8ee5034243cb41da691be1"),
+            ("fit --type E --rank 6 --k 2",
+             "f0158598be93c6c3b7226e0b8dba6769151e11141071589e203bd980593a972a"),
         ],
     )
     def test_stdout_bytes_are_pinned(self, argv, digest):
@@ -849,6 +960,33 @@ class TestFit:
         assert code == EXIT_OK and len(doc["results"]) == 17
         assert len(calls) == 1 and len(calls[0]) == 16
 
+    @pytest.mark.parametrize(
+        "argv, dilation, failed",
+        [("fit --type A --rank 3 --k 4 --lattice coroot", 13, {1, 3}),
+         ("fit --type A --rank 4 --k 0 --lattice coroot", 25, {0})],
+        ids=["coprime", "alone"],
+    )
+    def test_holdout_miss_survives_optimize(self, argv, dilation, failed):
+        # a holdout of the shared coprime fit, and one of class 0 of A4 fitted alone
+        script = (
+            "import sys\n"
+            "from corelab import ehrhart\n"
+            "from corelab.cli import main\n"
+            "exact = ehrhart.weighted_lattice_sum\n"
+            "def off(rs, b, k, lattice, centered=False):\n"
+            "    return exact(rs, b, k, lattice, centered) + (b == %d)\n"
+            "ehrhart.weighted_lattice_sum = off\n"
+            "sys.exit(main(%r))\n" % (dilation, argv.split())
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == EXIT_MISMATCH, proc.stderr
+        rows = json.loads(proc.stdout)["results"][1:]
+        assert {row["residue"] for row in rows} >= failed
+        for row in rows:
+            expected = "fail(period/degree assumption violated)" if row["residue"] in failed else "pass"
+            assert row["holdouts"] == expected
+
     def test_holdout_miss_fails_every_coprime_row(self, monkeypatch):
         argv = ["fit", "--type", "A", "--rank", "3", "--k", "4", "--lattice", "coroot"]
         assert run(argv)[0] == EXIT_OK
@@ -1294,7 +1432,13 @@ class TestPlumbing:
         def refuse(*args):
             raise AssertionError("dilations listed past the budget")
 
-        monkeypatch.setattr(cli, "fit_samples", refuse)
+        def unlisted(*args):  # the real plan, whose dilations raise on their first next
+            plan = ehrhart.fit_plan(*args)
+            for fit in plan:
+                fit.dilations = (refuse() for _ in (None,))
+            return plan
+
+        monkeypatch.setattr(cli, "fit_plan", unlisted)
         monkeypatch.setattr(cli, "floor_identity_check", refuse)
         start = time.perf_counter()
         assert run(argv.split()) == (EXIT_BUDGET, "")

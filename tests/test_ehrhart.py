@@ -12,10 +12,9 @@ from corelab.ehrhart import (
     HoldoutError,
     coprime_fit_classes,
     coprime_polynomial,
-    coprime_samples,
     fit_component,
-    fit_sample_count,
-    fit_samples,
+    fit_plan,
+    fit_residues,
     leading_coefficient_checks,
     quasi_period,
     reciprocity_check,
@@ -351,6 +350,13 @@ class TestLeadingCoefficients:
     def test_higher_conjecture_tables_type_d(self):
         assert leading_coefficient_checks(D4, 4)["verdict"] == "consistent"
 
+    def test_higher_conjecture_tables_type_e(self):
+        # the k = 4 row nh(7nh + 12h^2 - 44h + 36)/4838400 holds on E as on A and D
+        for rank, ratio in ((6, Q(29, 1120)), (7, Q(669, 6400)), (8, Q(311, 560))):
+            out = leading_coefficient_checks(build_root_system("E", rank), 4)
+            assert out["ratio"] == out["expected"] == ratio
+            assert out["verdict"] == "consistent"
+
     def test_d_type_k6_ratio_is_half_the_table(self):
         # the data disagree with the conjectured D-type k=6 entry by exactly
         # a factor of two; the table stays under test, not corrected
@@ -415,49 +421,68 @@ class TestCoprimePolynomial:
             coprime_polynomial(build_root_system("B", 3), 1, False, (1,))
 
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from(SIMPLY_LACED), st.integers(0, 4), st.booleans(), st.data())
-    def test_samples_cover_every_requested_class(self, case, k, centered, data):
-        rs = build_root_system(*case)
-        h = rs.coxeter_number
-        m = quasi_period(rs, "coroot")
-        allowed = coprime_fit_classes(rs)
-        classes = data.draw(st.lists(st.sampled_from(allowed), min_size=1, unique=True))
-        samples = coprime_samples(rs, k, centered, classes)
-        assert len(set(samples)) == len(samples)
-        assert all(b >= 1 and gcd(b, h) == 1 for b in samples)
-        for j in classes:
-            own = [b for b in range(1, max(samples) + 1) if b % m == j and gcd(b, h) == 1]
-            assert own[0] in samples
-
-    @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(SIMPLY_LACED), st.integers(0, 6), st.booleans(),
            st.sampled_from(("coweight", "coroot")), st.data())
-    def test_sample_count_is_fit_samples_in_closed_form(self, case, k, centered, lattice, data):
+    def test_fits_read_the_plan_in_order(self, case, k, centered, lattice, data):
+        rs = build_root_system(*case)
+        h = rs.coxeter_number
+        m = quasi_period(rs, lattice)
+        classes = data.draw(st.lists(st.integers(0, m - 1), min_size=1, unique=True))
+        coprime = [j for j in classes if j in coprime_fit_classes(rs) and lattice == "coroot"]
+        # every sum reads 0, so every fit is the zero polynomial and passes every
+        # holdout: the dilations read are the whole plan, at no cost
+        read = []
+
+        def recorded(rs, b, k, lattice, centered=False):
+            read.append((b, centered))
+            return Q(0)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ehrhart, "weighted_lattice_sum", recorded)
+            assert {poly for _, poly in fit_residues(rs, k, lattice, classes)} == {(0,)}
+            fitted, read[:] = read[:], []
+            if coprime:
+                assert coprime_polynomial(rs, k, centered, coprime) == (0,)
+        samples = [b for fit in fit_plan(rs, k, lattice, False, classes) for b in fit.dilations]
+        assert fitted == [(b, False) for b in samples]
         # the cli budget charges the count before any sample is listed: the
         # samples are distinct dilations from 0 up, at most one more per coprime
         # class than the closed form counts
-        rs = build_root_system(*case)
-        m = quasi_period(rs, lattice)
-        classes = data.draw(st.lists(st.integers(0, m - 1), min_size=1, unique=True))
-        coprime = set(classes) & set(coprime_fit_classes(rs)) if lattice == "coroot" else set()
-        samples = fit_samples(rs, k, lattice, centered, classes)
         assert len(set(samples)) == len(samples) and min(samples) >= 0
-        count = fit_sample_count(rs, k, lattice, centered, classes)
+        count = sum(fit.nodes + 2 for fit in fit_plan(rs, k, lattice, False, classes))
         assert len(samples) - len(coprime) <= count <= len(samples)
         if not coprime:
-            assert count == len(samples)
+            assert count == len(samples) and read == []
+            return
+        # the shared fit, centered or not, reads b coprime to h covering every class
+        [fit] = fit_plan(rs, k, "coroot", centered, coprime)
+        shared = list(fit.dilations)
+        assert read == [(b, centered) for b in shared]
+        assert len(set(shared)) == len(shared)
+        assert all(b >= 1 and gcd(b, h) == 1 for b in shared)
+        for j in coprime:
+            own = [b for b in range(1, max(shared) + 1) if b % m == j and gcd(b, h) == 1]
+            assert own[0] in shared
 
     def test_samples_are_the_smallest_coprime_dilations(self):
+        def dilations(rs, k, classes):
+            [fit] = fit_plan(rs, k, "coroot", False, classes)
+            return tuple(fit.dilations)
+
         # one polynomial for every class, pinned by the smallest coprime b
-        assert coprime_samples(A3, 4, False, (1, 3)) == (1, 3, 5, 7, 9, 11, 13)
-        assert coprime_samples(D4, 3, False, (1,)) == (1, 5, 7, 11, 13, 17, 19)
+        assert dilations(A3, 4, (1, 3)) == (1, 3, 5, 7, 9, 11, 13)
+        assert dilations(D4, 3, (1,)) == (1, 5, 7, 11, 13, 17, 19)
         # three samples fix the count polynomial of A4; class 4 adds a holdout
         A4 = build_root_system("A", 4)
-        assert coprime_samples(A4, 0, False, (1, 2, 3, 4)) == (1, 2, 3, 4)
+        assert dilations(A4, 0, (1, 2, 3, 4)) == (1, 2, 3, 4)
+        # the shared fit is read first, then each class fitted alone
+        plan = fit_plan(A4, 0, "coroot", False, (0, 1, 2, 3, 4))
+        assert [(fit.classes, fit.mirror) for fit in plan] == [((1, 2, 3, 4), 0), ((0,), None)]
+        assert plan[1].dilations == range(0, 35, 5)
         with pytest.raises(ValueError):
-            coprime_samples(A3, 2, False, (2,))
+            coprime_polynomial(A3, 2, False, (2,))
         with pytest.raises(ValueError):
-            coprime_samples(build_root_system("B", 3), 2, False, (1,))
+            coprime_polynomial(build_root_system("B", 3), 2, False, (1,))
 
     def test_holdout_miss_raises(self, monkeypatch):
         poly = coprime_polynomial(A3, 4, False, (1, 3))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from corelab import lattice_enum
 from corelab.cli import _fit_cost, main
-from corelab.ehrhart import coprime_fit_classes, fit_samples, weighted_lattice_sum
+from corelab.ehrhart import coprime_fit_classes, fit_plan, weighted_lattice_sum
 from corelab.lattice_enum import (
     alcove_size_sums,
     coroot_points_in_bA,
@@ -446,7 +446,7 @@ def test_size_sum_rows_are_computed_once(monkeypatch):
     e8 = build_root_system("E", 8)
     classes = coprime_fit_classes(e8)
     fit_quasi(e8, 1, "coroot", residues=classes)
-    top = max(fit_samples(e8, 1, "coroot", False, classes))
+    top = max(b for fit in fit_plan(e8, 1, "coroot", False, classes) for b in fit.dilations)
     assert sum(n for _, n in grown) == top + 1 and {K for K, _ in grown} == {1}
     assert _fit_cost(e8, 1, "coroot", False, classes)[0] == (top + 1) * e8.index_f * comb(10, 1)
 
