@@ -421,11 +421,45 @@ class TestCoprimePolynomial:
             coprime_polynomial(build_root_system("B", 3), 1, False, (1,))
 
     @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(SIMPLY_LACED), st.integers(0, 4), st.booleans(), st.data())
+    def test_samples_cover_every_requested_class(self, case, k, centered, data):
+        rs = build_root_system(*case)
+        h = rs.coxeter_number
+        m = quasi_period(rs, "coroot")
+        allowed = coprime_fit_classes(rs)
+        classes = data.draw(st.lists(st.sampled_from(allowed), min_size=1, unique=True))
+        [fit] = fit_plan(rs, k, "coroot", centered, classes)
+        samples = tuple(fit.dilations)
+        assert len(set(samples)) == len(samples)
+        assert all(b >= 1 and gcd(b, h) == 1 for b in samples)
+        for j in classes:
+            own = [b for b in range(1, max(samples) + 1) if b % m == j and gcd(b, h) == 1]
+            assert own[0] in samples
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(SIMPLY_LACED), st.integers(0, 6), st.booleans(),
+           st.sampled_from(("coweight", "coroot")), st.data())
+    def test_sample_count_is_fit_samples_in_closed_form(self, case, k, centered, lattice, data):
+        # the cli budget charges the count before any sample is listed: the
+        # samples are distinct dilations from 0 up, at most one more per coprime
+        # class than the closed form counts
+        rs = build_root_system(*case)
+        m = quasi_period(rs, lattice)
+        classes = data.draw(st.lists(st.integers(0, m - 1), min_size=1, unique=True))
+        coprime = set(classes) & set(coprime_fit_classes(rs)) if lattice == "coroot" else set()
+        plan = fit_plan(rs, k, lattice, centered, classes)
+        samples = [b for fit in plan for b in fit.dilations]
+        assert len(set(samples)) == len(samples) and min(samples) >= 0
+        count = sum(fit.nodes + 2 for fit in plan)
+        assert len(samples) - len(coprime) <= count <= len(samples)
+        if not coprime:
+            assert count == len(samples)
+
+    @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(SIMPLY_LACED), st.integers(0, 6), st.booleans(),
            st.sampled_from(("coweight", "coroot")), st.data())
     def test_fits_read_the_plan_in_order(self, case, k, centered, lattice, data):
         rs = build_root_system(*case)
-        h = rs.coxeter_number
         m = quasi_period(rs, lattice)
         classes = data.draw(st.lists(st.integers(0, m - 1), min_size=1, unique=True))
         coprime = [j for j in classes if j in coprime_fit_classes(rs) and lattice == "coroot"]
@@ -445,24 +479,12 @@ class TestCoprimePolynomial:
                 assert coprime_polynomial(rs, k, centered, coprime) == (0,)
         samples = [b for fit in fit_plan(rs, k, lattice, False, classes) for b in fit.dilations]
         assert fitted == [(b, False) for b in samples]
-        # the cli budget charges the count before any sample is listed: the
-        # samples are distinct dilations from 0 up, at most one more per coprime
-        # class than the closed form counts
-        assert len(set(samples)) == len(samples) and min(samples) >= 0
-        count = sum(fit.nodes + 2 for fit in fit_plan(rs, k, lattice, False, classes))
-        assert len(samples) - len(coprime) <= count <= len(samples)
         if not coprime:
-            assert count == len(samples) and read == []
+            assert read == []
             return
-        # the shared fit, centered or not, reads b coprime to h covering every class
+        # the shared fit, centered or not, reads its dilations in order
         [fit] = fit_plan(rs, k, "coroot", centered, coprime)
-        shared = list(fit.dilations)
-        assert read == [(b, centered) for b in shared]
-        assert len(set(shared)) == len(shared)
-        assert all(b >= 1 and gcd(b, h) == 1 for b in shared)
-        for j in coprime:
-            own = [b for b in range(1, max(shared) + 1) if b % m == j and gcd(b, h) == 1]
-            assert own[0] in shared
+        assert read == [(b, centered) for b in fit.dilations]
 
     def test_samples_are_the_smallest_coprime_dilations(self):
         def dilations(rs, k, classes):
