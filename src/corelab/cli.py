@@ -105,11 +105,14 @@ def _admit_build(family: str, rank: int, args) -> RootSystemType:
     return rstype
 
 
-def _root_system(args) -> RootSystem:
-    if args.type is None or args.rank is None:
-        raise UsageError("--type and --rank are required")
+def _root_system(args, family: Optional[str] = None) -> RootSystem:
+    """The root system of ``family``, by default ``--type``, at ``--rank``, once
+    :func:`_admit_build` admits it; a missing or invalid one is a usage error."""
+    family = family or args.type
+    if family is None or args.rank is None:
+        raise UsageError("--rank is required" if family else "--type and --rank are required")
     try:
-        return build_root_system(_admit_build(args.type, args.rank, args))
+        return build_root_system(_admit_build(family, args.rank, args))
     except ValueError as exc:
         raise UsageError("invalid root system: %s" % exc)
 
@@ -138,12 +141,12 @@ def _dilations(args, required: bool = True) -> Sequence[int]:
     return []
 
 
-def _count_estimate(rs: RootSystem, b: int, lattice: str) -> int:
-    """Upper-end estimate of lattice points in the dilated alcove."""
+def _points(rs: RootSystem, b: int, lattice: str = "coroot") -> Tuple[int, str]:
+    """Upper-end estimate of the lattice points in ``b A``, and its unit."""
     est = -(-exponent_product(rs, b) // rs.weyl_order)
     if lattice == "coweight":
         est *= rs.index_f
-    return max(est, 1)
+    return max(est, 1), "points"
 
 
 def _dp_cost(rs: RootSystem, top: int, K: int = 0) -> Tuple[int, str]:
@@ -151,25 +154,20 @@ def _dp_cost(rs: RootSystem, top: int, K: int = 0) -> Tuple[int, str]:
     return (top + 1) * rs.index_f * comb(rs.rank + 1 + K, K), "DP sums"
 
 
-def _fit_cost(
-    rs: RootSystem, k: int, lattice: str, centered: bool, classes: Sequence[int]
-) -> Tuple[int, str]:
-    """The sums of the DP rows up to the largest sample when the fit reads the
-    DP, otherwise the estimated points streamed over all its samples; and its unit."""
-    samples = [b for fit in fit_plan(rs, k, lattice, centered, classes) for b in fit.dilations]
-    if dp_backed(k):
-        return _dp_cost(rs, max(samples), k)
-    return sum(_count_estimate(rs, b, lattice) for b in samples), "points"
-
-
 def _fit_budget(rs: RootSystem, k: int, lattice: str, centered: bool, classes, args) -> None:
-    """Check :func:`_fit_cost`, a streamed fit first in closed form, before its samples
+    """Check a fit against ``--max-points`` over one :func:`fit_plan`: the sums of the
+    DP rows up to its largest sample when it reads the DP, otherwise the estimated
+    points streamed over all its samples, charged first in closed form before they
     are listed: they are distinct dilations from 0 up, so the largest is at least
     their number less one, and every other one holds the origin at least."""
-    if not dp_backed(k):
-        many = sum(fit.nodes + 2 for fit in fit_plan(rs, k, lattice, centered, classes))
-        _check_budget(many - 1 + _count_estimate(rs, many - 1, lattice), "points", args)
-    _check_budget(*_fit_cost(rs, k, lattice, centered, classes), args)
+    plan = fit_plan(rs, k, lattice, centered, classes)
+    if dp_backed(k):
+        _check_budget(*_dp_cost(rs, max(b for fit in plan for b in fit.dilations), k), args)
+        return
+    many = sum(fit.nodes + 2 for fit in plan)
+    _check_budget(many - 1 + _points(rs, many - 1, lattice)[0], "points", args)
+    _check_budget(sum(_points(rs, b, lattice)[0] for fit in plan for b in fit.dilations),
+                  "points", args)
 
 
 def _check_budget(estimate: int, unit: str, args) -> None:
@@ -187,11 +185,6 @@ def _trunc(args, *expanded: Sequence[Tuple[int, int]]) -> int:
         raise UsageError("--trunc must be nonnegative")
     _check_budget(sum(eta_updates(f, trunc) for f in expanded), "coefficient updates", args)
     return trunc
-
-
-def _points(rs: RootSystem, b: int) -> Tuple[int, str]:
-    """The estimated coroot points of ``b A``, as a cost for :func:`_admit`."""
-    return _count_estimate(rs, b, "coroot"), "points"
 
 
 def _admit(
@@ -254,7 +247,7 @@ def cmd_enum(args) -> Tuple[int, List[Dict]]:
         raise UsageError("b must be nonnegative")
     h = rs.coxeter_number
     coprime = b >= 1 and gcd(b, h) == 1
-    _check_budget(_count_estimate(rs, b, args.lattice), "points", args)
+    _check_budget(*_points(rs, b, args.lattice), args)
     d = lattice_scale(rs, args.lattice)
     results = []
     if args.stat == "size":
@@ -302,8 +295,6 @@ def _verify_strange(rs: RootSystem, b: None, args) -> Dict:
 
 
 def _verify_macdonald(rs: RootSystem, b: None, args) -> Dict:
-    if not is_simply_laced(rs):
-        raise UsageError("macdonald requires a simply-laced root system")
     trunc = _trunc(args, macdonald_factors(rs))
     series = macdonald_series(rs, trunc)
     _check_budget(sum(series.coeffs), "points", args)  # the coefficients count the points
@@ -319,8 +310,6 @@ def _verify_macdonald(rs: RootSystem, b: None, args) -> Dict:
 
 
 def _verify_genfun_a(rs: RootSystem, b: None, args) -> Dict:
-    if rs.family != "A":
-        raise UsageError("genfun-A requires type A")
     a = rs.rank + 1
     trunc = _trunc(args, core_product_factors(a), macdonald_factors(rs))
     same = core_product_series(a, trunc).coeffs == macdonald_series(rs, trunc).coeffs
@@ -338,8 +327,6 @@ def _verify_count(rs: RootSystem, b: int, args) -> Dict:
 
 def _floor_cost(rs: RootSystem, b: int) -> Tuple[int, str]:
     """The h - 1 terms of each floor sum, one per inner index j."""
-    if not is_simply_laced(rs):
-        raise UsageError("floor identities apply to simply-laced systems")
     return rs.coxeter_number - 1, "terms"
 
 
@@ -348,24 +335,11 @@ def _verify_floor(rs: RootSystem, b: int, args) -> Dict:
     return dict(verdict="match" if ok else "mismatch(identity failed)")
 
 
-def _anderson_cost(rs: RootSystem, b: int) -> Tuple[int, str]:
-    """The (n+1, b)-cores: the coroot points of the height-b region."""
-    if rs.family != "A":
-        raise UsageError("anderson requires type A")
-    return _points(rs, b)
-
-
 def _verify_anderson(rs: RootSystem, b: int, args) -> Dict:
     a = rs.rank + 1
     got = Q(len(enumerate_simultaneous_cores(a, b)))
     expected = Q(comb(a + b, a), a + b)
     return dict(value=got, expected=expected, verdict=verdict_of(got, expected))
-
-
-def _max_cost(rs: RootSystem, b: int) -> Tuple[int, str]:
-    if not is_simply_laced(rs):
-        raise UsageError("max closed form requires a simply-laced root system")
-    return _points(rs, b)
 
 
 def _verify_max(rs: RootSystem, b: int, args) -> Dict:
@@ -378,34 +352,40 @@ def _verify_moment(field: str, key: str, rs: RootSystem, b: int, args) -> Dict:
     return dict(value=row[field], verdict=row["verdicts"][key])
 
 
-# Every verify selector: its cost on one dilation, or None when it takes no
-# dilation, and its handler.  A dilation must be coprime to h.  The cost is an
-# estimate and its unit, checked against --max-points before the handler runs;
-# on a root system the selector does not apply to it is a usage error instead.
-# The moment selectors pass the field of the moments row they read and its verdict key.
-_VERIFY: Dict[str, Tuple[Optional[Callable], Callable]] = {
-    "count": (_dp_cost, _verify_count),
-    "max": (_max_cost, _verify_max),
-    "mean": (_points, partial(_verify_moment, "mean", "mean")),
-    "variance": (_points, partial(_verify_moment, "variance", "m2")),
-    "m3": (_points, partial(_verify_moment, "m3", "m3")),
-    "floor": (_floor_cost, _verify_floor),
-    "strange": (None, _verify_strange),
-    "macdonald": (None, _verify_macdonald),
-    "anderson": (_anderson_cost, _verify_anderson),
-    "genfun-A": (None, _verify_genfun_a),
+# Every verify selector: the root systems it applies to (None for all), its cost
+# on one dilation (None when it takes no dilation) and its handler.  A selector
+# that does not apply is a usage error before any dilation is read or any budget
+# charged.  A dilation must be coprime to h.  The cost is an estimate and its
+# unit, checked against --max-points before the handler runs.  The moment
+# selectors pass the field of the moments row they read and its verdict key.
+_LACED = "a simply-laced root system"
+_VERIFY: Dict[str, Tuple[Optional[str], Optional[Callable], Callable]] = {
+    "count": (None, _dp_cost, _verify_count),
+    "max": (_LACED, _points, _verify_max),
+    "mean": (None, _points, partial(_verify_moment, "mean", "mean")),
+    "variance": (None, _points, partial(_verify_moment, "variance", "m2")),
+    "m3": (None, _points, partial(_verify_moment, "m3", "m3")),
+    "floor": (_LACED, _floor_cost, _verify_floor),
+    "strange": (None, None, _verify_strange),
+    "macdonald": (_LACED, None, _verify_macdonald),
+    "anderson": ("type A", _points, _verify_anderson),
+    "genfun-A": ("type A", None, _verify_genfun_a),
 }
 
 
 def cmd_verify(args) -> Tuple[int, List[Dict]]:
     rs = _root_system(args)
+    for selector in args.selectors:
+        if selector not in _VERIFY:
+            raise UsageError("unknown selector %r" % selector)
+        needs = _VERIFY[selector][0]
+        if needs and not (rs.family == "A" if needs == "type A" else is_simply_laced(rs)):
+            raise UsageError("%s requires %s" % (selector, needs))
     bs = _dilations(args, required=False)
     results: List[Dict] = []
     skips = results if args.b_range is not None else None
     for selector in args.selectors:
-        if selector not in _VERIFY:
-            raise UsageError("unknown selector %r" % selector)
-        cost, run = _VERIFY[selector]
+        _, cost, run = _VERIFY[selector]
         row = {"selector": selector, "family": rs.family, "rank": rs.rank}
         if cost is None:
             results.append(dict(row, **run(rs, None, args)))
@@ -509,30 +489,19 @@ def _weak_order(args) -> Tuple[int, List[Dict]]:
 
 
 def _cn_fuss(args) -> Tuple[int, List[Dict]]:
-    if args.rank is None:
-        raise UsageError("--rank is required")
     if args.m < 1:
         raise UsageError("--m must be positive")
-    try:
-        rs = build_root_system(_admit_build("C", args.rank, args))
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    rs = _root_system(args, "C")
     _check_budget(*_dp_cost(rs, args.m * rs.coxeter_number + 1, 1), args)
     return EXIT_OK, [experiment_cn_fuss(args.rank, args.m)]
 
 
 def _cn_weighting(args) -> Tuple[int, List[Dict]]:
-    if args.rank is None:
-        raise UsageError("--rank is required")
     if args.trials < 1:
         raise UsageError("--trials must be positive")
+    _root_system(args, "C")
     _check_budget(args.trials, "trials", args)
-    try:
-        _admit_build("C", args.rank, args)
-        report = experiment_cn_selfconjugate_weighting(args.rank, args.trials, args.seed)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    return EXIT_OK, [report]
+    return EXIT_OK, [experiment_cn_selfconjugate_weighting(args.rank, args.trials, args.seed)]
 
 
 def _top_coeff(args) -> Tuple[int, List[Dict]]:

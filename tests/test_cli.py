@@ -722,20 +722,23 @@ class TestVerify:
 
         # the estimate is the exact number of terms of each floor sum, one per
         # 0 < j < h, whatever the dilation
-        for family, rank, b in [("A", 3, 5), ("A", 6, 12), ("D", 4, 7), ("E", 6, 7)]:
-            rs = build_root_system(family, rank)
-            assert cli._floor_cost(rs, b) == (rs.coxeter_number - 1, "terms")
+        for family, rank, b, h in [("A", 3, 5, 4), ("A", 6, 12, 7), ("D", 4, 7, 6),
+                                   ("E", 6, 7, 12)]:
+            argv = ["verify", "--type", family, "--rank", str(rank), "--b", str(b), "floor"]
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "floor_identity_check", refuse)
+                assert run(argv + ["--max-points", str(h - 2)]) == (EXIT_BUDGET, "")
+            assert capsys.readouterr().err == (
+                "error: estimated %d terms exceeds --max-points %d\n" % (h - 1, h - 2))
+            code, doc = run_json(argv + ["--max-points", str(h - 1)])
+            assert code == EXIT_OK
+            assert doc["results"][0]["verdict"] == "match"
         huge = ["verify", "--type", "A", "--rank", "3", "--b", "30000001", "floor"]
-        argv = ["verify", "--type", "A", "--rank", "6", "--b", "12", "floor"]
         with monkeypatch.context() as patch:
             patch.setattr(cli, "floor_identity_check", refuse)
             assert run(huge + ["--max-points", "2"])[0] == EXIT_BUDGET
             assert capsys.readouterr().err == (
                 "error: estimated 3 terms exceeds --max-points 2\n")
-            assert run(argv + ["--max-points", "5"])[0] == EXIT_BUDGET
-        code, doc = run_json(argv + ["--max-points", "6"])
-        assert code == EXIT_OK
-        assert doc["results"][0]["verdict"] == "match"
         code, doc = run_json(huge)
         assert code == EXIT_OK
         assert doc["results"][0]["verdict"] == "match"
@@ -895,13 +898,15 @@ class TestFit:
         code, _ = run(["fit", "--type", "A", "--rank", "2", "--k", "0", "--max-points", "3"])
         assert code == EXIT_BUDGET
 
-    def test_streamed_coroot_fit_is_budgeted_over_polymethod_samples(self):
-        # one polynomial for both coprime classes of A3, from b = 1, 3, ..., 13
-        A3 = build_root_system("A", 3)
-        estimate = sum(cli._count_estimate(A3, b, "coroot") for b in range(1, 14, 2))
+    def test_streamed_coroot_fit_is_budgeted_over_polymethod_samples(self, capsys):
+        # one polynomial for both coprime classes of A3, from b = 1, 3, ..., 13, each
+        # holding Haiman's (b + 1)(b + 2)(b + 3)/|W| coroot points, |W| = 24
+        estimate = sum((b + 1) * (b + 2) * (b + 3) // 24 for b in range(1, 14, 2))
+        assert estimate == 336
         argv = ["fit", "--type", "A", "--rank", "3", "--k", "4", "--lattice", "coroot"]
-        code, _ = run(argv + ["--max-points", str(estimate - 1)])
-        assert code == EXIT_BUDGET
+        assert run(argv + ["--max-points", "335"]) == (EXIT_BUDGET, "")
+        assert capsys.readouterr().err == (
+            "error: estimated 336 points exceeds --max-points 335\n")
         code, doc = run_json(argv + ["--max-points", str(estimate)])
         assert code == EXIT_OK
         assert [row["holdouts"] for row in doc["results"][1:]] == ["pass", "pass"]
@@ -1329,6 +1334,88 @@ class TestExperiment:
         assert doc["results"][0]["verdict"] == "consistent"
 
 
+# the selectors that apply to simply-laced types only, and to type A only
+SIMPLY_LACED_ONLY = ("max", "floor", "macdonald")
+TYPE_A_ONLY = ("anderson", "genfun-A")
+
+# the small types the admission tests draw from
+SMALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3), ("D", 4),
+               ("E", 6), ("F", 4), ("G", 2)]
+
+# a small value of each option of the command table but --type and --rank
+SMALL_VALUES = {
+    "--b": st.integers(-1, 8).map(str),
+    "--b-range": st.integers(0, 8).flatmap(lambda lo: st.integers(lo - 1, 8).map(
+        lambda hi: "%d..%d" % (lo, hi))),
+    "--k": st.integers(0, 3).map(str),
+    "--trunc": st.integers(-1, 6).map(str),
+    "--lattice": st.sampled_from(["coroot", "coroot", "coweight"]),
+    "--stat": st.sampled_from(["size", "zise"]),
+    "--residue": st.integers(-1, 3).map(str),
+    "--m": st.integers(0, 2).map(str),
+    "--trials": st.integers(0, 3).map(str),
+    "--seed": st.integers(0, 3).map(str),
+}
+
+
+@st.composite
+def small_request(draw, words):
+    """A request of the row ``words`` (a verify selector is its own row): a small type
+    and rank, each other option of the row given or left out, and a small budget."""
+    name = " ".join(words[:1] if words[0] == "verify" else words)
+    row = cli._COMMANDS[name][2].split()
+    family, rank = draw(st.sampled_from(SMALL_TYPES))
+    argv = list(words) + (["--type", family] if "--type" in row else []) + ["--rank", str(rank)]
+    # a dilation, a sweep, neither or, one in twelve, both
+    dilations = draw(st.sampled_from([()] * 3 + [("--b",)] * 4 + [("--b-range",)] * 4
+                                     + [("--b", "--b-range")]))
+    for flag in row:
+        if flag in SMALL_VALUES and (flag in dilations if flag.startswith("--b")
+                                     else draw(st.booleans())):
+            argv += [flag, draw(SMALL_VALUES[flag])]
+    return argv + ["--format", draw(st.sampled_from(["json", "csv", "table"])),
+                   "--max-points", draw(st.sampled_from(["0", "1000", "20000", "20000"]))]
+
+
+class TestAdmission:
+    @pytest.mark.parametrize("selector", list(cli._VERIFY))
+    @pytest.mark.parametrize("family, rank", [("A", 1), ("B", 3), ("C", 3), ("D", 4), ("E", 6),
+                                              ("F", 4), ("G", 2)])
+    def test_selector_outside_its_types_is_usage_whatever_the_dilations(
+            self, selector, family, rank, capsys):
+        # usage comes before the budget, and before the dilations are read
+        h = build_root_system(family, rank).coxeter_number
+        applies = family == "A" or (selector not in TYPE_A_ONLY
+                                    and (family in "DE" or selector not in SIMPLY_LACED_ONLY))
+        needs = "type A" if selector in TYPE_A_ONLY else "a simply-laced root system"
+        argv = ["verify", "--type", family, "--rank", str(rank), selector, "--max-points", "0"]
+        for dilations in (["--b", str(h + 1)], ["--b", str(h)], ["--b-range", "%d..%d" % (h, h)],
+                          ["--b-range", "%d..%d" % (h, h + 1)], []):
+            code, text = run(argv + dilations)
+            err = capsys.readouterr().err
+            if applies:
+                assert " requires " not in err
+            else:
+                assert (code, text, err) == (EXIT_USAGE, "", "error: %s requires %s\n"
+                                             % (selector, needs))
+
+    @pytest.mark.parametrize(
+        "words",
+        [name.split() for name in cli._COMMANDS if name != "verify"]
+        + [["verify", selector] for selector in cli._VERIFY],
+        ids=" ".join,
+    )
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_small_requests_exit_cleanly(self, words, data):
+        # every small request answers, is refused as usage or over budget, and never
+        # raises; a refused one writes nothing to stdout
+        code, text = run(data.draw(small_request(words)))
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_BUDGET)
+        if code != EXIT_OK:
+            assert text == ""
+
+
 class TestPlumbing:
     def test_missing_type_is_usage(self):
         code, _ = run(["enum", "--b", "4"])
@@ -1540,6 +1627,18 @@ class TestPlumbing:
         assert all(common <= options for options in accepted.values())
         assert documented == {name: options - common for name, options in accepted.items()}
         assert set().union(*documented.values()) == set(VALUES) | {"selectors"}
+
+    def test_readme_names_where_each_selector_applies(self):
+        # one README sentence per class of the table's first column
+        text = " ".join((Path(__file__).resolve().parent.parent / "README.md").read_text().split())
+        classes = {}
+        for name, (needs, _, _) in cli._VERIFY.items():
+            classes.setdefault(needs, []).append("`%s`" % name)
+        assert len(classes) == 3
+        for needs, names in classes.items():
+            sentence = "%s and %s %s" % (", ".join(names[:-1]), names[-1],
+                                         "require " + needs if needs else "apply to every type")
+            assert sentence in text
 
     def test_unknown_option_shows_its_own_commands_usage(self, capsys):
         code, text = run("experiment cn-fuss --type A --rank 2".split())

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corelab import lattice_enum
-from corelab.cli import _fit_cost, main
+from corelab.cli import main
 from corelab.ehrhart import coprime_fit_classes, fit_plan, weighted_lattice_sum
 from corelab.lattice_enum import (
     alcove_size_sums,
@@ -423,7 +423,7 @@ def test_power_sum_rejects_negative_dilation():
         scaled_value_counts(A2, -1, "coroot", QuadraticForm(A2, 1))
 
 
-def test_size_sum_rows_are_computed_once(monkeypatch):
+def test_size_sum_rows_are_computed_once(monkeypatch, capsys):
     grown = []
     grow = lattice_enum._grow_size_sums
 
@@ -448,7 +448,14 @@ def test_size_sum_rows_are_computed_once(monkeypatch):
     fit_quasi(e8, 1, "coroot", residues=classes)
     top = max(b for fit in fit_plan(e8, 1, "coroot", False, classes) for b in fit.dilations)
     assert sum(n for _, n in grown) == top + 1 and {K for K, _ in grown} == {1}
-    assert _fit_cost(e8, 1, "coroot", False, classes)[0] == (top + 1) * e8.index_f * comb(10, 1)
+    # the fit is charged those rows' DP sums, f C(8 + 1 + 1, 1) = 10 a row (f = 1)
+    charge = (top + 1) * e8.index_f * comb(10, 1)
+    argv = "fit --type E --rank 8 --k 1 --lattice coroot --max-points".split()
+    out = io.StringIO()
+    assert main(argv + [str(charge - 1)], out=out) == 3 and out.getvalue() == ""
+    assert capsys.readouterr().err == (
+        "error: estimated %d DP sums exceeds --max-points %d\n" % (charge, charge - 1))
+    assert main(argv + [str(charge)], out=io.StringIO()) == 0
 
 
 def test_scaled_stream_rejects_unknown_lattice():
